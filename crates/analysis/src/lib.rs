@@ -25,7 +25,7 @@
 //!   [`mbus_topology::FaultMask`]: renormalized over alive buses,
 //!   unreachable modules contributing zero, per-class K-class breakdowns.
 //! * [`sweep`] — bus sweeps, halving ratios, and per-scheme series used by
-//!   the table generators in `mbus-core`/`mbus-bench`.
+//!   the table generators in `mbus-core`.
 //! * [`cost_effectiveness`] — §IV's performance-cost comparisons.
 //!
 //! # A worked example (Table II, N = 8, B = 4, hierarchical, r = 1)

@@ -2,14 +2,14 @@
 //!
 //! Sweep points are independent, so [`bus_sweep`] evaluates them over the
 //! work-stealing pool via
-//! [`mbus_stats::parallel::parallel_map_dynamic`] — per-point cost grows
+//! [`mbus_stats::parallel::parallel_map`] — per-point cost grows
 //! with `B`, so stealing keeps the tail of a sweep from serializing on one
 //! worker. Results come back in input order, and errors are reported for
 //! the *first failing point* in input order regardless of which thread hit
 //! one first, keeping the function deterministic.
 
 use crate::{bandwidth, AnalysisError};
-use mbus_stats::parallel::{available_workers, parallel_map_dynamic};
+use mbus_stats::parallel::{available_workers, parallel_map};
 use mbus_topology::{BusNetwork, ConnectionScheme, TopologyError};
 use mbus_workload::RequestMatrix;
 use serde::{Deserialize, Serialize};
@@ -68,7 +68,7 @@ pub fn bus_sweep_with_workers(
     r: f64,
     workers: usize,
 ) -> Result<Vec<SweepPoint>, AnalysisError> {
-    let points = parallel_map_dynamic(bus_counts.to_vec(), workers, |b| {
+    let points = parallel_map(bus_counts.to_vec(), workers, |b| {
         let net = BusNetwork::new(n, m, b, factory(b)?)?;
         Ok(SweepPoint {
             buses: b,

@@ -9,7 +9,7 @@
 //! Monte-Carlo sampling beyond [`CampaignConfig::exhaustive_limit`] — and
 //! aggregates mean/min/max bandwidth, accessible-memory fractions, and the
 //! worst-case mask per level. Mask evaluations run over the work-stealing
-//! pool through [`mbus_stats::parallel::parallel_map_dynamic`] — level
+//! pool through [`mbus_stats::parallel::parallel_map`] — level
 //! costs are wildly uneven (`C(B, f)` peaks at `f = B/2`), exactly the
 //! shape stealing flattens.
 //!
@@ -52,7 +52,7 @@ use mbus_analysis::degraded::{degraded_analyze, DegradedBreakdown};
 use mbus_analysis::AnalysisError;
 use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig, SimError, Simulator};
 use mbus_stats::cache::MemoCache;
-use mbus_stats::parallel::{available_workers, parallel_map_dynamic};
+use mbus_stats::parallel::{available_workers, parallel_map};
 use mbus_stats::prob::{choose, choose_f64};
 use mbus_topology::{BusNetwork, FaultMask, SchemeKind};
 use mbus_workload::RequestMatrix;
@@ -335,7 +335,7 @@ pub fn run_campaign(
     let canonical: MemoCache<usize, Result<DegradedBreakdown, AnalysisError>> =
         MemoCache::new(1, b + 2);
     type Evaluated = Result<(usize, Vec<usize>, DegradedBreakdown), AnalysisError>;
-    let evaluated: Vec<Evaluated> = parallel_map_dynamic(work, workers, |(f, failed)| {
+    let evaluated: Vec<Evaluated> = parallel_map(work, workers, |(f, failed)| {
         let breakdown = if symmetric {
             let shared = canonical.get_or_insert_with(f, || {
                 let first: Vec<usize> = (0..f).collect();

@@ -1,6 +1,8 @@
 //! A small, dependency-free argument parser for the `mbus` binary.
 
+use mbus_core::query::{Fields, QueryError};
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// Parsed command line: one subcommand, positional arguments, and
 /// `--key value` / `--flag` options.
@@ -47,18 +49,81 @@ impl Args {
     /// # Errors
     ///
     /// Returns a message when the value does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{raw}'")),
-        }
+    pub fn get_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.field(key).map_err(|e| e.to_string())?.unwrap_or(default))
     }
 
     /// Whether a bare flag (or `--key true`) is present.
     pub fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true"))
+    }
+
+    /// Option `key` parsed with `FromStr`, or `None` when absent. Query
+    /// field names are respelled to their option first.
+    fn field<T: FromStr>(&self, key: &str) -> Result<Option<T>, QueryError> {
+        let flag = spelling(key);
+        self.get(flag)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| QueryError::Invalid(format!("--{flag}: cannot parse '{raw}'")))
+            })
+            .transpose()
+    }
+}
+
+/// The option spelling of a canonical query field name. The two fault
+/// lists share `--failed`; `--trace` takes the trace file's path.
+fn spelling(key: &str) -> &str {
+    match key {
+        "failed_links" | "failed_buses" => "failed",
+        "trace_summary" => "trace",
+        other => other,
+    }
+}
+
+/// Parses a comma-separated list such as `--ks 4,4` or `--failed 2,5`.
+pub fn parse_list<T: FromStr>(raw: &str, key: &str) -> Result<Vec<T>, String> {
+    raw.split(',')
+        .map(|part| {
+            part.trim()
+                .parse()
+                .map_err(|_| format!("--{key}: cannot parse '{part}'"))
+        })
+        .collect()
+}
+
+/// Command-line options as query fields: `--key value`, parsed with
+/// `FromStr`, and comma-separated lists.
+impl Fields for Args {
+    fn usize_field(&self, key: &str) -> Result<Option<usize>, QueryError> {
+        self.field(key)
+    }
+
+    fn u64_field(&self, key: &str) -> Result<Option<u64>, QueryError> {
+        self.field(key)
+    }
+
+    fn f64_field(&self, key: &str) -> Result<Option<f64>, QueryError> {
+        self.field(key)
+    }
+
+    fn bool_field(&self, key: &str) -> Result<Option<bool>, QueryError> {
+        if key == "trace_summary" {
+            // A trace is requested by naming its output file.
+            return Ok(self.get(spelling(key)).map(|_| true));
+        }
+        self.field(key)
+    }
+
+    fn str_field(&self, key: &str) -> Result<Option<&str>, QueryError> {
+        Ok(self.get(spelling(key)))
+    }
+
+    fn usize_list(&self, key: &str, _what: &str) -> Result<Option<Vec<usize>>, QueryError> {
+        let flag = spelling(key);
+        self.get(flag)
+            .map(|raw| parse_list(raw, flag).map_err(QueryError::Invalid))
+            .transpose()
     }
 }
 
@@ -91,6 +156,12 @@ mod tests {
     fn bad_values_error() {
         let args = parse("analyze --n banana");
         assert!(args.get_or("n", 8usize).is_err());
+    }
+
+    #[test]
+    fn parse_list_handles_spaces_and_rejects_garbage() {
+        assert_eq!(parse_list::<usize>("4, 2,2", "ks").unwrap(), vec![4, 2, 2]);
+        assert!(parse_list::<usize>("4,x", "ks").is_err());
     }
 
     #[test]

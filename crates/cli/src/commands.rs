@@ -1,68 +1,14 @@
 //! Implementations of the `mbus` subcommands.
 
 use crate::args::Args;
+use crate::CliResult;
 use mbus_core::prelude::*;
+use mbus_core::query::{Fields, FlatSpec, SimSpec, WorkloadSpec};
 use mbus_core::report::cost_table_markdown;
 use mbus_core::{exact, tables, topology};
 
-/// Builds a connection scheme from `--scheme` and its modifiers.
-fn scheme_from(args: &Args, m: usize, b: usize) -> Result<ConnectionScheme, String> {
-    match args.get("scheme").unwrap_or("full") {
-        "full" => Ok(ConnectionScheme::Full),
-        "crossbar" => Ok(ConnectionScheme::Crossbar),
-        "single" => ConnectionScheme::balanced_single(m, b).map_err(|e| e.to_string()),
-        "partial" => {
-            let groups = args.get_or("groups", 2usize)?;
-            Ok(ConnectionScheme::PartialGroups { groups })
-        }
-        "kclass" => {
-            let classes = args.get_or("classes", b)?;
-            ConnectionScheme::uniform_classes(m, classes).map_err(|e| e.to_string())
-        }
-        other => Err(format!(
-            "unknown scheme '{other}' (expected full|single|partial|kclass|crossbar)"
-        )),
-    }
-}
-
-/// Builds the request matrix from `--workload` and its modifiers.
-fn workload_from(args: &Args, n: usize, m: usize) -> Result<RequestMatrix, String> {
-    match args.get("workload").unwrap_or("hier") {
-        "hier" | "hierarchical" => {
-            let clusters = args.get_or("clusters", 4usize)?;
-            if n != m {
-                return Err("hierarchical workload requires N = M (paired leaves)".into());
-            }
-            let model = HierarchicalModel::two_level_paired(n, clusters, [0.6, 0.3, 0.1])
-                .map_err(|e| e.to_string())?;
-            Ok(model.matrix())
-        }
-        "uniform" => Ok(UniformModel::new(n, m).map_err(|e| e.to_string())?.matrix()),
-        "favorite" => {
-            let alpha = args.get_or("alpha", 0.5f64)?;
-            Ok(FavoriteModel::new(n, m, alpha)
-                .map_err(|e| e.to_string())?
-                .matrix())
-        }
-        other => Err(format!(
-            "unknown workload '{other}' (expected hier|uniform|favorite)"
-        )),
-    }
-}
-
-fn network_from(args: &Args) -> Result<(BusNetwork, RequestMatrix, f64), String> {
-    let n = args.get_or("n", 8usize)?;
-    let m = args.get_or("m", n)?;
-    let b = args.get_or("b", 4usize)?;
-    let rate = args.get_or("rate", 1.0f64)?;
-    let scheme = scheme_from(args, m, b)?;
-    let net = BusNetwork::new(n, m, b, scheme).map_err(|e| e.to_string())?;
-    let matrix = workload_from(args, n, m)?;
-    Ok((net, matrix, rate))
-}
-
 /// `mbus table <id>`.
-pub fn table(args: &Args) -> Result<(), String> {
+pub fn table(args: &Args) -> CliResult {
     let id = args
         .positional
         .first()
@@ -73,7 +19,7 @@ pub fn table(args: &Args) -> Result<(), String> {
         let b = args.get_or("b", 8usize)?;
         let g = args.get_or("g", 2usize)?;
         let k = args.get_or("k", b)?;
-        let rows = tables::table1(n, b, g, k).map_err(|e| e.to_string())?;
+        let rows = tables::table1(n, b, g, k)?;
         print!("{}", cost_table_markdown(&rows));
         return Ok(());
     }
@@ -83,7 +29,7 @@ pub fn table(args: &Args) -> Result<(), String> {
         "4" => tables::table4(),
         "5" => tables::table5(),
         "6" => tables::table6(),
-        other => return Err(format!("unknown table '{other}'")),
+        other => return Err(format!("unknown table '{other}'").into()),
     };
     if args.flag("csv") {
         print!("{}", table.to_csv());
@@ -99,7 +45,7 @@ pub fn table(args: &Args) -> Result<(), String> {
 }
 
 /// `mbus tables`.
-pub fn tables(args: &Args) -> Result<(), String> {
+pub fn tables(args: &Args) -> CliResult {
     for table in tables::all_bandwidth_tables() {
         if args.flag("csv") {
             print!("{}", table.to_csv());
@@ -111,7 +57,7 @@ pub fn tables(args: &Args) -> Result<(), String> {
 }
 
 /// `mbus figures`.
-pub fn figures() -> Result<(), String> {
+pub fn figures() -> CliResult {
     for (caption, art) in tables::figures() {
         println!("{caption}\n");
         println!("{art}");
@@ -120,14 +66,10 @@ pub fn figures() -> Result<(), String> {
 }
 
 /// `mbus render`.
-pub fn render(args: &Args) -> Result<(), String> {
+pub fn render(args: &Args) -> CliResult {
     // Rendering needs only the topology — no workload — so N ≠ M shapes
     // like the paper's Fig. 3 (3x6x4) work without a workload flag.
-    let n = args.get_or("n", 8usize)?;
-    let m = args.get_or("m", n)?;
-    let b = args.get_or("b", 4usize)?;
-    let scheme = scheme_from(args, m, b)?;
-    let net = BusNetwork::new(n, m, b, scheme).map_err(|e| e.to_string())?;
+    let net = FlatSpec::read(args)?.network()?;
     if args.flag("dot") {
         print!("{}", topology::render::dot_graph(&net));
     } else {
@@ -137,7 +79,7 @@ pub fn render(args: &Args) -> Result<(), String> {
 }
 
 /// `mbus ratios`.
-pub fn ratios() -> Result<(), String> {
+pub fn ratios() -> CliResult {
     println!("Section IV bus-halving ratios (single connection, N = 32):");
     println!("MBW(B = N) / MBW(B = N/2)\n");
     println!("| r | hierarchical | uniform |");
@@ -150,10 +92,10 @@ pub fn ratios() -> Result<(), String> {
 }
 
 /// `mbus analyze`.
-pub fn analyze(args: &Args) -> Result<(), String> {
-    let (net, matrix, rate) = network_from(args)?;
-    let system = System::from_matrix(net, matrix, rate).map_err(|e| e.to_string())?;
-    let breakdown = system.analytic().map_err(|e| e.to_string())?;
+pub fn analyze(args: &Args) -> CliResult {
+    let system = FlatSpec::read(args)?.build()?;
+    let rate = system.rate();
+    let breakdown = system.analytic()?;
     println!("network:        {}", system.network());
     println!("request rate r: {rate}");
     println!(
@@ -239,41 +181,27 @@ fn parse_faults(spec: &str, total_cycles: u64) -> Result<mbus_core::sim::FaultSc
 }
 
 /// `mbus simulate`.
-pub fn simulate(args: &Args) -> Result<(), String> {
-    let (net, matrix, rate) = network_from(args)?;
-    let cycles = args.get_or("cycles", 100_000u64)?;
-    let warmup = args.get_or("warmup", cycles / 20)?;
-    let seed = args.get_or("seed", 0u64)?;
-    let replications = args.get_or("replications", 1usize)?;
-    let mut config = SimConfig::new(cycles)
-        .with_warmup(warmup)
-        .with_seed(seed)
-        .with_resubmission(args.flag("resubmission"));
+pub fn simulate(args: &Args) -> CliResult {
+    let flat = FlatSpec::read(args)?;
+    let sim = SimSpec::read(args)?;
+    let system = flat.build()?;
+    let mut config = sim.config();
     if let Some(spec) = args.get("fail") {
-        config = config.with_faults(parse_faults(spec, cycles + warmup)?);
-    }
-    let system = System::from_matrix(net, matrix, rate).map_err(|e| e.to_string())?;
-    let trace_path = args.get("trace");
-    if trace_path.is_some() && replications > 1 {
-        return Err("--trace records a single run; drop --replications".into());
+        config = config.with_faults(parse_faults(spec, sim.cycles + sim.warmup)?);
     }
 
-    if replications > 1 {
-        let report = system
-            .simulate_replicated(&config, replications)
-            .map_err(|e| e.to_string())?;
+    if sim.replications > 1 {
+        let report = system.simulate_replicated(&config, sim.replications)?;
         println!("replications:  {}", report.replications);
         println!("bandwidth:     {}", report.bandwidth);
         println!("acceptance:    {:.4}", report.acceptance);
     } else {
-        let report = match trace_path {
+        let report = match args.get("trace") {
             Some(path) => {
                 let file =
                     std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
                 let sink = std::io::BufWriter::new(file);
-                let (report, sink) = system
-                    .simulate_traced(&config, sink)
-                    .map_err(|e| e.to_string())?;
+                let (report, sink) = system.simulate_traced(&config, sink)?;
                 use std::io::Write as _;
                 sink.into_inner()
                     .map_err(|e| format!("--trace {path}: {e}"))?
@@ -282,7 +210,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
                 println!("trace:         {path} ({} measured cycles)", report.cycles);
                 report
             }
-            None => system.simulate(&config).map_err(|e| e.to_string())?,
+            None => system.simulate(&config)?,
         };
         println!(
             "cycles:        {} (+{} warmup)",
@@ -303,14 +231,14 @@ pub fn simulate(args: &Args) -> Result<(), String> {
             .map(|u| format!("{u:.3}"))
             .collect();
         println!("bus util:      [{}]", busy.join(", "));
-        if args.flag("resubmission") {
+        if sim.resubmission {
             println!(
                 "mean wait:     {:.4} cycles (max {})",
                 report.mean_wait, report.max_wait
             );
         }
     }
-    let analytic = system.analytic().map_err(|e| e.to_string())?;
+    let analytic = system.analytic()?;
     println!(
         "analytical:    {:.4} (no-fault reference)",
         analytic.bandwidth
@@ -319,15 +247,10 @@ pub fn simulate(args: &Args) -> Result<(), String> {
 }
 
 /// Builds a [`campaign::CampaignConfig`] from `--max-failures --samples
-/// --limit --seed --workers --q`.
-fn campaign_config_from(args: &Args) -> Result<mbus_core::campaign::CampaignConfig, String> {
+/// --limit --seed --workers --q`; shared with `mbus fabric --campaign`.
+pub fn campaign_config_from(args: &Args) -> CliResult<mbus_core::campaign::CampaignConfig> {
     let mut config = mbus_core::campaign::CampaignConfig::default();
-    if let Some(raw) = args.get("max-failures") {
-        let max: usize = raw
-            .parse()
-            .map_err(|_| format!("--max-failures: cannot parse '{raw}'"))?;
-        config.max_failures = Some(max);
-    }
+    config.max_failures = args.usize_field("max-failures")?;
     config.samples = args.get_or("samples", config.samples)?;
     config.exhaustive_limit = args.get_or("limit", config.exhaustive_limit)?;
     config.seed = args.get_or("seed", config.seed)?;
@@ -338,11 +261,12 @@ fn campaign_config_from(args: &Args) -> Result<mbus_core::campaign::CampaignConf
 
 /// `mbus faults`: degraded-mode bandwidth campaign over bus-failure
 /// combinations, with optional simulator cross-validation.
-pub fn faults(args: &Args) -> Result<(), String> {
+pub fn faults(args: &Args) -> CliResult {
     use mbus_core::campaign;
-    let (net, matrix, rate) = network_from(args)?;
+    let system = FlatSpec::read(args)?.build()?;
+    let (net, matrix, rate) = (system.network(), system.matrix(), system.rate());
     let config = campaign_config_from(args)?;
-    let report = campaign::run_campaign(&net, &matrix, rate, &config).map_err(|e| e.to_string())?;
+    let report = campaign::run_campaign(net, matrix, rate, &config)?;
     if args.flag("json") {
         print!("{}", campaign::render_json(&report));
     } else {
@@ -354,10 +278,8 @@ pub fn faults(args: &Args) -> Result<(), String> {
         println!("| mask | analytical | simulated | ±CI | gap |");
         println!("|---|---|---|---|---|");
         for level in report.levels.iter().filter(|level| level.failures > 0) {
-            let mask = FaultMask::with_failures(net.buses(), &level.worst_mask)
-                .map_err(|e| e.to_string())?;
-            let check = campaign::cross_validate(&net, &matrix, rate, &mask, cycles, config.seed)
-                .map_err(|e| e.to_string())?;
+            let mask = FaultMask::with_failures(net.buses(), &level.worst_mask)?;
+            let check = campaign::cross_validate(net, matrix, rate, &mask, cycles, config.seed)?;
             let failed: Vec<String> = check.failed_buses.iter().map(usize::to_string).collect();
             println!(
                 "| {{{}}} | {:.4} | {:.4} | {:.4} | {:+.4} |",
@@ -374,14 +296,12 @@ pub fn faults(args: &Args) -> Result<(), String> {
 
 /// The EXPERIMENTS.md "Degraded-mode bandwidth" section, shared between
 /// `mbus experiments` and the fault-campaign documentation flow.
-pub fn degraded_section() -> Result<String, String> {
+pub fn degraded_section() -> CliResult<String> {
     use mbus_core::campaign::{run_campaign, CampaignConfig};
     let n = 8;
     let b = 4;
     let rate = 1.0;
-    let matrix = mbus_core::paper_params::hierarchical(n)
-        .map_err(|e| e.to_string())?
-        .matrix();
+    let matrix = mbus_core::paper_params::hierarchical(n)?.matrix();
     let config = CampaignConfig::default();
     let mut out = String::new();
     out.push_str("\n## Degraded-mode bandwidth (Table I, quantified)\n\n");
@@ -393,23 +313,17 @@ pub fn degraded_section() -> Result<String, String> {
     );
     let schemes: Vec<(&str, ConnectionScheme)> = vec![
         ("full", ConnectionScheme::Full),
-        (
-            "single",
-            ConnectionScheme::balanced_single(n, b).map_err(|e| e.to_string())?,
-        ),
+        ("single", ConnectionScheme::balanced_single(n, b)?),
         ("partial g=2", ConnectionScheme::PartialGroups { groups: 2 }),
-        (
-            "kclass K=4",
-            ConnectionScheme::uniform_classes(n, b).map_err(|e| e.to_string())?,
-        ),
+        ("kclass K=4", ConnectionScheme::uniform_classes(n, b)?),
         ("crossbar", ConnectionScheme::Crossbar),
     ];
     out.push_str("| scheme | f=0 | f=1 | f=2 | f=3 | f=4 | E[BW], q=0.05 |\n");
     out.push_str("|---|---|---|---|---|---|---|\n");
     let mut kclass_decay: Option<Vec<Vec<f64>>> = None;
     for (name, scheme) in schemes {
-        let net = BusNetwork::new(n, n, b, scheme).map_err(|e| e.to_string())?;
-        let report = run_campaign(&net, &matrix, rate, &config).map_err(|e| e.to_string())?;
+        let net = BusNetwork::new(n, n, b, scheme)?;
+        let report = run_campaign(&net, &matrix, rate, &config)?;
         let cells: Vec<String> = report
             .levels
             .iter()
@@ -463,10 +377,10 @@ pub fn degraded_section() -> Result<String, String> {
 }
 
 /// `mbus sweep`: CSV series of bandwidth over bus counts for every scheme.
-pub fn sweep(args: &Args) -> Result<(), String> {
+pub fn sweep(args: &Args) -> CliResult {
     let n = args.get_or("n", 16usize)?;
     let rate = args.get_or("rate", 1.0f64)?;
-    let matrix = workload_from(args, n, n)?;
+    let matrix = WorkloadSpec::read(args)?.matrix(n, n)?;
     println!("scheme,n,r,buses,bandwidth");
     let bus_counts: Vec<usize> = (1..=n).collect();
     /// Builds the scheme to sweep at a given bus count, or `None` to skip.
@@ -493,7 +407,7 @@ pub fn sweep(args: &Args) -> Result<(), String> {
             let Ok(net) = BusNetwork::new(n, n, b, scheme) else {
                 continue;
             };
-            let bw = memory_bandwidth(&net, &matrix, rate).map_err(|e| e.to_string())?;
+            let bw = memory_bandwidth(&net, &matrix, rate)?;
             println!("{name},{n},{rate},{b},{bw:.6}");
         }
     }
@@ -501,39 +415,32 @@ pub fn sweep(args: &Args) -> Result<(), String> {
 }
 
 /// `mbus validate`.
-pub fn validate(args: &Args) -> Result<(), String> {
+pub fn validate(args: &Args) -> CliResult {
     let n = args.get_or("n", 8usize)?;
     let cycles = args.get_or("cycles", 200_000u64)?;
     println!("analysis vs exact vs simulation, N = {n}, hierarchical r = 1.0\n");
     println!("| scheme | B | analytic | exact | simulated | an-err% | sim-err% |");
     println!("|---|---|---|---|---|---|---|");
-    let model = mbus_core::paper_params::hierarchical(n).map_err(|e| e.to_string())?;
+    let model = mbus_core::paper_params::hierarchical(n)?;
     let b = n / 2;
     let schemes: Vec<(&str, ConnectionScheme)> = vec![
         ("full", ConnectionScheme::Full),
-        (
-            "single",
-            ConnectionScheme::balanced_single(n, b).map_err(|e| e.to_string())?,
-        ),
+        ("single", ConnectionScheme::balanced_single(n, b)?),
         ("partial g=2", ConnectionScheme::PartialGroups { groups: 2 }),
-        (
-            "kclass K=B",
-            ConnectionScheme::uniform_classes(n, b).map_err(|e| e.to_string())?,
-        ),
+        ("kclass K=B", ConnectionScheme::uniform_classes(n, b)?),
         ("crossbar", ConnectionScheme::Crossbar),
     ];
     for (name, scheme) in schemes {
-        let net = BusNetwork::new(n, n, b, scheme).map_err(|e| e.to_string())?;
-        let system = System::new(net, &model, 1.0).map_err(|e| e.to_string())?;
-        let analytic = system.analytic().map_err(|e| e.to_string())?.bandwidth;
-        let exact = system.exact().map_err(|e| e.to_string())?;
+        let net = BusNetwork::new(n, n, b, scheme)?;
+        let system = System::new(net, &model, 1.0)?;
+        let analytic = system.analytic()?.bandwidth;
+        let exact = system.exact()?;
         let sim = system
             .simulate(
                 &SimConfig::new(cycles)
                     .with_warmup(cycles / 20)
                     .with_seed(17),
-            )
-            .map_err(|e| e.to_string())?
+            )?
             .bandwidth
             .mean();
         println!(
@@ -546,7 +453,7 @@ pub fn validate(args: &Args) -> Result<(), String> {
 }
 
 /// `mbus experiments`: the full EXPERIMENTS.md body.
-pub fn experiments() -> Result<(), String> {
+pub fn experiments() -> CliResult {
     println!("# EXPERIMENTS — paper vs computed\n");
     println!(
         "Every value below is regenerated by this repository \
@@ -554,7 +461,7 @@ pub fn experiments() -> Result<(), String> {
          models; paper values are the printed tables. `(–)` marks cells \
          illegible in the source scan — regenerated but not asserted.\n"
     );
-    let rows = tables::table1(16, 8, 2, 8).map_err(|e| e.to_string())?;
+    let rows = tables::table1(16, 8, 2, 8)?;
     println!("{}", cost_table_markdown(&rows));
     println!("(Table I instantiated at N = 16, B = 8, g = 2, K = 8.)\n");
     for table in tables::all_bandwidth_tables() {
@@ -589,9 +496,8 @@ pub fn experiments() -> Result<(), String> {
     );
     println!("| scheme (N=8, B=4, hier, r=1) | approximate | exact | rel. error |");
     println!("|---|---|---|---|");
-    let model = mbus_core::paper_params::hierarchical(8).map_err(|e| e.to_string())?;
-    let report =
-        exact::compare::all_schemes_error_report(8, 4, &model, 1.0).map_err(|e| e.to_string())?;
+    let model = mbus_core::paper_params::hierarchical(8)?;
+    let report = exact::compare::all_schemes_error_report(8, 4, &model, 1.0)?;
     for (scheme, row) in report {
         println!(
             "| {scheme} | {:.4} | {:.4} | {:+.2}% |",
@@ -614,9 +520,7 @@ pub fn experiments() -> Result<(), String> {
     );
     println!("| placement | eq (6) approximation | exact bandwidth |");
     println!("|---|---|---|");
-    for (name, row) in
-        exact::compare::single_placement_report(8, 4, &model, 1.0).map_err(|e| e.to_string())?
-    {
+    for (name, row) in exact::compare::single_placement_report(8, 4, &model, 1.0)? {
         println!("| {name} | {:.4} | {:.4} |", row.approximate, row.exact);
     }
     println!(
@@ -633,13 +537,10 @@ pub fn experiments() -> Result<(), String> {
     );
     println!("| r | throughput | mean wait (cycles) |");
     println!("|---|---|---|");
-    let matrix = mbus_core::workload::UniformModel::new(3, 3)
-        .map_err(|e| e.to_string())?
-        .matrix();
-    let net = BusNetwork::new(3, 3, 1, ConnectionScheme::Full).map_err(|e| e.to_string())?;
+    let matrix = mbus_core::workload::UniformModel::new(3, 3)?.matrix();
+    let net = BusNetwork::new(3, 3, 1, ConnectionScheme::Full)?;
     for r in [0.2, 0.5, 0.8, 1.0] {
-        let ss = exact::markov::resubmission_steady_state(&net, &matrix, r)
-            .map_err(|e| e.to_string())?;
+        let ss = exact::markov::resubmission_steady_state(&net, &matrix, r)?;
         println!("| {r} | {:.4} | {:.4} |", ss.throughput, ss.mean_wait);
     }
 
@@ -681,29 +582,22 @@ pub fn experiments() -> Result<(), String> {
     let configs: Vec<(&str, RequestMatrix)> = vec![
         (
             "uniform",
-            mbus_core::workload::UniformModel::new(16, 16)
-                .map_err(|e| e.to_string())?
-                .matrix(),
+            mbus_core::workload::UniformModel::new(16, 16)?.matrix(),
         ),
         (
             "2-level k=(4,4), shares .6/.3/.1",
-            mbus_core::paper_params::hierarchical(16)
-                .map_err(|e| e.to_string())?
-                .matrix(),
+            mbus_core::paper_params::hierarchical(16)?.matrix(),
         ),
         ("3-level k=(2,2,4), shares .6/.2/.1/.1", {
-            let h =
-                mbus_core::workload::Hierarchy::paired(&[2, 2, 4]).map_err(|e| e.to_string())?;
-            mbus_core::workload::HierarchicalModel::with_aggregate_shares(h, &[0.6, 0.2, 0.1, 0.1])
-                .map_err(|e| e.to_string())?
+            let h = mbus_core::workload::Hierarchy::paired(&[2, 2, 4])?;
+            mbus_core::workload::HierarchicalModel::with_aggregate_shares(h, &[0.6, 0.2, 0.1, 0.1])?
                 .matrix()
         }),
     ];
     for (name, matrix) in &configs {
-        let bw = |b: usize| -> Result<f64, String> {
-            let net =
-                BusNetwork::new(16, 16, b, ConnectionScheme::Full).map_err(|e| e.to_string())?;
-            memory_bandwidth(&net, matrix, 1.0).map_err(|e| e.to_string())
+        let bw = |b: usize| -> CliResult<f64> {
+            let net = BusNetwork::new(16, 16, b, ConnectionScheme::Full)?;
+            Ok(memory_bandwidth(&net, matrix, 1.0)?)
         };
         println!("| {name} | {:.3} | {:.3} |", bw(12)?, bw(16)?);
     }
@@ -724,24 +618,17 @@ pub fn experiments() -> Result<(), String> {
     {
         let n = 8;
         let b = 4;
-        let matrix = mbus_core::paper_params::hierarchical(n)
-            .map_err(|e| e.to_string())?
-            .matrix();
+        let matrix = mbus_core::paper_params::hierarchical(n)?.matrix();
         let rows: Vec<(&str, ConnectionScheme)> = vec![
             ("full", ConnectionScheme::Full),
-            (
-                "kclass K=4",
-                ConnectionScheme::uniform_classes(n, b).map_err(|e| e.to_string())?,
-            ),
+            ("kclass K=4", ConnectionScheme::uniform_classes(n, b)?),
         ];
         println!("| scheme | Jain fairness | per-processor completions/cycle |");
         println!("|---|---|---|");
         for (name, scheme) in rows {
-            let net = BusNetwork::new(n, n, b, scheme).map_err(|e| e.to_string())?;
-            let mut sim = Simulator::build(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
-            let report = sim
-                .run(&SimConfig::new(200_000).with_warmup(5_000).with_seed(41))
-                .map_err(|e| e.to_string())?;
+            let net = BusNetwork::new(n, n, b, scheme)?;
+            let mut sim = Simulator::build(&net, &matrix, 1.0)?;
+            let report = sim.run(&SimConfig::new(200_000).with_warmup(5_000).with_seed(41))?;
             let rates: Vec<String> = report
                 .processor_service_rates
                 .iter()
@@ -768,17 +655,18 @@ pub fn experiments() -> Result<(), String> {
 /// Prints every violation (`--json` for machine output, `--sarif` for CI
 /// code-scanning upload, `--unsafe-report` for the unsafe-code inventory)
 /// and fails with a non-zero exit status when the workspace is not clean.
-pub fn lint(args: &Args) -> Result<(), String> {
+pub fn lint(args: &Args) -> CliResult {
     let root = match args.get("root") {
         Some(path) => std::path::PathBuf::from(path),
         None => find_workspace_root()?,
     };
-    let report = mbus_lint::lint_workspace(&root).map_err(|e| e.to_string())?;
+    let report = mbus_lint::lint_workspace(&root)?;
     if report.files_scanned == 0 {
         return Err(format!(
             "no Rust sources found under {}; is --root pointing at the workspace?",
             root.display()
-        ));
+        )
+        .into());
     }
     if args.flag("unsafe-report") {
         print!("{}", mbus_lint::render_unsafe_report(&report));
@@ -794,7 +682,7 @@ pub fn lint(args: &Args) -> Result<(), String> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!("{} lint violation(s)", report.violations.len()))
+        Err(format!("{} lint violation(s)", report.violations.len()).into())
     }
 }
 
@@ -822,61 +710,6 @@ mod tests {
 
     fn args(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from))
-    }
-
-    #[test]
-    fn scheme_parsing_happy_paths() {
-        let a = args("analyze");
-        assert_eq!(scheme_from(&a, 8, 4).unwrap(), ConnectionScheme::Full);
-        let a = args("analyze --scheme partial --groups 2");
-        assert_eq!(
-            scheme_from(&a, 8, 4).unwrap(),
-            ConnectionScheme::PartialGroups { groups: 2 }
-        );
-        let a = args("analyze --scheme kclass --classes 2");
-        assert!(matches!(
-            scheme_from(&a, 8, 4).unwrap(),
-            ConnectionScheme::KClasses { .. }
-        ));
-        let a = args("analyze --scheme single");
-        assert!(matches!(
-            scheme_from(&a, 8, 4).unwrap(),
-            ConnectionScheme::Single { .. }
-        ));
-        let a = args("analyze --scheme crossbar");
-        assert_eq!(scheme_from(&a, 8, 4).unwrap(), ConnectionScheme::Crossbar);
-    }
-
-    #[test]
-    fn scheme_parsing_errors() {
-        let a = args("analyze --scheme warp-drive");
-        assert!(scheme_from(&a, 8, 4)
-            .unwrap_err()
-            .contains("unknown scheme"));
-        // Single with more buses than memories fails in the builder.
-        let a = args("analyze --scheme single");
-        assert!(scheme_from(&a, 2, 4).is_err());
-    }
-
-    #[test]
-    fn workload_parsing() {
-        let a = args("analyze");
-        let m = workload_from(&a, 8, 8).unwrap();
-        assert!(
-            (m.prob(0, 0) - 0.6).abs() < 1e-12,
-            "defaults to hierarchical"
-        );
-        let a = args("analyze --workload uniform");
-        let m = workload_from(&a, 8, 8).unwrap();
-        assert_eq!(m.prob(0, 0), 0.125);
-        let a = args("analyze --workload favorite --alpha 0.9");
-        let m = workload_from(&a, 8, 8).unwrap();
-        assert_eq!(m.prob(3, 3), 0.9);
-        // Hierarchical requires N = M.
-        let a = args("analyze --workload hier");
-        assert!(workload_from(&a, 8, 4).is_err());
-        let a = args("analyze --workload astrology");
-        assert!(workload_from(&a, 8, 8).is_err());
     }
 
     #[test]
@@ -940,16 +773,6 @@ mod tests {
         assert_eq!(config.workers, 3);
         assert_eq!(config.bus_failure_prob, 0.1);
         assert!(campaign_config_from(&args("faults --max-failures x")).is_err());
-    }
-
-    #[test]
-    fn network_from_round_trip() {
-        let a = args("analyze --n 16 --b 8 --scheme partial --rate 0.5");
-        let (net, matrix, rate) = network_from(&a).unwrap();
-        assert_eq!(net.processors(), 16);
-        assert_eq!(net.buses(), 8);
-        assert_eq!(matrix.processors(), 16);
-        assert_eq!(rate, 0.5);
     }
 
     #[test]

@@ -2,81 +2,15 @@
 //! evaluation — analytic decomposition, routed simulation, and the
 //! depth/branching/locality sweep.
 
-use crate::args::Args;
+use crate::args::{parse_list, Args};
+use crate::CliResult;
 use mbus_core::fabric::{
     analyze_fabric, FabricAnalysis, FabricReport, FabricSimulator, FabricSpec, FabricTopology,
     LinkKind,
 };
-use mbus_core::sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig};
+use mbus_core::query::FabricQuery;
+use mbus_core::sim::SimConfig;
 use std::fmt::Write as _;
-
-/// Parses a comma-separated list such as `--ks 4,4` or `--failed 2,5`.
-fn parse_list<T: std::str::FromStr>(raw: &str, key: &str) -> Result<Vec<T>, String> {
-    raw.split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{part}'"))
-        })
-        .collect()
-}
-
-/// The fabric experiment requested on the command line.
-struct FabricRequest {
-    spec: FabricSpec,
-    rate: f64,
-    cycles: u64,
-    warmup: u64,
-    seed: u64,
-    failed: Vec<usize>,
-}
-
-fn request_from(args: &Args) -> Result<FabricRequest, String> {
-    let ks = match args.get("ks") {
-        Some(raw) => parse_list(raw, "ks")?,
-        None => vec![4, 4],
-    };
-    let cycles = args.get_or("cycles", 20_000u64)?;
-    Ok(FabricRequest {
-        spec: FabricSpec {
-            ks,
-            local_buses: args.get_or("buses", 2usize)?,
-            uplink_width: args.get_or("uplink", 1usize)?,
-            locality: args.get_or("locality", 0.6f64)?,
-        },
-        rate: args.get_or("rate", 0.5f64)?,
-        cycles,
-        warmup: args.get_or("warmup", cycles / 10)?,
-        seed: args.get_or("seed", 42u64)?,
-        failed: match args.get("failed") {
-            Some(raw) => parse_list(raw, "failed")?,
-            None => Vec::new(),
-        },
-    })
-}
-
-/// Fails every listed link from cycle 0, matching the analytic model's
-/// whole-run `failed_links` semantics.
-fn schedule_from(failed: &[usize]) -> Result<FaultSchedule, String> {
-    FaultSchedule::from_events(
-        failed
-            .iter()
-            .map(|&link| FaultEvent {
-                cycle: 0,
-                bus: link,
-                kind: FaultEventKind::Fail,
-            })
-            .collect(),
-    )
-    .map_err(|e| e.to_string())
-}
-
-fn sim_config(request: &FabricRequest) -> Result<SimConfig, String> {
-    Ok(SimConfig::new(request.cycles)
-        .with_warmup(request.warmup)
-        .with_seed(request.seed)
-        .with_faults(schedule_from(&request.failed)?))
-}
 
 fn link_label(kind: LinkKind) -> String {
     match kind {
@@ -86,7 +20,7 @@ fn link_label(kind: LinkKind) -> String {
 }
 
 /// `mbus fabric` / `mbus fabric --sweep` / `mbus fabric --campaign`.
-pub fn fabric(args: &Args) -> Result<(), String> {
+pub fn fabric(args: &Args) -> CliResult {
     // `--sweep` and `--campaign` are bare flags; a stray value (e.g.
     // `--sweep locality`) would otherwise parse as a non-"true" option
     // and silently fall through to a single run.
@@ -96,7 +30,8 @@ pub fn fabric(args: &Args) -> Result<(), String> {
                 return Err(format!(
                     "--{mode} takes no value (got '{value}'); the sweep grids \
                      depth x locality from --n/--max-depth/--localities"
-                ));
+                )
+                .into());
             }
         }
     }
@@ -106,28 +41,23 @@ pub fn fabric(args: &Args) -> Result<(), String> {
     if args.flag("campaign") {
         return campaign(args);
     }
-    let request = request_from(args)?;
-    let (topo, matrix) = request.spec.build().map_err(|e| e.to_string())?;
-    let analysis =
-        analyze_fabric(&topo, &matrix, request.rate, &request.failed).map_err(|e| e.to_string())?;
+    let request = FabricQuery::read(args)?;
+    let (topo, matrix) = request.build()?;
+    let analysis = analyze_fabric(&topo, &matrix, request.rate, &request.failed_links)?;
     let report = if request.cycles > 0 {
-        let mut sim =
-            FabricSimulator::build(&topo, &matrix, request.rate).map_err(|e| e.to_string())?;
-        let config = sim_config(&request)?;
+        let mut sim = FabricSimulator::build(&topo, &matrix, request.rate)?;
+        let config = request.sim_config()?;
         Some(match args.get("trace") {
             Some(path) => {
                 let file = std::fs::File::create(path)
                     .map_err(|e| format!("cannot create trace file '{path}': {e}"))?;
-                let (report, file) = sim
-                    .run_traced(&config, std::io::BufWriter::new(file))
-                    .map_err(|e| e.to_string())?;
+                let (report, file) = sim.run_traced(&config, std::io::BufWriter::new(file))?;
                 file.into_inner()
                     .map_err(|e| format!("flushing trace file: {e}"))?
-                    .sync_all()
-                    .map_err(|e| e.to_string())?;
+                    .sync_all()?;
                 report
             }
-            None => sim.run(&config).map_err(|e| e.to_string())?,
+            None => sim.run(&config)?,
         })
     } else {
         None
@@ -154,7 +84,7 @@ fn shape_string(ks: &[usize]) -> String {
 }
 
 fn render_markdown(
-    request: &FabricRequest,
+    request: &FabricQuery,
     topo: &mbus_core::fabric::ClusteredBuses,
     analysis: &FabricAnalysis,
     report: Option<&FabricReport>,
@@ -178,7 +108,7 @@ fn render_markdown(
         request.spec.locality,
         request.rate,
     );
-    let failed: Vec<String> = request.failed.iter().map(usize::to_string).collect();
+    let failed: Vec<String> = request.failed_links.iter().map(usize::to_string).collect();
     let _ = writeln!(
         out,
         "links: {} ({} local + {} uplink), failed: {{{}}}\n",
@@ -267,14 +197,14 @@ fn render_markdown(
 }
 
 fn render_json(
-    request: &FabricRequest,
+    request: &FabricQuery,
     topo: &mbus_core::fabric::ClusteredBuses,
     analysis: &FabricAnalysis,
     report: Option<&FabricReport>,
 ) -> String {
     let mut out = String::new();
     let ks: Vec<String> = request.spec.ks.iter().map(usize::to_string).collect();
-    let failed: Vec<String> = request.failed.iter().map(usize::to_string).collect();
+    let failed: Vec<String> = request.failed_links.iter().map(usize::to_string).collect();
     let _ = writeln!(out, "{{");
     let _ = writeln!(
         out,
@@ -347,28 +277,17 @@ fn render_json(
 /// `mbus fabric --campaign`: degraded-mode uplink-failure sweep — analytic
 /// bandwidth over every (or a sample of every) f-uplink failure combo,
 /// availability-weighted expectation, and the per-cluster decay table.
-fn campaign(args: &Args) -> Result<(), String> {
-    let request = request_from(args)?;
-    if !request.failed.is_empty() {
+fn campaign(args: &Args) -> CliResult {
+    let request = FabricQuery::read(args)?;
+    if !request.failed_links.is_empty() {
         return Err("--failed conflicts with --campaign (the campaign sweeps failures)".into());
     }
-    let (topo, matrix) = request.spec.build().map_err(|e| e.to_string())?;
+    let (topo, matrix) = request.build()?;
     let config = mbus_core::campaign::CampaignConfig {
-        max_failures: match args.get("max-failures") {
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|_| format!("--max-failures: cannot parse '{raw}'"))?,
-            ),
-            None => None,
-        },
-        exhaustive_limit: args.get_or("limit", 5_000u128)?,
-        samples: args.get_or("samples", 512usize)?,
         seed: request.seed,
-        bus_failure_prob: args.get_or("q", 0.05f64)?,
-        ..mbus_core::campaign::CampaignConfig::default()
+        ..crate::commands::campaign_config_from(args)?
     };
-    let report = mbus_core::campaign::run_fabric_campaign(&topo, &matrix, request.rate, &config)
-        .map_err(|e| e.to_string())?;
+    let report = mbus_core::campaign::run_fabric_campaign(&topo, &matrix, request.rate, &config)?;
     if args.flag("json") {
         print!("{}", mbus_core::campaign::render_fabric_json(&report));
     } else {
@@ -402,7 +321,7 @@ fn balanced_factors(n: usize, parts: usize) -> Option<Vec<usize>> {
 
 /// `mbus fabric --sweep`: analytic-vs-simulated bandwidth over a grid of
 /// tree depths (derived from `--n`) and locality values.
-fn sweep(args: &Args) -> Result<(), String> {
+fn sweep(args: &Args) -> CliResult {
     let n = args.get_or("n", 16usize)?;
     let rate = args.get_or("rate", 0.5f64)?;
     let cycles = args.get_or("cycles", 10_000u64)?;
@@ -418,7 +337,7 @@ fn sweep(args: &Args) -> Result<(), String> {
         .filter_map(|depth| balanced_factors(n, depth))
         .collect();
     if shapes.is_empty() {
-        return Err(format!("--n {n}: no factorization into clusters"));
+        return Err(format!("--n {n}: no factorization into clusters").into());
     }
     let json = args.flag("json");
     if json {
@@ -437,13 +356,13 @@ fn sweep(args: &Args) -> Result<(), String> {
                 uplink_width,
                 locality,
             };
-            let (topo, matrix) = spec.build().map_err(|e| e.to_string())?;
-            let analysis = analyze_fabric(&topo, &matrix, rate, &[]).map_err(|e| e.to_string())?;
-            let mut sim = FabricSimulator::build(&topo, &matrix, rate).map_err(|e| e.to_string())?;
+            let (topo, matrix) = spec.build()?;
+            let analysis = analyze_fabric(&topo, &matrix, rate, &[])?;
+            let mut sim = FabricSimulator::build(&topo, &matrix, rate)?;
             let config = SimConfig::new(cycles)
                 .with_warmup(cycles / 10)
                 .with_seed(seed);
-            let report = sim.run(&config).map_err(|e| e.to_string())?;
+            let report = sim.run(&config)?;
             let sim_bw = report.bandwidth.mean();
             emitted += 1;
             if json {
@@ -492,11 +411,5 @@ mod tests {
         assert_eq!(balanced_factors(64, 3), Some(vec![4, 4, 4]));
         assert_eq!(balanced_factors(7, 2), None);
         assert_eq!(balanced_factors(1, 1), None);
-    }
-
-    #[test]
-    fn parse_list_handles_spaces_and_rejects_garbage() {
-        assert_eq!(parse_list::<usize>("4, 2,2", "ks").unwrap(), vec![4, 2, 2]);
-        assert!(parse_list::<usize>("4,x", "ks").is_err());
     }
 }

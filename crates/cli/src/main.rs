@@ -8,11 +8,16 @@ mod args;
 mod bench;
 mod commands;
 mod fabric_cmd;
+#[cfg(test)]
+mod parity;
 mod serve;
 mod trace_cmd;
 
 use args::Args;
 use std::process::ExitCode;
+
+/// What a subcommand returns; any error prints as `error: <message>`.
+type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
 const HELP: &str = "\
 mbus - multiple bus interconnection networks (Chen & Sheu, ICDCS 1988)
@@ -137,15 +142,15 @@ fn main() -> ExitCode {
         "lint" => commands::lint(&args),
         "experiments" => commands::experiments(),
         "fabric" => fabric_cmd::fabric(&args),
-        "trace" => trace_cmd::trace(&args),
-        "bench" => bench::bench(&args),
-        "serve" => serve::serve(&args),
-        "loadgen" => serve::loadgen_cmd(&args),
+        "trace" => trace_cmd::trace(&args).map_err(Into::into),
+        "bench" => bench::bench(&args).map_err(Into::into),
+        "serve" => serve::serve(&args).map_err(Into::into),
+        "loadgen" => serve::loadgen_cmd(&args).map_err(Into::into),
         "help" | "" => {
             print!("{HELP}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'; try 'mbus help'")),
+        other => Err(format!("unknown command '{other}'; try 'mbus help'").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

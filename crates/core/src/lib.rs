@@ -27,7 +27,9 @@
 //! * [`report`] — markdown / CSV rendering for all of the above;
 //! * [`campaign`] (re-export of `mbus-campaign`) — fault campaigns turning
 //!   Table I's symbolic fault-tolerance degrees into quantitative
-//!   degraded-mode bandwidth curves.
+//!   degraded-mode bandwidth curves;
+//! * [`query`] — the one typed description of an experiment (field names,
+//!   defaults, validation) that the `mbus` CLI and the HTTP service share.
 //!
 //! # Quickstart
 //!
@@ -46,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod paper_params;
+pub mod query;
 pub mod reference;
 pub mod report;
 pub mod system;

@@ -9,7 +9,7 @@
 //! Table blocks are independent `(N, r)` grids of very uneven cost (cost
 //! climbs steeply with `N`), so regeneration shards them over the
 //! work-stealing pool via
-//! [`mbus_stats::parallel::parallel_map_dynamic`]; results are identical
+//! [`mbus_stats::parallel::parallel_map`]; results are identical
 //! to a serial evaluation (same cells, same order, same floating-point
 //! values).
 
@@ -18,7 +18,7 @@ use crate::reference::{self, ReferenceBlock};
 use crate::report;
 use mbus_analysis::memory_bandwidth;
 use mbus_stats::cache::MemoCache;
-use mbus_stats::parallel::{available_workers, parallel_map_dynamic};
+use mbus_stats::parallel::{available_workers, parallel_map};
 use mbus_topology::{render, BusNetwork, ConnectionScheme, SchemeCostRow, TopologyError};
 use mbus_workload::{RequestMatrix, RequestModel, UniformModel};
 use serde::{Deserialize, Serialize};
@@ -156,7 +156,7 @@ fn build_table(
     with_crossbar: bool,
 ) -> PaperTable {
     let scheme_at = &scheme_at;
-    let blocks = parallel_map_dynamic(refs, available_workers(), |block| {
+    let blocks = parallel_map(refs, available_workers(), |block| {
         // One shared matrix per (kind, N), via the process-wide cache.
         let hier_model = hier_matrix(block.n);
         let unif_model = unif_matrix(block.n);

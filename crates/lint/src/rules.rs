@@ -555,6 +555,13 @@ fn check_discard_stmt(
     if stmt.iter().any(|t| t.is_sym('?')) {
         return; // propagated
     }
+    if stmt
+        .iter()
+        .take_while(|t| !t.is_sym('('))
+        .any(|t| t.is_ident("fn"))
+    {
+        return; // a body-less fn declaration (trait method), not a call
+    }
     let is_let_underscore =
         stmt.len() > 2 && stmt[0].is_ident("let") && stmt[1].is_ident("_") && stmt[2].is_sym('=');
     let has_binding = stmt
@@ -857,6 +864,20 @@ fn f(w: &mut W) {
 }
 ";
         assert!(run("server", "crates/server/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn unchecked_result_ignores_trait_method_declarations() {
+        let src = "\
+pub trait Source {
+    fn field(&self, key: &str) -> Result<Option<usize>, E>;
+    fn other(&self) -> Result<(), E>;
+}
+fn f(s: &dyn Source) { s.other(); }
+";
+        let hits = run("core", "crates/core/src/x.rs", src);
+        assert_eq!(hits.len(), 1, "only the call discards: {hits:?}");
+        assert_eq!(hits[0].line, 5);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! and non-finite numbers (which valid inputs cannot produce) degrade to
 //! `null` rather than emitting invalid JSON.
 
+use mbus_core::query::{Fields, QueryError};
 use std::fmt::Write as _;
 
 /// Maximum nesting depth the parser accepts; deeper input is rejected
@@ -170,6 +171,66 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 /// Convenience constructor for an `f64` array.
 pub fn num_array(values: &[f64]) -> Json {
     Json::Arr(values.iter().map(|&x| Json::Num(x)).collect())
+}
+
+/// Request bodies as query fields: an absent or `null` field takes its
+/// default, and a present field of the wrong type is a `bad_request`
+/// worded in the API's terms.
+impl Fields for Json {
+    fn usize_field(&self, key: &str) -> Result<Option<usize>, QueryError> {
+        self.field(key, Json::as_usize, "a non-negative integer")
+    }
+
+    fn u64_field(&self, key: &str) -> Result<Option<u64>, QueryError> {
+        self.field(key, Json::as_u64, "a non-negative integer")
+    }
+
+    fn f64_field(&self, key: &str) -> Result<Option<f64>, QueryError> {
+        self.field(key, Json::as_f64, "a number")
+    }
+
+    fn bool_field(&self, key: &str) -> Result<Option<bool>, QueryError> {
+        self.field(key, Json::as_bool, "a boolean")
+    }
+
+    fn str_field(&self, key: &str) -> Result<Option<&str>, QueryError> {
+        self.field(key, Json::as_str, "a string")
+    }
+
+    fn usize_list(&self, key: &str, what: &str) -> Result<Option<Vec<usize>>, QueryError> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(Json::Arr(items)) => items
+                .iter()
+                .map(|item| {
+                    item.as_usize().ok_or_else(|| {
+                        QueryError::Invalid(format!("`{key}` entries must be {what}"))
+                    })
+                })
+                .collect::<Result<_, _>>()
+                .map(Some),
+            Some(_) => Err(QueryError::Invalid(format!(
+                "`{key}` must be an array of {what}"
+            ))),
+        }
+    }
+}
+
+impl Json {
+    /// Object field `key` converted by `read`; `None` when absent or null.
+    fn field<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+        expected: &str,
+    ) -> Result<Option<T>, QueryError> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(value) => read(value)
+                .map(Some)
+                .ok_or_else(|| QueryError::Invalid(format!("`{key}` must be {expected}"))),
+        }
+    }
 }
 
 /// Writes `x` as a JSON number: integral values within the `f64`-exact

@@ -2,7 +2,7 @@
 //!
 //! Drives a running server with a deterministic grid of mixed-endpoint
 //! queries from `concurrency` client threads (via
-//! [`mbus_stats::parallel::parallel_map_dynamic`], the same
+//! [`mbus_stats::parallel::parallel_map`], the same
 //! work-stealing pool the engines use — request latencies vary by
 //! endpoint and cache state, so idle clients steal queued requests
 //! instead of waiting out the slowest). Each client issues its requests
@@ -18,7 +18,7 @@
 use crate::json::{obj, Json};
 use crate::metrics::MAX_LATENCY_US;
 use crate::service::Endpoint;
-use mbus_stats::parallel::parallel_map_dynamic;
+use mbus_stats::parallel::parallel_map;
 use mbus_stats::Histogram;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -315,7 +315,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
         let indices: Vec<usize> = (0..config.requests).collect();
         let addr = config.addr.clone();
         let start = Instant::now();
-        let outcomes = parallel_map_dynamic(indices, config.concurrency.max(1), move |i| {
+        let outcomes = parallel_map(indices, config.concurrency.max(1), move |i| {
             let (endpoint, body) = grid_request(i);
             issue(&addr, endpoint, &body)
         });

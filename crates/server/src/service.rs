@@ -1,8 +1,9 @@
 //! Endpoint dispatch: JSON bodies in, engine results out.
 //!
-//! The query endpoints mirror the `mbus` CLI surface one-to-one —
-//! identical field names, identical defaults — so a `curl` body and a CLI
-//! invocation describe the same experiment:
+//! The query endpoints read the same typed experiment description as the
+//! `mbus` CLI (`mbus_core::query`: one set of field names, defaults and
+//! checks), so a `curl` body and a CLI invocation describe the same
+//! experiment:
 //!
 //! | endpoint | engine |
 //! |---|---|
@@ -14,10 +15,11 @@
 //!
 //! Parsing is strict: unknown fields are rejected (a typoed `cylces` must
 //! not silently simulate the default budget), every dimension and the cycle
-//! budget are capped by [`ServiceLimits`], and every failure — malformed
-//! JSON, bad field type, domain error from the engines — maps to a
-//! structured [`ApiError`] with an HTTP status, a machine-readable `kind`,
-//! and a human-readable message. Nothing in this module panics.
+//! budget are capped by [`ServiceLimits`] before anything is built, and
+//! every failure — malformed JSON, bad field type, domain error from the
+//! engines — maps to a structured [`ApiError`] with an HTTP status, a
+//! machine-readable `kind`, and a human-readable message. Nothing in this
+//! module panics.
 //!
 //! Successful parses yield a [`Query`] whose [`Query::key`] is a stable
 //! hash key (workload fingerprint, explicit network field encoding, rate
@@ -27,14 +29,12 @@
 //! [`MemoCache`]: mbus_stats::cache::MemoCache
 
 use crate::json::{self, obj, Json};
-use mbus_core::fabric::{
-    analyze_fabric, ClusteredBuses, FabricSimulator, FabricSpec, FabricTopology,
+use mbus_core::fabric::{analyze_fabric, ClusteredBuses, FabricSimulator, FabricTopology};
+use mbus_core::prelude::{degraded_analyze, ConnectionScheme, FaultMask, RequestMatrix, System};
+use mbus_core::query::{
+    DegradedSpec, FabricQuery, FlatSpec, QueryError, SimSpec, DEGRADED_FIELDS, FABRIC_FIELDS,
+    FLAT_FIELDS, SIM_FIELDS,
 };
-use mbus_core::prelude::{
-    degraded_analyze, ConnectionScheme, FaultMask, FavoriteModel, HierarchicalModel,
-    RequestMatrix, RequestModel, SimConfig, System, UniformModel,
-};
-use mbus_core::sim::{FaultEvent, FaultEventKind, FaultSchedule};
 use mbus_core::workload::WorkloadFingerprint;
 
 /// Caps protecting the service from abusive (or typoed) workloads.
@@ -52,6 +52,52 @@ impl Default for ServiceLimits {
             max_dimension: 1024,
             max_cycles: 2_000_000,
         }
+    }
+}
+
+impl ServiceLimits {
+    /// Refuses a network dimension above `max_dimension`.
+    fn check_network(&self, flat: &FlatSpec) -> Result<(), ApiError> {
+        for (name, value) in [("n", flat.n), ("m", flat.m), ("b", flat.b)] {
+            if value > self.max_dimension {
+                return Err(ApiError::too_large(format!(
+                    "`{name}` = {value} exceeds the service limit of {}",
+                    self.max_dimension
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Refuses a simulation whose whole cycle count exceeds `max_cycles`.
+    fn check_sim(&self, sim: &SimSpec) -> Result<(), ApiError> {
+        let total = sim.total_cycles();
+        if total > self.max_cycles {
+            return Err(ApiError::too_large(format!(
+                "(cycles + warmup) x replications = {total} exceeds the service budget of {}",
+                self.max_cycles
+            )));
+        }
+        Ok(())
+    }
+
+    /// Refuses a fabric with more than `max_dimension` processors or a
+    /// cycle budget above `max_cycles`.
+    fn check_fabric(&self, fabric: &FabricQuery) -> Result<(), ApiError> {
+        let processors = fabric.processors();
+        if processors > self.max_dimension {
+            return Err(ApiError::too_large(format!(
+                "fabric with {processors} processors exceeds the service limit of {}",
+                self.max_dimension
+            )));
+        }
+        if fabric.cycles.saturating_add(fabric.warmup) > self.max_cycles {
+            return Err(ApiError::too_large(format!(
+                "cycles + warmup exceeds the service budget of {}",
+                self.max_cycles
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -134,41 +180,41 @@ pub struct ApiError {
 
 impl ApiError {
     /// 400 with kind `bad_json`: the body is not a JSON document.
-    pub fn bad_json(message: impl Into<String>) -> Self {
+    pub fn bad_json(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 400,
             kind: "bad_json",
-            message: message.into(),
+            message: message.to_string(),
         }
     }
 
     /// 400 with kind `bad_request`: a field is missing, mistyped, unknown,
     /// or fails domain validation.
-    pub fn bad_request(message: impl Into<String>) -> Self {
+    pub fn bad_request(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 400,
             kind: "bad_request",
-            message: message.into(),
+            message: message.to_string(),
         }
     }
 
     /// 422 with kind `unsupported`: a well-formed query the engines cannot
     /// evaluate (e.g. exact enumeration beyond the memory limit).
-    pub fn unsupported(message: impl Into<String>) -> Self {
+    pub fn unsupported(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 422,
             kind: "unsupported",
-            message: message.into(),
+            message: message.to_string(),
         }
     }
 
     /// 422 with kind `too_large`: a dimension or budget exceeds
     /// [`ServiceLimits`].
-    pub fn too_large(message: impl Into<String>) -> Self {
+    pub fn too_large(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 422,
             kind: "too_large",
-            message: message.into(),
+            message: message.to_string(),
         }
     }
 
@@ -185,58 +231,30 @@ impl ApiError {
     }
 }
 
-/// Simulation parameters (only meaningful for [`Endpoint::Simulate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimParams {
-    /// Measured cycles.
-    pub cycles: u64,
-    /// Warmup cycles excluded from statistics.
-    pub warmup: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Whether blocked requests are resubmitted instead of dropped.
-    pub resubmission: bool,
-    /// Number of independent replications (seeds `seed`, `seed + 1`, …)
-    /// aggregated into a replication-level confidence interval. `1` runs
-    /// the plain scalar engine.
-    pub replications: usize,
-    /// Whether to capture a trace during the run and attach summary
-    /// analytics (per-bus pressure, bottleneck ranking, wait quantiles)
-    /// to the response. Tracing is scalar-engine-only, so it is mutually
-    /// exclusive with `replications > 1`.
-    pub trace_summary: bool,
+impl From<QueryError> for ApiError {
+    fn from(error: QueryError) -> Self {
+        match error {
+            QueryError::Invalid(message) => ApiError::bad_request(message),
+            QueryError::Unsupported(message) => ApiError::unsupported(message),
+        }
+    }
 }
 
-/// What a query evaluates against: a flat single-stage system or a
-/// routed cluster-of-buses fabric.
+/// A validated, evaluatable query: one variant per endpoint.
 #[derive(Debug)]
-enum Payload {
-    /// The four original endpoints: one flat `BusNetwork` + workload.
-    Flat(System),
-    /// `/v1/fabric`: the clustered topology, its matching hierarchical
-    /// workload, and the spec that produced both.
-    Fabric(FabricQuery),
-}
-
-/// A parsed `/v1/fabric` request.
-#[derive(Debug)]
-struct FabricQuery {
-    spec: FabricSpec,
-    topo: ClusteredBuses,
-    matrix: RequestMatrix,
-    /// Links failed for the whole run (analytic `failed_links`, and a
-    /// cycle-0 fault schedule for the simulator).
-    failed_links: Vec<usize>,
-}
-
-/// A validated, evaluatable query.
-#[derive(Debug)]
-pub struct Query {
-    endpoint: Endpoint,
-    payload: Payload,
-    rate: f64,
-    sim: SimParams,
-    failed_buses: Vec<usize>,
+pub enum Query {
+    /// `/v1/bandwidth`: the closed-form analysis of a flat system.
+    Bandwidth(System),
+    /// `/v1/exact`: the approximation-free bandwidth of a flat system.
+    Exact(System),
+    /// `/v1/simulate`: a flat system and its simulation budget.
+    Simulate(System, SimSpec),
+    /// `/v1/degraded`: a flat system, its failed buses as requested (the
+    /// cache key sorts them) and their validated mask.
+    Degraded(System, DegradedSpec, FaultMask),
+    /// `/v1/fabric`: the request, the fabric it builds and the fabric's
+    /// matching hierarchical workload.
+    Fabric(FabricQuery, ClusteredBuses, RequestMatrix),
 }
 
 /// Stable cache key: endpoint + explicit network field encoding + workload
@@ -265,12 +283,8 @@ const KEY_SCHEME_UNKNOWN: u64 = u64::MAX;
 
 /// Encodes the identity of a network as explicit fields:
 /// `[n, m, b, scheme_tag, params…]`, where variable-length scheme params
-/// (single-assignment vector, class sizes) are length-prefixed.
-///
-/// The previous key used `format!("{:?}", network)`, which dragged every
-/// derived field (class offsets, adjacency scratch) into the key, changed
-/// whenever a `Debug` derive did, and allocated a long string per request.
-/// This encoding depends only on the fields that define the topology.
+/// (single-assignment vector, class sizes) are length-prefixed. Only the
+/// fields that define the topology enter the key.
 fn encode_network(net: &mbus_core::topology::BusNetwork) -> Vec<u64> {
     let mut key = vec![
         net.processors() as u64,
@@ -332,46 +346,61 @@ fn encode_fabric(fabric: &FabricQuery) -> Vec<u64> {
 impl Query {
     /// Which endpoint this query targets.
     pub fn endpoint(&self) -> Endpoint {
-        self.endpoint
+        match self {
+            Query::Bandwidth(_) => Endpoint::Bandwidth,
+            Query::Exact(_) => Endpoint::Exact,
+            Query::Simulate(..) => Endpoint::Simulate,
+            Query::Degraded(..) => Endpoint::Degraded,
+            Query::Fabric(..) => Endpoint::Fabric,
+        }
     }
 
     /// The memoization key for this query's rendered result.
     pub fn key(&self) -> QueryKey {
-        let extra = match self.endpoint {
-            Endpoint::Bandwidth | Endpoint::Exact => Vec::new(),
-            Endpoint::Simulate => vec![
-                self.sim.cycles,
-                self.sim.warmup,
-                self.sim.seed,
-                u64::from(self.sim.resubmission),
-                u64::from(self.sim.trace_summary),
-                self.sim.replications as u64,
-            ],
-            Endpoint::Degraded => {
-                let mut buses: Vec<u64> = self
+        let flat = |system: &System, extra: Vec<u64>| {
+            (
+                encode_network(system.network()),
+                system.matrix().fingerprint(),
+                system.rate(),
+                extra,
+            )
+        };
+        let (network, workload, rate, extra) = match self {
+            Query::Bandwidth(system) | Query::Exact(system) => flat(system, Vec::new()),
+            Query::Simulate(system, sim) => flat(
+                system,
+                vec![
+                    sim.cycles,
+                    sim.warmup,
+                    sim.seed,
+                    u64::from(sim.resubmission),
+                    u64::from(sim.trace),
+                    sim.replications as u64,
+                ],
+            ),
+            Query::Degraded(system, degraded, _) => {
+                let mut buses: Vec<u64> = degraded
                     .failed_buses
                     .iter()
                     .map(|&b| u64::try_from(b).unwrap_or(u64::MAX))
                     .collect();
                 buses.sort_unstable();
-                buses
+                flat(system, buses)
             }
             // Failed links sit in the network section (they define which
             // fabric is being analyzed); only the sim budget is extra.
-            Endpoint::Fabric => vec![self.sim.cycles, self.sim.warmup, self.sim.seed],
-        };
-        let (network, workload) = match &self.payload {
-            Payload::Flat(system) => (
-                encode_network(system.network()),
-                system.matrix().fingerprint(),
+            Query::Fabric(query, _, matrix) => (
+                encode_fabric(query),
+                matrix.fingerprint(),
+                query.rate,
+                vec![query.cycles, query.warmup, query.seed],
             ),
-            Payload::Fabric(fabric) => (encode_fabric(fabric), fabric.matrix.fingerprint()),
         };
         QueryKey {
-            endpoint: self.endpoint.discriminant(),
+            endpoint: self.endpoint().discriminant(),
             network,
             workload,
-            rate_bits: self.rate.to_bits(),
+            rate_bits: rate.to_bits(),
             extra,
         }
     }
@@ -389,138 +418,14 @@ pub fn parse_body(bytes: &[u8]) -> Result<Json, ApiError> {
     }
     let text =
         std::str::from_utf8(bytes).map_err(|_| ApiError::bad_json("body is not UTF-8"))?;
-    json::parse(text).map_err(|e| ApiError::bad_json(e.to_string()))
-}
-
-/// Keys shared by every endpoint.
-const COMMON_KEYS: [&str; 10] = [
-    "n", "m", "b", "rate", "scheme", "groups", "classes", "workload", "clusters", "alpha",
-];
-/// Extra keys accepted by `/v1/simulate`.
-const SIM_KEYS: [&str; 6] = [
-    "cycles",
-    "warmup",
-    "seed",
-    "resubmission",
-    "trace_summary",
-    "replications",
-];
-/// Extra key accepted by `/v1/degraded`.
-const DEGRADED_KEYS: [&str; 1] = ["failed_buses"];
-/// The strict key set of `/v1/fabric` (it shares nothing with the flat
-/// endpoints: the topology is a cluster tree, not an `n x m x b` grid).
-const FABRIC_KEYS: [&str; 9] = [
-    "ks",
-    "buses",
-    "uplink",
-    "rate",
-    "locality",
-    "cycles",
-    "warmup",
-    "seed",
-    "failed_links",
-];
-
-fn field_usize(body: &Json, key: &str, default: usize) -> Result<usize, ApiError> {
-    match body.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(value) => value.as_usize().ok_or_else(|| {
-            ApiError::bad_request(format!("`{key}` must be a non-negative integer"))
-        }),
-    }
-}
-
-fn field_u64(body: &Json, key: &str, default: u64) -> Result<u64, ApiError> {
-    match body.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(value) => value.as_u64().ok_or_else(|| {
-            ApiError::bad_request(format!("`{key}` must be a non-negative integer"))
-        }),
-    }
-}
-
-fn field_f64(body: &Json, key: &str, default: f64) -> Result<f64, ApiError> {
-    match body.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(value) => value
-            .as_f64()
-            .ok_or_else(|| ApiError::bad_request(format!("`{key}` must be a number"))),
-    }
-}
-
-fn field_bool(body: &Json, key: &str, default: bool) -> Result<bool, ApiError> {
-    match body.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(value) => value
-            .as_bool()
-            .ok_or_else(|| ApiError::bad_request(format!("`{key}` must be a boolean"))),
-    }
-}
-
-fn field_str<'a>(body: &'a Json, key: &str, default: &'a str) -> Result<&'a str, ApiError> {
-    match body.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(value) => value
-            .as_str()
-            .ok_or_else(|| ApiError::bad_request(format!("`{key}` must be a string"))),
-    }
-}
-
-/// Builds the connection scheme — same names and defaults as the CLI's
-/// `--scheme` flag.
-fn scheme_from(body: &Json, m: usize, b: usize) -> Result<ConnectionScheme, ApiError> {
-    match field_str(body, "scheme", "full")? {
-        "full" => Ok(ConnectionScheme::Full),
-        "crossbar" => Ok(ConnectionScheme::Crossbar),
-        "single" => {
-            ConnectionScheme::balanced_single(m, b).map_err(|e| ApiError::bad_request(e.to_string()))
-        }
-        "partial" => {
-            let groups = field_usize(body, "groups", 2)?;
-            Ok(ConnectionScheme::PartialGroups { groups })
-        }
-        "kclass" => {
-            let classes = field_usize(body, "classes", b)?;
-            ConnectionScheme::uniform_classes(m, classes)
-                .map_err(|e| ApiError::bad_request(e.to_string()))
-        }
-        other => Err(ApiError::bad_request(format!(
-            "unknown scheme '{other}' (expected full|single|partial|kclass|crossbar)"
-        ))),
-    }
-}
-
-/// Builds the request matrix — same names and defaults as the CLI's
-/// `--workload` flag.
-fn workload_from(body: &Json, n: usize, m: usize) -> Result<RequestMatrix, ApiError> {
-    match field_str(body, "workload", "hier")? {
-        "hier" | "hierarchical" => {
-            let clusters = field_usize(body, "clusters", 4)?;
-            if n != m {
-                return Err(ApiError::bad_request(
-                    "hierarchical workload requires n = m (paired leaves)",
-                ));
-            }
-            let model = HierarchicalModel::two_level_paired(n, clusters, [0.6, 0.3, 0.1])
-                .map_err(|e| ApiError::bad_request(e.to_string()))?;
-            Ok(model.matrix())
-        }
-        "uniform" => Ok(UniformModel::new(n, m)
-            .map_err(|e| ApiError::bad_request(e.to_string()))?
-            .matrix()),
-        "favorite" => {
-            let alpha = field_f64(body, "alpha", 0.5)?;
-            Ok(FavoriteModel::new(n, m, alpha)
-                .map_err(|e| ApiError::bad_request(e.to_string()))?
-                .matrix())
-        }
-        other => Err(ApiError::bad_request(format!(
-            "unknown workload '{other}' (expected hier|uniform|favorite)"
-        ))),
-    }
+    json::parse(text).map_err(ApiError::bad_json)
 }
 
 /// Parses and validates a request body for `endpoint`.
+///
+/// Fields are read into `mbus_core::query` specs, the specs are held to
+/// `limits`, and only then are the engines' inputs built, so an oversized
+/// request is refused before any request matrix is allocated.
 ///
 /// # Errors
 ///
@@ -531,17 +436,16 @@ pub fn parse_query(
     body: &Json,
     limits: &ServiceLimits,
 ) -> Result<Query, ApiError> {
-    let fields = match body {
-        Json::Obj(fields) => fields,
-        _ => return Err(ApiError::bad_request("body must be a JSON object")),
+    let Json::Obj(fields) = body else {
+        return Err(ApiError::bad_request("body must be a JSON object"));
     };
     for (key, _) in fields {
-        let known = if endpoint == Endpoint::Fabric {
-            FABRIC_KEYS.contains(&key.as_str())
-        } else {
-            COMMON_KEYS.contains(&key.as_str())
-                || (endpoint == Endpoint::Simulate && SIM_KEYS.contains(&key.as_str()))
-                || (endpoint == Endpoint::Degraded && DEGRADED_KEYS.contains(&key.as_str()))
+        let key = key.as_str();
+        let known = match endpoint {
+            Endpoint::Bandwidth | Endpoint::Exact => FLAT_FIELDS.contains(&key),
+            Endpoint::Simulate => FLAT_FIELDS.contains(&key) || SIM_FIELDS.contains(&key),
+            Endpoint::Degraded => FLAT_FIELDS.contains(&key) || DEGRADED_FIELDS.contains(&key),
+            Endpoint::Fabric => FABRIC_FIELDS.contains(&key),
         };
         if !known {
             return Err(ApiError::bad_request(format!(
@@ -550,209 +454,32 @@ pub fn parse_query(
             )));
         }
     }
-    if endpoint == Endpoint::Fabric {
-        return parse_fabric_query(body, limits);
-    }
-
-    let n = field_usize(body, "n", 8)?;
-    let m = field_usize(body, "m", n)?;
-    let b = field_usize(body, "b", 4)?;
-    for (name, value) in [("n", n), ("m", m), ("b", b)] {
-        if value == 0 {
-            return Err(ApiError::bad_request(format!("`{name}` must be positive")));
-        }
-        if value > limits.max_dimension {
-            return Err(ApiError::too_large(format!(
-                "`{name}` = {value} exceeds the service limit of {}",
-                limits.max_dimension
-            )));
-        }
-    }
-    let rate = field_f64(body, "rate", 1.0)?;
-    let scheme = scheme_from(body, m, b)?;
-    let net = mbus_core::topology::BusNetwork::new(n, m, b, scheme)
-        .map_err(|e| ApiError::bad_request(e.to_string()))?;
-    let matrix = workload_from(body, n, m)?;
-    // `from_matrix` runs the closed-form analysis once, so rate/dimension
-    // domain errors surface here as 400s rather than at evaluation time.
-    let system = System::from_matrix(net, matrix, rate)
-        .map_err(|e| ApiError::bad_request(e.to_string()))?;
-
-    let sim = if endpoint == Endpoint::Simulate {
-        let cycles = field_u64(body, "cycles", 100_000)?;
-        let warmup = field_u64(body, "warmup", cycles / 20)?;
-        if cycles == 0 {
-            return Err(ApiError::bad_request("`cycles` must be positive"));
-        }
-        let replications = field_usize(body, "replications", 1)?;
-        if replications == 0 {
-            return Err(ApiError::bad_request("`replications` must be positive"));
-        }
-        // The cycle budget covers the *whole* request: every replication
-        // pays its own warmup, so the cap scales with the count.
-        let total = cycles.saturating_add(warmup).saturating_mul(replications as u64);
-        if total > limits.max_cycles {
-            return Err(ApiError::too_large(format!(
-                "(cycles + warmup) x replications = {total} exceeds the service budget of {}",
-                limits.max_cycles
-            )));
-        }
-        let trace_summary = field_bool(body, "trace_summary", false)?;
-        if trace_summary && replications > 1 {
-            // Tracing pins the scalar engine (one deterministic event
-            // stream); replicated runs batch lanes. Refuse the combination
-            // instead of silently tracing one replication.
-            return Err(ApiError::unsupported(
-                "`trace_summary` requires a single replication: trace capture runs the \
-                 scalar engine, replications run the batched engine",
-            ));
-        }
-        SimParams {
-            cycles,
-            warmup,
-            seed: field_u64(body, "seed", 0)?,
-            resubmission: field_bool(body, "resubmission", false)?,
-            replications,
-            trace_summary,
-        }
-    } else {
-        SimParams {
-            cycles: 0,
-            warmup: 0,
-            seed: 0,
-            resubmission: false,
-            replications: 1,
-            trace_summary: false,
-        }
+    let read_flat = || -> Result<FlatSpec, ApiError> {
+        let spec = FlatSpec::read(body)?;
+        limits.check_network(&spec)?;
+        Ok(spec)
     };
-
-    let failed_buses = if endpoint == Endpoint::Degraded {
-        let failed = match body.get("failed_buses") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(Json::Arr(items)) => {
-                let mut buses = Vec::with_capacity(items.len());
-                for item in items {
-                    buses.push(item.as_usize().ok_or_else(|| {
-                        ApiError::bad_request("`failed_buses` entries must be bus indices")
-                    })?);
-                }
-                buses
-            }
-            Some(_) => {
-                return Err(ApiError::bad_request(
-                    "`failed_buses` must be an array of bus indices",
-                ))
-            }
-        };
-        // Validate indices now so evaluation cannot fail on the mask.
-        FaultMask::with_failures(b, &failed).map_err(|e| ApiError::bad_request(e.to_string()))?;
-        failed
-    } else {
-        Vec::new()
-    };
-
-    Ok(Query {
-        endpoint,
-        payload: Payload::Flat(system),
-        rate,
-        sim,
-        failed_buses,
-    })
-}
-
-/// Parses a `/v1/fabric` body: cluster-tree shape, link widths, locality
-/// knob, optional sim budget, and whole-run link failures.
-fn parse_fabric_query(body: &Json, limits: &ServiceLimits) -> Result<Query, ApiError> {
-    let ks = match body.get("ks") {
-        None | Some(Json::Null) => vec![4, 4],
-        Some(Json::Arr(items)) => {
-            let mut ks = Vec::with_capacity(items.len());
-            for item in items {
-                ks.push(item.as_usize().ok_or_else(|| {
-                    ApiError::bad_request("`ks` entries must be branching factors")
-                })?);
-            }
-            ks
+    Ok(match endpoint {
+        Endpoint::Bandwidth => Query::Bandwidth(read_flat()?.build()?),
+        Endpoint::Exact => Query::Exact(read_flat()?.build()?),
+        Endpoint::Simulate => {
+            let flat = read_flat()?;
+            let sim = SimSpec::read(body)?;
+            limits.check_sim(&sim)?;
+            Query::Simulate(flat.build()?, sim)
         }
-        Some(_) => {
-            return Err(ApiError::bad_request(
-                "`ks` must be an array of branching factors",
-            ))
+        Endpoint::Degraded => {
+            let flat = read_flat()?;
+            let degraded = DegradedSpec::read(body)?;
+            let mask = degraded.mask(flat.b)?;
+            Query::Degraded(flat.build()?, degraded, mask)
         }
-    };
-    let processors: usize = ks.iter().product();
-    if processors > limits.max_dimension {
-        return Err(ApiError::too_large(format!(
-            "fabric with {} processors exceeds the service limit of {}",
-            processors, limits.max_dimension
-        )));
-    }
-    let rate = field_f64(body, "rate", 0.5)?;
-    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-        return Err(ApiError::bad_request(
-            "`rate` must be a probability in [0, 1]",
-        ));
-    }
-    let spec = FabricSpec {
-        ks,
-        local_buses: field_usize(body, "buses", 2)?,
-        uplink_width: field_usize(body, "uplink", 1)?,
-        locality: field_f64(body, "locality", 0.6)?,
-    };
-    let (topo, matrix) = spec
-        .build()
-        .map_err(|e| ApiError::bad_request(e.to_string()))?;
-    let failed_links = match body.get("failed_links") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(Json::Arr(items)) => {
-            let mut links = Vec::with_capacity(items.len());
-            for item in items {
-                let link = item.as_usize().ok_or_else(|| {
-                    ApiError::bad_request("`failed_links` entries must be link indices")
-                })?;
-                if link >= topo.links().len() {
-                    return Err(ApiError::bad_request(format!(
-                        "failed link {link} is out of range for a fabric with {} links",
-                        topo.links().len()
-                    )));
-                }
-                links.push(link);
-            }
-            links
+        Endpoint::Fabric => {
+            let query = FabricQuery::read(body)?;
+            limits.check_fabric(&query)?;
+            let (topo, matrix) = query.build()?;
+            Query::Fabric(query, topo, matrix)
         }
-        Some(_) => {
-            return Err(ApiError::bad_request(
-                "`failed_links` must be an array of link indices",
-            ))
-        }
-    };
-    // `cycles: 0` is meaningful here — analytic decomposition only.
-    let cycles = field_u64(body, "cycles", 20_000)?;
-    let warmup = field_u64(body, "warmup", cycles / 10)?;
-    if cycles.saturating_add(warmup) > limits.max_cycles {
-        return Err(ApiError::too_large(format!(
-            "cycles + warmup exceeds the service budget of {}",
-            limits.max_cycles
-        )));
-    }
-    Ok(Query {
-        endpoint: Endpoint::Fabric,
-        payload: Payload::Fabric(FabricQuery {
-            spec,
-            topo,
-            matrix,
-            failed_links,
-        }),
-        rate,
-        sim: SimParams {
-            cycles,
-            warmup,
-            seed: field_u64(body, "seed", 42)?,
-            resubmission: false,
-            replications: 1,
-            trace_summary: false,
-        },
-        failed_buses: Vec::new(),
     })
 }
 
@@ -809,15 +536,9 @@ fn trace_summary_json(analysis: &mbus_core::trace::TraceAnalysis) -> Json {
 /// [`ApiError`] (status 422) when an engine cannot evaluate the query —
 /// e.g. exact enumeration beyond the memory limit.
 pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
-    let system = match &query.payload {
-        Payload::Flat(system) => system,
-        Payload::Fabric(fabric) => return evaluate_fabric(query, fabric),
-    };
-    match query.endpoint {
-        Endpoint::Bandwidth => {
-            let breakdown = system
-                .analytic()
-                .map_err(|e| ApiError::unsupported(e.to_string()))?;
+    match query {
+        Query::Bandwidth(system) => {
+            let breakdown = system.analytic().map_err(ApiError::unsupported)?;
             let per_bus = match &breakdown.per_bus_busy {
                 Some(busy) => json::num_array(busy),
                 None => Json::Null,
@@ -829,10 +550,8 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
                 ("per_bus_busy", per_bus),
             ]))
         }
-        Endpoint::Exact => {
-            let bandwidth = system
-                .exact()
-                .map_err(|e| ApiError::unsupported(e.to_string()))?;
+        Query::Exact(system) => {
+            let bandwidth = system.exact().map_err(ApiError::unsupported)?;
             let method = if system.network().memories()
                 <= mbus_core::exact::enumerate::MAX_MEMORIES
             {
@@ -845,17 +564,14 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
                 ("method", Json::Str(method.to_owned())),
             ]))
         }
-        Endpoint::Simulate => {
-            let config = SimConfig::new(query.sim.cycles)
-                .with_warmup(query.sim.warmup)
-                .with_seed(query.sim.seed)
-                .with_resubmission(query.sim.resubmission);
-            if query.sim.replications > 1 {
+        Query::Simulate(system, sim) => {
+            let config = sim.config();
+            if sim.replications > 1 {
                 // parse_query rejected trace_summary + replications, so
                 // this arm never traces: the runner is free to batch.
                 let report = system
-                    .simulate_replicated(&config, query.sim.replications)
-                    .map_err(|e| ApiError::unsupported(e.to_string()))?;
+                    .simulate_replicated(&config, sim.replications)
+                    .map_err(ApiError::unsupported)?;
                 let per_replication: Vec<Json> = report
                     .reports
                     .iter()
@@ -871,26 +587,24 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
                     ("acceptance", Json::Num(report.acceptance)),
                     ("replications", Json::Num(report.replications as f64)),
                     ("engine", Json::Str(report.engine.to_owned())),
-                    ("cycles", Json::Num(query.sim.cycles as f64)),
-                    ("warmup", Json::Num(query.sim.warmup as f64)),
-                    ("seed", Json::Num(query.sim.seed as f64)),
-                    ("resubmission", Json::Bool(query.sim.resubmission)),
+                    ("cycles", Json::Num(sim.cycles as f64)),
+                    ("warmup", Json::Num(sim.warmup as f64)),
+                    ("seed", Json::Num(sim.seed as f64)),
+                    ("resubmission", Json::Bool(sim.resubmission)),
                     ("per_replication_bandwidth", Json::Arr(per_replication)),
                 ]));
             }
-            let (report, trace) = if query.sim.trace_summary {
+            let (report, trace) = if sim.trace {
                 let (report, bytes) = system
                     .simulate_traced(&config, Vec::new())
-                    .map_err(|e| ApiError::unsupported(e.to_string()))?;
+                    .map_err(ApiError::unsupported)?;
                 let mut reader = mbus_core::trace::TraceReader::new(bytes.as_slice())
-                    .map_err(|e| ApiError::unsupported(e.to_string()))?;
-                let analysis = mbus_core::trace::analyze(&mut reader)
-                    .map_err(|e| ApiError::unsupported(e.to_string()))?;
+                    .map_err(ApiError::unsupported)?;
+                let analysis =
+                    mbus_core::trace::analyze(&mut reader).map_err(ApiError::unsupported)?;
                 (report, Some(trace_summary_json(&analysis)))
             } else {
-                let report = system
-                    .simulate(&config)
-                    .map_err(|e| ApiError::unsupported(e.to_string()))?;
+                let report = system.simulate(&config).map_err(ApiError::unsupported)?;
                 (report, None)
             };
             let mut fields = vec![
@@ -907,8 +621,8 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
                 ("max_wait", Json::Num(report.max_wait as f64)),
                 ("cycles", Json::Num(report.cycles as f64)),
                 ("warmup", Json::Num(report.warmup as f64)),
-                ("seed", Json::Num(query.sim.seed as f64)),
-                ("resubmission", Json::Bool(query.sim.resubmission)),
+                ("seed", Json::Num(sim.seed as f64)),
+                ("resubmission", Json::Bool(sim.resubmission)),
                 ("bus_utilization", json::num_array(&report.bus_utilization)),
             ];
             if let Some(trace) = trace {
@@ -916,12 +630,10 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
             }
             Ok(obj(fields))
         }
-        Endpoint::Degraded => {
-            let net = system.network();
-            let mask = FaultMask::with_failures(net.buses(), &query.failed_buses)
-                .map_err(|e| ApiError::bad_request(e.to_string()))?;
-            let breakdown = degraded_analyze(net, system.matrix(), query.rate, &mask)
-                .map_err(|e| ApiError::unsupported(e.to_string()))?;
+        Query::Degraded(system, _, mask) => {
+            let breakdown =
+                degraded_analyze(system.network(), system.matrix(), system.rate(), mask)
+                    .map_err(ApiError::unsupported)?;
             let per_class = match &breakdown.per_class_bandwidth {
                 Some(values) => json::num_array(values),
                 None => Json::Null,
@@ -944,26 +656,21 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
                 ("per_class_bandwidth", per_class),
             ]))
         }
-        // parse_query builds fabric queries with a fabric payload, which
-        // the early return above already dispatched.
-        Endpoint::Fabric => Err(ApiError::bad_request(
-            "fabric query carried a flat payload",
-        )),
+        Query::Fabric(query, topo, matrix) => evaluate_fabric(query, topo, matrix),
     }
 }
 
 /// Evaluates a `/v1/fabric` query: the analytic decomposition always,
 /// plus a routed-simulator cross-check when `cycles > 0`.
-fn evaluate_fabric(query: &Query, fabric: &FabricQuery) -> Result<Json, ApiError> {
-    let analysis = analyze_fabric(&fabric.topo, &fabric.matrix, query.rate, &fabric.failed_links)
-        .map_err(|e| ApiError::unsupported(e.to_string()))?;
-    let ks: Vec<Json> = fabric
-        .spec
-        .ks
-        .iter()
-        .map(|&k| Json::Num(k as f64))
-        .collect();
-    let failed: Vec<Json> = fabric
+fn evaluate_fabric(
+    query: &FabricQuery,
+    topo: &ClusteredBuses,
+    matrix: &RequestMatrix,
+) -> Result<Json, ApiError> {
+    let analysis = analyze_fabric(topo, matrix, query.rate, &query.failed_links)
+        .map_err(ApiError::unsupported)?;
+    let ks: Vec<Json> = query.spec.ks.iter().map(|&k| Json::Num(k as f64)).collect();
+    let failed: Vec<Json> = query
         .failed_links
         .iter()
         .map(|&link| Json::Num(link as f64))
@@ -975,9 +682,9 @@ fn evaluate_fabric(query: &Query, fabric: &FabricQuery) -> Result<Json, ApiError
         .collect();
     let mut fields = vec![
         ("ks", Json::Arr(ks)),
-        ("processors", Json::Num(fabric.topo.processors() as f64)),
-        ("links", Json::Num(fabric.topo.links().len() as f64)),
-        ("locality", Json::Num(fabric.spec.locality)),
+        ("processors", Json::Num(topo.processors() as f64)),
+        ("links", Json::Num(topo.links().len() as f64)),
+        ("locality", Json::Num(query.spec.locality)),
         ("failed_links", Json::Arr(failed)),
         (
             "analytic",
@@ -996,34 +703,17 @@ fn evaluate_fabric(query: &Query, fabric: &FabricQuery) -> Result<Json, ApiError
             ]),
         ),
     ];
-    if query.sim.cycles > 0 {
-        let schedule = FaultSchedule::from_events(
-            fabric
-                .failed_links
-                .iter()
-                .map(|&link| FaultEvent {
-                    cycle: 0,
-                    bus: link,
-                    kind: FaultEventKind::Fail,
-                })
-                .collect(),
-        )
-        .map_err(|e| ApiError::bad_request(e.to_string()))?;
-        let config = SimConfig::new(query.sim.cycles)
-            .with_warmup(query.sim.warmup)
-            .with_seed(query.sim.seed)
-            .with_faults(schedule);
-        let mut sim = FabricSimulator::build(&fabric.topo, &fabric.matrix, query.rate)
-            .map_err(|e| ApiError::unsupported(e.to_string()))?;
-        let report = sim
-            .run(&config)
-            .map_err(|e| ApiError::unsupported(e.to_string()))?;
+    if query.cycles > 0 {
+        let config = query.sim_config()?;
+        let mut sim =
+            FabricSimulator::build(topo, matrix, query.rate).map_err(ApiError::unsupported)?;
+        let report = sim.run(&config).map_err(ApiError::unsupported)?;
         fields.push((
             "simulated",
             obj(vec![
                 ("cycles", Json::Num(report.cycles as f64)),
                 ("warmup", Json::Num(report.warmup as f64)),
-                ("seed", Json::Num(query.sim.seed as f64)),
+                ("seed", Json::Num(query.seed as f64)),
                 ("bandwidth_mean", Json::Num(report.bandwidth.mean())),
                 (
                     "bandwidth_half_width",

@@ -2,7 +2,7 @@
 //! confidence intervals.
 //!
 //! [`run_replications`] fans the replication list out over
-//! `mbus_stats::parallel::parallel_map_dynamic` (the Chase–Lev pool) and
+//! `mbus_stats::parallel::parallel_map` (the Chase–Lev pool) and
 //! picks the faster of two engines per run:
 //!
 //! * **batched** — when the system fits the [`crate::batched`] envelope
@@ -20,7 +20,7 @@
 //! [`SimError::ReplicationPanicked`] after every worker has joined.
 
 use crate::{batched, SimConfig, SimError, SimReport, Simulator};
-use mbus_stats::parallel::{available_workers, parallel_map_dynamic};
+use mbus_stats::parallel::{available_workers, parallel_map};
 use mbus_stats::{student_t_quantile, ConfidenceInterval, Welford};
 use mbus_topology::BusNetwork;
 use mbus_workload::RequestMatrix;
@@ -158,7 +158,7 @@ fn run_replications_impl(
             .step_by(per_chunk)
             .map(|base| (base, per_chunk.min(replications - base)))
             .collect();
-        let chunk_reports = parallel_map_dynamic(chunks, workers, |(base, len)| {
+        let chunk_reports = parallel_map(chunks, workers, |(base, len)| {
             catch_unwind(AssertUnwindSafe(|| {
                 let seeds: Vec<u64> = (0..len)
                     .map(|i| config.seed.wrapping_add((base + i) as u64))
@@ -174,7 +174,7 @@ fn run_replications_impl(
         ("batched", reports)
     } else {
         let prototype = Simulator::build(net, matrix, r)?;
-        let results = parallel_map_dynamic((0..replications).collect(), workers, |i| {
+        let results = parallel_map((0..replications).collect(), workers, |i| {
             catch_unwind(AssertUnwindSafe(|| {
                 let mut sim = prototype.clone();
                 let mut cfg = config.clone();

@@ -1,20 +1,18 @@
 //! Chase–Lev work-stealing deque and the task arena behind
-//! [`crate::parallel::parallel_map_dynamic`].
+//! [`crate::parallel::parallel_map`].
 //!
-//! The static chunking of [`crate::parallel::parallel_map`] is the right
-//! shape for uniform sweeps, but the workspace's heavy workloads are
-//! irregular: campaign fault masks vary wildly in cost, `MemoCache` hits
-//! return instantly while misses run full solves, and sweep cells straggle.
-//! There the slowest chunk sets the wall clock. This module provides the
-//! dynamic alternative: each worker owns a [`TaskDeque`] seeded with a
-//! contiguous share of the task indices, drains it LIFO from the bottom,
-//! and steals FIFO from the top of other workers' deques once its own runs
-//! dry.
+//! The workspace's heavy workloads are irregular: campaign fault masks
+//! vary wildly in cost, `MemoCache` hits return instantly while misses run
+//! full solves, and sweep cells straggle. Under a static split the slowest
+//! chunk would set the wall clock. Instead each worker owns a
+//! [`TaskDeque`] seeded with an interleaved share of the task indices,
+//! drains it LIFO from the bottom, and steals FIFO from the top of other
+//! workers' deques once its own runs dry.
 //!
 //! The deque is the classic Chase–Lev algorithm in the weak-memory
 //! formulation of Lê, Pop, Cohen & Zappa Nardelli (*Correct and Efficient
 //! Work-Stealing for Weak Memory Models*, PPoPP 2013), restricted to a
-//! **fixed capacity**: `parallel_map_dynamic` knows the task count up
+//! **fixed capacity**: `parallel_map` knows the task count up
 //! front, so the buffer-growth half of the algorithm (and its notorious
 //! reclamation hazards) is simply absent. Tasks are `usize` indices into a
 //! [`TaskArena`], which owns the input/output slots and is the only place
@@ -58,7 +56,7 @@ pub enum Steal {
 /// One thread is the *owner* and may call [`TaskDeque::push`] and
 /// [`TaskDeque::pop`]; any number of other threads may call
 /// [`TaskDeque::steal`] concurrently. The owner role is a logical
-/// contract, not a type-level one: `parallel_map_dynamic` hands each
+/// contract, not a type-level one: `parallel_map` hands each
 /// worker exactly one deque to own. Violating the contract cannot cause
 /// undefined behavior (all shared state is atomic) but can duplicate or
 /// lose task ids.
@@ -189,7 +187,7 @@ impl TaskDeque {
     }
 }
 
-/// Input/output slots for one `parallel_map_dynamic` call.
+/// Input/output slots for one `parallel_map` call.
 ///
 /// Task `i` consumes `input[i]` and fills `output[i]`. The arena's safe
 /// API enforces the "each index runs exactly once" invariant at runtime

@@ -11,11 +11,10 @@
 //!   [`ConfidenceInterval`]s for steady-state simulation output.
 //! * [`Histogram`] — integer-valued histograms (e.g. "requests served per
 //!   cycle") with exact quantiles.
-//! * [`parallel`] — a dependency-free `parallel_map` over scoped threads
-//!   plus [`parallel::parallel_map_dynamic`], a Chase–Lev work-stealing
-//!   pool ([`deque`]) for irregular workloads — the engine behind
-//!   multi-point sweeps, fault campaigns, table regeneration, and
-//!   replicated simulation.
+//! * [`parallel`] — [`parallel::parallel_map`], a dependency-free
+//!   order-preserving map over a Chase–Lev work-stealing pool ([`deque`])
+//!   on scoped threads — the engine behind multi-point sweeps, fault
+//!   campaigns, table regeneration, and replicated simulation.
 //! * [`cache`] — a sharded, bounded memoization cache ([`cache::MemoCache`])
 //!   shared by sweeps, table builders, and fault campaigns so identical
 //!   subproblems (served-set tables, containment-power vectors, degraded

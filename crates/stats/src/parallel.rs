@@ -1,39 +1,30 @@
 //! Dependency-free data parallelism over `std::thread::scope`.
 //!
 //! The workspace deliberately avoids external runtime crates, so its
-//! parallel layer is this one primitive: [`parallel_map`] shards a work
-//! list over scoped threads and returns results in input order. It powers
-//! the design-space sweeps in `mbus-analysis`, the table regeneration in
-//! `multibus::tables`, and the throughput harness — anywhere many
-//! independent (network, rate) points must be evaluated.
+//! parallel layer is this one primitive: [`parallel_map`] runs a work list
+//! on a Chase–Lev work-stealing pool (see [`crate::deque`]) and returns
+//! results in input order. It powers the design-space sweeps in
+//! `mbus-analysis`, the table regeneration in `multibus::tables`, fault
+//! campaigns, and replicated simulation — anywhere many independent
+//! (network, rate) points must be evaluated. Each worker drains its own
+//! share LIFO and steals from stragglers FIFO, so irregular task costs
+//! (memo hits vs. full solves, fault masks of wildly different weight,
+//! batched vs. scalar replication chunks) do not leave fast workers idle.
 //!
-//! Two scheduling strategies share one calling convention:
-//!
-//! * [`parallel_map`] — static contiguous chunks, one thread per chunk.
-//!   The right shape for sweeps whose points cost roughly the same; free
-//!   of queues and unsafe code.
-//! * [`parallel_map_dynamic`] — a Chase–Lev work-stealing pool (see
-//!   [`crate::deque`]). Each worker drains its own share LIFO and steals
-//!   from stragglers FIFO, so irregular task costs (memo hits vs. full
-//!   solves, fault masks of wildly different weight, batched vs. scalar
-//!   replication chunks) no longer leave the fast workers idle.
-//!
-//! Both preserve input order in the output, run everything on the calling
-//! thread when `workers <= 1` (the guaranteed serial fallback on a 1-core
-//! box), and propagate the first worker panic after all workers have been
-//! joined — callers that must convert panics into errors (the simulation
-//! runner's `SimError::ReplicationPanicked`) wrap their task bodies in
-//! `catch_unwind` and keep the join-all semantics for free.
+//! The map preserves input order in the output, runs everything on the
+//! calling thread when `workers <= 1` (the guaranteed serial fallback on a
+//! 1-core box), and propagates the first worker panic after all workers
+//! have been joined — callers that must convert panics into errors (the
+//! simulation runner's `SimError::ReplicationPanicked`) wrap their task
+//! bodies in `catch_unwind` and keep the join-all semantics for free.
 //!
 //! # Examples
 //!
 //! ```
-//! use mbus_stats::parallel::{available_workers, parallel_map, parallel_map_dynamic};
+//! use mbus_stats::parallel::{available_workers, parallel_map};
 //!
 //! let squares = parallel_map(vec![1u64, 2, 3, 4], available_workers(), |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//! let cubes = parallel_map_dynamic(vec![1u64, 2, 3], available_workers(), |x| x * x * x);
-//! assert_eq!(cubes, vec![1, 8, 27]);
 //! ```
 
 use crate::deque::{Steal, TaskArena, TaskDeque};
@@ -49,62 +40,13 @@ pub fn available_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` on up to `workers` scoped threads, preserving
-/// input order in the output.
-///
-/// Each thread owns one contiguous chunk of the input, so `f` only needs
-/// `Sync` (shared by reference across threads), not `Clone`. With
-/// `workers <= 1`, a single item, or an empty input, everything runs on the
-/// calling thread — callers can pass a configured worker count straight
-/// through without special-casing the serial path.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the panicking worker thread is joined and
-/// its panic resumed).
-pub fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let len = items.len();
-    if len <= 1 || workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let workers = workers.min(len);
-    // Move every item into an Option slot so chunks can be carved off and
-    // consumed by value inside the scope; results land in matching slots.
-    let mut input: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut output: Vec<Option<U>> = (0..len).map(|_| None).collect();
-    let chunk = len.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in input.chunks_mut(chunk).zip(output.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot_in, slot_out) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    // lint:allow(no_panic, each input slot is Some by construction and consumed exactly once)
-                    let item = slot_in.take().expect("each input slot is consumed once");
-                    *slot_out = Some(f(item));
-                }
-            });
-        }
-    });
-    output
-        .into_iter()
-        // lint:allow(no_panic, every output slot is filled by the worker that owns its chunk)
-        .map(|slot| slot.expect("each output slot is filled once"))
-        .collect()
-}
-
 /// Maps `f` over `items` with work stealing, preserving input order in the
 /// output.
 ///
 /// Task indices are seeded round-robin across `workers` Chase–Lev deques;
 /// each worker drains its own deque LIFO and steals FIFO from the others
 /// once it runs dry, so one straggling task never strands the remaining
-/// work on a single thread. Prefer this over [`parallel_map`] whenever
-/// task costs are irregular.
+/// work on a single thread.
 ///
 /// With `workers <= 1`, a single item, or an empty input, everything runs
 /// serially on the calling thread — the guaranteed fallback on a 1-core
@@ -115,7 +57,7 @@ where
 /// Propagates the first panic raised by `f`. All workers are joined
 /// before the panic resumes (remaining tasks may be skipped once a panic
 /// is observed, but no thread is left running).
-pub fn parallel_map_dynamic<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
+pub fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -213,19 +155,15 @@ mod tests {
 
     #[test]
     fn preserves_order() {
-        let out = parallel_map((0..100usize).collect(), 7, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        let out = parallel_map((0..250usize).collect(), 7, |x| x * 3);
+        assert_eq!(out, (0..250).map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
-    fn empty_and_singleton_inputs() {
+    fn empty_singleton_and_serial() {
         let empty: Vec<usize> = parallel_map(Vec::new(), 4, |x: usize| x);
         assert!(empty.is_empty());
         assert_eq!(parallel_map(vec![41usize], 4, |x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn serial_fallback_matches_parallel() {
         let items: Vec<u64> = (0..37).collect();
         let serial = parallel_map(items.clone(), 1, |x| x * x + 1);
         let parallel = parallel_map(items, 16, |x| x * x + 1);
@@ -233,50 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn more_workers_than_items() {
-        assert_eq!(
-            parallel_map(vec![1usize, 2, 3], 64, |x| x + 10),
-            vec![11, 12, 13]
-        );
-    }
-
-    #[test]
-    fn every_item_processed_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let out = parallel_map((0..500usize).collect(), 8, |x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(out.len(), 500);
-        assert_eq!(calls.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
-    fn available_workers_is_positive() {
-        assert!(available_workers() >= 1);
-    }
-
-    #[test]
-    fn dynamic_preserves_order() {
-        let out = parallel_map_dynamic((0..250usize).collect(), 7, |x| x * 3);
-        assert_eq!(out, (0..250).map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dynamic_empty_singleton_and_serial() {
-        let empty: Vec<usize> = parallel_map_dynamic(Vec::new(), 4, |x: usize| x);
-        assert!(empty.is_empty());
-        assert_eq!(parallel_map_dynamic(vec![41usize], 4, |x| x + 1), vec![42]);
-        let items: Vec<u64> = (0..37).collect();
-        let serial = parallel_map_dynamic(items.clone(), 1, |x| x * x + 1);
-        let dynamic = parallel_map_dynamic(items, 16, |x| x * x + 1);
-        assert_eq!(serial, dynamic);
-    }
-
-    #[test]
-    fn dynamic_matches_static_on_irregular_costs() {
-        // Task cost varies by three orders of magnitude; both schedulers
-        // must still produce identical, ordered results.
+    fn matches_serial_on_irregular_costs() {
+        // Task cost varies by three orders of magnitude; the pool must
+        // still produce the serial map's results, in order.
         let items: Vec<u64> = (0..120).collect();
         let work = |x: u64| {
             let spins = if x % 17 == 0 { 20_000 } else { 20 };
@@ -287,15 +184,15 @@ mod tests {
             (x, acc)
         };
         assert_eq!(
-            parallel_map_dynamic(items.clone(), 8, work),
-            parallel_map(items, 8, work)
+            parallel_map(items.clone(), 8, work),
+            items.into_iter().map(work).collect::<Vec<_>>()
         );
     }
 
     #[test]
-    fn dynamic_runs_every_item_exactly_once() {
+    fn runs_every_item_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let out = parallel_map_dynamic((0..500usize).collect(), 8, |x| {
+        let out = parallel_map((0..500usize).collect(), 8, |x| {
             calls.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -304,9 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_propagates_panics_after_joining() {
+    fn propagates_panics_after_joining() {
         let result = std::panic::catch_unwind(|| {
-            parallel_map_dynamic((0..64usize).collect(), 4, |x| {
+            parallel_map((0..64usize).collect(), 4, |x| {
                 if x == 13 {
                     panic!("boom at {x}");
                 }
@@ -322,10 +219,15 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_more_workers_than_items() {
+    fn more_workers_than_items() {
         assert_eq!(
-            parallel_map_dynamic(vec![1usize, 2, 3], 64, |x| x + 10),
+            parallel_map(vec![1usize, 2, 3], 64, |x| x + 10),
             vec![11, 12, 13]
         );
+    }
+
+    #[test]
+    fn available_workers_is_positive() {
+        assert!(available_workers() >= 1);
     }
 }

@@ -6,7 +6,7 @@
 //! checks the atomics protocol against the weak memory model.
 
 use mbus_stats::deque::{Steal, TaskDeque};
-use mbus_stats::parallel::{parallel_map, parallel_map_dynamic};
+use mbus_stats::parallel::parallel_map;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Miri executes a few hundred times slower than native; scale the task
@@ -98,7 +98,7 @@ fn owner_pop_races_thieves_on_sparse_deques() {
 fn pool_handles_randomized_task_sizes() {
     // Deterministic pseudo-random task costs spanning ~4 orders of
     // magnitude, the regime the work-stealing pool exists for. The result
-    // must match the static scheduler bit for bit.
+    // must match a serial map bit for bit.
     let tasks = 512 / SCALE;
     let items: Vec<u64> = (0..tasks as u64).collect();
     let work = |x: u64| {
@@ -111,9 +111,9 @@ fn pool_handles_randomized_task_sizes() {
         }
         (x, state)
     };
-    let dynamic = parallel_map_dynamic(items.clone(), 8, work);
-    let stat = parallel_map(items, 8, work);
-    assert_eq!(dynamic, stat);
+    let pooled = parallel_map(items.clone(), 8, work);
+    let serial: Vec<(u64, u64)> = items.into_iter().map(work).collect();
+    assert_eq!(pooled, serial);
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn pool_survives_repeated_small_maps() {
     // arena claims) rather than steady-state stealing.
     for round in 0..(60 / SCALE).max(4) {
         let n = round % 7 + 2;
-        let out = parallel_map_dynamic((0..n).collect::<Vec<usize>>(), 4, |x| x + round);
+        let out = parallel_map((0..n).collect::<Vec<usize>>(), 4, |x| x + round);
         assert_eq!(out, (0..n).map(|x| x + round).collect::<Vec<_>>());
     }
 }

@@ -7,8 +7,7 @@ use rand::Rng;
 /// `O(1)` per sample after `O(n)` setup.
 ///
 /// The simulator samples one destination per requesting processor per cycle,
-/// so constant-time sampling keeps large sweeps cheap. (An ablation bench in
-/// `mbus-bench` compares this against naive linear CDF scanning.)
+/// so constant-time sampling keeps large sweeps cheap.
 ///
 /// # Examples
 ///
