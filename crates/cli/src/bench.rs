@@ -17,9 +17,12 @@
 //! 3. **Replication scaling** (`--scaling` runs only this section):
 //!    replications/sec of the batched SoA lane engine against the scalar
 //!    engine on a single worker — the per-replication amortization the
-//!    batching work targets — plus the batched engine's throughput at
-//!    1, 2, 4, … workers (the work-stealing pool's scaling curve; one
-//!    point on a single-core machine). The two engines follow different
+//!    batching work targets — on both contender paths: the paper's 8×8×4
+//!    network (packed-word SWAR path, `"scaling"`) plus the batched
+//!    engine's throughput at 1, 2, 4, … workers (the work-stealing pool's
+//!    scaling curve; one point on a single-core machine), and 64×64×16 at
+//!    r = 0.5 (requester-table path, `"scaling_table"`, one worker). The
+//!    two engines follow different
 //!    sampling specs, so the gate is statistical agreement of the mean
 //!    bandwidth, plus bit-exact determinism of the batched reports
 //!    across worker counts.
@@ -195,6 +198,40 @@ fn sweep_benchmark(n: usize, reps: usize) -> Result<SweepResult, String> {
     })
 }
 
+/// One `--scaling` geometry: an N×N×B full network under hierarchical
+/// traffic at rate `rate`.
+struct ScalingCase {
+    n: usize,
+    b: usize,
+    rate: f64,
+    /// Also walk the batched engine up the worker counts.
+    curve: bool,
+}
+
+/// The `--scaling` geometries and their JSON keys: the paper's network
+/// (N ≤ 8, the batched engine's packed-word path) with the worker curve,
+/// and the largest eligible network (its requester-table path).
+const SCALING_CASES: [(&str, ScalingCase); 2] = [
+    (
+        "scaling",
+        ScalingCase {
+            n: 8,
+            b: 4,
+            rate: 1.0,
+            curve: true,
+        },
+    ),
+    (
+        "scaling_table",
+        ScalingCase {
+            n: 64,
+            b: 16,
+            rate: 0.5,
+            curve: false,
+        },
+    ),
+];
+
 struct ScalingResult {
     replications: usize,
     /// Cycles per replication (including warmup).
@@ -213,20 +250,26 @@ impl ScalingResult {
     fn speedup(&self) -> f64 {
         self.batched_rps / self.scalar_rps
     }
+
+    /// Single-worker batched wall time per lane-cycle (one replication
+    /// advanced one cycle), in nanoseconds.
+    fn batched_ns_per_lane_cycle(&self) -> f64 {
+        1e9 / (self.batched_rps * self.total_cycles as f64)
+    }
 }
 
 /// Times replicated runs on the batched SoA engine against the scalar
-/// engine (one worker each), then walks the batched engine up the worker
-/// counts. Worker counts double from 1 and always include the detected
-/// maximum.
+/// engine (one worker each), then, if `case.curve`, walks the batched
+/// engine up the worker counts. Worker counts double from 1 and always
+/// include the detected maximum.
 fn scaling_benchmark(
-    n: usize,
-    b: usize,
+    case: &ScalingCase,
     cycles: u64,
     seed: u64,
     replications: usize,
     reps: usize,
 ) -> Result<ScalingResult, String> {
+    let (n, b, rate) = (case.n, case.b, case.rate);
     let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).map_err(|e| e.to_string())?;
     let matrix = paper_params::hierarchical(n)
         .map_err(|e| e.to_string())?
@@ -238,10 +281,10 @@ fn scaling_benchmark(
     // so the cross-check is statistical (mean bandwidth) rather than
     // bit-exact; batched reports, however, must be deterministic across
     // worker counts.
-    let batched = run_replications_with_workers(&net, &matrix, 1.0, &config, replications, 1)
+    let batched = run_replications_with_workers(&net, &matrix, rate, &config, replications, 1)
         .map_err(|e| e.to_string())?;
     let scalar =
-        run_replications_scalar_with_workers(&net, &matrix, 1.0, &config, replications, 1)
+        run_replications_scalar_with_workers(&net, &matrix, rate, &config, replications, 1)
             .map_err(|e| e.to_string())?;
     if batched.engine != "batched" || scalar.engine != "scalar" {
         return Err("engine selection gate failed — benchmark void".into());
@@ -257,12 +300,12 @@ fn scaling_benchmark(
     let (batched_secs, scalar_secs) = best_seconds_interleaved(
         reps,
         || {
-            run_replications_with_workers(&net, &matrix, 1.0, &config, replications, 1)
+            run_replications_with_workers(&net, &matrix, rate, &config, replications, 1)
                 // lint:allow(no_panic, the same run succeeded in the agreement gate above; timing closures must stay Result-free)
                 .expect("checked above");
         },
         || {
-            run_replications_scalar_with_workers(&net, &matrix, 1.0, &config, replications, 1)
+            run_replications_scalar_with_workers(&net, &matrix, rate, &config, replications, 1)
                 // lint:allow(no_panic, the same run succeeded in the agreement gate above; timing closures must stay Result-free)
                 .expect("checked above");
         },
@@ -270,7 +313,7 @@ fn scaling_benchmark(
     let batched_rps = replications as f64 / batched_secs;
 
     let mut curve = vec![(1usize, batched_rps)];
-    let max_workers = available_workers();
+    let max_workers = if case.curve { available_workers() } else { 1 };
     let mut counts: Vec<usize> = std::iter::successors(Some(2usize), |w| Some(w * 2))
         .take_while(|&w| w < max_workers)
         .collect();
@@ -279,7 +322,7 @@ fn scaling_benchmark(
     }
     for workers in counts {
         let wide =
-            run_replications_with_workers(&net, &matrix, 1.0, &config, replications, workers)
+            run_replications_with_workers(&net, &matrix, rate, &config, replications, workers)
                 .map_err(|e| e.to_string())?;
         if wide.reports != batched.reports {
             return Err(format!(
@@ -287,7 +330,7 @@ fn scaling_benchmark(
             ));
         }
         let secs = best_seconds(reps, || {
-            run_replications_with_workers(&net, &matrix, 1.0, &config, replications, workers)
+            run_replications_with_workers(&net, &matrix, rate, &config, replications, workers)
                 // lint:allow(no_panic, the same run succeeded in the determinism gate above; timing closures must stay Result-free)
                 .expect("checked above");
         });
@@ -584,8 +627,8 @@ fn sweep_json(sweep_n: usize, sweep: &SweepResult) -> String {
     )
 }
 
-/// The `"scaling"` JSON section.
-fn scaling_json(n: usize, b: usize, seed: u64, scaling: &ScalingResult) -> String {
+/// A `"scaling"`-schema JSON section under `key`.
+fn scaling_json(key: &str, case: &ScalingCase, seed: u64, scaling: &ScalingResult) -> String {
     let curve = scaling
         .curve
         .iter()
@@ -597,14 +640,19 @@ fn scaling_json(n: usize, b: usize, seed: u64, scaling: &ScalingResult) -> Strin
         .collect::<Vec<_>>()
         .join(",\n");
     format!(
-        "  \"scaling\": {{\n    \"n\": {n},\n    \"m\": {n},\n    \"b\": {b},\n    \
-         \"scheme\": \"full\",\n    \"workload\": \"hierarchical\",\n    \"rate\": 1.0,\n    \
+        "  \"{key}\": {{\n    \"n\": {n},\n    \"m\": {n},\n    \"b\": {b},\n    \
+         \"scheme\": \"full\",\n    \"workload\": \"hierarchical\",\n    \"rate\": {rate:.1},\n    \
          \"resubmission\": false,\n    \"seed\": {seed},\n    \
          \"replications\": {reps},\n    \"total_cycles_per_replication\": {total},\n    \
          \"scalar_replications_per_sec\": {srps:.2},\n    \
          \"batched_replications_per_sec\": {brps:.2},\n    \
+         \"batched_ns_per_lane_cycle\": {ns:.1},\n    \
          \"single_worker_speedup\": {speedup:.3},\n    \
          \"workers\": [\n{curve}\n    ]\n  }}",
+        n = case.n,
+        b = case.b,
+        rate = case.rate,
+        ns = scaling.batched_ns_per_lane_cycle(),
         reps = scaling.replications,
         total = scaling.total_cycles,
         srps = scaling.scalar_rps,
@@ -791,29 +839,31 @@ pub fn bench(args: &Args) -> Result<(), String> {
     }
 
     if !exact_only {
-        let sn = 8usize;
-        let sb = 4usize;
-        println!(
-            "\nscaling: {replications} replications of {sn}x{sn}x{sb} full, hierarchical, \
-             r = 1.0, {scaling_cycles} cycles, batched vs scalar"
-        );
-        let scaling = scaling_benchmark(sn, sb, scaling_cycles, seed, replications, reps)?;
-        println!(
-            "  scalar:    {:>12.1} replications/sec (1 worker)\n  \
-             batched:   {:>12.1} replications/sec (1 worker)\n  \
-             speedup:   {:>12.2}x",
-            scaling.scalar_rps,
-            scaling.batched_rps,
-            scaling.speedup()
-        );
-        for &(workers, rps) in scaling.curve.iter().skip(1) {
+        for (key, case) in &SCALING_CASES {
+            let ScalingCase { n: sn, b: sb, rate, .. } = case;
             println!(
-                "  batched:   {:>12.1} replications/sec ({workers} workers, {:.2}x vs 1)",
-                rps,
-                rps / scaling.batched_rps
+                "\n{key}: {replications} replications of {sn}x{sn}x{sb} full, hierarchical, \
+                 r = {rate:.1}, {scaling_cycles} cycles, batched vs scalar"
             );
+            let scaling = scaling_benchmark(case, scaling_cycles, seed, replications, reps)?;
+            println!(
+                "  scalar:    {:>12.1} replications/sec (1 worker)\n  \
+                 batched:   {:>12.1} replications/sec (1 worker, {:.1} ns/lane-cycle)\n  \
+                 speedup:   {:>12.2}x",
+                scaling.scalar_rps,
+                scaling.batched_rps,
+                scaling.batched_ns_per_lane_cycle(),
+                scaling.speedup()
+            );
+            for &(workers, rps) in scaling.curve.iter().skip(1) {
+                println!(
+                    "  batched:   {:>12.1} replications/sec ({workers} workers, {:.2}x vs 1)",
+                    rps,
+                    rps / scaling.batched_rps
+                );
+            }
+            sections.push(scaling_json(key, case, seed, &scaling));
         }
-        sections.push(scaling_json(sn, sb, seed, &scaling));
     }
 
     if scaling_only {
@@ -887,13 +937,19 @@ mod tests {
     fn scaling_benchmark_runs_and_gates_hold() {
         // Tiny run: the agreement + determinism gates and the plumbing are
         // the point, not the throughput numbers.
-        let result = scaling_benchmark(8, 4, 400, 7, 8, 1).unwrap();
+        let [(_, swar), (_, table)] = &SCALING_CASES;
+        let result = scaling_benchmark(swar, 400, 7, 8, 1).unwrap();
         assert_eq!(result.replications, 8);
         assert_eq!(result.total_cycles, 420);
         assert!(result.scalar_rps > 0.0);
         assert!(result.batched_rps > 0.0);
         assert_eq!(result.curve[0].0, 1);
         assert_eq!(result.curve.last().unwrap().0, available_workers().max(1));
+        // The requester-table geometry runs on one worker only.
+        let result = scaling_benchmark(table, 200, 7, 4, 1).unwrap();
+        assert_eq!(result.total_cycles, 210);
+        assert!(result.batched_ns_per_lane_cycle() > 0.0);
+        assert_eq!(result.curve, vec![(1, result.batched_rps)]);
     }
 
     #[test]
@@ -905,8 +961,11 @@ mod tests {
             batched_rps: 300.0,
             curve: vec![(1, 300.0), (2, 580.0), (4, 1100.0)],
         };
-        let json = render_json(&[scaling_json(8, 4, 42, &scaling)]);
+        let json = render_json(&[scaling_json("scaling", &SCALING_CASES[0].1, 42, &scaling)]);
         assert!(json.contains("\"single_worker_speedup\": 3.000"));
+        assert!(json.contains("\"rate\": 1.0,"));
+        // 1e9 / (300 replications/s × 21 000 cycles).
+        assert!(json.contains("\"batched_ns_per_lane_cycle\": 158.7,"));
         assert!(json.contains("\"replications\": 64"));
         assert!(json.contains("{ \"workers\": 4, \"replications_per_sec\": 1100.00 }"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -95,11 +95,34 @@ impl IssueTable {
     /// would mispredict half the time in the engine's hottest loop.
     #[inline]
     pub(crate) fn decode_raw(&self, p: usize, draw: u64) -> usize {
+        self.row(p).decode_raw(draw)
+    }
+
+    /// Processor `p`'s alias row, for loops that decode many draws of one
+    /// processor (one per lane) back to back.
+    #[inline]
+    pub(crate) fn row(&self, p: usize) -> IssueRow<'_> {
+        IssueRow {
+            cells: &self.cells[p * self.columns..(p + 1) * self.columns],
+        }
+    }
+}
+
+/// One processor's `M + 1` alias cells.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IssueRow<'a> {
+    cells: &'a [IssueCell],
+}
+
+impl IssueRow<'_> {
+    /// Same decode as [`IssueTable::decode_raw`] for this row's processor.
+    #[inline]
+    pub(crate) fn decode_raw(&self, draw: u64) -> usize {
         // Split the draw: high bits pick a column uniformly from 0..K,
         // low bits are a fixed-point fraction in [0, 1).
-        let wide = u128::from(draw) * self.columns as u128;
+        let wide = u128::from(draw) * self.cells.len() as u128;
         let (column, fraction) = ((wide >> 64) as usize, wide as u64);
-        let cell = self.cells[p * self.columns + column];
+        let cell = self.cells[column];
         let accept = usize::from(fraction < cell.threshold).wrapping_neg();
         (column & accept) | (usize::from(cell.alias) & !accept)
     }

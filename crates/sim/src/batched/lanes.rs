@@ -30,8 +30,14 @@
 //! networks pack all outcome bytes into one register word and recover
 //! contenders by SWAR byte-compare ([`pick_in_word`]); larger ones
 //! scatter requester bits into a per-memory table during issue and rank
-//! into it with a branchless bit-select ([`select_bit`]). The per-lane
-//! reference engine in [`super::reference`] implements the identical
+//! into it with a branchless bit-select ([`pick_bit`]). Neither pick
+//! calls `count_ones`: the workspace builds for baseline x86-64, which
+//! has no `popcnt`, so every population count is a multiply-sum over
+//! SWAR byte counts. The table path also issues *processor-major*, in
+//! its own pass ahead of the per-lane pass: one processor's alias row
+//! and its contiguous row of lane draws stay hot while every lane
+//! decodes, instead of each lane walking the whole [`IssueTable`]. The
+//! per-lane reference engine in [`super::reference`] implements the identical
 //! spec naively — one scalar [`super::rng::LaneRng`] per seed, the
 //! production `grant_buses` arbiters — and the differential suite holds
 //! the two bit-identical per lane; both feed the same integer
@@ -195,25 +201,67 @@ const HIGH8: u64 = 0x8080_8080_8080_8080;
 const ONES: u64 = 0x0101_0101_0101_0101;
 const GATHER: u64 = 0x0102_0408_1020_4080;
 
-/// Index of the `k`-th (0-based) set bit of `bits`, without a
-/// data-dependent loop: six popcount-halving steps, each a conditional
-/// skip expressed as arithmetic. The rank is data-random, so a
-/// clear-bits loop would mispredict on nearly every multi-contender
-/// grant.
+/// Number of set flags in `flags`, a word whose only set bits are byte
+/// top bits (`flags & !HIGH8 == 0`): the `· ONES` multiply sums the
+/// eight 0/1 bytes into the top byte. This is `count_ones` for such
+/// words, in two ops rather than the software popcount sequence.
 #[inline]
-fn select_bit(bits: u64, k: u32) -> usize {
-    debug_assert!(k < bits.count_ones());
-    let mut b = bits;
-    let mut r = k;
-    let mut pos = 0u32;
-    for shift in [32u32, 16, 8, 4, 2, 1] {
-        let c = (b & ((1u64 << shift) - 1)).count_ones();
-        let skip = u32::from(r >= c);
-        r -= c * skip;
-        pos += shift * skip;
-        b >>= shift * skip;
+fn byte_flag_count(flags: u64) -> u64 {
+    debug_assert_eq!(flags & !HIGH8, 0);
+    (flags >> 7).wrapping_mul(ONES) >> 56
+}
+
+/// `SELECT_IN_BYTE[r][v]`: position of the `r`-th (0-based) set bit of
+/// the byte `v` (0 where `v` has at most `r` set bits).
+const SELECT_IN_BYTE: [[u8; 256]; 8] = {
+    let mut table = [[0u8; 256]; 8];
+    let mut value = 0;
+    while value < 256 {
+        let (mut rank, mut bit) = (0, 0);
+        while bit < 8 {
+            if value >> bit & 1 == 1 {
+                // lint:allow(lossy_cast, bit positions are < 8)
+                table[rank][value] = bit as u8;
+                rank += 1;
+            }
+            bit += 1;
+        }
+        value += 1;
     }
-    pos as usize
+    table
+};
+
+/// Branch-free stage-1 pick on the requester table: the index of set bit
+/// number `chunk · count >> 16` (0-based, ascending) of `bits`, where
+/// `count` is the number of set bits and `chunk` the grant's 16-bit
+/// arbitration chunk. `bits` must be non-zero.
+///
+/// Per-byte SWAR bit counts and their in-word prefix sums (the `· ONES`
+/// multiply) give the count in the top byte and locate the byte holding
+/// the winner by one rank comparison, as in [`pick_in_word`]; a 2 KB
+/// table resolves the bit within that byte. The rank is data-random, so
+/// a clear-bits loop would mispredict on nearly every multi-contender
+/// grant, and `count_ones` is a dozen-op software sequence without
+/// `popcnt`.
+#[inline]
+fn pick_bit(bits: u64, chunk: u64) -> usize {
+    let pairs = bits - ((bits >> 1) & 0x5555_5555_5555_5555);
+    let nibbles = (pairs & 0x3333_3333_3333_3333) + ((pairs >> 2) & 0x3333_3333_3333_3333);
+    let bytes = (nibbles + (nibbles >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    // Byte `i` holds the set bits of bytes `0..=i` (≤ 64, no carries).
+    let prefix = bytes.wrapping_mul(ONES);
+    let count = prefix >> 56;
+    let rank = (chunk * count) >> 16;
+    debug_assert!(rank < count, "pick_bit on an empty contender set");
+    // Byte `i` gains its top bit iff `prefix_i ≥ rank + 1` (at most
+    // 64 + 127, so the add stays within each byte); the winner's byte
+    // is the number of bytes without it.
+    let ge = prefix.wrapping_add((0x7f - rank).wrapping_mul(ONES)) & HIGH8;
+    let shift = (8 - byte_flag_count(ge)) * 8;
+    // Set bits in the bytes below the winner's byte.
+    let below = (prefix << 8) >> shift & 0xff;
+    let (local, value) = ((rank - below) as usize, (bits >> shift & 0xff) as usize);
+    shift as usize + usize::from(SELECT_IN_BYTE[local][value])
 }
 
 /// Per-byte equality: bit `i` of the result is set iff byte `i` of
@@ -254,7 +302,95 @@ fn pick_in_word(word: u64, needle: u64, chunk: u64) -> usize {
     // it (prefix bytes are ≤ 8 and `rank ≤ 7`, so the add stays within
     // each byte).
     let ge = prefix.wrapping_add((0x7f - rank).wrapping_mul(ONES)) & HIGH8;
-    (8 - ge.count_ones()) as usize
+    (8 - byte_flag_count(ge)) as usize
+}
+
+/// Per-lane results of the requester-table path's issue pass; all zero
+/// on the packed-word path, which issues inside its per-lane pass.
+struct LaneIssue {
+    /// Memories with at least one requester.
+    req: [u64; MAX_LANES],
+    /// Requesting processors (with resubmission; nothing reads it
+    /// otherwise).
+    active: [u64; MAX_LANES],
+    /// Fresh (not resubmitted) requests.
+    issued: [u32; MAX_LANES],
+}
+
+impl LaneIssue {
+    fn new() -> Self {
+        Self {
+            req: [0; MAX_LANES],
+            active: [0; MAX_LANES],
+            issued: [0; MAX_LANES],
+        }
+    }
+
+    /// One cycle's requester-table issue, processor-major: processor
+    /// `p`'s alias row and its row of lane draws (`draws[p·lanes + l]`)
+    /// serve every lane before moving on, scattering requester bits into
+    /// each lane's `M + 1`-slot table of `requesters`. With `RESUB`, a
+    /// processor queued in `pending_mask` re-issues its `dest_mem` byte
+    /// and its draw is discarded (uniform consumption keeps lanes in
+    /// lock-step); without, nothing queues and `dest_mem` goes untouched.
+    ///
+    /// Every step is a mask select or a masked write — the idle/request
+    /// and accept/alias outcomes are data-random, and branching on them
+    /// would mispredict half the time. An idle processor `p` writes zero
+    /// to slot `p % (M + 1)`.
+    fn issue_table<const RESUB: bool>(
+        &mut self,
+        table: &IssueTable,
+        draws: &[u64],
+        requesters: &mut [u64],
+        dest_mem: &mut [u8],
+        pending_mask: &[u64],
+    ) {
+        let lanes = pending_mask.len();
+        let slots = requesters.len() / lanes;
+        let n = dest_mem.len() / lanes;
+        self.req[..lanes].fill(0);
+        self.active[..lanes].fill(0);
+        self.issued[..lanes].fill(0);
+        for (p, row_draws) in draws.chunks_exact(lanes).enumerate() {
+            let row = table.row(p);
+            let bit = 1u64 << p;
+            let idle_slot = p % slots;
+            let lanes_iter = row_draws
+                .iter()
+                .zip(requesters.chunks_exact_mut(slots))
+                .zip(dest_mem.chunks_exact_mut(n))
+                .zip(pending_mask)
+                .zip(&mut self.req)
+                .zip(&mut self.active)
+                .zip(&mut self.issued);
+            for ((((((&draw, reqm), dest), &pending), req), active), issued) in lanes_iter {
+                // A queued processor re-issues last cycle's outcome.
+                let qmask = if RESUB {
+                    u64::from(pending & bit != 0).wrapping_neg()
+                } else {
+                    0
+                };
+                let decoded = row.decode_raw(draw) as u64;
+                let outcome = if RESUB {
+                    (u64::from(dest[p]) & qmask) | (decoded & !qmask)
+                } else {
+                    decoded
+                };
+                let amask = u64::from(outcome != 0).wrapping_neg();
+                let j = ((outcome.wrapping_sub(1) & amask) | (idle_slot as u64 & !amask)) as usize;
+                reqm[j] |= bit & amask;
+                *req |= (1u64 << (j & 63)) & amask;
+                // lint:allow(lossy_cast, the masked value is 0 or 1)
+                *issued += (amask & !qmask & 1) as u32;
+                if RESUB {
+                    *active |= bit & amask;
+                    // lint:allow(lossy_cast, outcomes are ≤ M ≤ 64)
+                    dest[p] = outcome as u8;
+                }
+            }
+        }
+    }
 }
 
 /// Runs one replication per seed (at most [`MAX_LANES`]) in SoA lock-step
@@ -351,15 +487,19 @@ pub fn run_batch(
     // Contender-set representation: with N ≤ 8 a lane's outcome bytes
     // pack into one register word and the winner loop recovers contender
     // sets by SWAR byte-compare; larger networks scatter requester bits
-    // into a per-memory table instead (index `m` is a sentinel slot that
-    // absorbs idle processors' masked-to-zero writes, so the issue loop
-    // never branches on "did this processor request at all").
+    // into a per-memory table instead. An idle processor `p` still
+    // stores, with an all-zero write mask, to slot `p % (M + 1)`, so the
+    // issue loop never branches on "did this processor request at all".
+    // Spreading those harmless writes over the slots (rather than one
+    // shared sentinel) keeps them from forming a store-to-load chain on
+    // a single address. Slot `M` is never read.
     let small = n <= 8;
     let mut requesters = if small {
         Vec::new()
     } else {
         vec![0u64; lanes * (m + 1)]
     };
+    let mut lane_issue = LaneIssue::new();
     // Per-lane grant scratch: at most one grant per distinct requested
     // memory, and M ≤ 64.
     let mut grant_mem = [0u8; MAX_LANES];
@@ -419,8 +559,26 @@ pub fn run_batch(
             alive_rot.resize(b, 0);
         }
 
-        // 2–5. One pass per lane: decode issues, drop unreachable targets,
-        // scan grants, draw winners lazily, retire/resubmit, collect.
+        // 2. Requester-table issue, processor-major, for every lane.
+        if !small {
+            let issue = if resubmission {
+                LaneIssue::issue_table::<true>
+            } else {
+                LaneIssue::issue_table::<false>
+            };
+            issue(
+                &mut lane_issue,
+                &table,
+                &draw_buf,
+                &mut requesters,
+                &mut dest_mem,
+                &pending_mask[..lanes],
+            );
+        }
+
+        // 3–6. One pass per lane: (small networks) decode issues, drop
+        // unreachable targets, scan grants, draw winners lazily,
+        // retire/resubmit, collect.
         for l in 0..lanes {
             let dest = &mut dest_mem[l * n..(l + 1) * n];
             let age = &mut ages[l * n..(l + 1) * n];
@@ -431,18 +589,17 @@ pub fn run_batch(
             };
             let collector = &mut collectors[l];
             let mut pending = pending_mask[l];
-            let mut req = 0u64; // memories with at least one requester
-            let mut active = 0u64; // requesting processors
-            let mut issued = 0u32;
+            // Memories with at least one requester, requesting processors
+            // and fresh issues (all zero for small networks until their
+            // issue below).
+            let mut req = lane_issue.req[l];
+            let mut active = lane_issue.active[l];
+            let mut issued = lane_issue.issued[l];
             // Packed outcome bytes (small networks only): byte `p` is 0
             // for idle, `1 + j` for a request to memory `j`.
             let mut packed = 0u64;
 
-            // Issue: a lane's draw is discarded when a resubmitted request
-            // overrides it (uniform consumption keeps lanes in lock-step).
-            // Every step is a mask select or a masked write — the
-            // idle/request and accept/alias outcomes are data-random, and
-            // branching on them would mispredict half the time.
+            // Small-network issue, same masked scheme as the table path.
             match (small, resubmission) {
                 (true, true) => {
                     for (p, slot) in dest.iter_mut().enumerate() {
@@ -475,35 +632,7 @@ pub fn run_batch(
                         packed |= (outcome as u64) << (p * 8);
                     }
                 }
-                (false, true) => {
-                    for (p, slot) in dest.iter_mut().enumerate() {
-                        let bit = 1u64 << p;
-                        let decoded = table.decode_raw(p, draw_buf[p * lanes + l]);
-                        let qmask = usize::from(pending & bit != 0).wrapping_neg();
-                        let outcome = (usize::from(*slot) & qmask) | (decoded & !qmask);
-                        let amask = u64::from(outcome != 0).wrapping_neg();
-                        // Idle processors scatter onto the sentinel slot
-                        // with an all-zero write mask.
-                        let j = outcome.wrapping_sub(1).min(m);
-                        reqm[j] |= bit & amask;
-                        req |= (1u64 << (j & 63)) & amask;
-                        active |= bit & amask;
-                        // lint:allow(lossy_cast, outcomes are ≤ M ≤ 64)
-                        *slot = outcome as u8;
-                    }
-                    issued = (active & !pending).count_ones();
-                }
-                (false, false) => {
-                    for p in 0..n {
-                        let outcome = table.decode_raw(p, draw_buf[p * lanes + l]);
-                        let amask = u64::from(outcome != 0).wrapping_neg();
-                        let j = outcome.wrapping_sub(1).min(m);
-                        reqm[j] |= (1u64 << p) & amask;
-                        req |= (1u64 << (j & 63)) & amask;
-                        // lint:allow(lossy_cast, amask & 1 is 0 or 1)
-                        issued += (amask & 1) as u32;
-                    }
-                }
+                (false, _) => {}
             }
 
             // Drop requests to unreachable memories (the unreachable set is
@@ -698,11 +827,7 @@ pub fn run_batch(
                     let needle = (u64::from(grant_mem[g]) + 1).wrapping_mul(ONES);
                     pick_in_word(packed, needle, chunk)
                 } else {
-                    let cont = reqm[memory];
-                    let count = cont.count_ones();
-                    // `chunk · count >> 16 < count`, so the rank is in range.
-                    // lint:allow(lossy_cast, chunk·count >> 16 is < count ≤ 64)
-                    select_bit(cont, ((chunk * u64::from(count)) >> 16) as u32)
+                    pick_bit(reqm[memory], chunk)
                 };
                 let pbit = 1u64 << processor;
                 served_bits |= pbit;
@@ -735,7 +860,7 @@ pub fn run_batch(
             }
             if !small {
                 // Selective clear: only the requested slots were dirtied
-                // (the sentinel slot is write-only and can stay stale).
+                // (idle processors' writes OR in zero).
                 let mut bits = req;
                 while bits != 0 {
                     let j = bits.trailing_zeros() as usize;
@@ -771,4 +896,136 @@ pub fn run_batch(
         .into_iter()
         .map(|collector| collector.finish(config, &bus_alive))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// Naive spec of both picks: rank `chunk · count >> 16` among the
+    /// ascending set bits, found by counting and scanning.
+    fn naive_pick(bits: u64, chunk: u64) -> usize {
+        let count = u64::from(bits.count_ones());
+        let rank = (chunk * count) >> 16;
+        (0..64)
+            .filter(|&i| bits >> i & 1 == 1)
+            .nth(usize::try_from(rank).unwrap())
+            .unwrap()
+    }
+
+    /// Smallest chunk that selects `rank` among `count` contenders.
+    fn chunk_for_rank(rank: u64, count: u64) -> u64 {
+        let chunk = (rank << 16).div_ceil(count);
+        assert!(chunk <= 0xffff && (chunk * count) >> 16 == rank);
+        chunk
+    }
+
+    #[test]
+    fn pick_bit_matches_naive_for_every_byte_value_and_rank() {
+        for value in 1..256u64 {
+            let count = u64::from(value.count_ones());
+            for rank in 0..count {
+                let chunk = chunk_for_rank(rank, count);
+                for byte in 0..8 {
+                    let bits = value << (byte * 8);
+                    assert_eq!(
+                        pick_bit(bits, chunk),
+                        naive_pick(bits, chunk),
+                        "value {value:#04x} in byte {byte}, rank {rank}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pick_bit_matches_naive_on_random_words() {
+        let mut rng = StdRng::seed_from_u64(0x91C4);
+        for _ in 0..10_000 {
+            // Mix dense and sparse words: AND-ing draws thins the bits.
+            let bits = match rng.random_range(0..3) {
+                0 => rng.next_u64(),
+                1 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                _ => rng.next_u64() | rng.next_u64(),
+            };
+            if bits == 0 {
+                continue;
+            }
+            let chunk = rng.next_u64() & 0xffff;
+            assert_eq!(
+                pick_bit(bits, chunk),
+                naive_pick(bits, chunk),
+                "{bits:#x} chunk {chunk:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn pick_bit_handles_edge_words_and_extreme_chunks() {
+        let mut words: Vec<u64> = (0..64).map(|i| 1u64 << i).collect();
+        words.extend([
+            u64::MAX,
+            0xff << 56,
+            0x8000_0000_0000_0001,
+            0x0101_0101_0101_0101,
+        ]);
+        for bits in words {
+            for chunk in [0, 1, 0x7fff, 0x8000, 0xfffe, 0xffff] {
+                assert_eq!(
+                    pick_bit(bits, chunk),
+                    naive_pick(bits, chunk),
+                    "{bits:#x} chunk {chunk:#x}"
+                );
+            }
+        }
+        // The extremes pick the lowest and the highest contender.
+        assert_eq!(pick_bit(u64::MAX, 0), 0);
+        assert_eq!(pick_bit(u64::MAX, 0xffff), 63);
+        assert_eq!(pick_bit(0xff << 56, 0xffff), 63);
+        assert_eq!(pick_bit(0xff << 56, 0), 56);
+    }
+
+    #[test]
+    fn byte_flag_count_is_count_ones_of_byte_flags() {
+        let mut rng = StdRng::seed_from_u64(0xF1A6);
+        for _ in 0..10_000 {
+            let flags = rng.next_u64() & HIGH8;
+            assert_eq!(
+                byte_flag_count(flags),
+                u64::from(flags.count_ones()),
+                "{flags:#x}"
+            );
+        }
+        assert_eq!(byte_flag_count(0), 0);
+        assert_eq!(byte_flag_count(HIGH8), 8);
+    }
+
+    #[test]
+    fn pick_in_word_matches_naive_on_random_outcome_words() {
+        let mut rng = StdRng::seed_from_u64(0x5AA4);
+        for _ in 0..10_000 {
+            // Eight outcome bytes over a few memories, so contenders repeat.
+            let outcomes: Vec<u64> = (0..8).map(|_| rng.random_range(0..4u64)).collect();
+            let packed = outcomes
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (p, &o)| acc | o << (p * 8));
+            let target = rng.random_range(1..4u64);
+            let contenders = outcomes
+                .iter()
+                .enumerate()
+                .fold(0u64, |acc, (p, &o)| acc | u64::from(o == target) << p);
+            if contenders == 0 {
+                continue;
+            }
+            let chunk = rng.next_u64() & 0xffff;
+            assert_eq!(
+                pick_in_word(packed, target.wrapping_mul(ONES), chunk),
+                naive_pick(contenders, chunk),
+                "{packed:#x} memory {target} chunk {chunk:#x}"
+            );
+        }
+    }
 }

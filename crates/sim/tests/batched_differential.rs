@@ -275,16 +275,23 @@ fn lane_reports_are_independent_of_batch_composition() {
 /// The engine switches contender representation at N = 8 (packed outcome
 /// word below, per-memory requester table above). Pin the table path with
 /// deterministic large geometries on both sides of the resubmission
-/// switch, full 64-lane batches included.
+/// switch, full 64-lane batches included: N < M, an idle-heavy N > M + 1
+/// network (idle processors' zero writes land on real table slots), the
+/// saturated r = 1, and the crossbar and K-class scans at 64 × 64.
 #[test]
 fn large_networks_use_table_path_and_match_reference() {
     let cases = [
-        (16usize, 16usize, 8usize, ConnectionScheme::Full),
-        (24, 12, 6, ConnectionScheme::balanced_single(12, 6).unwrap()),
-        (64, 64, 16, ConnectionScheme::Full),
+        (16usize, 16usize, 8usize, ConnectionScheme::Full, 0.8),
+        (24, 12, 6, ConnectionScheme::balanced_single(12, 6).unwrap(), 0.8),
+        (64, 64, 16, ConnectionScheme::Full, 0.8),
+        (12, 40, 10, ConnectionScheme::Full, 0.8),
+        (40, 12, 6, ConnectionScheme::Full, 0.3),
+        (32, 32, 8, ConnectionScheme::PartialGroups { groups: 2 }, 1.0),
+        (64, 64, 1, ConnectionScheme::Crossbar, 0.8),
+        (64, 64, 4, ConnectionScheme::uniform_classes(64, 4).unwrap(), 0.8),
     ];
     let seeds: Vec<u64> = (0..MAX_LANES as u64).map(|i| 9_000 + i).collect();
-    for (n, m, b, scheme) in cases {
+    for (n, m, b, scheme, r) in cases {
         let net = BusNetwork::new(n, m, b, scheme).unwrap();
         let matrix = uniform_matrix(n, m);
         for resubmission in [false, true] {
@@ -293,10 +300,10 @@ fn large_networks_use_table_path_and_match_reference() {
                 .with_batch_len(20)
                 .with_resubmission(resubmission);
             assert_lanes_match(
-                &format!("large N={n} M={m} B={b} resub={resubmission}"),
+                &format!("large N={n} M={m} B={b} r={r} resub={resubmission}"),
                 &net,
                 &matrix,
-                0.8,
+                r,
                 &config,
                 &seeds,
             );
