@@ -2,19 +2,17 @@
 //!
 //! Five measurements, reported to stdout and written as JSON:
 //!
-//! 1. **Engine throughput**: simulated cycles/sec of the optimized
-//!    [`Simulator`] against the frozen pre-optimization
-//!    [`ReferenceSimulator`], on the 32×32×8 full-connection network under
+//! 1. **Engine throughput**: simulated cycles/sec of the scalar
+//!    [`Simulator`] on the 32×32×8 full-connection network under
 //!    hierarchical traffic with resubmission — the configuration the
-//!    zero-allocation work targets. Both engines must produce the *same*
-//!    report (they share RNG draw order), so the harness doubles as an
-//!    end-to-end equivalence check.
+//!    zero-allocation work targets. (The engine's reports are pinned by
+//!    the golden hashes in `crates/sim/tests/golden.rs`, not here.)
 //! 2. **Sweep throughput**: analytical sweep points/sec of
 //!    [`bus_sweep_with_workers`] serial (1 worker) vs parallel (all cores)
 //!    on a 64-point full-connection sweep at N = 64. On a single-core
 //!    machine the parallel run would just repeat the serial measurement, so
 //!    it is skipped and no speedup is reported.
-//! 3. **Replication scaling** (`--scaling` runs only this section):
+//! 3. **Replication scaling** (`--scaling`):
 //!    replications/sec of the batched SoA lane engine against the scalar
 //!    engine on a single worker — the per-replication amortization the
 //!    batching work targets — on both contender paths: the paper's 8×8×4
@@ -26,18 +24,20 @@
 //!    sampling specs, so the gate is statistical agreement of the mean
 //!    bandwidth, plus bit-exact determinism of the batched reports
 //!    across worker counts.
-//! 4. **Fabric** (`--fabric` runs only this section): routed fabric
-//!    simulator cycles/sec at tree depths 2 and 3 against the flat engine
-//!    on each fabric's flattened equivalent network, with the analytic
-//!    decomposition's bandwidth gap per depth; plus batched replications
-//!    under full vs aggregate-only collection (`CollectMode`) — the cost
-//!    of per-grant accounting when only scalar summaries are wanted.
-//! 5. **Exact engines** (`--exact` runs only this section): the
+//! 4. **Fabric** (`--fabric`): routed fabric simulator cycles/sec at tree
+//!    depths 2 and 3 against the flat engine on each fabric's flattened
+//!    equivalent network, with the analytic decomposition's bandwidth gap
+//!    per depth.
+//! 5. **Exact engines** (`--exact`): the
 //!    subset-transform requested-set pmf against the retained
 //!    per-processor DP on a 256×16 hierarchical workload (identical
 //!    results, `O(G·2^M + 2^M·M)` vs `O(N·2^M·M)` work), and the lumped
 //!    Markov chain solving a 16×8×4 resubmission model the unlumped chain
 //!    rejects as too large.
+//!
+//! With none of `--scaling`, `--fabric` and `--exact`, every section runs;
+//! otherwise exactly the named sections run (engine and sweep throughput
+//! have no flag and run only in the full set).
 //!
 //! Timings take the best of `--reps` repetitions, with the two sides of each
 //! comparison interleaved rep by rep so background load on a shared machine
@@ -47,7 +47,6 @@ use crate::args::Args;
 use mbus_core::analysis::sweep::bus_sweep_with_workers;
 use mbus_core::exact;
 use mbus_core::prelude::*;
-use mbus_core::sim::reference::ReferenceSimulator;
 use mbus_core::sim::runner::{
     run_replications_scalar_with_workers, run_replications_with_workers,
 };
@@ -83,11 +82,10 @@ fn best_seconds<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 
 struct EngineResult {
     total_cycles: u64,
-    optimized_cps: f64,
-    reference_cps: f64,
+    cycles_per_sec: f64,
 }
 
-/// Times the optimized engine against the frozen reference engine.
+/// Times the scalar engine on one resubmission run.
 fn engine_benchmark(
     n: usize,
     b: usize,
@@ -105,33 +103,17 @@ fn engine_benchmark(
         .with_resubmission(true);
     let total_cycles = cycles + cycles / 20;
 
-    let mut optimized = Simulator::build(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
-    let mut reference = ReferenceSimulator::build(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
-
-    // The engines must agree exactly before their speeds are worth
-    // comparing; `run` reseeds from the config, so this does not perturb
+    let mut sim = Simulator::build(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
+    // `run` reseeds from the config, so this checked run does not perturb
     // the timed runs below.
-    let opt_report = optimized.run(&config).map_err(|e| e.to_string())?;
-    let ref_report = reference.run(&config).map_err(|e| e.to_string())?;
-    if opt_report != ref_report {
-        return Err("optimized and reference engines diverged — benchmark void".into());
-    }
-
-    let (opt_secs, ref_secs) = best_seconds_interleaved(
-        reps,
-        || {
-            // lint:allow(no_panic, the same run succeeded in the divergence check above; timing closures must stay Result-free)
-            optimized.run(&config).expect("checked above");
-        },
-        || {
-            // lint:allow(no_panic, the same run succeeded in the divergence check above; timing closures must stay Result-free)
-            reference.run(&config).expect("checked above");
-        },
-    );
+    sim.run(&config).map_err(|e| e.to_string())?;
+    let secs = best_seconds(reps, || {
+        // lint:allow(no_panic, the same run succeeded above; timing closures must stay Result-free)
+        sim.run(&config).expect("checked above");
+    });
     Ok(EngineResult {
         total_cycles,
-        optimized_cps: total_cycles as f64 / opt_secs,
-        reference_cps: total_cycles as f64 / ref_secs,
+        cycles_per_sec: total_cycles as f64 / secs,
     })
 }
 
@@ -433,62 +415,6 @@ fn fabric_benchmark(
     Ok(entries)
 }
 
-struct CollectResult {
-    replications: usize,
-    /// Batched engine with full per-unit accounting, replications/sec.
-    full_rps: f64,
-    /// Batched engine with aggregate-only collection, replications/sec.
-    aggregate_rps: f64,
-}
-
-/// Times batched replications with full per-unit accounting against
-/// aggregate-only collection ([`CollectMode::Aggregate`]) — the residue the
-/// per-grant accumulation costs when only the scalar summary is wanted.
-fn collect_benchmark(
-    n: usize,
-    b: usize,
-    cycles: u64,
-    seed: u64,
-    replications: usize,
-    reps: usize,
-) -> Result<CollectResult, String> {
-    use mbus_core::sim::CollectMode;
-    let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).map_err(|e| e.to_string())?;
-    let matrix = paper_params::hierarchical(n)
-        .map_err(|e| e.to_string())?
-        .matrix();
-    let full_config = SimConfig::new(cycles).with_warmup(cycles / 20).with_seed(seed);
-    let agg_config = full_config.clone().with_collect(CollectMode::Aggregate);
-
-    // Gate: aggregate collection must not change any scalar of any report.
-    let full = run_replications_with_workers(&net, &matrix, 1.0, &full_config, replications, 1)
-        .map_err(|e| e.to_string())?;
-    let agg = run_replications_with_workers(&net, &matrix, 1.0, &agg_config, replications, 1)
-        .map_err(|e| e.to_string())?;
-    if full.bandwidth != agg.bandwidth {
-        return Err("aggregate collection changed the bandwidth — benchmark void".into());
-    }
-
-    let (full_secs, agg_secs) = best_seconds_interleaved(
-        reps,
-        || {
-            run_replications_with_workers(&net, &matrix, 1.0, &full_config, replications, 1)
-                // lint:allow(no_panic, the same run succeeded in the agreement gate above; timing closures must stay Result-free)
-                .expect("checked above");
-        },
-        || {
-            run_replications_with_workers(&net, &matrix, 1.0, &agg_config, replications, 1)
-                // lint:allow(no_panic, the same run succeeded in the agreement gate above; timing closures must stay Result-free)
-                .expect("checked above");
-        },
-    );
-    Ok(CollectResult {
-        replications,
-        full_rps: replications as f64 / full_secs,
-        aggregate_rps: replications as f64 / agg_secs,
-    })
-}
-
 struct ExactResult {
     n: usize,
     m: usize,
@@ -596,13 +522,9 @@ fn engine_json(n: usize, b: usize, cycles: u64, seed: u64, engine: &EngineResult
          \"scheme\": \"full\",\n    \"workload\": \"hierarchical\",\n    \"rate\": 1.0,\n    \
          \"resubmission\": true,\n    \"cycles\": {cycles},\n    \"seed\": {seed},\n    \
          \"total_cycles_per_run\": {total},\n    \
-         \"optimized_cycles_per_sec\": {ocps:.1},\n    \
-         \"reference_cycles_per_sec\": {rcps:.1},\n    \
-         \"speedup\": {espeed:.3}\n  }}",
+         \"optimized_cycles_per_sec\": {cps:.1}\n  }}",
         total = engine.total_cycles,
-        ocps = engine.optimized_cps,
-        rcps = engine.reference_cps,
-        espeed = engine.optimized_cps / engine.reference_cps,
+        cps = engine.cycles_per_sec,
     )
 }
 
@@ -661,14 +583,8 @@ fn scaling_json(key: &str, case: &ScalingCase, seed: u64, scaling: &ScalingResul
     )
 }
 
-/// The `"fabric"` JSON section: one entry per tree depth plus the
-/// collect-mode comparison.
-fn fabric_json(
-    cycles: u64,
-    seed: u64,
-    entries: &[FabricBenchEntry],
-    collect: &CollectResult,
-) -> String {
+/// The `"fabric"` JSON section: one entry per tree depth.
+fn fabric_json(cycles: u64, seed: u64, entries: &[FabricBenchEntry]) -> String {
     let depths = entries
         .iter()
         .map(|entry| {
@@ -697,15 +613,7 @@ fn fabric_json(
     format!(
         "  \"fabric\": {{\n    \"locality\": 0.6,\n    \"rate\": 0.5,\n    \
          \"cycles\": {cycles},\n    \"seed\": {seed},\n    \
-         \"depths\": [\n{depths}\n    ],\n    \
-         \"collect\": {{ \"replications\": {creps}, \
-         \"full_replications_per_sec\": {frps:.2}, \
-         \"aggregate_replications_per_sec\": {arps:.2}, \
-         \"speedup\": {cspeed:.3} }}\n  }}",
-        creps = collect.replications,
-        frps = collect.full_rps,
-        arps = collect.aggregate_rps,
-        cspeed = collect.aggregate_rps / collect.full_rps,
+         \"depths\": [\n{depths}\n    ]\n  }}"
     )
 }
 
@@ -754,6 +662,30 @@ fn render_json(sections: &[String]) -> String {
     format!("{{\n{}\n}}\n", sections.join(",\n"))
 }
 
+/// Which sections one `mbus bench` run measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sections {
+    /// Engine and sweep throughput; these have no flag of their own.
+    core: bool,
+    fabric: bool,
+    scaling: bool,
+    exact: bool,
+}
+
+impl Sections {
+    /// No section flag selects every section; otherwise exactly the named
+    /// ones run.
+    fn select(exact: bool, scaling: bool, fabric: bool) -> Self {
+        let all = !(exact || scaling || fabric);
+        Sections {
+            core: all,
+            fabric: all || fabric,
+            scaling: all || scaling,
+            exact: all || exact,
+        }
+    }
+}
+
 /// `mbus bench`.
 pub fn bench(args: &Args) -> Result<(), String> {
     let n = args.get_or("n", 32usize)?;
@@ -765,21 +697,14 @@ pub fn bench(args: &Args) -> Result<(), String> {
     let replications = args.get_or("replications", 64usize)?;
     let scaling_cycles = args.get_or("scaling-cycles", 20_000u64)?;
     let out = args.get_or("out", "BENCH_sim.json".to_owned())?;
-    let exact_only = args.flag("exact");
-    let scaling_only = args.flag("scaling");
-    let fabric_only = args.flag("fabric");
+    let run = Sections::select(args.flag("exact"), args.flag("scaling"), args.flag("fabric"));
 
     let mut sections = Vec::new();
 
-    if !exact_only && !scaling_only && !fabric_only {
+    if run.core {
         println!("engine: {n}x{n}x{b} full, hierarchical, r = 1.0, resubmission, {cycles} cycles");
         let engine = engine_benchmark(n, b, cycles, seed, reps)?;
-        println!(
-            "  optimized: {:>12.0} cycles/sec\n  reference: {:>12.0} cycles/sec\n  speedup:   {:>12.2}x",
-            engine.optimized_cps,
-            engine.reference_cps,
-            engine.optimized_cps / engine.reference_cps
-        );
+        println!("  optimized: {:>12.0} cycles/sec", engine.cycles_per_sec);
         sections.push(engine_json(n, b, cycles, seed, &engine));
 
         println!(
@@ -802,7 +727,7 @@ pub fn bench(args: &Args) -> Result<(), String> {
         sections.push(sweep_json(sweep_n, &sweep));
     }
 
-    if fabric_only || (!exact_only && !scaling_only) {
+    if run.fabric {
         println!(
             "\nfabric: routed sim vs flat equivalent at depths 2 and 3, \
              locality 0.6, r = 0.5, {scaling_cycles} cycles"
@@ -821,24 +746,10 @@ pub fn bench(args: &Args) -> Result<(), String> {
                 100.0 * entry.rel_gap(),
             );
         }
-        let collect = collect_benchmark(8, 4, scaling_cycles, seed, replications, reps)?;
-        println!(
-            "  collect:   {:>12.1} replications/sec full, {:>12.1} aggregate ({:.2}x)",
-            collect.full_rps,
-            collect.aggregate_rps,
-            collect.aggregate_rps / collect.full_rps
-        );
-        sections.push(fabric_json(scaling_cycles, seed, &entries, &collect));
+        sections.push(fabric_json(scaling_cycles, seed, &entries));
     }
 
-    if fabric_only {
-        let json = render_json(&sections);
-        std::fs::write(&out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("\nwrote {out}");
-        return Ok(());
-    }
-
-    if !exact_only {
+    if run.scaling {
         for (key, case) in &SCALING_CASES {
             let ScalingCase { n: sn, b: sb, rate, .. } = case;
             println!(
@@ -866,37 +777,34 @@ pub fn bench(args: &Args) -> Result<(), String> {
         }
     }
 
-    if scaling_only {
-        let json = render_json(&sections);
-        std::fs::write(&out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("\nwrote {out}");
-        return Ok(());
+    if run.exact {
+        println!(
+            "\nexact: transform vs DP on 256x16 hierarchical; lumped Markov on 16x8x4 uniform"
+        );
+        let exact = exact_benchmark(reps)?;
+        println!(
+            "  dp:        {:>12.4} sec/pmf\n  transform: {:>12.4} sec/pmf ({} groups)\n  speedup:   {:>12.1}x",
+            exact.dp_seconds,
+            exact.transform_seconds,
+            exact.groups,
+            exact.speedup()
+        );
+        println!(
+            "  lumped:    {:>12} states, throughput {:.4}, {:.4} sec (unlumped rejected: {})",
+            exact.lumped_states, exact.lumped_throughput, exact.lumped_seconds, exact.unlumped_rejected
+        );
+        println!(
+            "  caches:    pmf {}/{} hits ({:.0}% hit rate, {} entries), served tables {}/{} hits ({} entries)",
+            exact.pmf_cache.hits,
+            exact.pmf_cache.hits + exact.pmf_cache.misses,
+            exact.pmf_cache.hit_rate() * 100.0,
+            exact.pmf_cache.len,
+            exact.served_cache.hits,
+            exact.served_cache.hits + exact.served_cache.misses,
+            exact.served_cache.len,
+        );
+        sections.push(exact_json(&exact));
     }
-
-    println!("\nexact: transform vs DP on 256x16 hierarchical; lumped Markov on 16x8x4 uniform");
-    let exact = exact_benchmark(reps)?;
-    println!(
-        "  dp:        {:>12.4} sec/pmf\n  transform: {:>12.4} sec/pmf ({} groups)\n  speedup:   {:>12.1}x",
-        exact.dp_seconds,
-        exact.transform_seconds,
-        exact.groups,
-        exact.speedup()
-    );
-    println!(
-        "  lumped:    {:>12} states, throughput {:.4}, {:.4} sec (unlumped rejected: {})",
-        exact.lumped_states, exact.lumped_throughput, exact.lumped_seconds, exact.unlumped_rejected
-    );
-    println!(
-        "  caches:    pmf {}/{} hits ({:.0}% hit rate, {} entries), served tables {}/{} hits ({} entries)",
-        exact.pmf_cache.hits,
-        exact.pmf_cache.hits + exact.pmf_cache.misses,
-        exact.pmf_cache.hit_rate() * 100.0,
-        exact.pmf_cache.len,
-        exact.served_cache.hits,
-        exact.served_cache.hits + exact.served_cache.misses,
-        exact.served_cache.len,
-    );
-    sections.push(exact_json(&exact));
 
     let json = render_json(&sections);
     std::fs::write(&out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -910,12 +818,11 @@ mod tests {
 
     #[test]
     fn engine_benchmark_runs_and_engines_agree() {
-        // Tiny run: the point is the equivalence check and the plumbing,
-        // not the numbers.
+        // Tiny run: the point is the plumbing, not the numbers. The scalar
+        // engine's reports are pinned by the golden hashes instead.
         let result = engine_benchmark(8, 4, 500, 7, 1).unwrap();
         assert_eq!(result.total_cycles, 525);
-        assert!(result.optimized_cps > 0.0);
-        assert!(result.reference_cps > 0.0);
+        assert!(result.cycles_per_sec > 0.0);
     }
 
     #[test]
@@ -975,8 +882,7 @@ mod tests {
     fn json_is_well_formed_enough() {
         let engine = EngineResult {
             total_cycles: 210_000,
-            optimized_cps: 2.0e6,
-            reference_cps: 1.0e6,
+            cycles_per_sec: 2.0e6,
         };
         let sweep = SweepResult {
             points: 64,
@@ -990,9 +896,26 @@ mod tests {
         ]);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"speedup\": 2.000"));
         assert!(json.contains("\"speedup\": 4.000"));
-        assert!(json.contains("\"optimized_cycles_per_sec\": 2000000.0"));
+        assert!(json.contains("\"optimized_cycles_per_sec\": 2000000.0\n  }"));
+        assert!(!json.contains("reference_cycles_per_sec"));
+        assert_eq!(json.matches("\"speedup\"").count(), 1, "only the sweep has one");
+    }
+
+    #[test]
+    fn section_flags_select_exactly_the_named_sections() {
+        let sections = |core, fabric, scaling, exact| Sections {
+            core,
+            fabric,
+            scaling,
+            exact,
+        };
+        assert_eq!(Sections::select(false, false, false), sections(true, true, true, true));
+        assert_eq!(Sections::select(true, false, false), sections(false, false, false, true));
+        assert_eq!(Sections::select(false, true, false), sections(false, false, true, false));
+        assert_eq!(Sections::select(false, false, true), sections(false, true, false, false));
+        assert_eq!(Sections::select(true, true, false), sections(false, false, true, true));
+        assert_eq!(Sections::select(false, true, true), sections(false, true, true, false));
     }
 
     #[test]

@@ -79,22 +79,18 @@ COMMANDS:
                           [--unsafe-report] [--root path];
                           non-zero exit on violations
     experiments           print the EXPERIMENTS.md report (paper vs computed)
-    bench                 throughput harness: optimized vs reference engine
-                          (cycles/sec), serial vs parallel sweep
-                          (points/sec; skipped on one core), batched vs
-                          scalar replication throughput with a per-worker
-                          scaling curve, and the exact engines (subset
-                          transform vs DP, lumped Markov);
-                          and the fabric routed-vs-flat comparison at
-                          depths 2-3 with collect-mode overhead;
-                          writes BENCH_sim.json
+    bench                 throughput harness: scalar engine cycles/sec,
+                          serial vs parallel sweep (points/sec; skipped
+                          on one core), batched vs scalar replication
+                          throughput with a per-worker scaling curve, the
+                          exact engines (subset transform vs DP, lumped
+                          Markov), and the fabric routed-vs-flat
+                          comparison at depths 2-3; writes BENCH_sim.json
                           [--n 32] [--b 8] [--cycles 200000] [--seed 42]
                           [--reps 5] [--sweep-n 64] [--replications 64]
                           [--scaling-cycles 20000] [--out BENCH_sim.json]
-                          [--exact  run only the exact-engine section]
-                          [--scaling  run only the replication-scaling
-                          section]
-                          [--fabric  run only the fabric section]
+                          [--exact] [--scaling] [--fabric]  run exactly
+                          the named sections (none: every section)
     serve                 run the bandwidth-query HTTP service:
                           POST /v1/{bandwidth,exact,simulate,degraded,fabric},
                           GET /metrics; graceful drain on SIGTERM/ctrl-c

@@ -51,11 +51,6 @@ pub(crate) struct LaneCollector {
     memory_served: Vec<u64>,
     processor_served: Vec<u64>,
     cycles: u64,
-    /// Whether the three per-unit vectors above are tallied per grant
-    /// (see [`crate::CollectMode`]); when not, the per-grant hot path
-    /// is wait accounting only and the report's per-unit rates come
-    /// back empty.
-    per_unit: bool,
 }
 
 impl LaneCollector {
@@ -68,8 +63,6 @@ impl LaneCollector {
     /// capture relies on the two engines failing identically.
     pub(crate) fn new(net: &BusNetwork, config: &SimConfig) -> Self {
         assert!(config.batch_len > 0, "batch length must be positive");
-        let per_unit = config.collect.per_unit();
-        let sized = |len: usize| if per_unit { vec![0; len] } else { Vec::new() };
         Self {
             batch_len: config.batch_len,
             batch_sum: 0,
@@ -82,11 +75,10 @@ impl LaneCollector {
             wait_count: 0,
             max_wait: 0,
             served_counts: vec![0; net.capacity() + 1],
-            bus_busy: sized(net.buses()),
-            memory_served: sized(net.memories()),
-            processor_served: sized(net.processors()),
+            bus_busy: vec![0; net.buses()],
+            memory_served: vec![0; net.memories()],
+            processor_served: vec![0; net.processors()],
             cycles: 0,
-            per_unit,
         }
     }
 
@@ -95,13 +87,11 @@ impl LaneCollector {
     /// wait. Call only for measured cycles, in grant order.
     #[inline]
     pub(crate) fn grant(&mut self, processor: usize, memory: usize, bus: Option<usize>, wait: u64) {
-        if self.per_unit {
-            if let Some(bus) = bus {
-                self.bus_busy[bus] += 1;
-            }
-            self.memory_served[memory] += 1;
-            self.processor_served[processor] += 1;
+        if let Some(bus) = bus {
+            self.bus_busy[bus] += 1;
         }
+        self.memory_served[memory] += 1;
+        self.processor_served[processor] += 1;
         self.wait_sum += wait;
         self.wait_count += 1;
         if wait > self.max_wait {
@@ -134,9 +124,6 @@ impl LaneCollector {
     /// Produces the [`SimReport`], with `bus_alive` the caller's shared
     /// per-bus in-service cycle counts.
     pub(crate) fn finish(self, config: &SimConfig, bus_alive: &[u64]) -> SimReport {
-        // In aggregate mode the per-unit vectors are empty and the report
-        // must say so consistently, including the caller-kept alive counts.
-        let bus_alive: &[u64] = if self.per_unit { bus_alive } else { &[] };
         let cycles = self.cycles.max(1);
         let grand_mean = self.served_total as f64 / cycles as f64;
         let completed = self.batches.count();

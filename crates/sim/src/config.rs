@@ -3,35 +3,6 @@
 use crate::FaultSchedule;
 use serde::{Deserialize, Serialize};
 
-/// What the metric collectors accumulate per grant.
-///
-/// The aggregate scalars (bandwidth, offered load, acceptance,
-/// unreachable rate, wait statistics, served histogram) are always
-/// collected; the mode only controls the per-*unit* breakdowns. On
-/// large networks (16–64 memories) the three per-grant array writes
-/// behind those breakdowns are a measurable fraction of the whole
-/// cycle cost, so callers that never read them can switch them off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CollectMode {
-    /// Collect everything, including the per-bus / per-memory /
-    /// per-processor breakdowns. The default; every golden report is
-    /// produced in this mode.
-    #[default]
-    Full,
-    /// Skip the per-unit tallies. The report's `bus_utilization`,
-    /// `bus_alive_cycles`, `memory_service_rates`, and
-    /// `processor_service_rates` come back as empty vectors; all
-    /// aggregate scalars are bit-identical to [`CollectMode::Full`].
-    Aggregate,
-}
-
-impl CollectMode {
-    /// `true` when per-unit breakdowns are accumulated.
-    pub fn per_unit(self) -> bool {
-        matches!(self, CollectMode::Full)
-    }
-}
-
 /// Configuration for one simulation run.
 ///
 /// Built with a fluent API:
@@ -65,9 +36,6 @@ pub struct SimConfig {
     /// Scheduled bus failures/repairs (cycle indices count measured +
     /// warmup cycles from 0).
     pub faults: FaultSchedule,
-    /// Which metrics the collectors accumulate (per-unit breakdowns on
-    /// or off); see [`CollectMode`].
-    pub collect: CollectMode,
 }
 
 impl SimConfig {
@@ -83,7 +51,6 @@ impl SimConfig {
             confidence_level: 0.95,
             resubmission: false,
             faults: FaultSchedule::none(),
-            collect: CollectMode::Full,
         }
     }
 
@@ -141,13 +108,6 @@ impl SimConfig {
         self.faults = faults;
         self
     }
-
-    /// Selects the metric collection mode.
-    #[must_use]
-    pub fn with_collect(mut self, collect: CollectMode) -> Self {
-        self.collect = collect;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +123,6 @@ mod tests {
         assert!(!c.resubmission);
         // Tiny runs still get a positive batch length.
         assert_eq!(SimConfig::new(10).batch_len, 1);
-    }
-
-    #[test]
-    fn collect_mode_defaults_to_full() {
-        let c = SimConfig::new(100);
-        assert_eq!(c.collect, CollectMode::Full);
-        assert!(c.collect.per_unit());
-        assert!(!c.with_collect(CollectMode::Aggregate).collect.per_unit());
     }
 
     #[test]

@@ -78,9 +78,9 @@ struct Pending {
 /// The simulator owns every buffer a cycle needs — including the
 /// [`CycleOutcome`] that [`Simulator::step`] returns by reference — so the
 /// steady-state hot loop performs **no heap allocation** (verified by the
-/// `alloc` integration test). `crate::reference::ReferenceSimulator`
-/// preserves the pre-optimization engine; the golden tests require both to
-/// emit byte-identical reports.
+/// `alloc` integration test). The `golden` integration test pins its
+/// reports, bit for bit, by hashes over every [`SimReport`] field on twelve
+/// fixed-seed scenarios, including the dense `N, M > 64` path.
 ///
 /// Cloning produces a simulator with identical configuration but *fresh*
 /// RNG and arbitration state (call [`Simulator::reset`] with a seed before

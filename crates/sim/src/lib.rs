@@ -54,10 +54,9 @@ mod engine;
 mod error;
 mod fault;
 mod metrics;
-pub mod reference;
 pub mod runner;
 
-pub use config::{CollectMode, SimConfig};
+pub use config::SimConfig;
 pub use engine::{CycleOutcome, Grant, Simulator};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultEventKind, FaultSchedule};

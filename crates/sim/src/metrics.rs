@@ -78,28 +78,22 @@ pub(crate) struct Collector {
     waits: Welford,
     max_wait: u64,
     cycles: u64,
-    /// Whether per-bus/memory/processor tallies are kept (the vectors
-    /// above are left empty when not — see [`crate::CollectMode`]).
-    per_unit: bool,
 }
 
 impl Collector {
     pub(crate) fn new(net: &BusNetwork, config: &SimConfig) -> Self {
-        let per_unit = config.collect.per_unit();
-        let sized = |len: usize| if per_unit { vec![0; len] } else { Vec::new() };
         Self {
             served: BatchMeans::new(config.batch_len),
             issued: Welford::new(),
             unreachable: Welford::new(),
-            bus_busy: sized(net.buses()),
-            bus_alive: sized(net.buses()),
-            memory_served: sized(net.memories()),
-            processor_served: sized(net.processors()),
+            bus_busy: vec![0; net.buses()],
+            bus_alive: vec![0; net.buses()],
+            memory_served: vec![0; net.memories()],
+            processor_served: vec![0; net.processors()],
             served_histogram: Histogram::with_max_value(net.capacity()),
             waits: Welford::new(),
             max_wait: 0,
             cycles: 0,
-            per_unit,
         }
     }
 
@@ -126,14 +120,12 @@ impl Collector {
         self.issued.push(outcome.issued as f64);
         self.unreachable.push(outcome.unreachable as f64);
         self.served_histogram.record(outcome.grants.len());
-        if self.per_unit {
-            for grant in &outcome.grants {
-                if let Some(bus) = grant.bus {
-                    self.bus_busy[bus] += 1;
-                }
-                self.memory_served[grant.memory] += 1;
-                self.processor_served[grant.processor] += 1;
+        for grant in &outcome.grants {
+            if let Some(bus) = grant.bus {
+                self.bus_busy[bus] += 1;
             }
+            self.memory_served[grant.memory] += 1;
+            self.processor_served[grant.processor] += 1;
         }
         for &wait in &outcome.waits {
             self.waits.push(wait as f64);

@@ -9,8 +9,9 @@
 //!   (`N ≤ 64`, `M ≤ 64`, ≥ 2 replications), replications are split into
 //!   chunks of at most [`crate::batched::MAX_LANES`] seeds and each chunk
 //!   advances all of its lanes in SoA lock-step;
-//! * **scalar** — otherwise (or via [`run_replications_scalar`]), one
-//!   [`Simulator`] per replication, the engine the golden reports pin.
+//! * **scalar** — otherwise (or via
+//!   [`run_replications_scalar_with_workers`]), one [`Simulator`] per
+//!   replication, the engine the golden reports pin.
 //!
 //! Per-replication reports are deterministic either way — a lane's report
 //! depends only on its seed, never on chunk geometry or worker count — but
@@ -99,25 +100,10 @@ pub fn run_replications_with_workers(
     run_replications_impl(net, matrix, r, config, replications, false, workers.max(1))
 }
 
-/// Like [`run_replications`], but always on the scalar engine — the
-/// baseline side of `mbus bench --scaling`, and the path whose reports
-/// stay bit-identical to historical (pre-batching) replicated runs.
-///
-/// # Errors
-///
-/// Same contract as [`run_replications`].
-pub fn run_replications_scalar(
-    net: &BusNetwork,
-    matrix: &RequestMatrix,
-    r: f64,
-    config: &SimConfig,
-    replications: usize,
-) -> Result<ReplicationReport, SimError> {
-    run_replications_impl(net, matrix, r, config, replications, true, available_workers())
-}
-
-/// Scalar engine with an explicit worker count — the baseline side of the
-/// `mbus bench --scaling` comparison.
+/// Like [`run_replications_with_workers`], but always on the scalar
+/// engine — the baseline side of `mbus bench --scaling`, and the path
+/// whose reports stay bit-identical to historical (pre-batching)
+/// replicated runs.
 ///
 /// # Errors
 ///
@@ -252,7 +238,9 @@ mod tests {
             .matrix();
         let config = SimConfig::new(10_000).with_warmup(500).with_seed(7);
         let batched = run_replications(&net, &matrix, 1.0, &config, 4).unwrap();
-        let scalar = run_replications_scalar(&net, &matrix, 1.0, &config, 4).unwrap();
+        let scalar =
+            run_replications_scalar_with_workers(&net, &matrix, 1.0, &config, 4, available_workers())
+                .unwrap();
         assert_eq!(batched.engine, "batched");
         assert_eq!(scalar.engine, "scalar");
         assert!(
@@ -336,7 +324,9 @@ mod tests {
                 if message.contains("batch length")),
             "unexpected batched-engine error: {err}"
         );
-        let err = run_replications_scalar(&net, &matrix, 1.0, &config, 2).unwrap_err();
+        let err =
+            run_replications_scalar_with_workers(&net, &matrix, 1.0, &config, 2, available_workers())
+                .unwrap_err();
         assert!(
             matches!(err, SimError::ReplicationPanicked { replication: 0, ref message }
                 if message.contains("batch length")),

@@ -1,18 +1,21 @@
-//! Golden determinism tests for the simulation engine.
+//! Golden determinism tests for the scalar simulation engine.
 //!
-//! The optimized engine must reproduce, bit for bit, the reports the
-//! pre-optimization engine produced for fixed seeds and configurations.
-//! The expected hashes below were captured from the engine *before* the
-//! zero-allocation refactor; `reference::ReferenceSimulator` keeps that
-//! implementation alive, and both engines are pinned to the same values
-//! so any divergence — in either direction — is caught.
+//! [`Simulator`] must reproduce, bit for bit, the reports pinned below for
+//! fixed seeds and configurations. The hashes are the only pin on the
+//! engine: any change to the RNG draw order, an arbitration policy, fault
+//! handling, resubmission, or metric collection shows up as a mismatch.
+//!
+//! The scenarios cover every connection scheme, resubmission, a fault
+//! schedule, the hierarchical, uniform and favorite-memory workloads, a
+//! non-square network, and the dense path taken when `N` or `M` exceeds 64
+//! (the requested-set and requester bitmasks no longer fit one `u64`).
 //!
 //! The hash folds every field of [`SimReport`] (f64 bit patterns included),
 //! so a mismatch means an observable behavior change, not just noise.
 
 use mbus_sim::{SimConfig, SimReport, Simulator};
 use mbus_topology::{BusNetwork, ConnectionScheme};
-use mbus_workload::{HierarchicalModel, RequestMatrix, RequestModel};
+use mbus_workload::{FavoriteModel, HierarchicalModel, RequestMatrix, RequestModel, UniformModel};
 
 /// FNV-1a over every field of the report, in declaration order.
 fn report_hash(report: &SimReport) -> u64 {
@@ -66,8 +69,8 @@ fn hier_matrix(n: usize) -> RequestMatrix {
         .matrix()
 }
 
-/// The scenario grid: every connection scheme, plus resubmission and
-/// fault-schedule paths, at mixed request rates.
+/// The scenario grid: every connection scheme, plus resubmission,
+/// fault-schedule and dense (`N, M > 64`) paths, at mixed request rates.
 fn scenarios() -> Vec<(&'static str, BusNetwork, RequestMatrix, f64, SimConfig)> {
     let base = |seed: u64| SimConfig::new(5_000).with_warmup(500).with_seed(seed);
     vec![
@@ -134,20 +137,56 @@ fn scenarios() -> Vec<(&'static str, BusNetwork, RequestMatrix, f64, SimConfig)>
                 .unwrap(),
             ),
         ),
+        (
+            "full-32-resubmission",
+            BusNetwork::new(32, 32, 16, ConnectionScheme::Full).unwrap(),
+            hier_matrix(32),
+            0.6,
+            base(42).with_resubmission(true),
+        ),
+        (
+            "dense-full-80",
+            BusNetwork::new(80, 80, 24, ConnectionScheme::Full).unwrap(),
+            hier_matrix(80),
+            0.4,
+            base(11),
+        ),
+        (
+            "dense-kclass-80-resubmission",
+            BusNetwork::new(80, 80, 16, ConnectionScheme::uniform_classes(80, 16).unwrap())
+                .unwrap(),
+            hier_matrix(80),
+            0.3,
+            base(12).with_resubmission(true),
+        ),
+        (
+            "dense-partial-72-uniform",
+            BusNetwork::new(72, 72, 24, ConnectionScheme::PartialGroups { groups: 2 }).unwrap(),
+            UniformModel::new(72, 72).unwrap().matrix(),
+            0.4,
+            base(13),
+        ),
+        (
+            "single-24x12-favorite",
+            BusNetwork::new(24, 12, 4, ConnectionScheme::balanced_single(12, 4).unwrap()).unwrap(),
+            FavoriteModel::new(24, 12, 0.7).unwrap().matrix(),
+            0.6,
+            base(14),
+        ),
     ]
 }
 
-/// Hashes captured from the pre-refactor engine (same order as
-/// [`scenarios`]). Regenerate only for a deliberate, documented behavior
-/// change — these pin the RNG draw order and every arbitration policy.
+/// Golden report hashes (same order as [`scenarios`]). Regenerate only for
+/// a deliberate, documented behavior change — these pin the RNG draw order
+/// and every arbitration policy.
 ///
-/// Regenerated when `bus_utilization` switched to an alive-cycle
-/// denominator and `SimReport` gained `bus_alive_cycles`: the new field is
-/// folded into every hash, and `full-faulted` additionally reflects that
-/// bus 1's utilization is now judged only over the 3 000 measured cycles it
-/// was in service (cycle counts, RNG draw order, and arbitration are
-/// untouched — `optimized_engine_matches_reference_engine` pins both
-/// engines to each other across the change).
+/// The first seven were captured from the pre-refactor engine and
+/// regenerated once, when `bus_utilization` switched to an alive-cycle
+/// denominator and `SimReport` gained `bus_alive_cycles`. The last five
+/// (the 32×32 resubmission run, the three `N, M > 64` dense-path runs and
+/// the 24×12 favorite-memory run) were captured while a frozen copy of the
+/// pre-refactor engine still existed, and both engines produced equal
+/// reports on all twelve scenarios.
 const EXPECTED: &[(&str, u64)] = &[
     ("crossbar", 0xff46064047f5b948),
     ("full", 0x1c378e7b47081c29),
@@ -156,30 +195,19 @@ const EXPECTED: &[(&str, u64)] = &[
     ("kclass", 0x2d188ee30ae2b64e),
     ("full-resubmission", 0x63e0ca15f8eda29b),
     ("full-faulted", 0x17fbfe9a826f3bba),
+    ("full-32-resubmission", 0x175eeb6c559a4cd4),
+    ("dense-full-80", 0x19b57708bca8fd2a),
+    ("dense-kclass-80-resubmission", 0x900a14c9f009613c),
+    ("dense-partial-72-uniform", 0xbfb2c628b726adbf),
+    ("single-24x12-favorite", 0x501ef9583fd95c28),
 ];
-
-/// The optimized engine and the frozen pre-refactor engine must produce
-/// *equal* reports (every field, f64s included) on every scenario — not
-/// just equal hashes.
-#[test]
-fn optimized_engine_matches_reference_engine() {
-    for (name, net, matrix, r, config) in scenarios() {
-        let optimized = Simulator::build(&net, &matrix, r)
-            .unwrap()
-            .run(&config)
-            .unwrap();
-        let reference = mbus_sim::reference::ReferenceSimulator::build(&net, &matrix, r)
-            .unwrap()
-            .run(&config)
-            .unwrap();
-        assert_eq!(optimized, reference, "{name}: engines diverged");
-    }
-}
 
 #[test]
 fn engine_matches_golden_reports() {
+    let scenarios = scenarios();
+    assert_eq!(scenarios.len(), EXPECTED.len(), "one hash per scenario");
     for ((name, net, matrix, r, config), &(expected_name, expected_hash)) in
-        scenarios().into_iter().zip(EXPECTED)
+        scenarios.into_iter().zip(EXPECTED)
     {
         assert_eq!(name, expected_name, "scenario order drifted");
         let mut sim = Simulator::build(&net, &matrix, r).unwrap();
