@@ -686,12 +686,16 @@ impl Sections {
     }
 }
 
+/// Processors (= memories) of the engine section's network.
+const ENGINE_N: usize = 32;
+/// Buses of the engine section's network.
+const ENGINE_B: usize = 8;
+/// Seed of every simulated section.
+const SEED: u64 = 42;
+
 /// `mbus bench`.
 pub fn bench(args: &Args) -> Result<(), String> {
-    let n = args.get_or("n", 32usize)?;
-    let b = args.get_or("b", 8usize)?;
     let cycles = args.get_or("cycles", 200_000u64)?;
-    let seed = args.get_or("seed", 42u64)?;
     let reps = args.get_or("reps", 5usize)?;
     let sweep_n = args.get_or("sweep-n", 64usize)?;
     let replications = args.get_or("replications", 64usize)?;
@@ -702,10 +706,13 @@ pub fn bench(args: &Args) -> Result<(), String> {
     let mut sections = Vec::new();
 
     if run.core {
-        println!("engine: {n}x{n}x{b} full, hierarchical, r = 1.0, resubmission, {cycles} cycles");
-        let engine = engine_benchmark(n, b, cycles, seed, reps)?;
+        println!(
+            "engine: {ENGINE_N}x{ENGINE_N}x{ENGINE_B} full, hierarchical, r = 1.0, resubmission, \
+             {cycles} cycles"
+        );
+        let engine = engine_benchmark(ENGINE_N, ENGINE_B, cycles, SEED, reps)?;
         println!("  optimized: {:>12.0} cycles/sec", engine.cycles_per_sec);
-        sections.push(engine_json(n, b, cycles, seed, &engine));
+        sections.push(engine_json(ENGINE_N, ENGINE_B, cycles, SEED, &engine));
 
         println!(
             "\nsweep: {sweep_n} full-connection points at N = {sweep_n}, hierarchical, r = 1.0"
@@ -732,7 +739,7 @@ pub fn bench(args: &Args) -> Result<(), String> {
             "\nfabric: routed sim vs flat equivalent at depths 2 and 3, \
              locality 0.6, r = 0.5, {scaling_cycles} cycles"
         );
-        let entries = fabric_benchmark(scaling_cycles, seed, reps)?;
+        let entries = fabric_benchmark(scaling_cycles, SEED, reps)?;
         for entry in &entries {
             println!(
                 "  {:<6} {:>12.0} cycles/sec routed, {:>12.0} flat ({:.2}x routing cost), \
@@ -746,7 +753,7 @@ pub fn bench(args: &Args) -> Result<(), String> {
                 100.0 * entry.rel_gap(),
             );
         }
-        sections.push(fabric_json(scaling_cycles, seed, &entries));
+        sections.push(fabric_json(scaling_cycles, SEED, &entries));
     }
 
     if run.scaling {
@@ -756,7 +763,7 @@ pub fn bench(args: &Args) -> Result<(), String> {
                 "\n{key}: {replications} replications of {sn}x{sn}x{sb} full, hierarchical, \
                  r = {rate:.1}, {scaling_cycles} cycles, batched vs scalar"
             );
-            let scaling = scaling_benchmark(case, scaling_cycles, seed, replications, reps)?;
+            let scaling = scaling_benchmark(case, scaling_cycles, SEED, replications, reps)?;
             println!(
                 "  scalar:    {:>12.1} replications/sec (1 worker)\n  \
                  batched:   {:>12.1} replications/sec (1 worker, {:.1} ns/lane-cycle)\n  \
@@ -773,7 +780,7 @@ pub fn bench(args: &Args) -> Result<(), String> {
                     rps / scaling.batched_rps
                 );
             }
-            sections.push(scaling_json(key, case, seed, &scaling));
+            sections.push(scaling_json(key, case, SEED, &scaling));
         }
     }
 

@@ -79,15 +79,16 @@ COMMANDS:
                           [--unsafe-report] [--root path];
                           non-zero exit on violations
     experiments           print the EXPERIMENTS.md report (paper vs computed)
-    bench                 throughput harness: scalar engine cycles/sec,
+    bench                 throughput harness: scalar engine cycles/sec
+                          (32x32x8; every simulated section uses seed 42),
                           serial vs parallel sweep (points/sec; skipped
                           on one core), batched vs scalar replication
                           throughput with a per-worker scaling curve, the
                           exact engines (subset transform vs DP, lumped
                           Markov), and the fabric routed-vs-flat
                           comparison at depths 2-3; writes BENCH_sim.json
-                          [--n 32] [--b 8] [--cycles 200000] [--seed 42]
-                          [--reps 5] [--sweep-n 64] [--replications 64]
+                          [--cycles 200000] [--reps 5] [--sweep-n 64]
+                          [--replications 64]
                           [--scaling-cycles 20000] [--out BENCH_sim.json]
                           [--exact] [--scaling] [--fabric]  run exactly
                           the named sections (none: every section)
@@ -97,13 +98,6 @@ COMMANDS:
                           [--addr 127.0.0.1:7700] [--workers cores]
                           [--cache-cap 256] [--queue-cap 64]
                           [--max-cycles 2000000]
-    loadgen               drive a running server with a deterministic
-                          mixed-endpoint grid; reports throughput, latency
-                          quantiles, and the cold/warm cache speedup;
-                          writes BENCH_server.json
-                          [--addr 127.0.0.1:7700] [--concurrency 4]
-                          [--requests 256] [--passes 2]
-                          [--out BENCH_server.json]
     help                  show this message
 
 EXAMPLES:
@@ -119,7 +113,6 @@ EXAMPLES:
     mbus lint --unsafe-report
     mbus render --scheme kclass --n 3 --m 6 --b 4 --classes 3
     mbus serve --addr 127.0.0.1:7700 --workers 4
-    mbus loadgen --requests 512 --concurrency 8
 ";
 
 fn main() -> ExitCode {
@@ -141,7 +134,6 @@ fn main() -> ExitCode {
         "trace" => trace_cmd::trace(&args).map_err(Into::into),
         "bench" => bench::bench(&args).map_err(Into::into),
         "serve" => serve::serve(&args).map_err(Into::into),
-        "loadgen" => serve::loadgen_cmd(&args).map_err(Into::into),
         "help" | "" => {
             print!("{HELP}");
             Ok(())

@@ -33,9 +33,9 @@
 //!   fingerprint + canonical network + rate bits; `/metrics` exposes the
 //!   hit/miss/insert counters.
 //!
-//! [`loadgen`] closes the loop: a deterministic mixed-endpoint query grid
-//! driven by client threads, reporting throughput, latency quantiles, and
-//! the cold-vs-warm cache speedup (`mbus loadgen`, `BENCH_server.json`).
+//! [`loadgen::grid_request`] is the deterministic mixed-endpoint query
+//! grid that perfbench's `serve_hot` and `serve_cold` workloads drive
+//! against an in-process [`Server`]; perfbench is the one load generator.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,6 +49,5 @@ pub mod service;
 #[allow(unsafe_code)] // the one unsafe island: the POSIX signal(2) shim
 pub mod signal;
 
-pub use loadgen::{LoadReport, LoadgenConfig, PassReport};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::{ApiError, Endpoint, ServiceLimits};
