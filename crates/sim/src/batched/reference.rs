@@ -29,7 +29,7 @@
 //! * everything else (unreachable filtering, stage-2 policies, waits,
 //!   resubmission aging, metrics) matches the scalar engine exactly.
 
-use super::collect::LaneCollector;
+use super::collect::{LaneCollector, ServedUnits};
 use super::issue::IssueTable;
 use super::rng::{LaneRng, MAX_LANES};
 use crate::arbiter::{grant_buses, Stage2State};
@@ -213,24 +213,30 @@ fn run_one(
         );
 
         // 5. Winners resolved in grant order from the arbitration chunks,
-        // then completion bookkeeping fed straight to the shared collector
-        // (same call sequence as the SoA engine: one `grant` per grant in
-        // grant order). Requester lists are ascending, matching the SoA
-        // engine's bit order, so index `chunk · count >> 16` picks the
-        // identical processor.
+        // then completion bookkeeping fed straight to the shared collector:
+        // one `grant` per grant in grant order, then the cycle's served
+        // units. Requester lists are ascending, matching the SoA engine's
+        // bit order, so index `chunk · count >> 16` picks the identical
+        // processor.
         served.iter_mut().for_each(|s| *s = false);
+        let mut units = ServedUnits::default();
         for (g, grant) in outcome.grants.iter_mut().enumerate() {
             let list = &requesters[grant.memory];
             let chunk = arb[g >> 2] >> ((g & 3) * 16) & 0xffff;
             grant.processor = list[((chunk * list.len() as u64) >> 16) as usize];
             served[grant.processor] = true;
+            units.processors |= 1 << grant.processor;
+            units.memories |= 1 << grant.memory;
+            if let Some(bus) = grant.bus {
+                units.buses |= 1 << bus;
+            }
             if measured {
                 let age = if pending_memory[grant.processor].is_some() {
                     ages[grant.processor]
                 } else {
                     0
                 };
-                collector.grant(grant.processor, grant.memory, grant.bus, age);
+                collector.grant(age);
             }
             pending_memory[grant.processor] = None;
         }
@@ -262,7 +268,7 @@ fn run_one(
             let issued = outcome.issued as u32;
             // lint:allow(lossy_cast, per-cycle counts are bounded by N ≤ 64)
             let unreachable = outcome.unreachable as u32;
-            collector.end_cycle(grants, issued, unreachable);
+            collector.end_cycle(grants, issued, unreachable, units);
         }
     }
     Ok(collector.finish(config, &bus_alive))

@@ -8,8 +8,9 @@
 //! full-width advance is pure shifts/XORs/adds the compiler vectorizes
 //! at the baseline target ISA. The four state words are stored
 //! lane-major (`s[w][lane]`); lanes that diverge (K-class subset draws)
-//! step one lane at a time through [`LaneRngs::next_lane`] without
-//! disturbing the others.
+//! copy one lane's state into a register-resident [`LaneRng`]
+//! ([`LaneRngs::take_lane`]), step it as often as the lane needs, and
+//! write it back ([`LaneRngs::put_lane`]) without disturbing the others.
 //!
 //! Determinism contract: the batched sampling spec owns this stream.
 //! [`LaneRng`] is the scalar twin the per-seed reference engine runs —
@@ -102,19 +103,30 @@ impl LaneRngs {
         }
     }
 
-    /// Advances exactly one lane — the divergent-arbitration path.
+    /// Copies lane `lane`'s generator out — the divergent-arbitration
+    /// path steps the copy in registers and hands it back through
+    /// [`LaneRngs::put_lane`].
     #[inline]
-    pub(crate) fn next_lane(&mut self, lane: usize) -> u64 {
+    pub(crate) fn take_lane(&self, lane: usize) -> LaneRng {
         debug_assert!(lane < self.lanes);
-        let result = self.s[0][lane].wrapping_add(self.s[3][lane]);
-        let t = self.s[1][lane] << 17;
-        self.s[2][lane] ^= self.s[0][lane];
-        self.s[3][lane] ^= self.s[1][lane];
-        self.s[1][lane] ^= self.s[2][lane];
-        self.s[0][lane] ^= self.s[3][lane];
-        self.s[2][lane] ^= t;
-        self.s[3][lane] = self.s[3][lane].rotate_left(45);
-        result
+        LaneRng {
+            s: [
+                self.s[0][lane],
+                self.s[1][lane],
+                self.s[2][lane],
+                self.s[3][lane],
+            ],
+        }
+    }
+
+    /// Writes a generator taken by [`LaneRngs::take_lane`] back to lane
+    /// `lane`.
+    #[inline]
+    pub(crate) fn put_lane(&mut self, lane: usize, rng: &LaneRng) {
+        debug_assert!(lane < self.lanes);
+        for (word, &value) in self.s.iter_mut().zip(&rng.s) {
+            word[lane] = value;
+        }
     }
 }
 
@@ -196,15 +208,19 @@ mod tests {
     }
 
     #[test]
-    fn next_lane_advances_only_that_lane() {
+    fn take_put_advances_only_that_lane() {
         let mut lanes = LaneRngs::new(&[5, 6, 7]);
         let mut a = LaneRng::seed_from_u64(5);
         let mut b = LaneRng::seed_from_u64(6);
         let mut c = LaneRng::seed_from_u64(7);
         // Interleave per-lane and full-width steps.
-        assert_eq!(lanes.next_lane(1), b.next_u64());
-        assert_eq!(lanes.next_lane(1), b.next_u64());
-        assert_eq!(lanes.next_lane(2), c.next_u64());
+        let mut lane = lanes.take_lane(1);
+        assert_eq!(lane.next_u64(), b.next_u64());
+        assert_eq!(lane.next_u64(), b.next_u64());
+        lanes.put_lane(1, &lane);
+        let mut lane = lanes.take_lane(2);
+        assert_eq!(lane.next_u64(), c.next_u64());
+        lanes.put_lane(2, &lane);
         let mut out = vec![0u64; 3];
         lanes.fill_into(&mut out);
         assert_eq!(out[0], a.next_u64());
@@ -225,7 +241,7 @@ mod tests {
     #[test]
     fn reduce_matches_random_range_on_lane_rng() {
         // The K-class arbiters call random_range through the RngCore
-        // impl; the SoA engine mirrors them with reduce(next_lane).
+        // impl; the SoA engine mirrors them with reduce on a taken lane.
         let mut rng = LaneRng::seed_from_u64(7);
         let mut mirror = LaneRng::seed_from_u64(7);
         for span in [1usize, 2, 3, 7, 64, 1000] {
