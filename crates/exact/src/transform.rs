@@ -102,18 +102,29 @@ pub fn requested_set_pmf(matrix: &RequestMatrix, r: f64) -> Result<Vec<f64>, Exa
             let low = mask.trailing_zeros() as usize;
             sums[mask] = sums[mask & (mask - 1)] + row[low];
         }
-        for (mask, z) in zeta.iter_mut().enumerate() {
-            let contained = (1.0 - r) + r * sums[mask];
-            *z *= contained.powi(power);
+        let contained = sums.iter().map(|&sum| (1.0 - r) + r * sum);
+        if power == 1 {
+            // `x.powi(1)` is `1.0 * x`, exactly `x`: skip the libcall for
+            // the multiplicity-1 rows every paired hierarchy has.
+            for (z, c) in zeta.iter_mut().zip(contained) {
+                *z *= c;
+            }
+        } else {
+            for (z, c) in zeta.iter_mut().zip(contained) {
+                *z *= c.powi(power);
+            }
         }
     }
 
-    // In-place Möbius inversion: f(S) = Σ_{T⊆S} (−1)^{|S\T|} ζ(T).
+    // In-place Möbius inversion: f(S) = Σ_{T⊆S} (−1)^{|S\T|} ζ(T). For
+    // bit `j`, every block of 2^(j+1) masks splits into the masks without
+    // the bit (read only) and those with it (each less its partner).
     for j in 0..m {
         let bit = 1usize << j;
-        for mask in 0..size {
-            if mask & bit != 0 {
-                zeta[mask] -= zeta[mask ^ bit];
+        for block in zeta.chunks_exact_mut(2 * bit) {
+            let (without, with) = block.split_at_mut(bit);
+            for (high, &low) in with.iter_mut().zip(without.iter()) {
+                *high -= low;
             }
         }
     }
