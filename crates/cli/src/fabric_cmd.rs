@@ -126,6 +126,7 @@ fn render_markdown(
     let _ = writeln!(out, "| unreachable rate | {:.4} |", analysis.unreachable_rate);
     let _ = writeln!(out, "| mean hops per delivery | {:.3} |", analysis.mean_hops);
     let _ = writeln!(out, "| fixed-point iterations | {} |", analysis.iterations);
+    let _ = writeln!(out, "| fixed-point residual | {:.1e} |", analysis.residual);
     let _ = writeln!(out, "\n| link | offered | carried | acceptance | utilization |");
     let _ = writeln!(out, "|---|---|---|---|---|");
     for (id, load) in analysis.links.iter().enumerate() {
@@ -231,6 +232,7 @@ fn render_json(
     );
     let _ = writeln!(out, "    \"mean_hops\": {:.6},", analysis.mean_hops);
     let _ = writeln!(out, "    \"iterations\": {},", analysis.iterations);
+    let _ = writeln!(out, "    \"residual\": {:e},", analysis.residual);
     let link_utils: Vec<String> = analysis
         .links
         .iter()
@@ -411,5 +413,23 @@ mod tests {
         assert_eq!(balanced_factors(64, 3), Some(vec![4, 4, 4]));
         assert_eq!(balanced_factors(7, 2), None);
         assert_eq!(balanced_factors(1, 1), None);
+    }
+
+    #[test]
+    fn json_output_reports_the_fixed_point_residual() {
+        let args = Args::parse(
+            "fabric --ks 4,4 --rate 0.8 --cycles 0"
+                .split_whitespace()
+                .map(String::from),
+        );
+        let request = FabricQuery::read(&args).unwrap();
+        let (topo, matrix) = request.build().unwrap();
+        let analysis = analyze_fabric(&topo, &matrix, request.rate, &[]).unwrap();
+        let json = mbus_server::json::parse(&render_json(&request, &topo, &analysis, None))
+            .expect("fabric --json renders valid JSON");
+        let analytic = json.get("analytic").unwrap();
+        let residual = analytic.get("residual").unwrap().as_f64().unwrap();
+        assert_eq!(residual, analysis.residual);
+        assert!(residual < 1e-10);
     }
 }

@@ -49,7 +49,8 @@ const TOLERANCE: f64 = 1e-10;
 /// Damping factor for the fixed-point update.
 const DAMPING: f64 = 0.5;
 /// Iteration cap; the damped map converges geometrically long before
-/// this on every grid the tests sweep.
+/// this on every grid the tests sweep. A run that reaches it without
+/// converging is [`FabricError::NoConvergence`], never a result.
 const MAX_ITERATIONS: usize = 200;
 
 /// Steady-state load on one link.
@@ -89,6 +90,9 @@ pub struct FabricAnalysis {
     pub mean_hops: f64,
     /// Fixed-point iterations used.
     pub iterations: usize,
+    /// Largest per-link acceptance change in the last fixed-point step
+    /// (below the convergence tolerance, 1e-10).
+    pub residual: f64,
 }
 
 /// Scratch shared by the fixed-point passes: one offered-stream term
@@ -281,14 +285,27 @@ impl<'a> Decomposition<'a> {
 /// # Errors
 ///
 /// [`FabricError::DimensionMismatch`] for a workload that does not fit
-/// the fabric, [`FabricError::BadRate`] for `rate ∉ [0, 1]`, and
+/// the fabric, [`FabricError::BadRate`] for `rate ∉ [0, 1]`,
 /// [`FabricError::BadFabric`] for a failed-link id outside the link
-/// table.
+/// table, and [`FabricError::NoConvergence`] when the fixed point has not
+/// converged after 200 iterations.
 pub fn analyze_fabric(
     topo: &ClusteredBuses,
     matrix: &RequestMatrix,
     rate: f64,
     failed_links: &[LinkId],
+) -> Result<FabricAnalysis, FabricError> {
+    analyze_capped(topo, matrix, rate, failed_links, MAX_ITERATIONS)
+}
+
+/// [`analyze_fabric`] with an explicit iteration cap, so tests can reach
+/// the non-convergence path.
+fn analyze_capped(
+    topo: &ClusteredBuses,
+    matrix: &RequestMatrix,
+    rate: f64,
+    failed_links: &[LinkId],
+    max_iterations: usize,
 ) -> Result<FabricAnalysis, FabricError> {
     if matrix.processors() != topo.processors() {
         return Err(FabricError::DimensionMismatch {
@@ -318,21 +335,28 @@ pub fn analyze_fabric(
         .map(|k| if decomposition.failed[k] { 0.0 } else { 1.0 })
         .collect();
     let mut iterations = 0;
-    while iterations < MAX_ITERATIONS {
+    let residual = loop {
         iterations += 1;
         let next = decomposition.step(&alpha)?;
-        let mut delta = 0.0f64;
-        for k in 0..nlinks {
-            delta = delta.max((next[k] - alpha[k]).abs());
-            alpha[k] += DAMPING * (next[k] - alpha[k]);
-        }
+        let delta = max_step(&alpha, &next);
         if delta < TOLERANCE {
             // Land on the un-damped image so a converged vector is an
             // actual fixed point of the map, not half a step short.
             alpha = next;
-            break;
+            break delta;
         }
-    }
+        if iterations == max_iterations {
+            // `alpha` is not a fixed point: evaluating it would give a
+            // plausible number the model does not support.
+            return Err(FabricError::NoConvergence {
+                iterations,
+                residual: delta,
+            });
+        }
+        for (a, &n) in alpha.iter_mut().zip(&next) {
+            *a += DAMPING * (n - *a);
+        }
+    };
     check::assert_probabilities("fabric link acceptance", &alpha);
 
     // Final evaluation pass under the converged acceptance vector.
@@ -442,7 +466,16 @@ pub fn analyze_fabric(
             0.0
         },
         iterations,
+        residual,
     })
+}
+
+/// Largest per-link change between two acceptance vectors.
+fn max_step(alpha: &[f64], next: &[f64]) -> f64 {
+    alpha
+        .iter()
+        .zip(next)
+        .fold(0.0f64, |delta, (&a, &n)| delta.max((n - a).abs()))
 }
 
 #[cfg(test)]
@@ -561,6 +594,30 @@ mod tests {
                 assert!((0.0..=1.0).contains(&load.acceptance));
             }
         }
+    }
+
+    #[test]
+    fn an_unconverged_fixed_point_is_an_error_not_a_result() {
+        let topo = ClusteredBuses::new(Hierarchy::paired(&[4, 4]).unwrap(), 2, 1).unwrap();
+        let matrix = workload(&topo, 0.2);
+        let converged = analyze_fabric(&topo, &matrix, 0.9, &[]).unwrap();
+        assert!(converged.iterations > 2);
+        assert!(converged.residual < TOLERANCE);
+        // The same query one iteration short of convergence.
+        let capped = converged.iterations - 1;
+        match analyze_capped(&topo, &matrix, 0.9, &[], capped) {
+            Err(FabricError::NoConvergence {
+                iterations,
+                residual,
+            }) => {
+                assert_eq!(iterations, capped);
+                assert!(residual >= TOLERANCE && residual.is_finite());
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+        // A cap the run fits under changes nothing.
+        let exact_cap = analyze_capped(&topo, &matrix, 0.9, &[], converged.iterations);
+        assert_eq!(exact_cap.unwrap(), converged);
     }
 
     #[test]

@@ -24,6 +24,14 @@ pub enum FabricError {
         /// The workload's count.
         workload: usize,
     },
+    /// The analytic fixed point did not converge within its iteration
+    /// cap; the unconverged acceptance vector is not evaluated.
+    NoConvergence {
+        /// Fixed-point iterations run.
+        iterations: usize,
+        /// Largest per-link acceptance change in the last iteration.
+        residual: f64,
+    },
     /// The request rate is not a probability.
     BadRate {
         /// The offending rate.
@@ -49,6 +57,14 @@ impl std::fmt::Display for FabricError {
             } => write!(
                 f,
                 "fabric has {fabric} {what} but the workload describes {workload}"
+            ),
+            Self::NoConvergence {
+                iterations,
+                residual,
+            } => write!(
+                f,
+                "fabric fixed point did not converge in {iterations} iterations \
+                 (residual {residual:e})"
             ),
             Self::BadRate { rate } => {
                 write!(f, "request rate {rate} is not a probability in [0, 1]")

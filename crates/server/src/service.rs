@@ -695,6 +695,7 @@ fn evaluate_fabric(
                 ("unreachable_rate", Json::Num(analysis.unreachable_rate)),
                 ("mean_hops", Json::Num(analysis.mean_hops)),
                 ("iterations", Json::Num(analysis.iterations as f64)),
+                ("residual", Json::Num(analysis.residual)),
                 ("link_utilization", json::num_array(&analytic_utilization)),
                 (
                     "cluster_bandwidth",
@@ -1018,6 +1019,9 @@ mod tests {
         let a = analytic.get("bandwidth").unwrap().as_f64().unwrap();
         let s = simulated.get("bandwidth_mean").unwrap().as_f64().unwrap();
         assert!(a > 0.0 && s > 0.0);
+        // Convergence is reported, and only a converged answer is.
+        let residual = analytic.get("residual").unwrap().as_f64().unwrap();
+        assert!((0.0..1e-10).contains(&residual), "residual {residual}");
         assert!(
             (a - s).abs() / s < 0.15,
             "analytic {a} vs simulated {s} disagree beyond tolerance"
