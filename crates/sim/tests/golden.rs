@@ -7,8 +7,10 @@
 //!
 //! The scenarios cover every connection scheme, resubmission, a fault
 //! schedule, the hierarchical, uniform and favorite-memory workloads, a
-//! non-square network, and the dense path taken when `N` or `M` exceeds 64
-//! (the requested-set and requester bitmasks no longer fit one `u64`).
+//! non-square network, the dense path taken when `N` or `M` exceeds 64
+//! (the requested-set and requester bitmasks no longer fit one `u64`),
+//! the gate-free `r = 1` path, and resubmission through a total outage
+//! (pending requests dropped as unreachable).
 //!
 //! The hash folds every field of [`SimReport`] (f64 bit patterns included),
 //! so a mismatch means an observable behavior change, not just noise.
@@ -173,7 +175,57 @@ fn scenarios() -> Vec<(&'static str, BusNetwork, RequestMatrix, f64, SimConfig)>
             0.6,
             base(14),
         ),
+        (
+            "full-8-rate-one",
+            BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap(),
+            hier_matrix(8),
+            1.0,
+            base(15),
+        ),
+        (
+            "full-16-cold-rate",
+            BusNetwork::new(16, 16, 4, ConnectionScheme::Full).unwrap(),
+            hier_matrix(16),
+            cold_rate(),
+            base(16),
+        ),
+        (
+            "full-8-resubmission-outage",
+            BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap(),
+            hier_matrix(8),
+            0.8,
+            base(17)
+                .with_resubmission(true)
+                .with_faults(outage_schedule()),
+        ),
     ]
+}
+
+/// A rate shaped like the server's cold-path grid: `0.5 + j·2^-53` for an
+/// odd `j`, i.e. a value in `[0.5, 1)` whose lowest mantissa bit is set,
+/// so the rate gate's threshold sits exactly on a 53-bit grid point.
+fn cold_rate() -> f64 {
+    let j = 0x9_e377; // odd
+    f64::from_bits(0.5f64.to_bits() + j)
+}
+
+/// Bus 1 fails, then the other three follow it (a total outage, so every
+/// request is unreachable and dropped, pending ones included), then the
+/// buses come back in two steps.
+fn outage_schedule() -> mbus_sim::FaultSchedule {
+    use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule};
+    let event = |cycle, bus, kind| FaultEvent { cycle, bus, kind };
+    FaultSchedule::from_events(vec![
+        event(1_000, 1, FaultEventKind::Fail),
+        event(2_000, 0, FaultEventKind::Fail),
+        event(2_000, 2, FaultEventKind::Fail),
+        event(2_000, 3, FaultEventKind::Fail),
+        event(2_400, 0, FaultEventKind::Repair),
+        event(2_400, 2, FaultEventKind::Repair),
+        event(2_400, 3, FaultEventKind::Repair),
+        event(3_000, 1, FaultEventKind::Repair),
+    ])
+    .unwrap()
 }
 
 /// Golden report hashes (same order as [`scenarios`]). Regenerate only for
@@ -186,7 +238,12 @@ fn scenarios() -> Vec<(&'static str, BusNetwork, RequestMatrix, f64, SimConfig)>
 /// (the 32×32 resubmission run, the three `N, M > 64` dense-path runs and
 /// the 24×12 favorite-memory run) were captured while a frozen copy of the
 /// pre-refactor engine still existed, and both engines produced equal
-/// reports on all twelve scenarios.
+/// reports on all twelve scenarios. The last three (the gate-free
+/// `r = 1` run, a cold-path-style rate on the 53-bit grid, and
+/// resubmission through a total bus outage) pin the shapes the fused
+/// per-processor pass owns; they were recorded on the engine that still
+/// ran issue, the unreachable drop and stage-1 registration as separate
+/// loops.
 const EXPECTED: &[(&str, u64)] = &[
     ("crossbar", 0xff46064047f5b948),
     ("full", 0x1c378e7b47081c29),
@@ -200,6 +257,9 @@ const EXPECTED: &[(&str, u64)] = &[
     ("dense-kclass-80-resubmission", 0x900a14c9f009613c),
     ("dense-partial-72-uniform", 0xbfb2c628b726adbf),
     ("single-24x12-favorite", 0x501ef9583fd95c28),
+    ("full-8-rate-one", 0xbc8a4590722ab035),
+    ("full-16-cold-rate", 0x38e2e21407ff0622),
+    ("full-8-resubmission-outage", 0xafec04228eddae58),
 ];
 
 #[test]
@@ -218,4 +278,73 @@ fn engine_matches_golden_reports() {
             "{name}: report hash {hash:#018x} != golden {expected_hash:#018x}"
         );
     }
+}
+
+/// A clone reseeded with [`Simulator::reset`] must be indistinguishable
+/// from a freshly built simulator with the same seed: cloning drops the
+/// RNG, arbitration, resubmission and fault state, and any table the
+/// engine caches per fault mask must follow.
+#[test]
+fn clone_then_reset_matches_a_fresh_simulator() {
+    let net = BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap();
+    let matrix = hier_matrix(8);
+    let config = SimConfig::new(3_000)
+        .with_warmup(300)
+        .with_seed(18)
+        .with_resubmission(true)
+        .with_faults(outage_schedule());
+
+    // Leave the original mid-run: pending requests, rotated pointers and
+    // a failed bus all differ from a fresh simulator's.
+    let mut original = Simulator::build(&net, &matrix, 0.8).unwrap();
+    original.reset(99);
+    original.set_resubmission(true);
+    original.fault_mask_mut().fail(2).unwrap();
+    for _ in 0..257 {
+        let _ = original.step();
+    }
+
+    let mut clone = original.clone();
+    let mut fresh = Simulator::build(&net, &matrix, 0.8).unwrap();
+    clone.reset(18);
+    fresh.reset(18);
+    clone.set_resubmission(true);
+    fresh.set_resubmission(true);
+    for cycle in 0..2_000u64 {
+        if cycle == 500 {
+            clone.fault_mask_mut().fail(0).unwrap();
+            fresh.fault_mask_mut().fail(0).unwrap();
+        }
+        if cycle == 900 {
+            for sim in [&mut clone, &mut fresh] {
+                for bus in 1..4 {
+                    sim.fault_mask_mut().fail(bus).unwrap();
+                }
+            }
+        }
+        if cycle == 1_100 {
+            for sim in [&mut clone, &mut fresh] {
+                for bus in 0..4 {
+                    sim.fault_mask_mut().repair(bus).unwrap();
+                }
+            }
+        }
+        let a = clone.step().clone();
+        let b = fresh.step();
+        assert_eq!(a.issued, b.issued, "cycle {cycle}: issued");
+        assert_eq!(a.active, b.active, "cycle {cycle}: active");
+        assert_eq!(a.unreachable, b.unreachable, "cycle {cycle}: unreachable");
+        assert_eq!(a.grants, b.grants, "cycle {cycle}: grants");
+        assert_eq!(a.waits, b.waits, "cycle {cycle}: waits");
+    }
+
+    // Whole runs too: a clone of a used simulator reports what a fresh one
+    // does.
+    let from_clone = original.clone().run(&config).unwrap();
+    let from_fresh = Simulator::build(&net, &matrix, 0.8)
+        .unwrap()
+        .run(&config)
+        .unwrap();
+    assert_eq!(report_hash(&from_clone), report_hash(&from_fresh));
+    assert_eq!(from_clone, from_fresh);
 }
