@@ -25,13 +25,15 @@
 //! also hands over the requested-set bitmask, which lets the non-random
 //! policies skip empty buses/groups/classes with one `AND`, and — on a
 //! fault-free full-connection network — terminate the grant scan as soon as
-//! the [`ServedTable`]'s precomputed served count is reached. Every fast
-//! path is *draw-order neutral*: it only skips work that consumes no
-//! randomness and mutates no state, so reports stay bit-identical to the
-//! reference engine (see `crate::reference`).
+//! the served count `min(popcount, B)` is reached. A fault-free full
+//! network also assigns buses arithmetically, `(rr_bus + g) mod B` for
+//! grant `g`, instead of rotating an alive-bus list. Every fast path is
+//! *draw-order neutral*: it only skips work that consumes no randomness and
+//! mutates no state, so reports stay bit-identical (the `golden`
+//! integration test pins them).
 
 use crate::engine::Grant;
-use mbus_topology::{BusNetwork, ConnectionScheme, FaultMask, ServedTable, MAX_TABLE_MEMORIES};
+use mbus_topology::{BusNetwork, ConnectionScheme, FaultMask};
 use rand::Rng;
 
 /// Rotating pointers that give the round-robin arbiters long-run fairness,
@@ -40,13 +42,15 @@ use rand::Rng;
 pub(crate) struct Stage2State {
     /// Full scheme: scan start over memory indices.
     rr_memory: usize,
-    /// Full scheme: rotation of the alive-bus list.
+    /// Full scheme: rotation of the bus assignment (the first grant's bus
+    /// when every bus is alive).
     rr_bus: usize,
     /// Single scheme: per-bus pointer into that bus's memory list.
     rr_per_bus: Vec<usize>,
     /// Partial scheme: per-group scan start (relative to the group).
     rr_group: Vec<usize>,
-    /// Scratch: alive buses (full scheme) or alive group buses (partial).
+    /// Scratch: alive buses (full scheme under faults) or alive group
+    /// buses (partial).
     alive: Vec<usize>,
     /// Scratch: requested memories of the current class (K classes).
     requested: Vec<usize>,
@@ -54,9 +58,6 @@ pub(crate) struct Stage2State {
     alive_desc: Vec<usize>,
     /// Scratch: per-bus `(memory, processor)` contenders (K classes).
     contenders: Vec<Vec<(usize, usize)>>,
-    /// Served-count table for the fault-free full-connection fast path
-    /// (`None` when `M > MAX_TABLE_MEMORIES` or the scheme never uses it).
-    table: Option<ServedTable>,
     /// Single scheme, `M ≤ 64`: bitmask of each bus's memories.
     bus_masks: Vec<u64>,
     /// Partial scheme, `M ≤ 64`: bitmask of each group's memories.
@@ -70,11 +71,6 @@ impl Stage2State {
         let groups = net.group_count().unwrap_or(0);
         let m = net.memories();
         let masks_fit = m <= 64;
-        let table = if matches!(net.scheme(), ConnectionScheme::Full) && m <= MAX_TABLE_MEMORIES {
-            ServedTable::build(net).ok()
-        } else {
-            None
-        };
         let bus_masks = if masks_fit && matches!(net.scheme(), ConnectionScheme::Single { .. }) {
             (0..net.buses())
                 .map(|bus| net.memories_of_bus(bus).fold(0u64, |acc, j| acc | (1 << j)))
@@ -113,7 +109,6 @@ impl Stage2State {
             contenders: (0..net.buses())
                 .map(|_| Vec::with_capacity(net.class_count().unwrap_or(0)))
                 .collect(),
-            table,
             bus_masks,
             group_masks,
             class_masks,
@@ -164,26 +159,46 @@ pub(crate) fn grant_buses<R: Rng + ?Sized>(
         }
         ConnectionScheme::Full => {
             let m = net.memories();
-            // Alive buses, rotated for fairness of *which* bus carries which
-            // request (bandwidth-neutral, utilization-relevant).
-            state.alive.clear();
-            state.alive.extend(mask.iter_alive());
-            if state.alive.is_empty() {
-                return;
+            let b = net.buses();
+            // Which bus carries which request rotates for fairness
+            // (bandwidth-neutral, utilization-relevant): grant `g` rides
+            // the `g`-th alive bus after a rotation by `rr_bus`. Fault-free
+            // that is bus `(rr_bus + g) mod B`, with no list to build.
+            if !all_alive {
+                state.alive.clear();
+                state.alive.extend(mask.iter_alive());
+                if state.alive.is_empty() {
+                    return;
+                }
+                let rot = state.rr_bus % state.alive.len();
+                state.alive.rotate_left(rot);
             }
-            let rot = state.rr_bus % state.alive.len();
-            state.alive.rotate_left(rot);
-            // Fault-free: the served count is known up front (table lookup,
-            // or popcount-capped-at-B, which is the full scheme's closed
-            // form), so the scan stops at the last grant instead of walking
-            // all M memories.
-            let limit = if masks_valid && all_alive {
-                match &state.table {
-                    Some(table) => table.served(requested_mask),
-                    None => (requested_mask.count_ones() as usize).min(state.alive.len()),
+            let rr_bus = state.rr_bus;
+            let alive = &state.alive;
+            let carrier = |g: usize| {
+                if all_alive {
+                    // `rr_bus < B` and `g < B`: one subtraction wraps.
+                    let bus = rr_bus + g;
+                    if bus >= b {
+                        bus - b
+                    } else {
+                        bus
+                    }
+                } else {
+                    alive[g]
+                }
+            };
+            // Fault-free, the served count is the full scheme's closed
+            // form `min(popcount, B)`, so the scan stops at the last grant
+            // instead of walking all M memories.
+            let limit = if all_alive {
+                if masks_valid {
+                    (requested_mask.count_ones() as usize).min(b)
+                } else {
+                    b
                 }
             } else {
-                state.alive.len()
+                alive.len()
             };
             let mut granted = 0usize;
             if masks_valid {
@@ -205,7 +220,7 @@ pub(crate) fn grant_buses<R: Rng + ?Sized>(
                         out.push(Grant {
                             processor,
                             memory,
-                            bus: Some(state.alive[granted]),
+                            bus: Some(carrier(granted)),
                         });
                         granted += 1;
                     }
@@ -220,7 +235,7 @@ pub(crate) fn grant_buses<R: Rng + ?Sized>(
                         out.push(Grant {
                             processor,
                             memory,
-                            bus: Some(state.alive[granted]),
+                            bus: Some(carrier(granted)),
                         });
                         granted += 1;
                     }
@@ -230,8 +245,14 @@ pub(crate) fn grant_buses<R: Rng + ?Sized>(
                     }
                 }
             }
-            state.rr_memory = (state.rr_memory + 1) % m;
-            state.rr_bus = (state.rr_bus + 1) % net.buses();
+            state.rr_memory += 1;
+            if state.rr_memory == m {
+                state.rr_memory = 0;
+            }
+            state.rr_bus += 1;
+            if state.rr_bus == b {
+                state.rr_bus = 0;
+            }
         }
         ConnectionScheme::Single { .. } => {
             for bus in mask.iter_alive() {
@@ -579,7 +600,7 @@ mod tests {
 
     #[test]
     fn full_limit_fast_path_matches_reference_scan() {
-        // Sparse winners on a fault-free full network: the table-limited
+        // Sparse winners on a fault-free full network: the count-limited
         // scan must produce the same grants as a limitless scan would.
         let net = BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap();
         let mask = FaultMask::none(4);
@@ -592,6 +613,53 @@ mod tests {
             assert_eq!(grants[0].memory, 6);
             // Bus rotation still advances every cycle.
             assert_eq!(grants[0].bus, Some(cycle % 4));
+        }
+    }
+
+    #[test]
+    fn full_arithmetic_bus_assignment_matches_the_alive_list() {
+        // With every bus alive, the fault-free path (bus `(rr_bus + g) mod
+        // B`, served count `min(popcount, B)`) must grant exactly what the
+        // alive-list path does, cycle after cycle, on both the mask and
+        // the dense scans.
+        use rand::RngExt;
+        for (m, b) in [(8, 3), (16, 4), (80, 24)] {
+            let net = BusNetwork::new(m, m, b, ConnectionScheme::Full).unwrap();
+            let mask = FaultMask::none(b);
+            let buses = bus_memories(&net);
+            let mut fast = Stage2State::new(&net);
+            let mut listed = Stage2State::new(&net);
+            let mut draws = StdRng::seed_from_u64(5);
+            let mut rng = StdRng::seed_from_u64(6);
+            for cycle in 0..500 {
+                let winners: Vec<Option<usize>> = (0..m)
+                    .map(|j| (draws.random::<f64>() < 0.4).then_some(j))
+                    .collect();
+                let requested = winners
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, w)| w.is_some())
+                    .fold(0u64, |acc, (j, _)| acc | (1 << (j % 64)));
+                let masks_valid = m <= 64;
+                let (mut a, mut z) = (Vec::new(), Vec::new());
+                for (all_alive, state, out) in
+                    [(true, &mut fast, &mut a), (false, &mut listed, &mut z)]
+                {
+                    grant_buses(
+                        &net,
+                        &mask,
+                        &buses,
+                        &winners,
+                        requested,
+                        masks_valid,
+                        all_alive,
+                        state,
+                        &mut rng,
+                        out,
+                    );
+                }
+                assert_eq!(a, z, "{m}x{b}, cycle {cycle}");
+            }
         }
     }
 }
