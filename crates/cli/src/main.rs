@@ -5,7 +5,6 @@
 //! emits the EXPERIMENTS report. Run `mbus help` for usage.
 
 mod args;
-mod bench;
 mod commands;
 mod fabric_cmd;
 #[cfg(test)]
@@ -79,19 +78,6 @@ COMMANDS:
                           [--unsafe-report] [--root path];
                           non-zero exit on violations
     experiments           print the EXPERIMENTS.md report (paper vs computed)
-    bench                 throughput harness: scalar engine cycles/sec
-                          (32x32x8; every simulated section uses seed 42),
-                          serial vs parallel sweep (points/sec; skipped
-                          on one core), batched vs scalar replication
-                          throughput with a per-worker scaling curve, the
-                          exact engines (subset transform vs DP, lumped
-                          Markov), and the fabric routed-vs-flat
-                          comparison at depths 2-3; writes BENCH_sim.json
-                          [--cycles 200000] [--reps 5] [--sweep-n 64]
-                          [--replications 64]
-                          [--scaling-cycles 20000] [--out BENCH_sim.json]
-                          [--exact] [--scaling] [--fabric]  run exactly
-                          the named sections (none: every section)
     serve                 run the bandwidth-query HTTP service:
                           POST /v1/{bandwidth,exact,simulate,degraded,fabric},
                           GET /metrics; graceful drain on SIGTERM/ctrl-c
@@ -132,7 +118,6 @@ fn main() -> ExitCode {
         "experiments" => commands::experiments(),
         "fabric" => fabric_cmd::fabric(&args),
         "trace" => trace_cmd::trace(&args).map_err(Into::into),
-        "bench" => bench::bench(&args).map_err(Into::into),
         "serve" => serve::serve(&args).map_err(Into::into),
         "help" | "" => {
             print!("{HELP}");

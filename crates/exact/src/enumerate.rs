@@ -13,8 +13,8 @@
 //! `O(G · 2^M + 2^M · M)` for `G` distinct workload rows), the public
 //! entry points [`exact_bandwidth`] and [`exact_distinct_pmf`] delegate to
 //! it; the DP survives as [`requested_set_pmf_dp`] / [`exact_bandwidth_dp`]
-//! — an independent derivation the differential tests (and `mbus bench
-//! --exact`) compare against.
+//! — an independent derivation the differential tests
+//! (`tests/differential.rs`) compare against.
 
 use crate::{memo, transform, ExactError};
 use mbus_stats::prob::check;
@@ -171,7 +171,7 @@ pub fn requested_set_pmf_dp(matrix: &RequestMatrix, r: f64) -> Result<Vec<f64>, 
 
 /// [`exact_bandwidth`] computed by the retained DP enumerator instead of
 /// the subset transform — the slow independent reference used by the
-/// differential tests and the `mbus bench --exact` comparison.
+/// differential tests (`tests/differential.rs`).
 ///
 /// # Errors
 ///

@@ -43,8 +43,8 @@ pub fn served_table(net: &BusNetwork) -> Result<Arc<ServedTable>, TopologyError>
     Ok(table_cache().get_or_insert_with(key, move || built))
 }
 
-/// Counter snapshot of the process-wide served-set table cache, for
-/// `mbus bench --exact` and the serving layer's `/metrics`.
+/// Counter snapshot of the process-wide served-set table cache, which the
+/// serving layer's `/metrics` renders as `mbus_exact_served_table_cache_*`.
 pub fn served_table_cache_stats() -> CacheStats {
     table_cache().stats()
 }

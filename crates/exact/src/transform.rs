@@ -163,8 +163,8 @@ pub fn cached_requested_set_pmf(
     Ok(pmf_cache().get_or_insert_with(key, move || pmf))
 }
 
-/// Counter snapshot of the process-wide requested-set pmf cache, for
-/// `mbus bench --exact` and the serving layer's `/metrics`.
+/// Counter snapshot of the process-wide requested-set pmf cache, which the
+/// serving layer's `/metrics` renders as `mbus_exact_pmf_cache_*`.
 pub fn pmf_cache_stats() -> mbus_stats::cache::CacheStats {
     pmf_cache().stats()
 }

@@ -36,7 +36,7 @@
 //! where the model collapses to the paper's closed form bit-for-bit
 //! (`u_j = X_j`, one link, `E[min(D, B)]`); the depth-2/3 agreement
 //! with the cycle-accurate simulator is asserted within tolerance by
-//! `tests/analytic_grid.rs` and recorded in `BENCH_sim.json`.
+//! `tests/analytic_grid.rs`.
 
 use crate::topology::{ClusteredBuses, FabricTopology, LinkId};
 use crate::FabricError;

@@ -68,6 +68,10 @@ fn analytic_tracks_sim_on_representative_shapes() {
     check_point(&[4, 2, 2], 0.6, 0.4, 14);
     check_point(&[8, 2], 0.0, 0.3, 15);
     check_point(&[2, 8], 0.9, 1.0, 16);
+    // Depths 2 and 3 at `mbus fabric`'s default locality and rate; DESIGN
+    // §15 archives their last timed gaps (5.9% and 3.4%).
+    check_point(&[4, 4], 0.6, 0.5, 17);
+    check_point(&[4, 2, 2], 0.6, 0.5, 18);
 }
 
 /// Seeded random sweep over depth 2–3 shapes, locality, and rate: the

@@ -3,8 +3,9 @@
 //! Every counter is a relaxed [`AtomicU64`] — the request path pays a
 //! handful of uncontended atomic increments plus one short mutex hold to
 //! record the latency sample. `GET /metrics` renders the whole state as a
-//! Prometheus-style text document, folding in the query-cache counters
-//! ([`CacheStats`]) supplied by the server.
+//! Prometheus-style text document, folding in the memo-cache counters
+//! ([`CacheStats`]) supplied by the server: the query cache and the exact
+//! engine's process-wide pmf and served-table caches.
 
 use crate::service::Endpoint;
 use mbus_stats::cache::CacheStats;
@@ -128,8 +129,9 @@ impl Metrics {
     }
 
     /// Renders the Prometheus-style text document served at `/metrics`.
-    /// `cache` is the query cache's counter snapshot.
-    pub fn render_text(&self, cache: &CacheStats) -> String {
+    /// `caches` pairs each memo cache's metric-name prefix with its counter
+    /// snapshot; each renders as `{prefix}_{hits,misses,inserts,entries}`.
+    pub fn render_text(&self, caches: &[(&str, CacheStats)]) -> String {
         let mut out = String::with_capacity(1024);
         let mut line = |name: &str, value: u64| {
             let _ = writeln!(out, "{name} {value}");
@@ -149,10 +151,12 @@ impl Metrics {
             "mbus_workers_busy",
             self.busy_workers.load(Ordering::Relaxed),
         );
-        line("mbus_cache_hits", cache.hits);
-        line("mbus_cache_misses", cache.misses);
-        line("mbus_cache_inserts", cache.inserts);
-        line("mbus_cache_entries", cache.len);
+        for (prefix, cache) in caches {
+            line(&format!("{prefix}_hits"), cache.hits);
+            line(&format!("{prefix}_misses"), cache.misses);
+            line(&format!("{prefix}_inserts"), cache.inserts);
+            line(&format!("{prefix}_entries"), cache.len);
+        }
         for endpoint in Endpoint::ALL {
             let slot = &self.per_endpoint[endpoint.index()];
             let name = endpoint.name();
@@ -223,13 +227,29 @@ mod tests {
         assert_eq!(metrics.shed(), 1);
         assert_eq!(metrics.server_errors(), 0);
 
-        let cache = CacheStats {
+        let query = CacheStats {
             hits: 1,
             misses: 2,
             inserts: 2,
             len: 2,
         };
-        let text = metrics.render_text(&cache);
+        let pmf = CacheStats {
+            hits: 3,
+            misses: 4,
+            inserts: 4,
+            len: 1,
+        };
+        let served = CacheStats {
+            hits: 5,
+            misses: 6,
+            inserts: 6,
+            len: 2,
+        };
+        let text = metrics.render_text(&[
+            ("mbus_cache", query),
+            ("mbus_exact_pmf_cache", pmf),
+            ("mbus_exact_served_table_cache", served),
+        ]);
         assert!(text.contains("mbus_requests_total 5"));
         assert!(text.contains("mbus_shed_total 1"));
         assert!(text.contains("mbus_responses_4xx_total 3"));
@@ -237,6 +257,13 @@ mod tests {
         assert!(text.contains("mbus_workers 4"));
         assert!(text.contains("mbus_workers_busy 0"));
         assert!(text.contains("mbus_cache_hits 1"));
+        assert!(text.contains("mbus_cache_entries 2"));
+        assert!(text.contains("mbus_exact_pmf_cache_hits 3"));
+        assert!(text.contains("mbus_exact_pmf_cache_misses 4"));
+        assert!(text.contains("mbus_exact_pmf_cache_inserts 4"));
+        assert!(text.contains("mbus_exact_pmf_cache_entries 1"));
+        assert!(text.contains("mbus_exact_served_table_cache_hits 5"));
+        assert!(text.contains("mbus_exact_served_table_cache_entries 2"));
         assert!(text.contains("mbus_endpoint_requests_total{endpoint=\"bandwidth\"} 2"));
         assert!(text.contains("mbus_endpoint_cache_hits_total{endpoint=\"bandwidth\"} 1"));
         assert!(text.contains("mbus_endpoint_errors_total{endpoint=\"exact\"} 1"));
@@ -252,7 +279,7 @@ mod tests {
             false,
             Duration::from_secs(3600),
         );
-        let text = metrics.render_text(&CacheStats::default());
+        let text = metrics.render_text(&[]);
         // The saturated sample increments the counter …
         assert!(text.contains("mbus_endpoint_latency_saturated_total{endpoint=\"simulate\"} 1"));
         // … and stays out of the histogram, so no quantile line claims the
@@ -266,7 +293,7 @@ mod tests {
             false,
             Duration::from_micros(120),
         );
-        let text = metrics.render_text(&CacheStats::default());
+        let text = metrics.render_text(&[]);
         assert!(text
             .contains("mbus_endpoint_latency_us{endpoint=\"simulate\",quantile=\"0.99\"} 120"));
         assert!(!text.contains(&MAX_LATENCY_US.to_string()));
@@ -281,7 +308,7 @@ mod tests {
             false,
             Duration::from_micros(MAX_LATENCY_US),
         );
-        let text = metrics.render_text(&CacheStats::default());
+        let text = metrics.render_text(&[]);
         assert!(text.contains("mbus_endpoint_latency_saturated_total{endpoint=\"exact\"} 0"));
         assert!(text.contains(&format!(
             "mbus_endpoint_latency_us{{endpoint=\"exact\",quantile=\"0.5\"}} {MAX_LATENCY_US}"

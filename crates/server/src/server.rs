@@ -20,6 +20,7 @@
 use crate::http::{self, Limits, Request, Response};
 use crate::metrics::Metrics;
 use crate::service::{self, ApiError, Endpoint, Query, QueryKey, ServiceLimits};
+use mbus_core::exact;
 use mbus_stats::cache::{CacheStats, MemoCache};
 use mbus_stats::parallel::available_workers;
 use std::collections::VecDeque;
@@ -337,7 +338,14 @@ fn route(shared: &Shared, request: &Request) -> (Option<Endpoint>, bool, Respons
         if request.method != "GET" {
             return (None, false, method_not_allowed("GET"));
         }
-        let text = shared.metrics.render_text(&shared.cache.stats());
+        let text = shared.metrics.render_text(&[
+            ("mbus_cache", shared.cache.stats()),
+            ("mbus_exact_pmf_cache", exact::transform::pmf_cache_stats()),
+            (
+                "mbus_exact_served_table_cache",
+                exact::memo::served_table_cache_stats(),
+            ),
+        ]);
         return (None, false, Response::text(200, text));
     }
     let Some(endpoint) = Endpoint::from_path(&request.path) else {

@@ -81,8 +81,8 @@ pub fn run_replications(
 }
 
 /// Like [`run_replications`] with an explicit worker count — the knob
-/// `mbus bench --scaling` turns to measure the per-worker scaling curve
-/// (`workers = 1` pins everything to the calling thread).
+/// perfbench's `sim_replicate` workload turns to check that reports do not
+/// depend on it (`workers = 1` pins everything to the calling thread).
 ///
 /// Worker count never changes the reports, only the wall clock.
 ///
@@ -101,9 +101,9 @@ pub fn run_replications_with_workers(
 }
 
 /// Like [`run_replications_with_workers`], but always on the scalar
-/// engine — the baseline side of `mbus bench --scaling`, and the path
-/// whose reports stay bit-identical to historical (pre-batching)
-/// replicated runs.
+/// engine — the baseline side of perfbench's `sim.batched_vs_scalar.*`
+/// metrics, and the path whose reports stay bit-identical to historical
+/// (pre-batching) replicated runs.
 ///
 /// # Errors
 ///
@@ -232,23 +232,36 @@ mod tests {
 
     #[test]
     fn scalar_and_batched_engines_agree_statistically() {
-        let net = BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap();
-        let matrix = HierarchicalModel::two_level_paired(8, 4, [0.6, 0.3, 0.1])
-            .unwrap()
-            .matrix();
-        let config = SimConfig::new(10_000).with_warmup(500).with_seed(7);
-        let batched = run_replications(&net, &matrix, 1.0, &config, 4).unwrap();
-        let scalar =
-            run_replications_scalar_with_workers(&net, &matrix, 1.0, &config, 4, available_workers())
-                .unwrap();
-        assert_eq!(batched.engine, "batched");
-        assert_eq!(scalar.engine, "scalar");
-        assert!(
-            (batched.bandwidth.mean() - scalar.bandwidth.mean()).abs() < 0.05,
-            "batched {} vs scalar {}",
-            batched.bandwidth,
-            scalar.bandwidth
-        );
+        // (N = M, B, rate, cycles, replications): the paper's network on
+        // the packed-word path, and the largest eligible network on the
+        // requester-table path.
+        for (n, b, rate, cycles, replications) in
+            [(8, 4, 1.0, 10_000, 4), (64, 16, 0.5, 2_000, 16)]
+        {
+            let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).unwrap();
+            let matrix = HierarchicalModel::two_level_paired(n, 4, [0.6, 0.3, 0.1])
+                .unwrap()
+                .matrix();
+            let config = SimConfig::new(cycles).with_warmup(cycles / 20).with_seed(7);
+            let batched = run_replications(&net, &matrix, rate, &config, replications).unwrap();
+            let scalar = run_replications_scalar_with_workers(
+                &net,
+                &matrix,
+                rate,
+                &config,
+                replications,
+                available_workers(),
+            )
+            .unwrap();
+            assert_eq!(batched.engine, "batched");
+            assert_eq!(scalar.engine, "scalar");
+            assert!(
+                (batched.bandwidth.mean() - scalar.bandwidth.mean()).abs() < 0.05,
+                "{n}x{n}x{b}: batched {} vs scalar {}",
+                batched.bandwidth,
+                scalar.bandwidth
+            );
+        }
     }
 
     #[test]

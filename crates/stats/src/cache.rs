@@ -30,8 +30,8 @@
 //!   whole analysis down, so poisoned locks are recovered with
 //!   `PoisonError::into_inner` instead of propagating the panic.
 //! * **Observable** — hit/miss/insert/len counters are relaxed atomics, so
-//!   a [`CacheStats`] snapshot (consumed by `mbus-server`'s `/metrics` and
-//!   `mbus bench --exact`) costs four loads and zero lock traffic.
+//!   a [`CacheStats`] snapshot (consumed by `mbus-server`'s `/metrics`)
+//!   costs four loads and zero lock traffic.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
