@@ -152,11 +152,14 @@ fn extreme_rates_match_reference() {
 
 /// Hand-rolled property sweep (the workspace vendors no proptest):
 /// randomized geometry, scheme, rate, resubmission, and fault schedule,
-/// every case checked lane-for-lane against the reference.
+/// every case checked lane-for-lane against the reference. The sweep
+/// must reach K-class networks with fewer classes than buses and with
+/// uneven class sizes.
 #[test]
 fn randomized_configurations_match_reference() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
-    for case in 0..40 {
+    let (mut fewer_classes_than_buses, mut uneven_classes) = (0, 0);
+    for case in 0..60 {
         let n = rng.random_range(1..17usize);
         let m = rng.random_range(1..17usize);
         let scheme_pick = rng.random_range(0..5usize);
@@ -175,11 +178,21 @@ fn randomized_configurations_match_reference() {
                 (ConnectionScheme::PartialGroups { groups: g }, g)
             }
             3 => {
+                // K ≤ B buses, classes either as even as `uniform_classes`
+                // makes them (it spreads `m % k` over the lowest classes)
+                // or an explicit random split of the memories.
                 let k = rng.random_range(1..=m.min(4));
-                if m % k != 0 {
-                    continue; // uniform classes need k | m
-                }
-                (ConnectionScheme::uniform_classes(m, k).unwrap(), k)
+                let b = rng.random_range(k..=m.min(6).max(k));
+                let scheme = if rng.random::<bool>() {
+                    ConnectionScheme::uniform_classes(m, k).unwrap()
+                } else {
+                    let mut class_sizes = vec![1usize; k];
+                    for _ in k..m {
+                        class_sizes[rng.random_range(0..k)] += 1;
+                    }
+                    ConnectionScheme::KClasses { class_sizes }
+                };
+                (scheme, b)
             }
             _ => (ConnectionScheme::Crossbar, 1),
         };
@@ -225,7 +238,13 @@ fn randomized_configurations_match_reference() {
             &config,
             &seeds,
         );
+        if let ConnectionScheme::KClasses { class_sizes } = net.scheme() {
+            fewer_classes_than_buses += usize::from(class_sizes.len() < b);
+            uneven_classes += usize::from(class_sizes.iter().any(|&c| c != class_sizes[0]));
+        }
     }
+    assert!(fewer_classes_than_buses > 0, "no K < B case was drawn");
+    assert!(uneven_classes > 0, "no uneven K-class case was drawn");
 }
 
 /// The batched spec must agree with the scalar engine *statistically*: at
