@@ -44,8 +44,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+// Lets the golden scenario grid shared with the integration tests name
+// this crate as `mbus_sim` inside unit tests too.
+#[cfg(test)]
+extern crate self as mbus_sim;
 
 mod arbiter;
 pub mod batched;
