@@ -26,6 +26,15 @@ pub enum ExactError {
         /// Human-readable reason.
         reason: &'static str,
     },
+    /// A resubmission chain's power iteration hit its step cap before
+    /// one step moved the distribution by less than the tolerance: the
+    /// vector it holds is not a stationary distribution.
+    NoConvergence {
+        /// Power steps taken (the cap).
+        iterations: usize,
+        /// `Σ|Δπ|` of the last step.
+        residual: f64,
+    },
 }
 
 impl std::fmt::Display for ExactError {
@@ -41,6 +50,14 @@ impl std::fmt::Display for ExactError {
             Self::UnsupportedShape { reason } => {
                 write!(f, "unsupported shape for closed-form exact model: {reason}")
             }
+            Self::NoConvergence {
+                iterations,
+                residual,
+            } => write!(
+                f,
+                "power iteration did not converge in {iterations} steps \
+                 (last step moved the distribution by {residual:e})"
+            ),
         }
     }
 }
