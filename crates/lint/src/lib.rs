@@ -26,8 +26,10 @@
 //! feed the semantic passes:
 //!
 //! - **R5 `safety_comment`** — every `unsafe` block/fn/impl/trait needs a
-//!   non-empty `// SAFETY:` rationale; the full inventory is available via
-//!   `mbus lint --unsafe-report`.
+//!   non-empty `// SAFETY:` rationale, and every `#[target_feature]` fn a
+//!   `// SAFETY:` that names in backticks the runtime feature check its
+//!   callers rely on; the full inventory, target_feature fns included, is
+//!   available via `mbus lint --unsafe-report`.
 //! - **R6 `lock_discipline`** — per-function lock-acquisition analysis over
 //!   named `Mutex`/`RwLock`/`Condvar` fields: re-acquiring a lock whose
 //!   guard is still live (self-deadlock), lock-order inversions detected as
