@@ -157,8 +157,9 @@ impl LaneCollector {
         }
     }
 
-    /// Records one served request's wait. Call only for measured cycles,
-    /// in grant order.
+    /// Records the wait of one served request that had queued. Call only
+    /// for measured cycles; the order of calls does not matter, and a
+    /// request served in its issue cycle (wait 0) needs no call.
     #[inline]
     pub(crate) fn grant(&mut self, wait: u64) {
         self.wait_sum += wait;
