@@ -38,10 +38,11 @@ use crate::ExactError;
 use mbus_stats::prob::{check, choose_f64};
 use mbus_topology::{BusNetwork, SchemeKind};
 use mbus_workload::RequestMatrix;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A lumped state: per-memory pending counts (sorted descending in orbit
-/// mode).
+/// mode). Successor rows are `BTreeMap`s keyed by it, so states are
+/// numbered in a fixed order.
 type State = Vec<u16>;
 
 /// Sparse chain: transition row, expected service, and pending total per
@@ -168,7 +169,7 @@ fn build_labeled_chain(
         let pending_count: usize = state.iter().map(|&c| usize::from(c)).sum();
         let free = n - pending_count;
         let mut served_exp = 0.0;
-        let mut out: HashMap<State, f64> = HashMap::new();
+        let mut out: BTreeMap<State, f64> = BTreeMap::new();
         let mut arrivals = vec![0u16; m];
         labeled_arrivals(
             0,
@@ -209,7 +210,7 @@ fn labeled_arrivals(
     arrivals: &mut Vec<u16>,
     capacity: usize,
     served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
+    out: &mut BTreeMap<State, f64>,
 ) {
     if weight == 0.0 {
         return;
@@ -253,7 +254,7 @@ fn labeled_outcome(
     weight: f64,
     capacity: usize,
     served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
+    out: &mut BTreeMap<State, f64>,
 ) {
     if weight == 0.0 {
         return;
@@ -308,7 +309,7 @@ fn build_orbit_chain(net: &BusNetwork, n: usize, m: usize, r: f64) -> Result<Cha
             }
         }
         let mut served_exp = 0.0;
-        let mut out: HashMap<State, f64> = HashMap::new();
+        let mut out: BTreeMap<State, f64> = BTreeMap::new();
         let mut arrivals: Vec<Vec<u16>> = classes.iter().map(|&(_, c)| vec![0u16; c]).collect();
         orbit_arrivals(
             0,
@@ -348,7 +349,7 @@ fn orbit_arrivals(
     arrivals: &mut [Vec<u16>],
     capacity: usize,
     served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
+    out: &mut BTreeMap<State, f64>,
 ) {
     if weight == 0.0 {
         return;
@@ -384,7 +385,7 @@ fn orbit_class_member(
     arrivals: &mut [Vec<u16>],
     capacity: usize,
     served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
+    out: &mut BTreeMap<State, f64>,
 ) {
     let class_size = classes[ci].1;
     if k == class_size {
@@ -452,13 +453,13 @@ fn orbit_outcome(
     weight: f64,
     capacity: usize,
     served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
+    out: &mut BTreeMap<State, f64>,
 ) {
     if weight == 0.0 {
         return;
     }
     // Histogram of post-arrival totals t -> d_t (t > 0 only), plus zeros.
-    let mut histogram: HashMap<u16, usize> = HashMap::new();
+    let mut histogram: BTreeMap<u16, usize> = BTreeMap::new();
     let mut zeros = 0usize;
     for (&(v, _), class_arrivals) in classes.iter().zip(arrivals) {
         for &a in class_arrivals {
@@ -470,8 +471,7 @@ fn orbit_outcome(
             }
         }
     }
-    let mut totals: Vec<(u16, usize)> = histogram.into_iter().collect();
-    totals.sort_unstable();
+    let totals: Vec<(u16, usize)> = histogram.into_iter().collect();
     let d: usize = totals.iter().map(|&(_, c)| c).sum();
     let s_count = d.min(capacity);
     *served_exp += weight * s_count as f64;
@@ -496,7 +496,7 @@ fn orbit_split(
     totals: &[(u16, usize)],
     zeros: usize,
     split: &mut Vec<usize>,
-    out: &mut HashMap<State, f64>,
+    out: &mut BTreeMap<State, f64>,
 ) {
     if ti == totals.len() {
         if remaining > 0 {
@@ -533,11 +533,12 @@ fn orbit_split(
 }
 
 /// Converts a state-keyed row into an index-keyed row, interning newly
-/// discovered states.
+/// discovered states in ascending state order, so every build of one
+/// chain numbers its states (and sums π) identically.
 fn index_row(
     index: &mut HashMap<State, usize>,
     states: &mut Vec<State>,
-    out: HashMap<State, f64>,
+    out: BTreeMap<State, f64>,
     m: usize,
 ) -> Result<HashMap<usize, f64>, ExactError> {
     debug_assert!(
@@ -612,9 +613,6 @@ mod tests {
         let net = BusNetwork::new(4, 3, 2, ConnectionScheme::Full).unwrap();
         let converged = lumped_steady_state(&net, &matrix, 0.9).unwrap();
         assert!(converged.iterations > 2);
-        // The chain's transition sums accumulate in hash order, so a
-        // rebuilt chain may differ in the last bits: cap well short of
-        // convergence, and compare a fitting cap by value.
         let capped = converged.iterations / 2;
         match lumped_steady_state_capped(&net, &matrix, 0.9, capped) {
             Err(ExactError::NoConvergence {
@@ -629,7 +627,18 @@ mod tests {
         let roomy =
             lumped_steady_state_capped(&net, &matrix, 0.9, converged.iterations + 10).unwrap();
         assert!(roomy.residual < crate::markov::TOLERANCE);
-        assert!((roomy.throughput - converged.throughput).abs() < 1e-12);
+        assert_eq!(roomy.throughput.to_bits(), converged.throughput.to_bits());
+    }
+
+    #[test]
+    fn rebuilt_chains_are_bit_identical() {
+        // The labeled tier (non-uniform rows), then the orbit tier.
+        let net = BusNetwork::new(4, 3, 2, ConnectionScheme::Full).unwrap();
+        let rows = [vec![vec![0.5, 0.3, 0.2]; 4], vec![vec![1.0 / 3.0; 3]; 4]];
+        for matrix in rows.map(|rows| RequestMatrix::from_rows(rows).unwrap()) {
+            let throughput = || lumped_steady_state(&net, &matrix, 0.9).unwrap().throughput;
+            assert_eq!(throughput().to_bits(), throughput().to_bits());
+        }
     }
 
     #[test]
