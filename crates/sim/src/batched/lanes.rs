@@ -10,7 +10,7 @@
 //! pass.
 //!
 //! Request issue consumes exactly one full-width RNG step per processor
-//! per cycle ([`IssueTable`]: rate gate + destination in a single `u64`
+//! per cycle (`IssueTable`: rate gate + destination in a single `u64`
 //! draw, drawn for every lane and discarded where a resubmission
 //! overrides it — uniform consumption is what keeps lanes steppable in
 //! lock-step). After the issue rows, each cycle draws
@@ -18,7 +18,7 @@
 //! All of these are generated up front into packed matrices so the
 //! xoshiro step vectorizes across lanes; only the K-class Fisher–Yates
 //! subset draws genuinely diverge, and they step a register copy of one
-//! lane's generator ([`LaneRngs::take_lane`]) that is written back once
+//! lane's generator (`LaneRngs::take_lane`) that is written back once
 //! per lane-cycle.
 //!
 //! Winner selection is *lazy and draw-free*: every stage-2 policy
@@ -30,9 +30,9 @@
 //! `count / 2^16`) — no per-grant RNG stepping, no data-dependent
 //! branch. The contender-set representation switches at `N = 8`: small
 //! networks pack all outcome bytes into one register word and recover
-//! contenders by SWAR byte-compare ([`pick_in_word`]); larger ones
+//! contenders by SWAR byte-compare (`pick_in_word`); larger ones
 //! scatter requester bits into a per-memory table during issue and rank
-//! into it with a branchless bit-select ([`pick_bit`]). Neither portable
+//! into it with a branchless bit-select (`pick_bit`). Neither portable
 //! pick calls `count_ones`: the workspace builds for baseline x86-64,
 //! which has no `popcnt`, so every population count is a multiply-sum
 //! over SWAR byte counts. The cycle loop is therefore compiled twice
@@ -43,12 +43,12 @@
 //! depend on the build. The table path also issues *processor-major*,
 //! in its own pass ahead of the per-lane pass: one processor's alias row
 //! and its contiguous row of lane draws stay hot while every lane
-//! decodes, instead of each lane walking the whole [`IssueTable`]. The
+//! decodes, instead of each lane walking the whole `IssueTable`. The
 //! per-lane reference engine in [`super::reference`] implements the identical
-//! spec naively — one scalar [`super::rng::LaneRng`] per seed, the
+//! spec naively — one scalar `LaneRng` per seed, the
 //! production `grant_buses` arbiters — and the differential suite holds
 //! the two bit-identical per lane; both feed the same integer
-//! [`LaneCollector`].
+//! `LaneCollector`.
 //!
 //! Round-robin arbiter pointers are lane-*uniform*: the full scheme's
 //! memory/bus pointers and the partial scheme's group pointers advance on
@@ -77,7 +77,7 @@
 //! The scans also yield the cycle's busy-bus set — for the full and
 //! partial schemes as lane-uniform prefix sets of the alive buses indexed
 //! by the grant count — and the winner loop ORs up the served processors
-//! and memories, so per-unit tallies reach the [`LaneCollector`] as three
+//! and memories, so per-unit tallies reach the `LaneCollector` as three
 //! words per cycle instead of three counter writes per grant.
 
 use super::collect::{LaneCollector, ServedUnits};

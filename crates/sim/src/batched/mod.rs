@@ -7,7 +7,7 @@
 //! single cycle loop ([`run_batch`]): per-lane request sets, requester
 //! sets, served sets, and resubmission queues are bitmasks manipulated
 //! with lane-wide boolean algebra, request issue costs one RNG draw per
-//! processor per cycle ([`issue::IssueTable`]), and stage-1 winners are
+//! processor per cycle (`issue::IssueTable`), and stage-1 winners are
 //! ranked branchlessly out of pre-drawn arbitration words. Only the
 //! K-class random subset selection genuinely diverges between lanes and
 //! falls back to per-lane scalar RNG stepping. The cycle loop is built
@@ -21,7 +21,7 @@
 //! two-pronged:
 //!
 //! * [`reference::run_reference`] implements the identical spec naively
-//!   (one scalar [`rng::LaneRng`] per seed, the production `grant_buses`
+//!   (one scalar `rng::LaneRng` per seed, the production `grant_buses`
 //!   arbiters) and
 //!   must match [`run_batch`] **bit for bit, per lane** — the
 //!   differential suite in `tests/batched_differential.rs` enforces this

@@ -2,12 +2,12 @@
 //!
 //! [`run_reference`] executes the exact specification of
 //! [`super::lanes::run_batch`] one replication at a time, with none of the
-//! SoA machinery: a scalar [`LaneRng`] per seed, `Vec`-based requester
+//! SoA machinery: a scalar `LaneRng` per seed, `Vec`-based requester
 //! lists,
 //! and — crucially — the *production* stage-2 arbiters
-//! ([`crate::arbiter::grant_buses`], the same code the scalar
+//! (`arbiter::grant_buses`, the same code the scalar
 //! [`crate::Simulator`] runs). The two implementations share only the
-//! [`IssueTable`] and the metric [`LaneCollector`]; request bookkeeping,
+//! `IssueTable` and the metric `LaneCollector`; request bookkeeping,
 //! grant scanning, and winner selection are written independently (mask
 //! algebra vs. scalar scans), which is what makes the differential suite
 //! a genuine cross-implementation check rather than a tautology.
@@ -15,7 +15,7 @@
 //! Spec recap (where it differs from the scalar engine):
 //!
 //! * one `u64` draw per processor per cycle, decoded by the composite
-//!   [`IssueTable`] — drawn *unconditionally* and discarded when a
+//!   `IssueTable` — drawn *unconditionally* and discarded when a
 //!   resubmitted request overrides it;
 //! * after the issue draws, each cycle consumes `⌈capacity / 4⌉`
 //!   further *arbitration words*;

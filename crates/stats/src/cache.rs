@@ -19,7 +19,7 @@
 //!   cost is that two threads racing on a cold key may both compute it; the
 //!   first insert wins and later racers adopt the winner's `Arc`, so all
 //!   callers observe one canonical value. Debug builds enforce the contract
-//!   at runtime: a thread-local [`reentry`] token tracks which shard locks
+//!   at runtime: a thread-local `reentry` token tracks which shard locks
 //!   the current thread holds, and re-entering a held shard panics
 //!   immediately instead of deadlocking. (`mbus-lint`'s `lock_discipline`
 //!   pass checks the same invariant statically.)
