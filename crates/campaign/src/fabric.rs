@@ -280,77 +280,6 @@ pub fn render_fabric_markdown(report: &FabricCampaignReport) -> String {
     out
 }
 
-/// Renders the fabric campaign as a hand-rolled JSON document.
-pub fn render_fabric_json(report: &FabricCampaignReport) -> String {
-    let num_list = |values: &[f64]| {
-        values
-            .iter()
-            .map(|v| format!("{v:.6}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let int_list = |values: &[usize]| {
-        values
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"ks\": [{}],\n", int_list(&report.ks)));
-    out.push_str(&format!("  \"processors\": {},\n", report.processors));
-    out.push_str(&format!("  \"links\": {},\n", report.links));
-    out.push_str(&format!("  \"uplinks\": {},\n", report.uplinks));
-    out.push_str(&format!("  \"rate\": {},\n", report.rate));
-    out.push_str(&format!(
-        "  \"uplink_failure_prob\": {},\n",
-        report.uplink_failure_prob
-    ));
-    out.push_str(&format!(
-        "  \"healthy_bandwidth\": {:.6},\n",
-        report.healthy_bandwidth
-    ));
-    out.push_str(&format!(
-        "  \"expected_bandwidth\": {:.6},\n",
-        report.expected_bandwidth
-    ));
-    out.push_str("  \"levels\": [\n");
-    for (i, level) in report.levels.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"failures\": {}, \"combos\": {}, \"exhaustive\": {}, \
-             \"mean_bandwidth\": {:.6}, \"min_bandwidth\": {:.6}, \
-             \"max_bandwidth\": {:.6}, \"mean_unreachable\": {:.6}, \
-             \"max_unreachable\": {:.6}, \"worst_mask\": [{}]}}{}\n",
-            level.failures,
-            level.combos_evaluated,
-            level.exhaustive,
-            level.mean_bandwidth,
-            level.min_bandwidth,
-            level.max_bandwidth,
-            level.mean_unreachable,
-            level.max_unreachable,
-            int_list(&level.worst_mask),
-            if i + 1 == report.levels.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"cluster_decay\": [\n");
-    for (f, row) in report.cluster_decay.iter().enumerate() {
-        out.push_str(&format!(
-            "    [{}]{}\n",
-            num_list(row),
-            if f + 1 == report.cluster_decay.len() {
-                ""
-            } else {
-                ","
-            },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,8 +380,5 @@ mod tests {
         assert!(md.contains("Fabric 2x2"));
         assert!(md.contains("availability-weighted"));
         assert!(md.contains("Per-cluster delivered rate"));
-        let json = render_fabric_json(&report);
-        assert!(json.contains("\"uplinks\": 2"));
-        assert!(json.contains("\"cluster_decay\""));
     }
 }

@@ -43,10 +43,9 @@ mod fabric;
 mod render;
 
 pub use fabric::{
-    render_fabric_json, render_fabric_markdown, run_fabric_campaign, FabricCampaignReport,
-    FabricFailureLevel,
+    render_fabric_markdown, run_fabric_campaign, FabricCampaignReport, FabricFailureLevel,
 };
-pub use render::{render_json, render_markdown};
+pub use render::render_markdown;
 
 use mbus_analysis::degraded::{degraded_analyze, DegradedBreakdown};
 use mbus_analysis::AnalysisError;

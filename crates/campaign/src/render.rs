@@ -1,14 +1,9 @@
-//! Text renderers for [`CampaignReport`]: a markdown degradation table for
-//! reports/EXPERIMENTS.md and a hand-rolled JSON document (the workspace
-//! carries no JSON dependency).
+//! The markdown renderer for [`CampaignReport`]: the degradation table
+//! of EXPERIMENTS.md and `mbus faults`. No JSON is written here: the CLI
+//! builds `mbus faults --json` as a `mbus_server::json::Json` value, the
+//! one JSON writer of the workspace.
 
 use crate::CampaignReport;
-
-/// Escapes the two characters JSON strings cannot carry raw. Scheme names
-/// are ASCII words, but the renderer should not rely on that.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn fmt_mask(mask: &[usize]) -> String {
     if mask.is_empty() {
@@ -90,70 +85,6 @@ pub fn render_markdown(report: &CampaignReport) -> String {
     out
 }
 
-/// Renders the campaign as a JSON document.
-pub fn render_json(report: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"scheme\": \"{}\",\n  \"processors\": {},\n  \"memories\": {},\n  \
-         \"buses\": {},\n  \"rate\": {},\n  \"bus_failure_prob\": {},\n  \
-         \"healthy_bandwidth\": {:.6},\n  \"expected_bandwidth\": {:.6},\n",
-        json_escape(&report.scheme),
-        report.processors,
-        report.memories,
-        report.buses,
-        report.rate,
-        report.bus_failure_prob,
-        report.healthy_bandwidth,
-        report.expected_bandwidth,
-    ));
-    out.push_str("  \"levels\": [\n");
-    for (i, level) in report.levels.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"failures\": {}, \"combos_evaluated\": {}, \"exhaustive\": {}, \
-             \"mean_bandwidth\": {:.6}, \"min_bandwidth\": {:.6}, \"max_bandwidth\": {:.6}, \
-             \"mean_accessible_fraction\": {:.6}, \"min_accessible_fraction\": {:.6}, \
-             \"worst_mask\": [{}]}}{}\n",
-            level.failures,
-            level.combos_evaluated,
-            level.exhaustive,
-            level.mean_bandwidth,
-            level.min_bandwidth,
-            level.max_bandwidth,
-            level.mean_accessible_fraction,
-            level.min_accessible_fraction,
-            level
-                .worst_mask
-                .iter()
-                .map(|bus| bus.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            if i + 1 == report.levels.len() {
-                ""
-            } else {
-                ","
-            },
-        ));
-    }
-    out.push_str("  ]");
-    if let Some(decay) = &report.per_class_decay {
-        out.push_str(",\n  \"per_class_decay\": [\n");
-        for (f, row) in decay.iter().enumerate() {
-            out.push_str(&format!(
-                "    [{}]{}\n",
-                row.iter()
-                    .map(|bw| format!("{bw:.6}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                if f + 1 == decay.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,18 +143,5 @@ mod tests {
         let md = render_markdown(&sample_report(true));
         assert!(md.contains("| f | C1 | C2 |"));
         assert!(md.contains("| 1 | 0.0000 | 0.6000 |"));
-    }
-
-    #[test]
-    fn json_is_balanced_and_complete() {
-        let json = render_json(&sample_report(true));
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"expected_bandwidth\": 1.900000"));
-        assert!(json.contains("\"worst_mask\": [1]"));
-        assert!(json.contains("\"per_class_decay\""));
-        let no_decay = render_json(&sample_report(false));
-        assert!(!no_decay.contains("per_class_decay"));
     }
 }

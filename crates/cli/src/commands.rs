@@ -6,6 +6,7 @@ use mbus_core::prelude::*;
 use mbus_core::query::{Fields, FlatSpec, SimSpec, WorkloadSpec};
 use mbus_core::report::cost_table_markdown;
 use mbus_core::{exact, tables, topology};
+use mbus_server::json::{self, obj, Json};
 
 /// `mbus table <id>`.
 pub fn table(args: &Args) -> CliResult {
@@ -246,7 +247,7 @@ pub fn simulate(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Builds a [`campaign::CampaignConfig`] from `--max-failures --samples
+/// Builds a [`mbus_core::campaign::CampaignConfig`] from `--max-failures --samples
 /// --limit --seed --workers --q`; shared with `mbus fabric --campaign`.
 pub fn campaign_config_from(args: &Args) -> CliResult<mbus_core::campaign::CampaignConfig> {
     let mut config = mbus_core::campaign::CampaignConfig::default();
@@ -268,7 +269,7 @@ pub fn faults(args: &Args) -> CliResult {
     let config = campaign_config_from(args)?;
     let report = campaign::run_campaign(net, matrix, rate, &config)?;
     if args.flag("json") {
-        print!("{}", campaign::render_json(&report));
+        println!("{}", campaign_json(&report).render());
     } else {
         print!("{}", campaign::render_markdown(&report));
     }
@@ -292,6 +293,51 @@ pub fn faults(args: &Args) -> CliResult {
         }
     }
     Ok(())
+}
+
+/// The `mbus faults --json` document: the network, the availability
+/// weighting, one object per failure level and, for K-class networks,
+/// the per-class decay table.
+fn campaign_json(report: &mbus_core::campaign::CampaignReport) -> Json {
+    let levels = report
+        .levels
+        .iter()
+        .map(|level| {
+            obj(vec![
+                ("failures", Json::Num(level.failures as f64)),
+                ("combos_evaluated", Json::Num(level.combos_evaluated as f64)),
+                ("exhaustive", Json::Bool(level.exhaustive)),
+                ("mean_bandwidth", Json::Num(level.mean_bandwidth)),
+                ("min_bandwidth", Json::Num(level.min_bandwidth)),
+                ("max_bandwidth", Json::Num(level.max_bandwidth)),
+                (
+                    "mean_accessible_fraction",
+                    Json::Num(level.mean_accessible_fraction),
+                ),
+                (
+                    "min_accessible_fraction",
+                    Json::Num(level.min_accessible_fraction),
+                ),
+                ("worst_mask", json::count_array(&level.worst_mask)),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
+        ("scheme", Json::Str(report.scheme.clone())),
+        ("processors", Json::Num(report.processors as f64)),
+        ("memories", Json::Num(report.memories as f64)),
+        ("buses", Json::Num(report.buses as f64)),
+        ("rate", Json::Num(report.rate)),
+        ("bus_failure_prob", Json::Num(report.bus_failure_prob)),
+        ("healthy_bandwidth", Json::Num(report.healthy_bandwidth)),
+        ("expected_bandwidth", Json::Num(report.expected_bandwidth)),
+        ("levels", Json::Arr(levels)),
+    ];
+    if let Some(decay) = &report.per_class_decay {
+        let rows = decay.iter().map(|row| json::num_array(row)).collect();
+        fields.push(("per_class_decay", Json::Arr(rows)));
+    }
+    obj(fields)
 }
 
 /// The EXPERIMENTS.md "Degraded-mode bandwidth" section, shared between
@@ -773,6 +819,33 @@ mod tests {
         assert_eq!(config.workers, 3);
         assert_eq!(config.bus_failure_prob, 0.1);
         assert!(campaign_config_from(&args("faults --max-failures x")).is_err());
+    }
+
+    #[test]
+    fn faults_json_carries_the_report() {
+        use mbus_core::campaign::{run_campaign, CampaignConfig, CampaignReport};
+        let run = |scheme: &str| -> CampaignReport {
+            let spec = args(&format!("faults --scheme {scheme} --n 8 --b 4"));
+            let system = FlatSpec::read(&spec).unwrap().build().unwrap();
+            let (net, matrix) = (system.network(), system.matrix());
+            run_campaign(net, matrix, system.rate(), &CampaignConfig::default()).unwrap()
+        };
+        let report = run("kclass");
+        let doc = json::parse(&campaign_json(&report).render()).unwrap();
+        let expected = doc.get("expected_bandwidth").and_then(Json::as_f64);
+        assert_eq!(expected, Some(report.expected_bandwidth));
+        let levels = doc.get("levels").and_then(Json::as_array).unwrap();
+        assert_eq!(levels.len(), report.levels.len());
+        for (level, summary) in levels.iter().zip(&report.levels) {
+            let combos = level.get("combos_evaluated").and_then(Json::as_usize);
+            assert_eq!(combos, Some(summary.combos_evaluated));
+            let mask = json::count_array(&summary.worst_mask);
+            assert_eq!(level.get("worst_mask"), Some(&mask));
+        }
+        let decay = report.per_class_decay.as_ref().unwrap();
+        let rows = Json::Arr(decay.iter().map(|row| json::num_array(row)).collect());
+        assert_eq!(doc.get("per_class_decay"), Some(&rows));
+        assert!(campaign_json(&run("full")).get("per_class_decay").is_none());
     }
 
     #[test]

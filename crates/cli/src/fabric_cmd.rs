@@ -4,12 +4,15 @@
 
 use crate::args::{parse_list, Args};
 use crate::CliResult;
+use mbus_core::campaign::FabricCampaignReport;
 use mbus_core::fabric::{
     analyze_fabric, FabricAnalysis, FabricReport, FabricSimulator, FabricSpec, FabricTopology,
     LinkKind,
 };
 use mbus_core::query::FabricQuery;
 use mbus_core::sim::SimConfig;
+use mbus_server::json::{self, obj, Json};
+use mbus_server::service::fabric_json;
 use std::fmt::Write as _;
 
 fn link_label(kind: LinkKind) -> String {
@@ -41,6 +44,15 @@ pub fn fabric(args: &Args) -> CliResult {
     if args.flag("campaign") {
         return campaign(args);
     }
+    print!("{}", document(args)?);
+    Ok(())
+}
+
+/// One fabric evaluation, as `mbus fabric` prints it: the analytic
+/// decomposition and, when `cycles > 0`, the routed simulation (recorded
+/// to `--trace FILE` when given). Markdown by default; with `--json`, the
+/// `/v1/fabric` result body on one line.
+pub(crate) fn document(args: &Args) -> CliResult<String> {
     let request = FabricQuery::read(args)?;
     let (topo, matrix) = request.build()?;
     let analysis = analyze_fabric(&topo, &matrix, request.rate, &request.failed_links)?;
@@ -62,18 +74,12 @@ pub fn fabric(args: &Args) -> CliResult {
     } else {
         None
     };
-    if args.flag("json") {
-        print!(
-            "{}",
-            render_json(&request, &topo, &analysis, report.as_ref())
-        );
+    Ok(if args.flag("json") {
+        let body = fabric_json(&request, &topo, &analysis, report.as_ref());
+        format!("{}\n", body.render())
     } else {
-        print!(
-            "{}",
-            render_markdown(&request, &topo, &analysis, report.as_ref())
-        );
-    }
-    Ok(())
+        render_markdown(&request, &topo, &analysis, report.as_ref())
+    })
 }
 
 fn shape_string(ks: &[usize]) -> String {
@@ -197,85 +203,6 @@ fn render_markdown(
     out
 }
 
-fn render_json(
-    request: &FabricQuery,
-    topo: &mbus_core::fabric::ClusteredBuses,
-    analysis: &FabricAnalysis,
-    report: Option<&FabricReport>,
-) -> String {
-    let mut out = String::new();
-    let ks: Vec<String> = request.spec.ks.iter().map(usize::to_string).collect();
-    let failed: Vec<String> = request.failed_links.iter().map(usize::to_string).collect();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(
-        out,
-        "  \"spec\": {{\"ks\": [{}], \"local_buses\": {}, \"uplink_width\": {}, \
-         \"locality\": {}, \"rate\": {}, \"processors\": {}, \"links\": {}, \
-         \"failed_links\": [{}]}},",
-        ks.join(", "),
-        request.spec.local_buses,
-        request.spec.uplink_width,
-        request.spec.locality,
-        request.rate,
-        topo.processors(),
-        topo.links().len(),
-        failed.join(", "),
-    );
-    let _ = writeln!(out, "  \"analytic\": {{");
-    let _ = writeln!(out, "    \"bandwidth\": {:.6},", analysis.bandwidth);
-    let _ = writeln!(out, "    \"offered_load\": {:.6},", analysis.offered_load);
-    let _ = writeln!(out, "    \"acceptance\": {:.6},", analysis.acceptance);
-    let _ = writeln!(
-        out,
-        "    \"unreachable_rate\": {:.6},",
-        analysis.unreachable_rate
-    );
-    let _ = writeln!(out, "    \"mean_hops\": {:.6},", analysis.mean_hops);
-    let _ = writeln!(out, "    \"iterations\": {},", analysis.iterations);
-    let _ = writeln!(out, "    \"residual\": {:e},", analysis.residual);
-    let link_utils: Vec<String> = analysis
-        .links
-        .iter()
-        .map(|load| format!("{:.6}", load.utilization))
-        .collect();
-    let _ = writeln!(
-        out,
-        "    \"link_utilization\": [{}]",
-        link_utils.join(", ")
-    );
-    let _ = write!(out, "  }}");
-    if let Some(report) = report {
-        let _ = writeln!(out, ",");
-        let _ = writeln!(out, "  \"simulated\": {{");
-        let _ = writeln!(out, "    \"cycles\": {},", report.cycles);
-        let _ = writeln!(out, "    \"seed\": {},", request.seed);
-        let _ = writeln!(out, "    \"bandwidth\": {:.6},", report.bandwidth.mean());
-        let _ = writeln!(
-            out,
-            "    \"bandwidth_half_width\": {:.6},",
-            report.bandwidth.half_width()
-        );
-        let _ = writeln!(out, "    \"acceptance\": {:.6},", report.acceptance);
-        let _ = writeln!(out, "    \"mean_hops\": {:.6},", report.mean_hops);
-        let utils: Vec<String> = report
-            .link_utilization
-            .iter()
-            .map(|u| format!("{u:.6}"))
-            .collect();
-        let _ = writeln!(out, "    \"link_utilization\": [{}],", utils.join(", "));
-        let _ = writeln!(
-            out,
-            "    \"analytic_gap\": {:.6}",
-            analysis.bandwidth - report.bandwidth.mean()
-        );
-        let _ = writeln!(out, "  }}");
-    } else {
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
 /// `mbus fabric --campaign`: degraded-mode uplink-failure sweep — analytic
 /// bandwidth over every (or a sample of every) f-uplink failure combo,
 /// availability-weighted expectation, and the per-cluster decay table.
@@ -291,11 +218,51 @@ fn campaign(args: &Args) -> CliResult {
     };
     let report = mbus_core::campaign::run_fabric_campaign(&topo, &matrix, request.rate, &config)?;
     if args.flag("json") {
-        print!("{}", mbus_core::campaign::render_fabric_json(&report));
+        println!("{}", campaign_json(&report).render());
     } else {
         print!("{}", mbus_core::campaign::render_fabric_markdown(&report));
     }
     Ok(())
+}
+
+/// The `mbus fabric --campaign --json` document: the fabric, the
+/// availability weighting, one object per uplink-failure level and the
+/// per-cluster decay table.
+fn campaign_json(report: &FabricCampaignReport) -> Json {
+    let levels = report
+        .levels
+        .iter()
+        .map(|level| {
+            obj(vec![
+                ("failures", Json::Num(level.failures as f64)),
+                ("combos", Json::Num(level.combos_evaluated as f64)),
+                ("exhaustive", Json::Bool(level.exhaustive)),
+                ("mean_bandwidth", Json::Num(level.mean_bandwidth)),
+                ("min_bandwidth", Json::Num(level.min_bandwidth)),
+                ("max_bandwidth", Json::Num(level.max_bandwidth)),
+                ("mean_unreachable", Json::Num(level.mean_unreachable)),
+                ("max_unreachable", Json::Num(level.max_unreachable)),
+                ("worst_mask", json::count_array(&level.worst_mask)),
+            ])
+        })
+        .collect();
+    let decay = report
+        .cluster_decay
+        .iter()
+        .map(|row| json::num_array(row))
+        .collect();
+    obj(vec![
+        ("ks", json::count_array(&report.ks)),
+        ("processors", Json::Num(report.processors as f64)),
+        ("links", Json::Num(report.links as f64)),
+        ("uplinks", Json::Num(report.uplinks as f64)),
+        ("rate", Json::Num(report.rate)),
+        ("uplink_failure_prob", Json::Num(report.uplink_failure_prob)),
+        ("healthy_bandwidth", Json::Num(report.healthy_bandwidth)),
+        ("expected_bandwidth", Json::Num(report.expected_bandwidth)),
+        ("levels", Json::Arr(levels)),
+        ("cluster_decay", Json::Arr(decay)),
+    ])
 }
 
 /// Splits `n` into `parts` factors, each at least 2, as balanced as the
@@ -342,14 +309,11 @@ fn sweep(args: &Args) -> CliResult {
         return Err(format!("--n {n}: no factorization into clusters").into());
     }
     let json = args.flag("json");
-    if json {
-        println!("[");
-    } else {
+    if !json {
         println!("| shape | locality | analytic | simulated | ±CI | gap | mean hops |");
         println!("|---|---|---|---|---|---|---|");
     }
-    let points = shapes.len() * localities.len();
-    let mut emitted = 0usize;
+    let mut rows = Vec::new();
     for shape in &shapes {
         for &locality in &localities {
             let spec = FabricSpec {
@@ -366,21 +330,16 @@ fn sweep(args: &Args) -> CliResult {
                 .with_seed(seed);
             let report = sim.run(&config)?;
             let sim_bw = report.bandwidth.mean();
-            emitted += 1;
             if json {
-                println!(
-                    "  {{\"shape\": \"{}\", \"locality\": {:.2}, \"analytic\": {:.6}, \
-                     \"simulated\": {:.6}, \"half_width\": {:.6}, \"gap\": {:.6}, \
-                     \"mean_hops\": {:.6}}}{}",
-                    shape_string(shape),
-                    locality,
-                    analysis.bandwidth,
-                    sim_bw,
-                    report.bandwidth.half_width(),
-                    analysis.bandwidth - sim_bw,
-                    report.mean_hops,
-                    if emitted == points { "" } else { "," },
-                );
+                rows.push(obj(vec![
+                    ("shape", Json::Str(shape_string(shape))),
+                    ("locality", Json::Num(locality)),
+                    ("analytic", Json::Num(analysis.bandwidth)),
+                    ("simulated", Json::Num(sim_bw)),
+                    ("half_width", Json::Num(report.bandwidth.half_width())),
+                    ("gap", Json::Num(analysis.bandwidth - sim_bw)),
+                    ("mean_hops", Json::Num(report.mean_hops)),
+                ]));
             } else {
                 println!(
                     "| {} | {:.2} | {:.4} | {:.4} | {:.4} | {:+.4} | {:.3} |",
@@ -396,7 +355,7 @@ fn sweep(args: &Args) -> CliResult {
         }
     }
     if json {
-        println!("]");
+        println!("{}", Json::Arr(rows).render());
     }
     Ok(())
 }
@@ -418,18 +377,39 @@ mod tests {
     #[test]
     fn json_output_reports_the_fixed_point_residual() {
         let args = Args::parse(
-            "fabric --ks 4,4 --rate 0.8 --cycles 0"
+            "fabric --ks 4,4 --rate 0.8 --cycles 0 --json"
                 .split_whitespace()
                 .map(String::from),
         );
         let request = FabricQuery::read(&args).unwrap();
         let (topo, matrix) = request.build().unwrap();
         let analysis = analyze_fabric(&topo, &matrix, request.rate, &[]).unwrap();
-        let json = mbus_server::json::parse(&render_json(&request, &topo, &analysis, None))
-            .expect("fabric --json renders valid JSON");
+        let text = document(&args).unwrap();
+        let json = json::parse(&text).expect("fabric --json renders valid JSON");
         let analytic = json.get("analytic").unwrap();
         let residual = analytic.get("residual").unwrap().as_f64().unwrap();
         assert_eq!(residual, analysis.residual);
         assert!(residual < 1e-10);
+    }
+
+    #[test]
+    fn campaign_json_carries_the_report() {
+        use mbus_core::campaign::{run_fabric_campaign, CampaignConfig};
+        let args = Args::parse(["fabric", "--ks", "2,2"].map(String::from));
+        let (topo, matrix) = FabricQuery::read(&args).unwrap().build().unwrap();
+        let config = CampaignConfig::default();
+        let report = run_fabric_campaign(&topo, &matrix, 0.8, &config).unwrap();
+        let doc = json::parse(&campaign_json(&report).render()).unwrap();
+        assert_eq!(doc.get("uplinks").and_then(Json::as_usize), Some(2));
+        let levels = doc.get("levels").and_then(Json::as_array).unwrap();
+        assert_eq!(levels.len(), report.levels.len());
+        for (level, summary) in levels.iter().zip(&report.levels) {
+            let combos = level.get("combos").and_then(Json::as_usize);
+            assert_eq!(combos, Some(summary.combos_evaluated));
+            let unreachable = level.get("max_unreachable").and_then(Json::as_f64);
+            assert_eq!(unreachable, Some(summary.max_unreachable));
+        }
+        let decay = report.cluster_decay.iter().map(|row| json::num_array(row));
+        assert_eq!(doc.get("cluster_decay"), Some(&Json::Arr(decay.collect())));
     }
 }

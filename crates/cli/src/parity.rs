@@ -1,7 +1,9 @@
 //! Parity between the two front ends of `mbus_core::query`: one table of
 //! field sets, rendered as `mbus` options and as a JSON request body, must
 //! describe the same experiment or fail with the same class of error. The
-//! server's own answer to each body is checked against that class too.
+//! server's own answer to each body is checked against that class too, and
+//! for the fabric rows `mbus fabric --json` must print the server's result
+//! body byte for byte.
 
 use crate::args::Args;
 use mbus_core::fabric::ClusteredBuses;
@@ -103,28 +105,18 @@ fn to_args(fields: FieldSet) -> Args {
     Args::parse(argv)
 }
 
-fn to_json(fields: FieldSet) -> Result<Json, json::JsonError> {
-    let members: Vec<String> = fields
-        .iter()
-        .map(|&(key, value)| {
-            let value = match value {
-                V::Int(x) => x.to_string(),
-                V::Num(x) => x.to_string(),
-                V::Str(s) => format!("\"{s}\""),
-                V::Bool(b) => b.to_string(),
-                V::List(items) => format!(
-                    "[{}]",
-                    items
-                        .iter()
-                        .map(usize::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            };
-            format!("\"{key}\":{value}")
-        })
-        .collect();
-    json::parse(&format!("{{{}}}", members.join(",")))
+fn to_json(fields: FieldSet) -> Json {
+    let member = |&(key, value): &(&str, V)| {
+        let value = match value {
+            V::Int(x) => Json::Num(x as f64),
+            V::Num(x) => Json::Num(x),
+            V::Str(s) => Json::Str(s.to_owned()),
+            V::Bool(b) => Json::Bool(b),
+            V::List(items) => json::count_array(items),
+        };
+        (key.to_owned(), value)
+    };
+    Json::Obj(fields.iter().map(member).collect())
 }
 
 /// Field sets every front end accepts.
@@ -210,6 +202,15 @@ const VALID: &[(Endpoint, FieldSet)] = &[
             ("failed_links", V::List(&[3, 1])),
         ],
     ),
+    (
+        Endpoint::Fabric,
+        &[
+            ("ks", V::List(&[4, 2, 2])),
+            ("locality", V::Num(0.3)),
+            ("cycles", V::Int(3_000)),
+            ("seed", V::Int(5)),
+        ],
+    ),
 ];
 
 /// Field sets every front end refuses: the bodies of
@@ -249,7 +250,7 @@ fn cli_and_api_adapters_agree() {
     let cases = VALID.iter().map(|case| (case, true));
     for (&(endpoint, fields), valid) in cases.chain(INVALID.iter().map(|case| (case, false))) {
         let args = to_args(fields);
-        let body = to_json(fields).expect("rendered body parses");
+        let body = to_json(fields);
         let from_cli = outcome(endpoint, &args);
         let from_api = outcome(endpoint, &body);
         let server = service::parse_query(endpoint, &body, &ServiceLimits::default());
@@ -261,7 +262,17 @@ fn cli_and_api_adapters_agree() {
                     cli, api,
                     "{case}: the front ends built different experiments"
                 );
-                assert!(server.is_ok(), "{case}: the server refused a valid query");
+                let Ok(query) = server else {
+                    panic!("{case}: the server refused a valid query");
+                };
+                if endpoint == Endpoint::Fabric {
+                    // `mbus fabric --json` prints the server's result body.
+                    let mut args = args.clone();
+                    args.options.insert("json".to_owned(), "true".to_owned());
+                    let printed = crate::fabric_cmd::document(&args).expect("mbus fabric --json");
+                    let body = service::evaluate(&query).expect("the server evaluates it");
+                    assert_eq!(printed, format!("{}\n", body.render()), "{case}");
+                }
             }
             (Err(cli), Err(api)) => {
                 assert_eq!(class(cli), class(api), "{case}: {cli} vs {api}");

@@ -5,14 +5,15 @@
 //!
 //! * `analyze FILE` — stream the trace once and print per-bus
 //!   utilization, backpressure, request-to-grant delay quantiles, and the
-//!   bottleneck ranking (`--json` / `--markdown` for machine-readable
-//!   output);
+//!   bottleneck ranking (`--markdown` for a report section, `--json` for
+//!   the document `/v1/simulate` attaches as its `trace` field);
 //! * `vcd FILE` — convert the trace to a value-change dump for waveform
 //!   viewers (`--out FILE.vcd`, defaulting to the input with a `.vcd`
 //!   extension).
 
 use crate::args::Args;
 use mbus_core::trace::{analyze, render, vcd, TraceReader};
+use mbus_server::service::trace_json;
 use std::fs::File;
 use std::io::BufReader;
 
@@ -38,7 +39,7 @@ pub fn trace(args: &Args) -> Result<(), String> {
             let mut reader = open()?;
             let analysis = analyze(&mut reader).map_err(|e| format!("{path}: {e}"))?;
             if args.flag("json") {
-                print!("{}", render::render_json(&analysis));
+                println!("{}", trace_json(&analysis).render());
             } else if args.flag("markdown") {
                 print!("{}", render::render_markdown(&analysis));
             } else {

@@ -173,6 +173,11 @@ pub fn num_array(values: &[f64]) -> Json {
     Json::Arr(values.iter().map(|&x| Json::Num(x)).collect())
 }
 
+/// Convenience constructor for an array of counts or indices.
+pub fn count_array(values: &[usize]) -> Json {
+    Json::Arr(values.iter().map(|&x| Json::Num(x as f64)).collect())
+}
+
 /// Request bodies as query fields: an absent or `null` field takes its
 /// default, and a present field of the wrong type is a `bad_request`
 /// worded in the API's terms.

@@ -29,7 +29,9 @@
 //! [`MemoCache`]: mbus_stats::cache::MemoCache
 
 use crate::json::{self, obj, Json};
-use mbus_core::fabric::{analyze_fabric, ClusteredBuses, FabricSimulator, FabricTopology};
+use mbus_core::fabric::{
+    analyze_fabric, ClusteredBuses, FabricAnalysis, FabricReport, FabricSimulator, FabricTopology,
+};
 use mbus_core::prelude::{degraded_analyze, ConnectionScheme, FaultMask, RequestMatrix, System};
 use mbus_core::query::{
     DegradedSpec, FabricQuery, FlatSpec, QueryError, SimSpec, DEGRADED_FIELDS, FABRIC_FIELDS,
@@ -483,11 +485,15 @@ pub fn parse_query(
     })
 }
 
-/// Renders the opt-in `trace` response field for `/v1/simulate` with
-/// `"trace_summary": true`: per-bus pressure scores, the bottleneck
-/// ranking, backpressure totals, and request-to-grant delay quantiles from
-/// the run's trace analysis.
-fn trace_summary_json(analysis: &mbus_core::trace::TraceAnalysis) -> Json {
+/// The trace-analysis document: `mbus trace analyze --json` prints it,
+/// and `/v1/simulate` with `"trace_summary": true` attaches it as the
+/// `trace` field. Header and totals first, then request-to-grant wait
+/// statistics (each quantile and the max `null` when no request was
+/// served), then the per-bus scores, per-memory backpressure and the
+/// bottleneck ranking.
+pub fn trace_json(analysis: &mbus_core::trace::TraceAnalysis) -> Json {
+    let header = &analysis.header;
+    let count = |x: u64| Json::Num(x as f64);
     let per_bus: Vec<Json> = analysis
         .buses
         .iter()
@@ -495,36 +501,50 @@ fn trace_summary_json(analysis: &mbus_core::trace::TraceAnalysis) -> Json {
         .map(|(bus, stats)| {
             obj(vec![
                 ("bus", Json::Num(bus as f64)),
-                ("busy_cycles", Json::Num(stats.busy_cycles as f64)),
-                ("alive_cycles", Json::Num(stats.alive_cycles as f64)),
+                ("busy_cycles", count(stats.busy_cycles)),
+                ("alive_cycles", count(stats.alive_cycles)),
                 ("utilization", Json::Num(stats.utilization)),
                 ("blocked_share", Json::Num(stats.blocked_share)),
                 ("pressure", Json::Num(stats.pressure)),
             ])
         })
         .collect();
-    let bottlenecks: Vec<Json> = analysis
-        .bottlenecks
+    let per_memory: Vec<Json> = analysis
+        .memories
         .iter()
-        .map(|&bus| Json::Num(bus as f64))
+        .enumerate()
+        .map(|(memory, stats)| {
+            obj(vec![
+                ("memory", Json::Num(memory as f64)),
+                ("requested", count(stats.requested)),
+                ("served", count(stats.served)),
+                ("blocked", count(stats.blocked)),
+            ])
+        })
         .collect();
-    let wait_q = |q: f64| {
-        analysis
-            .wait_histogram
-            .quantile(q)
-            .map(|v| Json::Num(v as f64))
-            .unwrap_or(Json::Null)
-    };
+    let waits = &analysis.wait_histogram;
+    let or_null = |value: Option<usize>| value.map_or(Json::Null, |v| Json::Num(v as f64));
     obj(vec![
-        ("served", Json::Num(analysis.served as f64)),
-        ("blocked", Json::Num(analysis.blocked_total as f64)),
-        ("unreachable", Json::Num(analysis.unreachable as f64)),
-        ("wait_mean", Json::Num(analysis.wait_histogram.mean())),
-        ("wait_p50", wait_q(0.5)),
-        ("wait_p95", wait_q(0.95)),
-        ("wait_p99", wait_q(0.99)),
+        ("scheme", Json::Str(header.scheme.kind().to_string())),
+        ("processors", Json::Num(header.processors as f64)),
+        ("memories", Json::Num(header.memories as f64)),
+        ("buses", Json::Num(header.buses as f64)),
+        ("resubmission", Json::Bool(header.resubmission)),
+        ("cycles", count(analysis.cycles)),
+        ("issued", count(analysis.issued)),
+        ("active", count(analysis.active)),
+        ("unreachable", count(analysis.unreachable)),
+        ("served", count(analysis.served)),
+        ("blocked", count(analysis.blocked_total)),
+        ("waits_total", count(analysis.waits_total)),
+        ("wait_mean", Json::Num(waits.mean())),
+        ("wait_p50", or_null(waits.quantile(0.5))),
+        ("wait_p95", or_null(waits.quantile(0.95))),
+        ("wait_p99", or_null(waits.quantile(0.99))),
+        ("wait_max", or_null(waits.max_value())),
         ("per_bus", Json::Arr(per_bus)),
-        ("bottlenecks", Json::Arr(bottlenecks)),
+        ("per_memory", Json::Arr(per_memory)),
+        ("bottlenecks", json::count_array(&analysis.bottlenecks)),
     ])
 }
 
@@ -602,7 +622,7 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
                     .map_err(ApiError::unsupported)?;
                 let analysis =
                     mbus_core::trace::analyze(&mut reader).map_err(ApiError::unsupported)?;
-                (report, Some(trace_summary_json(&analysis)))
+                (report, Some(trace_json(&analysis)))
             } else {
                 let report = system.simulate(&config).map_err(ApiError::unsupported)?;
                 (report, None)
@@ -669,23 +689,37 @@ fn evaluate_fabric(
 ) -> Result<Json, ApiError> {
     let analysis = analyze_fabric(topo, matrix, query.rate, &query.failed_links)
         .map_err(ApiError::unsupported)?;
-    let ks: Vec<Json> = query.spec.ks.iter().map(|&k| Json::Num(k as f64)).collect();
-    let failed: Vec<Json> = query
-        .failed_links
-        .iter()
-        .map(|&link| Json::Num(link as f64))
-        .collect();
+    let report = if query.cycles > 0 {
+        let config = query.sim_config()?;
+        let mut sim =
+            FabricSimulator::build(topo, matrix, query.rate).map_err(ApiError::unsupported)?;
+        Some(sim.run(&config).map_err(ApiError::unsupported)?)
+    } else {
+        None
+    };
+    Ok(fabric_json(query, topo, &analysis, report.as_ref()))
+}
+
+/// The `/v1/fabric` result body, which `mbus fabric --json` also prints:
+/// the fabric's identity, the analytic decomposition and, when the
+/// routed simulator ran, its report and the analytic gap.
+pub fn fabric_json(
+    query: &FabricQuery,
+    topo: &ClusteredBuses,
+    analysis: &FabricAnalysis,
+    report: Option<&FabricReport>,
+) -> Json {
     let analytic_utilization: Vec<f64> = analysis
         .links
         .iter()
         .map(|load| load.utilization)
         .collect();
     let mut fields = vec![
-        ("ks", Json::Arr(ks)),
+        ("ks", json::count_array(&query.spec.ks)),
         ("processors", Json::Num(topo.processors() as f64)),
         ("links", Json::Num(topo.links().len() as f64)),
         ("locality", Json::Num(query.spec.locality)),
-        ("failed_links", Json::Arr(failed)),
+        ("failed_links", json::count_array(&query.failed_links)),
         (
             "analytic",
             obj(vec![
@@ -704,11 +738,7 @@ fn evaluate_fabric(
             ]),
         ),
     ];
-    if query.cycles > 0 {
-        let config = query.sim_config()?;
-        let mut sim =
-            FabricSimulator::build(topo, matrix, query.rate).map_err(ApiError::unsupported)?;
-        let report = sim.run(&config).map_err(ApiError::unsupported)?;
+    if let Some(report) = report {
         fields.push((
             "simulated",
             obj(vec![
@@ -731,7 +761,7 @@ fn evaluate_fabric(
             ]),
         ));
     }
-    Ok(obj(fields))
+    obj(fields)
 }
 
 #[cfg(test)]
@@ -951,6 +981,54 @@ mod tests {
         .key();
         let k_traced = parse(Endpoint::Simulate, body).unwrap().key();
         assert_ne!(k_plain, k_traced, "trace_summary is part of the key");
+    }
+
+    #[test]
+    fn trace_json_carries_the_whole_analysis() {
+        use mbus_core::trace::{analyze, TraceReader};
+        let body = r#"{"cycles": 2000, "seed": 9, "scheme": "single", "trace_summary": true}"#;
+        let Query::Simulate(system, sim) = parse(Endpoint::Simulate, body).unwrap() else {
+            panic!("a simulate query");
+        };
+        let (_, bytes) = system.simulate_traced(&sim.config(), Vec::new()).unwrap();
+        let analysis = analyze(&mut TraceReader::new(bytes.as_slice()).unwrap()).unwrap();
+        let doc = trace_json(&analysis);
+        assert_eq!(json::parse(&doc.render()).unwrap(), doc);
+        let Json::Obj(fields) = &doc else {
+            panic!("not an object: {doc:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys.join(" "),
+            "scheme processors memories buses resubmission cycles issued active unreachable \
+             served blocked waits_total wait_mean wait_p50 wait_p95 wait_p99 wait_max per_bus \
+             per_memory bottlenecks"
+        );
+        let count = |key: &str| doc.get(key).and_then(Json::as_u64);
+        assert_eq!(count("served"), Some(analysis.served));
+        assert_eq!(count("blocked"), Some(analysis.blocked_total));
+        let bottlenecks = json::count_array(&analysis.bottlenecks);
+        assert_eq!(doc.get("bottlenecks"), Some(&bottlenecks));
+        let per_memory = doc.get("per_memory").and_then(Json::as_array).unwrap();
+        assert_eq!(per_memory.len(), analysis.memories.len());
+        for (entry, stats) in per_memory.iter().zip(&analysis.memories) {
+            assert_eq!(entry.get("blocked").and_then(Json::as_u64), Some(stats.blocked));
+        }
+        // `/v1/simulate` attaches exactly this document.
+        let traced = evaluate(&parse(Endpoint::Simulate, body).unwrap()).unwrap();
+        assert_eq!(traced.get("trace"), Some(&doc));
+    }
+
+    #[test]
+    fn trace_json_quantiles_are_null_when_nothing_was_served() {
+        let body = r#"{"rate": 0, "cycles": 500, "trace_summary": true}"#;
+        let result = evaluate(&parse(Endpoint::Simulate, body).unwrap()).unwrap();
+        let trace = result.get("trace").unwrap();
+        assert_eq!(trace.get("served").and_then(Json::as_u64), Some(0));
+        for key in ["wait_p50", "wait_p95", "wait_p99", "wait_max"] {
+            assert!(trace.get(key).unwrap().is_null(), "{key} of no waits");
+        }
+        assert_eq!(trace.get("wait_mean").and_then(Json::as_f64), Some(0.0));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`analyze::analyze`] — a single bounded-memory pass computing per-bus
 //!   utilization, queue backpressure, request-to-grant delay histograms,
 //!   and a bottleneck ranking;
-//! * [`render`] — text / markdown / JSON reports (`mbus trace analyze`);
+//! * [`render`] — text / markdown reports (`mbus trace analyze`; its
+//!   `--json` document is `mbus_server::service::trace_json`);
 //! * [`vcd`] — waveform export for external viewers (`mbus trace vcd`).
 //!
 //! The analyzer's per-bus busy/alive counters are defined to reconcile

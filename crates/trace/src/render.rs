@@ -1,6 +1,7 @@
-//! Text, markdown, and JSON renderers for [`TraceAnalysis`] (the
-//! `mbus trace analyze` output; hand-rolled JSON, as the workspace carries
-//! no JSON dependency).
+//! Text and markdown renderers for [`TraceAnalysis`] (the
+//! `mbus trace analyze` output). The `--json` document is built by the
+//! `mbus_server::service::trace_json`, the same object `/v1/simulate` attaches
+//! as its `trace` field.
 
 use crate::analyze::TraceAnalysis;
 use mbus_stats::Histogram;
@@ -147,76 +148,6 @@ pub fn render_markdown(a: &TraceAnalysis) -> String {
     out
 }
 
-/// Renders the analysis as a JSON document.
-pub fn render_json(a: &TraceAnalysis) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"scheme\": \"{}\",\n  \"processors\": {},\n  \"memories\": {},\n  \
-         \"buses\": {},\n  \"resubmission\": {},\n  \"cycles\": {},\n  \
-         \"issued\": {},\n  \"active\": {},\n  \"unreachable\": {},\n  \
-         \"served\": {},\n  \"blocked\": {},\n  \"waits_total\": {},\n",
-        a.header.scheme.kind(),
-        a.header.processors,
-        a.header.memories,
-        a.header.buses,
-        a.header.resubmission,
-        a.cycles,
-        a.issued,
-        a.active,
-        a.unreachable,
-        a.served,
-        a.blocked_total,
-        a.waits_total,
-    ));
-    out.push_str(&format!(
-        "  \"wait_mean\": {:.6},\n  \"wait_p50\": {},\n  \"wait_p99\": {},\n  \"wait_max\": {},\n",
-        a.wait_histogram.mean(),
-        a.wait_histogram.quantile(0.5).unwrap_or(0),
-        a.wait_histogram.quantile(0.99).unwrap_or(0),
-        a.wait_histogram.max_value().unwrap_or(0),
-    ));
-    out.push_str("  \"per_bus\": [\n");
-    for (bus, stats) in a.buses.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bus\": {bus}, \"busy_cycles\": {}, \"alive_cycles\": {}, \
-             \"utilization\": {:.6}, \"blocked_share\": {:.6}, \"pressure\": {:.6}}}{}\n",
-            stats.busy_cycles,
-            stats.alive_cycles,
-            stats.utilization,
-            stats.blocked_share,
-            stats.pressure,
-            if bus + 1 == a.buses.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"per_memory\": [\n");
-    for (memory, stats) in a.memories.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"memory\": {memory}, \"requested\": {}, \"served\": {}, \"blocked\": {}}}{}\n",
-            stats.requested,
-            stats.served,
-            stats.blocked,
-            if memory + 1 == a.memories.len() {
-                ""
-            } else {
-                ","
-            },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"bottlenecks\": [{}]\n",
-        a.bottlenecks
-            .iter()
-            .map(|bus| bus.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,16 +201,5 @@ mod tests {
         assert!(md.contains("| 0 | 4 | 4 | 1.0000 |"));
         assert!(md.contains("| 1 | 4 | 4 | 1.0000 |"));
         assert!(md.contains("Bottleneck ranking: bus 0 > bus 1."));
-    }
-
-    #[test]
-    fn json_is_balanced_and_complete() {
-        let json = render_json(&sample());
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"bottlenecks\": [0, 1]"));
-        assert!(json.contains("\"served\": 8"));
-        assert!(json.contains("\"blocked\": 4,"));
     }
 }
