@@ -1,10 +1,10 @@
 //! Parameter sweeps and the derived ratios quoted in the paper's §IV.
 //!
 //! Sweep points are independent, so [`bus_sweep`] evaluates them over the
-//! work-stealing pool via
+//! shared-queue pool via
 //! [`mbus_stats::parallel::parallel_map`] — per-point cost grows
-//! with `B`, so stealing keeps the tail of a sweep from serializing on one
-//! worker. Results come back in input order, and errors are reported for
+//! with `B`, and the pool hands the tail out one point at a time, so it
+//! does not serialize on one worker. Results come back in input order, and errors are reported for
 //! the *first failing point* in input order regardless of which thread hit
 //! one first, keeping the function deterministic.
 

@@ -8,10 +8,10 @@
 //! fail — exhaustively while the combination count is small, by seeded
 //! Monte-Carlo sampling beyond [`CampaignConfig::exhaustive_limit`] — and
 //! aggregates mean/min/max bandwidth, accessible-memory fractions, and the
-//! worst-case mask per level. Mask evaluations run over the work-stealing
+//! worst-case mask per level. Mask evaluations run over the shared-queue
 //! pool through [`mbus_stats::parallel::parallel_map`] — level
-//! costs are wildly uneven (`C(B, f)` peaks at `f = B/2`), exactly the
-//! shape stealing flattens.
+//! sizes are wildly uneven (`C(B, f)` peaks at `f = B/2`), so the masks
+//! go into one flat list and workers claim shrinking batches of it.
 //!
 //! For bus-permutation-symmetric schemes (full, crossbar) every bus is
 //! interchangeable, so a degraded breakdown depends only on the failure

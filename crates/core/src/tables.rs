@@ -8,7 +8,7 @@
 //!
 //! Table blocks are independent `(N, r)` grids of very uneven cost (cost
 //! climbs steeply with `N`), so regeneration shards them over the
-//! work-stealing pool via
+//! shared-queue pool via
 //! [`mbus_stats::parallel::parallel_map`]; results are identical
 //! to a serial evaluation (same cells, same order, same floating-point
 //! values).

@@ -239,13 +239,17 @@ impl Json {
 }
 
 /// Writes `x` as a JSON number: integral values within the `f64`-exact
-/// range print without a fraction, non-finite values degrade to `null`.
+/// range print without a fraction, non-zero magnitudes below 1e-5 or from
+/// 1e21 up print in shortest round-trip exponent form (`6.4e-11`, `1e300`)
+/// instead of hundreds of digits, and non-finite values degrade to `null`.
 fn write_number(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
         return;
     }
-    if x.fract() == 0.0 && x.abs() <= 9_007_199_254_740_992.0 {
+    if x != 0.0 && !(1e-5..1e21).contains(&x.abs()) {
+        let _ = write!(out, "{x:e}");
+    } else if x.fract() == 0.0 && x.abs() <= 9_007_199_254_740_992.0 {
         // Exactly representable integer: canonical integer form.
         // lint:allow(lossy_cast, integrality and magnitude checked on the line above)
         let _ = write!(out, "{}", x as i64);
@@ -559,6 +563,34 @@ mod tests {
         assert_eq!(Json::Num(0.25).render(), "0.25");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn extreme_magnitudes_render_short_and_round_trip() {
+        for x in [5e-324, 1e-300, 6.457623324962469e-11, 1e300, 0.5, 15.9982] {
+            let text = Json::Num(x).render();
+            assert!(text.len() <= 24, "{x} rendered as {text}");
+            let back = parse(&text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{x} rendered as {text}");
+        }
+        assert_eq!(
+            Json::Num(6.457623324962469e-11).render(),
+            "6.457623324962469e-11"
+        );
+        assert_eq!(Json::Num(-1e300).render(), "-1e300");
+        // Mid-range values keep their plain decimal bytes.
+        for (x, text) in [
+            (0.5, "0.5"),
+            (15.9982, "15.9982"),
+            (1e-5, "0.00001"),
+            (0.0, "0"),
+            (-0.0, "0"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            (1e20, "100000000000000000000"),
+            (123456.789, "123456.789"),
+        ] {
+            assert_eq!(Json::Num(x).render(), text);
+        }
     }
 
     #[test]

@@ -524,6 +524,7 @@ pub fn trace_json(analysis: &mbus_core::trace::TraceAnalysis) -> Json {
         .collect();
     let waits = &analysis.wait_histogram;
     let or_null = |value: Option<usize>| value.map_or(Json::Null, |v| Json::Num(v as f64));
+    let wait_mean = (waits.count() > 0).then(|| waits.mean());
     obj(vec![
         ("scheme", Json::Str(header.scheme.kind().to_string())),
         ("processors", Json::Num(header.processors as f64)),
@@ -537,7 +538,7 @@ pub fn trace_json(analysis: &mbus_core::trace::TraceAnalysis) -> Json {
         ("served", count(analysis.served)),
         ("blocked", count(analysis.blocked_total)),
         ("waits_total", count(analysis.waits_total)),
-        ("wait_mean", Json::Num(waits.mean())),
+        ("wait_mean", wait_mean.map_or(Json::Null, Json::Num)),
         ("wait_p50", or_null(waits.quantile(0.5))),
         ("wait_p95", or_null(waits.quantile(0.95))),
         ("wait_p99", or_null(waits.quantile(0.99))),
@@ -1025,10 +1026,9 @@ mod tests {
         let result = evaluate(&parse(Endpoint::Simulate, body).unwrap()).unwrap();
         let trace = result.get("trace").unwrap();
         assert_eq!(trace.get("served").and_then(Json::as_u64), Some(0));
-        for key in ["wait_p50", "wait_p95", "wait_p99", "wait_max"] {
+        for key in ["wait_mean", "wait_p50", "wait_p95", "wait_p99", "wait_max"] {
             assert!(trace.get(key).unwrap().is_null(), "{key} of no waits");
         }
-        assert_eq!(trace.get("wait_mean").and_then(Json::as_f64), Some(0.0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Replicated runs across a work-stealing pool, with replication-level
+//! Replicated runs across the shared-queue pool, with replication-level
 //! confidence intervals.
 //!
 //! [`run_replications`] fans the replication list out over
-//! `mbus_stats::parallel::parallel_map` (the Chase–Lev pool) and
+//! `mbus_stats::parallel::parallel_map` (the shared-queue pool) and
 //! picks the faster of two engines per run:
 //!
 //! * **batched** — when the system fits the [`crate::batched`] envelope
@@ -59,7 +59,7 @@ fn panicked(replication: usize, payload: Box<dyn std::any::Any + Send>) -> SimEr
 }
 
 /// Runs `replications` independent simulations (seeds `base_seed`,
-/// `base_seed + 1`, …) over the work-stealing pool and aggregates the
+/// `base_seed + 1`, …) over the shared-queue pool and aggregates the
 /// results, batching lanes through the SoA engine where eligible.
 ///
 /// # Errors

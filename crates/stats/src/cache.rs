@@ -5,8 +5,8 @@
 //! many request rates, the same containment-power vector for one workload at
 //! many bus counts, the same degraded breakdown for every equivalent fault
 //! mask. [`MemoCache`] lets those layers share results across calls (and
-//! across the worker threads of `parallel::parallel_map`) without taking a
-//! dependency or holding a lock while computing.
+//! across the worker threads of [`crate::parallel::parallel_map`]) without
+//! taking a dependency or holding a lock while computing.
 //!
 //! Properties:
 //!

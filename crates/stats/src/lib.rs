@@ -12,9 +12,9 @@
 //! * [`Histogram`] — integer-valued histograms (e.g. "requests served per
 //!   cycle") with exact quantiles.
 //! * [`parallel`] — [`parallel::parallel_map`], a dependency-free
-//!   order-preserving map over a Chase–Lev work-stealing pool ([`deque`])
-//!   on scoped threads — the engine behind multi-point sweeps, fault
-//!   campaigns, table regeneration, and replicated simulation.
+//!   order-preserving map on scoped threads that pull batches from one
+//!   shared queue — the engine behind multi-point sweeps, fault campaigns,
+//!   table regeneration, and replicated simulation.
 //! * [`cache`] — a sharded, bounded memoization cache ([`cache::MemoCache`])
 //!   shared by sweeps, table builders, and fault campaigns so identical
 //!   subproblems (served-set tables, containment-power vectors, degraded
@@ -38,16 +38,12 @@
 //! assert!((acc.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
 //! ```
 
-// `deny` instead of `forbid`: the work-stealing deque module opts back in
-// with SAFETY-annotated sites (inventoried by `mbus lint --unsafe-report`);
-// everything else in the crate stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
 pub mod cache;
 mod ci;
-pub mod deque;
 mod histogram;
 pub mod parallel;
 pub mod prob;

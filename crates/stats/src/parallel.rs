@@ -2,21 +2,22 @@
 //!
 //! The workspace deliberately avoids external runtime crates, so its
 //! parallel layer is this one primitive: [`parallel_map`] runs a work list
-//! on a Chase–Lev work-stealing pool (see [`crate::deque`]) and returns
+//! on scoped threads that pull batches from one shared queue, and returns
 //! results in input order. It powers the design-space sweeps in
 //! `mbus-analysis`, the table regeneration in `multibus::tables`, fault
 //! campaigns, and replicated simulation — anywhere many independent
-//! (network, rate) points must be evaluated. Each worker drains its own
-//! share LIFO and steals from stragglers FIFO, so irregular task costs
-//! (memo hits vs. full solves, fault masks of wildly different weight,
-//! batched vs. scalar replication chunks) do not leave fast workers idle.
+//! (network, rate) points must be evaluated. A worker claims its next
+//! batch only when it has finished the last one, and batches shrink with
+//! the work that is left, so irregular task costs (memo hits vs. full
+//! solves, fault masks of wildly different weight, batched vs. scalar
+//! replication chunks) do not leave fast workers idle.
 //!
 //! The map preserves input order in the output, runs everything on the
 //! calling thread when `workers <= 1` (the guaranteed serial fallback on a
-//! 1-core box), and propagates the first worker panic after all workers
-//! have been joined — callers that must convert panics into errors (the
-//! simulation runner's `SimError::ReplicationPanicked`) wrap their task
-//! bodies in `catch_unwind` and keep the join-all semantics for free.
+//! 1-core box), and propagates a worker panic after all workers have
+//! finished — callers that must convert panics into errors (the simulation
+//! runner's `SimError::ReplicationPanicked`) wrap their task bodies in
+//! `catch_unwind` and keep the join-all semantics for free.
 //!
 //! # Examples
 //!
@@ -27,10 +28,8 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-use crate::deque::{Steal, TaskArena, TaskDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A sensible worker count for CPU-bound sweeps: the machine's available
 /// parallelism, or 1 when it cannot be determined.
@@ -40,13 +39,23 @@ pub fn available_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` with work stealing, preserving input order in the
-/// output.
+/// How many items one claim takes when `remaining` are left in the queue:
+/// at most 1/(32 · `workers`) of them, and never fewer than one. Early
+/// claims are large enough to keep the lock cold on fine-grained work;
+/// the tail is handed out one item at a time, so a slow last batch cannot
+/// strand the other workers.
+fn claim_size(remaining: usize, workers: usize) -> usize {
+    (remaining / (32 * workers)).max(1)
+}
+
+/// Maps `f` over `items` on `workers` scoped threads, preserving input
+/// order in the output.
 ///
-/// Task indices are seeded round-robin across `workers` Chase–Lev deques;
-/// each worker drains its own deque LIFO and steals FIFO from the others
-/// once it runs dry, so one straggling task never strands the remaining
-/// work on a single thread.
+/// The items sit in one `Mutex`-guarded queue. Each worker repeatedly
+/// locks it, takes a batch of `claim_size` items together with the
+/// batch's start index, unlocks, and runs `f` over the batch. When the
+/// queue is empty, workers hand back their `(start, results)` batches;
+/// sorting them by start restores input order.
 ///
 /// With `workers <= 1`, a single item, or an empty input, everything runs
 /// serially on the calling thread — the guaranteed fallback on a 1-core
@@ -54,9 +63,9 @@ pub fn available_workers() -> usize {
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f`. All workers are joined
-/// before the panic resumes (remaining tasks may be skipped once a panic
-/// is observed, but no thread is left running).
+/// Propagates a panic raised by `f`. Every worker has finished before the
+/// panic resumes (the other workers keep draining the queue meanwhile,
+/// so no thread is left running).
 pub fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
@@ -68,84 +77,60 @@ where
         return items.into_iter().map(f).collect();
     }
     let workers = workers.min(len);
-    let arena = TaskArena::new(items);
-    // Seed worker w with indices w, w + workers, …: interleaving spreads
-    // any cost gradient along the input across all workers up front, so
-    // stealing only has to fix residual imbalance.
-    let deques: Vec<TaskDeque> = (0..workers)
-        .map(|w| {
-            let share = len.div_ceil(workers.max(1));
-            let deque = TaskDeque::with_capacity_for(share);
-            for index in (w..len).step_by(workers) {
-                // Capacity covers the whole share by construction.
-                let pushed = deque.push(index);
-                debug_assert!(pushed, "seed share exceeds deque capacity");
+    let queue = Mutex::new(items.into_iter());
+    let worker = || {
+        let mut batches = Vec::new();
+        loop {
+            let (start, batch): (usize, Vec<T>) = {
+                // Only the claim runs under the lock (`f` runs unlocked),
+                // and each item it takes leaves the iterator valid, so a
+                // poisoned guard is still safe to reuse.
+                let mut queue = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                let remaining = queue.len();
+                let claim = claim_size(remaining, workers);
+                (len - remaining, queue.by_ref().take(claim).collect())
+            };
+            if batch.is_empty() {
+                return batches;
             }
-            deque
-        })
-        .collect();
-    let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let aborted = AtomicBool::new(false);
+            batches.push((start, batch.into_iter().map(&f).collect::<Vec<U>>()));
+        }
+    };
+    // Workers hand their batches, or their panic payload, back through
+    // `finished` and not through `join`: `JoinHandle::join` also waits for
+    // the OS thread to exit, which the scope's own wait does not, and that
+    // wait cost about 2% of replicated-simulation throughput (DESIGN §14).
+    let finished = Mutex::new(Vec::with_capacity(workers));
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (arena, deques, f) = (&arena, &deques, &f);
-            let (panic_slot, aborted) = (&panic_slot, &aborted);
-            scope.spawn(move || {
-                // AssertUnwindSafe: on panic the pool abandons the map and
-                // re-raises after join; no partially-mutated task state is
-                // ever observed by the caller.
-                let run = |index: usize| match catch_unwind(AssertUnwindSafe(|| {
-                    arena.run(index, f);
-                })) {
-                    Ok(()) => true,
-                    Err(payload) => {
-                        if let Ok(mut slot) = panic_slot.lock() {
-                            slot.get_or_insert(payload);
-                        }
-                        aborted.store(true, Ordering::Release);
-                        false
-                    }
-                };
-                'drain: while !aborted.load(Ordering::Acquire) {
-                    if let Some(index) = deques[w].pop() {
-                        if !run(index) {
-                            return;
-                        }
-                        continue;
-                    }
-                    // Own deque dry: sweep the others for work.
-                    let mut contended = false;
-                    for offset in 1..workers {
-                        match deques[(w + offset) % workers].steal() {
-                            Steal::Taken(index) => {
-                                if !run(index) {
-                                    return;
-                                }
-                                continue 'drain;
-                            }
-                            Steal::Retry => contended = true,
-                            Steal::Empty => {}
-                        }
-                    }
-                    if !contended {
-                        // Every deque observed empty, and tasks never spawn
-                        // new tasks: nothing will ever appear again.
-                        return;
-                    }
-                    std::hint::spin_loop();
-                }
+        for _ in 0..workers {
+            scope.spawn(|| {
+                // AssertUnwindSafe: a panicking worker's batches are
+                // dropped and its payload is re-raised below; the queue
+                // it shared is valid after every claim.
+                let result = catch_unwind(AssertUnwindSafe(worker));
+                finished
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(result);
             });
         }
     });
-    if let Some(payload) = panic_slot.into_inner().unwrap_or(None) {
-        resume_unwind(payload);
+    let mut batches = Vec::new();
+    for result in finished
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        match result {
+            Ok(worker_batches) => batches.extend(worker_batches),
+            Err(payload) => resume_unwind(payload),
+        }
     }
-    arena
-        .into_outputs()
-        .into_iter()
-        // lint:allow(no_panic, without a recorded panic the pool ran every index exactly once)
-        .map(|slot| slot.expect("each task ran exactly once"))
-        .collect()
+    batches.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(len);
+    for (_, results) in batches {
+        out.extend(results);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -171,22 +156,49 @@ mod tests {
     }
 
     #[test]
-    fn matches_serial_on_irregular_costs() {
-        // Task cost varies by three orders of magnitude; the pool must
-        // still produce the serial map's results, in order.
-        let items: Vec<u64> = (0..120).collect();
-        let work = |x: u64| {
-            let spins = if x % 17 == 0 { 20_000 } else { 20 };
-            let mut acc = x;
-            for i in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+    fn claims_stay_small_and_cover_the_queue() {
+        // Pure arithmetic, but Miri runs it a few hundred times slower.
+        let max_len = if cfg!(miri) { 300 } else { 10_000 };
+        for workers in 2..=8 {
+            for len in 1..=max_len {
+                let mut remaining = len;
+                let mut total = 0;
+                while remaining > 0 {
+                    let claim = claim_size(remaining, workers);
+                    assert!(claim >= 1, "len {len}, workers {workers}");
+                    assert!(
+                        claim <= (remaining / (32 * workers)).max(1),
+                        "claim {claim} of {remaining} with {workers} workers"
+                    );
+                    total += claim;
+                    remaining -= claim;
+                }
+                assert_eq!(total, len, "workers {workers}");
             }
-            (x, acc)
-        };
-        assert_eq!(
-            parallel_map(items.clone(), 8, work),
-            items.into_iter().map(work).collect::<Vec<_>>()
-        );
+        }
+    }
+
+    #[test]
+    fn matches_serial_on_irregular_costs() {
+        // Task cost varies by three orders of magnitude: scattered heavy
+        // tasks, all heavy tasks first, and all heavy tasks last. The pool
+        // must still produce the serial map's results, in order.
+        let shapes: [fn(u64) -> bool; 3] = [|x| x % 17 == 0, |x| x < 8, |x| x >= 112];
+        let items: Vec<u64> = (0..120).collect();
+        for heavy in shapes {
+            let work = |x: u64| {
+                let spins = if heavy(x) { 20_000 } else { 20 };
+                let mut acc = x;
+                for i in 0..spins {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+                }
+                (x, acc)
+            };
+            assert_eq!(
+                parallel_map(items.clone(), 8, work),
+                items.iter().map(|&x| work(x)).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

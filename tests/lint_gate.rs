@@ -195,34 +195,33 @@ fn lint_walk_covers_the_fabric_crate() {
 }
 
 #[test]
-fn lint_walk_covers_the_scheduler_and_inventories_its_unsafe() {
-    // The work-stealing scheduler is the one module in `mbus-stats` with
-    // `unsafe` and lock-free atomics; R5 (SAFETY comments) and R7
-    // (atomics orderings) are only meaningful if its sources are walked.
+fn lint_walk_covers_the_scheduler_and_unsafe_stays_in_server_and_sim() {
+    // `parallel_map` runs every sweep, campaign and replication; R6 (lock
+    // discipline) is only meaningful for its shared queue if the walk
+    // reaches the module.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let files = workspace_source_files(root).expect("walker");
-    for module in ["crates/stats/src/deque.rs", "crates/stats/src/parallel.rs"] {
-        assert!(
-            files.iter().any(|(path, _)| path == module),
-            "lint walk must cover {module}"
-        );
-    }
-    // Every deque unsafe site is inventoried with a SAFETY rationale, and
-    // the inventory attributes them to the stats crate.
+    assert!(
+        files
+            .iter()
+            .any(|(path, _)| path == "crates/stats/src/parallel.rs"),
+        "lint walk must cover crates/stats/src/parallel.rs"
+    );
+    // The unsafe inventory is non-empty (the walk sees the sites that do
+    // exist), and every site sits in the server or the simulator: the
+    // statistics crate and everything else stay unsafe-free.
     let report = lint_workspace(root).expect("workspace sources must be readable");
-    let deque_sites: Vec<_> = report
+    assert!(
+        !report.unsafe_sites.is_empty(),
+        "the unsafe inventory must list the server and simulator sites"
+    );
+    let strays: Vec<_> = report
         .unsafe_sites
         .iter()
-        .filter(|s| s.path == "crates/stats/src/deque.rs")
+        .filter(|s| s.crate_name != "server" && s.crate_name != "sim")
         .collect();
     assert!(
-        !deque_sites.is_empty(),
-        "the Chase–Lev deque's unsafe sites must be inventoried"
-    );
-    assert!(
-        deque_sites
-            .iter()
-            .all(|s| s.crate_name == "stats" && s.rationale.is_some()),
-        "every deque unsafe site carries a SAFETY rationale"
+        strays.is_empty(),
+        "unsafe outside crates server and sim: {strays:?}"
     );
 }
