@@ -119,7 +119,8 @@ pub fn buses_for_crossbar_fraction(
         });
     }
     let xbar = {
-        let net = BusNetwork::new(n, n, n, ConnectionScheme::Crossbar).map_err(AnalysisError::from)?;
+        let net =
+            BusNetwork::new(n, n, n, ConnectionScheme::Crossbar).map_err(AnalysisError::from)?;
         bandwidth::memory_bandwidth(&net, matrix, r)?
     };
     for b in 1..=n {

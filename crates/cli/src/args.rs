@@ -50,7 +50,10 @@ impl Args {
     ///
     /// Returns a message when the value does not parse.
     pub fn get_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        Ok(self.field(key).map_err(|e| e.to_string())?.unwrap_or(default))
+        Ok(self
+            .field(key)
+            .map_err(|e| e.to_string())?
+            .unwrap_or(default))
     }
 
     /// Whether a bare flag (or `--key true`) is present.

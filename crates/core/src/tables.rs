@@ -223,12 +223,7 @@ fn build_table(
 ///
 /// Returns the topology error when the parameters do not form valid
 /// networks (e.g. `g ∤ n`) — the parameters come straight from CLI flags.
-pub fn table1(
-    n: usize,
-    b: usize,
-    g: usize,
-    k: usize,
-) -> Result<Vec<SchemeCostRow>, TopologyError> {
+pub fn table1(n: usize, b: usize, g: usize, k: usize) -> Result<Vec<SchemeCostRow>, TopologyError> {
     let nets = [
         BusNetwork::new(n, n, b, ConnectionScheme::Full)?,
         BusNetwork::new(n, n, b, ConnectionScheme::balanced_single(n, b)?)?,

@@ -148,12 +148,7 @@ fn intern(
 }
 
 /// Processor-lumped chain over labeled per-memory pending counts.
-fn build_labeled_chain(
-    net: &BusNetwork,
-    n: usize,
-    q: &[f64],
-    r: f64,
-) -> Result<Chain, ExactError> {
+fn build_labeled_chain(net: &BusNetwork, n: usize, q: &[f64], r: f64) -> Result<Chain, ExactError> {
     let m = q.len();
     let capacity = net.capacity();
     let mut index: HashMap<State, usize> = HashMap::new();
@@ -361,7 +356,18 @@ fn orbit_arrivals(
     }
     let class_size = classes[ci].1;
     orbit_class_member(
-        ci, 0, usize::MAX, rem, weight, r, m, classes, arrivals, capacity, served_exp, out,
+        ci,
+        0,
+        usize::MAX,
+        rem,
+        weight,
+        r,
+        m,
+        classes,
+        arrivals,
+        capacity,
+        served_exp,
+        out,
     );
     // Reset this class's scratch (callee leaves last assignment behind).
     for a in arrivals[ci].iter_mut().take(class_size) {
@@ -503,7 +509,8 @@ fn orbit_split(
             return;
         }
         // Build the sorted-descending next state.
-        let mut next: State = Vec::with_capacity(zeros + totals.iter().map(|&(_, c)| c).sum::<usize>());
+        let mut next: State =
+            Vec::with_capacity(zeros + totals.iter().map(|&(_, c)| c).sum::<usize>());
         for (&(t, d_t), &s_t) in totals.iter().zip(split.iter()) {
             for _ in 0..s_t {
                 next.push(t - 1);
@@ -734,11 +741,8 @@ mod tests {
             Err(ExactError::UnsupportedShape { .. })
         ));
         // Non-exchangeable processors.
-        let mixed = mbus_workload::RequestMatrix::from_rows(vec![
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-        ])
-        .unwrap();
+        let mixed =
+            mbus_workload::RequestMatrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         let net = BusNetwork::new(2, 2, 1, ConnectionScheme::Full).unwrap();
         assert!(matches!(
             lumped_steady_state(&net, &mixed, 1.0),

@@ -51,8 +51,7 @@ fn check_point(ks: &[usize], locality: f64, rate: f64, seed: u64) {
     // The sim's offered load is an empirical Bernoulli(N·r) mean; the
     // analytic value is exact — they agree statistically, not bitwise.
     assert!(
-        (analysis.offered_load - report.offered_load).abs()
-            <= 0.05 * analysis.offered_load + 0.05,
+        (analysis.offered_load - report.offered_load).abs() <= 0.05 * analysis.offered_load + 0.05,
         "offered load drifted: analytic {} vs sim {}",
         analysis.offered_load,
         report.offered_load,

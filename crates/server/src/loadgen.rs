@@ -24,10 +24,7 @@ pub fn grid_request(i: usize) -> (Endpoint, String) {
         // Fabric speaks its own key set (a cluster tree, not n x m x b);
         // mirror the two network sizes as leaf counts.
         let fields = vec![
-            (
-                "ks",
-                Json::Arr(vec![Json::Num(n / 4.0), Json::Num(4.0)]),
-            ),
+            ("ks", Json::Arr(vec![Json::Num(n / 4.0), Json::Num(4.0)])),
             ("rate", Json::Num(rate)),
             ("cycles", Json::Num(4_000.0)),
             ("seed", Json::Num(7.0)),

@@ -53,8 +53,10 @@ impl Metrics {
 
     /// Records the configured worker count (a gauge set once at startup).
     pub fn set_workers(&self, workers: usize) {
-        self.workers
-            .store(u64::try_from(workers).unwrap_or(u64::MAX), Ordering::Relaxed);
+        self.workers.store(
+            u64::try_from(workers).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
     }
 
     /// Marks a worker as busy; pair with [`Metrics::worker_idle`].
@@ -294,8 +296,9 @@ mod tests {
             Duration::from_micros(120),
         );
         let text = metrics.render_text(&[]);
-        assert!(text
-            .contains("mbus_endpoint_latency_us{endpoint=\"simulate\",quantile=\"0.99\"} 120"));
+        assert!(
+            text.contains("mbus_endpoint_latency_us{endpoint=\"simulate\",quantile=\"0.99\"} 120")
+        );
         assert!(!text.contains(&MAX_LATENCY_US.to_string()));
     }
 

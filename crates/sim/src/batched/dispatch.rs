@@ -23,7 +23,8 @@
 //! feature-enabled build and calling `pdep` are sound only on a CPU that
 //! has the features, which the [`FastBuild`] token proves.
 
-#![allow(unsafe_code)] // overrides the crate-level deny; every site below carries a SAFETY argument
+#![allow(unsafe_code)]
+// overrides the crate-level deny; every site below carries a SAFETY argument
 // Off x86_64 nothing enters the fast build; only the tests read the
 // predicate there.
 #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]

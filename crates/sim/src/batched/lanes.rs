@@ -530,8 +530,9 @@ pub(super) fn run_lanes<P: Picks>(
 
     let mut mask = FaultMask::none(b);
     let mut caches = AliveCaches::new(net, &scheme, &mask);
-    let mut collectors: Vec<LaneCollector> =
-        (0..lanes).map(|_| LaneCollector::new(net, config)).collect();
+    let mut collectors: Vec<LaneCollector> = (0..lanes)
+        .map(|_| LaneCollector::new(net, config))
+        .collect();
     // Shared per-bus in-service counts — the fault schedule is
     // lane-uniform, so one tally serves every lane's report.
     let mut bus_alive = vec![0u64; b];

@@ -182,10 +182,7 @@ mod tests {
     fn lane_streams_match_scalar() {
         let seeds: Vec<u64> = (0..7u64).map(|i| 1000 + 13 * i).collect();
         let mut lanes = LaneRngs::new(&seeds);
-        let mut scalars: Vec<LaneRng> = seeds
-            .iter()
-            .map(|&s| LaneRng::seed_from_u64(s))
-            .collect();
+        let mut scalars: Vec<LaneRng> = seeds.iter().map(|&s| LaneRng::seed_from_u64(s)).collect();
         let mut out = vec![0u64; seeds.len()];
         for _ in 0..200 {
             lanes.fill_into(&mut out);

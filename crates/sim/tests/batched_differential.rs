@@ -171,10 +171,7 @@ fn randomized_configurations_match_reference() {
             }
             2 => {
                 // groups must divide both M and B.
-                let g = *[1usize, 2, 4]
-                    .iter()
-                    .rfind(|&&g| m % g == 0)
-                    .unwrap();
+                let g = *[1usize, 2, 4].iter().rfind(|&&g| m % g == 0).unwrap();
                 (ConnectionScheme::PartialGroups { groups: g }, g)
             }
             3 => {
@@ -272,7 +269,10 @@ fn batched_agrees_with_scalar_engine_statistically() {
         (batched_mean - scalar_mean).abs() < 0.05,
         "batched {batched_mean} vs scalar {scalar_mean}"
     );
-    assert!((batched_mean - 3.99).abs() < 0.05, "Table II: {batched_mean}");
+    assert!(
+        (batched_mean - 3.99).abs() < 0.05,
+        "Table II: {batched_mean}"
+    );
 }
 
 /// Lane independence: a lane's report depends only on its seed, not on
@@ -301,13 +301,31 @@ fn lane_reports_are_independent_of_batch_composition() {
 fn large_networks_use_table_path_and_match_reference() {
     let cases = [
         (16usize, 16usize, 8usize, ConnectionScheme::Full, 0.8),
-        (24, 12, 6, ConnectionScheme::balanced_single(12, 6).unwrap(), 0.8),
+        (
+            24,
+            12,
+            6,
+            ConnectionScheme::balanced_single(12, 6).unwrap(),
+            0.8,
+        ),
         (64, 64, 16, ConnectionScheme::Full, 0.8),
         (12, 40, 10, ConnectionScheme::Full, 0.8),
         (40, 12, 6, ConnectionScheme::Full, 0.3),
-        (32, 32, 8, ConnectionScheme::PartialGroups { groups: 2 }, 1.0),
+        (
+            32,
+            32,
+            8,
+            ConnectionScheme::PartialGroups { groups: 2 },
+            1.0,
+        ),
         (64, 64, 1, ConnectionScheme::Crossbar, 0.8),
-        (64, 64, 4, ConnectionScheme::uniform_classes(64, 4).unwrap(), 0.8),
+        (
+            64,
+            64,
+            4,
+            ConnectionScheme::uniform_classes(64, 4).unwrap(),
+            0.8,
+        ),
     ];
     let seeds: Vec<u64> = (0..MAX_LANES as u64).map(|i| 9_000 + i).collect();
     for (n, m, b, scheme, r) in cases {
@@ -341,7 +359,11 @@ fn large_networks_use_table_path_and_match_reference() {
 #[cfg_attr(miri, ignore)]
 fn rotating_scans_at_full_width_match_reference() {
     let cases = [
-        (16usize, 4usize, ConnectionScheme::strided_single(16, 4).unwrap()),
+        (
+            16usize,
+            4usize,
+            ConnectionScheme::strided_single(16, 4).unwrap(),
+        ),
         (64, 16, ConnectionScheme::strided_single(64, 16).unwrap()),
         (64, 16, ConnectionScheme::PartialGroups { groups: 1 }),
         (64, 16, ConnectionScheme::PartialGroups { groups: 2 }),

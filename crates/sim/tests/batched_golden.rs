@@ -86,7 +86,10 @@ const EXPECTED: &[(&str, u64)] = &[
     ("kclass-16-uniform-r05", 0x1ee48929d7674ed9),
     ("full-64-uniform-r1-resubmission", 0x496daa2469d9ddc8),
     ("single-64-hier-r05", 0xcf80d1e911de78f2),
-    ("partial-64-hier-r1-faulted-resubmission", 0x6c9c596e834a7f71),
+    (
+        "partial-64-hier-r1-faulted-resubmission",
+        0x6c9c596e834a7f71,
+    ),
     ("kclass-64-hier-r1", 0xcdc82c24bd235d86),
     ("crossbar-64-uniform-r05", 0xa423e0f876e17a22),
     ("kclass-8-hier-r1", 0x3a78a5f010cb2bfc),

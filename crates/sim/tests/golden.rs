@@ -155,8 +155,13 @@ fn scenarios() -> Vec<(&'static str, BusNetwork, RequestMatrix, f64, SimConfig)>
         ),
         (
             "dense-kclass-80-resubmission",
-            BusNetwork::new(80, 80, 16, ConnectionScheme::uniform_classes(80, 16).unwrap())
-                .unwrap(),
+            BusNetwork::new(
+                80,
+                80,
+                16,
+                ConnectionScheme::uniform_classes(80, 16).unwrap(),
+            )
+            .unwrap(),
             hier_matrix(80),
             0.3,
             base(12).with_resubmission(true),

@@ -156,7 +156,16 @@ mod tests {
 
     #[test]
     fn varint_round_trips_boundaries() {
-        for value in [0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX] {
+        for value in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
             let mut buf = Vec::new();
             put_varint(&mut buf, value);
             let (back, used) = read_back(&buf);

@@ -27,10 +27,7 @@ fn shares_for(levels: usize) -> impl Strategy<Value = Vec<f64>> {
 fn duplicated_row_matrix() -> impl Strategy<Value = (RequestMatrix, Vec<usize>)> {
     (2usize..=5, 1usize..=4)
         .prop_flat_map(|(m, pool)| {
-            let rows = proptest::collection::vec(
-                proptest::collection::vec(0.05f64..1.0, m),
-                pool,
-            );
+            let rows = proptest::collection::vec(proptest::collection::vec(0.05f64..1.0, m), pool);
             let picks = proptest::collection::vec(0..pool, 1..=10);
             (rows, picks)
         })
