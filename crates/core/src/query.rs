@@ -19,7 +19,7 @@
 //! `trace_summary` is the presence of `--trace <path>`.
 
 use crate::{paper_params, System};
-use mbus_fabric::{ClusteredBuses, FabricSpec, FabricTopology};
+use mbus_fabric::{ClusteredBuses, FabricSpec};
 use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig};
 use mbus_topology::{BusNetwork, ConnectionScheme, FaultMask};
 use mbus_workload::{FavoriteModel, HierarchicalModel, RequestMatrix, RequestModel, UniformModel};

@@ -6,7 +6,7 @@
 //! picture with a cluster-of-buses interconnect whose levels mirror the
 //! request tree:
 //!
-//! * [`ClusteredBuses`] — the [`FabricTopology`]: one local Full bus
+//! * [`ClusteredBuses`] — the routed topology: one local Full bus
 //!   group per leaf cluster, one uplink per non-root tree node, routes
 //!   climbing to the lowest common ancestor and back down. At depth 1
 //!   it degenerates to the flat [`mbus_topology::BusNetwork`].
@@ -37,4 +37,4 @@ pub use analytic::{analyze_fabric, FabricAnalysis, LinkLoad};
 pub use engine::{FabricReport, FabricSimulator};
 pub use error::FabricError;
 pub use spec::{locality_shares, FabricSpec};
-pub use topology::{ClusteredBuses, FabricTopology, Link, LinkId, LinkKind};
+pub use topology::{ClusteredBuses, Link, LinkId, LinkKind};

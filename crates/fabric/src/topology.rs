@@ -47,42 +47,14 @@ pub enum LinkKind {
 }
 
 /// One link of the fabric: a bus group or uplink with a parallel width
-/// (requests granted per cycle) and a pipelined transit latency.
+/// (requests granted per cycle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Link {
     /// Requests the link can accept per cycle (bus count of a local
     /// group, channel count of an uplink).
     pub width: usize,
-    /// Cycles a granted request spends in transit before its next hop.
-    /// Links are pipelined: latency delays delivery but does not consume
-    /// width in later cycles.
-    pub latency: u64,
     /// Position of the link in the cluster tree.
     pub kind: LinkKind,
-}
-
-/// A multi-hop routed interconnect: link enumeration plus per-pair
-/// routes. Implementations must guarantee every route is acyclic (no
-/// repeated link) and ends at the local link of the addressed memory's
-/// leaf — the fabric simulator and analytic model rely on both.
-pub trait FabricTopology {
-    /// Number of processors `N`.
-    fn processors(&self) -> usize;
-    /// Number of memory modules `M`.
-    fn memories(&self) -> usize;
-    /// Number of leaf clusters.
-    fn leaves(&self) -> usize;
-    /// The link table; `LinkId`s index into it.
-    fn links(&self) -> &[Link];
-    /// Leaf cluster of processor `p`.
-    fn leaf_of_processor(&self, p: usize) -> usize;
-    /// Leaf cluster of memory `j`.
-    fn leaf_of_memory(&self, j: usize) -> usize;
-    /// The local bus group of `leaf`.
-    fn local_link(&self, leaf: usize) -> LinkId;
-    /// Hop-ordered links a request from a processor in `src_leaf` crosses
-    /// to reach `dst_memory`.
-    fn route(&self, src_leaf: usize, dst_memory: usize) -> &[LinkId];
 }
 
 /// The cluster-of-buses fabric over a paired (or shared-leaf)
@@ -92,7 +64,7 @@ pub trait FabricTopology {
 /// # Examples
 ///
 /// ```
-/// use mbus_fabric::{ClusteredBuses, FabricTopology};
+/// use mbus_fabric::ClusteredBuses;
 /// use mbus_workload::Hierarchy;
 ///
 /// // Two clusters of four processor/memory pairs, two local buses each,
@@ -116,12 +88,11 @@ pub struct ClusteredBuses {
     uplink_base: Vec<usize>,
     local_buses: usize,
     uplink_width: usize,
-    uplink_latency: u64,
 }
 
 impl ClusteredBuses {
     /// Builds the fabric for `hierarchy` with `local_buses` buses in every
-    /// leaf's local group and `uplink_width`-wide, latency-1 uplinks.
+    /// leaf's local group and `uplink_width`-wide uplinks.
     ///
     /// # Errors
     ///
@@ -133,20 +104,6 @@ impl ClusteredBuses {
         local_buses: usize,
         uplink_width: usize,
     ) -> Result<Self, FabricError> {
-        Self::with_uplink_latency(hierarchy, local_buses, uplink_width, 1)
-    }
-
-    /// [`ClusteredBuses::new`] with an explicit uplink transit latency.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusteredBuses::new`], plus zero latency.
-    pub fn with_uplink_latency(
-        hierarchy: Hierarchy,
-        local_buses: usize,
-        uplink_width: usize,
-        uplink_latency: u64,
-    ) -> Result<Self, FabricError> {
         if local_buses == 0 {
             return Err(FabricError::BadFabric {
                 reason: "local bus group width must be positive".into(),
@@ -155,11 +112,6 @@ impl ClusteredBuses {
         if uplink_width == 0 {
             return Err(FabricError::BadFabric {
                 reason: "uplink width must be positive".into(),
-            });
-        }
-        if uplink_latency == 0 {
-            return Err(FabricError::BadFabric {
-                reason: "uplink latency must be at least one cycle".into(),
             });
         }
         let memories_per_leaf = hierarchy.memories_per_leaf();
@@ -177,7 +129,6 @@ impl ClusteredBuses {
         let mut links: Vec<Link> = (0..leaves)
             .map(|leaf| Link {
                 width: local_buses,
-                latency: 1,
                 kind: LinkKind::Local { leaf },
             })
             .collect();
@@ -199,7 +150,6 @@ impl ClusteredBuses {
             for node in 0..nodes_at {
                 links.push(Link {
                     width: uplink_width,
-                    latency: uplink_latency,
                     kind: LinkKind::Uplink {
                         level: level + 1,
                         node,
@@ -215,7 +165,6 @@ impl ClusteredBuses {
             uplink_base,
             local_buses,
             uplink_width,
-            uplink_latency,
         };
         fabric.routes = (0..leaves * leaves.max(1))
             .map(|pair| fabric.build_route(pair / leaves, pair % leaves))
@@ -226,6 +175,49 @@ impl ClusteredBuses {
     /// The underlying cluster hierarchy.
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
+    }
+
+    /// Number of processors `N`.
+    pub fn processors(&self) -> usize {
+        self.hierarchy.processors()
+    }
+
+    /// Number of memory modules `M`.
+    pub fn memories(&self) -> usize {
+        self.hierarchy.memories()
+    }
+
+    /// Number of leaf clusters.
+    pub fn leaves(&self) -> usize {
+        self.hierarchy.leaf_count()
+    }
+
+    /// The link table; `LinkId`s index into it.
+    pub fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    /// Leaf cluster of processor `p`.
+    pub fn leaf_of_processor(&self, p: usize) -> usize {
+        self.hierarchy.leaf_of_processor(p)
+    }
+
+    /// Leaf cluster of memory `j`.
+    pub fn leaf_of_memory(&self, j: usize) -> usize {
+        self.hierarchy.leaf_of_memory(j)
+    }
+
+    /// The local bus group of `leaf`.
+    pub fn local_link(&self, leaf: usize) -> LinkId {
+        leaf
+    }
+
+    /// Hop-ordered links a request from a processor in `src_leaf` crosses
+    /// to reach `dst_memory`. Every route is acyclic (no repeated link)
+    /// and ends at the local link of `dst_memory`'s leaf; the fabric
+    /// simulator and analytic model rely on both.
+    pub fn route(&self, src_leaf: usize, dst_memory: usize) -> &[LinkId] {
+        self.leaf_route(src_leaf, self.leaf_of_memory(dst_memory))
     }
 
     /// Tree depth `n` (number of hierarchy levels).
@@ -243,13 +235,8 @@ impl ClusteredBuses {
         self.uplink_width
     }
 
-    /// Transit latency of every uplink.
-    pub fn uplink_latency(&self) -> u64 {
-        self.uplink_latency
-    }
-
     /// Hop-ordered route between two leaf clusters (the
-    /// [`FabricTopology::route`] of any memory homed in `dst_leaf`).
+    /// [`ClusteredBuses::route`] of any memory homed in `dst_leaf`).
     pub fn leaf_route(&self, src_leaf: usize, dst_leaf: usize) -> &[LinkId] {
         &self.routes[src_leaf * self.hierarchy.leaf_count() + dst_leaf]
     }
@@ -328,41 +315,6 @@ impl ClusteredBuses {
             buses,
             ConnectionScheme::Full,
         )?)
-    }
-}
-
-impl FabricTopology for ClusteredBuses {
-    fn processors(&self) -> usize {
-        self.hierarchy.processors()
-    }
-
-    fn memories(&self) -> usize {
-        self.hierarchy.memories()
-    }
-
-    fn leaves(&self) -> usize {
-        self.hierarchy.leaf_count()
-    }
-
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    fn leaf_of_processor(&self, p: usize) -> usize {
-        self.hierarchy.leaf_of_processor(p)
-    }
-
-    fn leaf_of_memory(&self, j: usize) -> usize {
-        self.hierarchy.leaf_of_memory(j)
-    }
-
-    fn local_link(&self, leaf: usize) -> LinkId {
-        leaf
-    }
-
-    fn route(&self, src_leaf: usize, dst_memory: usize) -> &[LinkId] {
-        let dst = self.leaf_of_memory(dst_memory);
-        &self.routes[src_leaf * self.leaves() + dst]
     }
 }
 
@@ -462,11 +414,7 @@ mod tests {
         ));
         // Local group wider than the leaf's memories.
         assert!(matches!(
-            ClusteredBuses::new(h.clone(), 5, 1),
-            Err(FabricError::BadFabric { .. })
-        ));
-        assert!(matches!(
-            ClusteredBuses::with_uplink_latency(h, 2, 1, 0),
+            ClusteredBuses::new(h, 5, 1),
             Err(FabricError::BadFabric { .. })
         ));
     }

@@ -216,6 +216,22 @@ fn routed_reports_match_goldens() {
         if !case.config.faults.is_empty() {
             assert!(report.unreachable_rate > 0.0, "{}: no fault bit", case.name);
         }
+        // One hop per cycle: losers are dropped, so a delivered request
+        // won a hop on every cycle it was in flight, and no route is
+        // longer than 2 · depth links.
+        assert!(
+            (report.mean_wait - (report.mean_hops - 1.0)).abs() < 1e-9,
+            "{}: mean wait {} != mean hops {} - 1",
+            case.name,
+            report.mean_wait,
+            report.mean_hops
+        );
+        assert!(
+            report.max_wait < 2 * case.ks.len() as u64,
+            "{}: max wait {} reaches 2 · depth",
+            case.name,
+            report.max_wait
+        );
         let hash = report_hash(&report);
         if hash != expected {
             failures.push(format!(

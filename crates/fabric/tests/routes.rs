@@ -3,7 +3,7 @@
 //! a nearest-common-ancestor walk must — up from the source leaf, over,
 //! down to the destination leaf.
 
-use mbus_fabric::{ClusteredBuses, FabricTopology, LinkKind};
+use mbus_fabric::{ClusteredBuses, LinkKind};
 use mbus_workload::Hierarchy;
 use proptest::prelude::*;
 use std::collections::HashSet;

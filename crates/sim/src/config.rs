@@ -3,6 +3,9 @@
 use crate::FaultSchedule;
 use serde::{Deserialize, Serialize};
 
+/// The confidence level of every bandwidth interval a run reports.
+pub const CONFIDENCE_LEVEL: f64 = 0.95;
+
 /// Configuration for one simulation run.
 ///
 /// Built with a fluent API:
@@ -28,8 +31,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Batch length for batch-means confidence intervals.
     pub batch_len: u64,
-    /// Confidence level for reported intervals.
-    pub confidence_level: f64,
     /// When `true`, blocked requests are resubmitted to the same memory next
     /// cycle (overriding the paper's assumption 5) and latency is measured.
     pub resubmission: bool,
@@ -40,15 +41,14 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A configuration measuring `cycles` cycles with no warmup, seed 0,
-    /// batch length `max(cycles/100, 1)`, 95% confidence, paper semantics
-    /// (no resubmission), and no faults.
+    /// batch length `max(cycles/100, 1)`, paper semantics (no
+    /// resubmission), and no faults.
     pub fn new(cycles: u64) -> Self {
         Self {
             cycles,
             warmup: 0,
             seed: 0,
             batch_len: (cycles / 100).max(1),
-            confidence_level: 0.95,
             resubmission: false,
             faults: FaultSchedule::none(),
         }
@@ -80,21 +80,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the confidence level (e.g. `0.99`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the level is outside `(0, 1)`.
-    #[must_use]
-    pub fn with_confidence_level(mut self, level: f64) -> Self {
-        assert!(
-            level > 0.0 && level < 1.0,
-            "confidence level must lie in (0, 1)"
-        );
-        self.confidence_level = level;
-        self
-    }
-
     /// Enables or disables resubmission semantics.
     #[must_use]
     pub fn with_resubmission(mut self, resubmission: bool) -> Self {
@@ -119,7 +104,7 @@ mod tests {
         let c = SimConfig::new(1000);
         assert_eq!(c.warmup, 0);
         assert_eq!(c.batch_len, 10);
-        assert_eq!(c.confidence_level, 0.95);
+        assert_eq!(CONFIDENCE_LEVEL, 0.95);
         assert!(!c.resubmission);
         // Tiny runs still get a positive batch length.
         assert_eq!(SimConfig::new(10).batch_len, 1);
@@ -129,11 +114,5 @@ mod tests {
     #[should_panic(expected = "batch length")]
     fn zero_batch_rejected() {
         let _ = SimConfig::new(100).with_batch_len(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence level")]
-    fn bad_level_rejected() {
-        let _ = SimConfig::new(100).with_confidence_level(1.0);
     }
 }

@@ -158,10 +158,10 @@ impl Stage1 {
         self.counts.len() <= 64
     }
 
-    /// The fused per-processor pass. For each processor `p` in order,
-    /// `request(sampler, rng, p, pending)` supplies its destination this
-    /// cycle and whether it is a fresh issue; a request to a memory that
-    /// is not [`reachable`] under `faults` (`None` when every bus is
+    /// The fused per-processor pass. For each processor `p` in order, a
+    /// pending request is re-issued under `resubmission`; otherwise `p`
+    /// draws its rate gate and destination afresh. A request to a memory
+    /// that is not [`reachable`] under `faults` (`None` when every bus is
     /// alive) is dropped along with its pending state, and every other
     /// request joins its memory's queue. Under `resubmission` a registered
     /// request is also recorded as pending (keeping its age), so completion
@@ -170,31 +170,26 @@ impl Stage1 {
     /// The drop and the registration consume no randomness, so running
     /// them inside the issue loop leaves the RNG draw order unchanged.
     #[inline(always)]
-    fn issue<F>(
+    fn issue(
         &mut self,
         sampler: &WorkloadSampler,
         rng: &mut StdRng,
         pending: &mut [Option<Pending>],
         faults: Option<(&BusNetwork, &FaultMask)>,
         resubmission: bool,
-        mut request: F,
-    ) -> Issued
-    where
-        F: FnMut(
-            &WorkloadSampler,
-            &mut StdRng,
-            usize,
-            &mut Option<Pending>,
-        ) -> Option<(usize, bool)>,
-    {
+    ) -> Issued {
         let n = self.processors;
         self.counts.iter_mut().for_each(|c| *c = 0);
         // Tallies and the mask accumulate in locals, written back once.
         let (mut active, mut fresh_count, mut unreachable) = (0, 0, 0);
         let mut requested_mask = 0u64;
         for (p, pending) in pending.iter_mut().enumerate() {
-            let Some((memory, fresh)) = request(sampler, rng, p, pending) else {
-                continue;
+            let (memory, fresh) = match *pending {
+                Some(retry) if resubmission => (retry.memory, false),
+                _ => match sampler.sample_processor(p, rng) {
+                    Some(memory) => (memory, true),
+                    None => continue,
+                },
             };
             active += 1;
             fresh_count += usize::from(fresh);
@@ -357,69 +352,6 @@ impl Simulator {
     /// Reusing the buffer is what keeps steady-state stepping free of heap
     /// allocation.
     pub fn step(&mut self) -> &CycleOutcome {
-        // A pending request is re-issued under resubmission; otherwise the
-        // processor draws its rate gate and destination afresh.
-        let resubmission = self.resubmission;
-        self.cycle(|sampler, rng, p, pending| match *pending {
-            Some(retry) if resubmission => Some((retry.memory, false)),
-            _ => sampler
-                .sample_processor(p, rng)
-                .map(|memory| (memory, true)),
-        });
-        &self.outcome
-    }
-
-    /// Advances one cycle with externally supplied requests (`requests[p]`
-    /// is processor `p`'s destination, `None` = idle) — the trace-replay
-    /// entry point. Resubmission state is ignored: the caller owns the
-    /// request stream.
-    ///
-    /// Like [`Simulator::step`], the outcome borrows the simulator's
-    /// reusable cycle buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != N` or any destination is out of range.
-    pub fn step_with_requests(&mut self, requests: &[Option<usize>]) -> &CycleOutcome {
-        assert_eq!(
-            requests.len(),
-            self.net.processors(),
-            "one request slot per processor"
-        );
-        let m = self.net.memories();
-        self.cycle(|_, _, p, pending| {
-            *pending = None;
-            let memory = requests[p]?;
-            assert!(memory < m, "memory {memory} out of range");
-            Some((memory, true))
-        });
-        &self.outcome
-    }
-
-    /// One whole cycle into `self.outcome`, shared by [`Simulator::step`]
-    /// and [`Simulator::step_with_requests`]; `request(sampler, rng, p,
-    /// pending)` supplies processor `p`'s destination and whether it is a
-    /// fresh issue.
-    ///
-    /// 1. One pass over processors, in order: the request, the
-    ///    unreachable-memory drop and stage-1 registration. The drop and
-    ///    the registration consume no randomness, so fusing them into the
-    ///    issue loop leaves the RNG draw order unchanged.
-    /// 2. Stage 1: each requested memory's arbiter picks one requester.
-    /// 3. Stage 2: scheme-specific bus assignment.
-    /// 4. Completion bookkeeping.
-    ///
-    /// Every buffer is simulator-owned.
-    #[inline(always)]
-    fn cycle<F>(&mut self, request: F)
-    where
-        F: FnMut(
-            &WorkloadSampler,
-            &mut StdRng,
-            usize,
-            &mut Option<Pending>,
-        ) -> Option<(usize, bool)>,
-    {
         self.outcome.clear();
         let all_alive = self.mask.failed_count() == 0;
         let faults = (!all_alive).then_some((&self.net, &self.mask));
@@ -439,7 +371,6 @@ impl Simulator {
             &mut self.pending,
             faults,
             self.resubmission,
-            request,
         );
         self.outcome.active = issued.active;
         self.outcome.issued = issued.fresh;
@@ -475,37 +406,7 @@ impl Simulator {
                 pending.age += 1;
             }
         }
-    }
-
-    /// Replays a recorded [`mbus_workload::trace::Trace`] against this
-    /// network and aggregates a [`SimReport`] (no warmup; arbitration
-    /// randomness seeded by `seed`).
-    ///
-    /// Replay lets different topologies be compared under *bit-identical*
-    /// request streams, removing workload sampling noise from A/B
-    /// experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace references processors or memories outside this
-    /// network.
-    pub fn run_trace(&mut self, trace: &mbus_workload::trace::Trace, seed: u64) -> SimReport {
-        self.reset(seed);
-        let config = SimConfig::new(trace.cycles().max(1))
-            .with_seed(seed)
-            .with_batch_len((trace.cycles() / 100).max(1));
-        let mut collector = Collector::new(&self.net, &config);
-        let mut requests: Vec<Option<usize>> = vec![None; self.net.processors()];
-        for (_, records) in trace.iter_cycles() {
-            requests.iter_mut().for_each(|r| *r = None);
-            for record in records {
-                requests[record.processor] = Some(record.memory);
-            }
-            collector.record_alive(&self.mask);
-            let outcome = self.step_with_requests(&requests);
-            collector.record(outcome);
-        }
-        collector.finish(&config)
+        &self.outcome
     }
 
     /// Runs a full configured simulation: applies the fault schedule,
@@ -764,43 +665,6 @@ mod tests {
         // Dead buses report zero utilization.
         assert_eq!(degraded.bus_utilization[0], 0.0);
         assert!(degraded.bus_utilization[3] > 0.9);
-    }
-
-    #[test]
-    fn trace_replay_is_deterministic_and_comparable() {
-        use mbus_workload::trace::Trace;
-        use mbus_workload::WorkloadSampler;
-        use rand::SeedableRng;
-        let matrix = hier_matrix(8);
-        let sampler = WorkloadSampler::new(&matrix, 1.0).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-        let trace = Trace::generate(&sampler, 5_000, &mut rng);
-
-        let full = BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap();
-        let single =
-            BusNetwork::new(8, 8, 4, ConnectionScheme::balanced_single(8, 4).unwrap()).unwrap();
-        let mut sim_full = Simulator::build(&full, &matrix, 1.0).unwrap();
-        let r1 = sim_full.run_trace(&trace, 9);
-        let r2 = sim_full.run_trace(&trace, 9);
-        assert_eq!(r1.bandwidth.mean(), r2.bandwidth.mean(), "deterministic");
-        // Identical request stream: full must beat single cycle for cycle
-        // in aggregate.
-        let mut sim_single = Simulator::build(&single, &matrix, 1.0).unwrap();
-        let rs = sim_single.run_trace(&trace, 9);
-        assert!(r1.bandwidth.mean() > rs.bandwidth.mean());
-        // Offered load matches the trace exactly.
-        assert!((r1.offered_load - trace.offered_load()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "memory 9 out of range")]
-    fn replay_validates_destinations() {
-        let matrix = hier_matrix(8);
-        let net = BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap();
-        let mut sim = Simulator::build(&net, &matrix, 1.0).unwrap();
-        let mut requests = vec![None; 8];
-        requests[0] = Some(9);
-        let _ = sim.step_with_requests(&requests);
     }
 
     #[test]

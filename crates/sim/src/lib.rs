@@ -61,7 +61,7 @@ mod fault;
 mod metrics;
 pub mod runner;
 
-pub use config::SimConfig;
+pub use config::{SimConfig, CONFIDENCE_LEVEL};
 pub use engine::{CycleOutcome, Grant, Simulator};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultEventKind, FaultSchedule};

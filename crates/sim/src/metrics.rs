@@ -1,6 +1,6 @@
 //! Metric collection and the simulation report.
 
-use crate::{CycleOutcome, SimConfig};
+use crate::{CycleOutcome, SimConfig, CONFIDENCE_LEVEL};
 use mbus_stats::{BatchMeans, ConfidenceInterval, Histogram, Welford};
 use mbus_topology::{BusNetwork, FaultMask};
 use serde::{Deserialize, Serialize};
@@ -137,7 +137,7 @@ impl Collector {
         let cycles = self.cycles.max(1);
         let bandwidth = self
             .served
-            .confidence_interval(config.confidence_level)
+            .confidence_interval(CONFIDENCE_LEVEL)
             .unwrap_or_else(|| ConfidenceInterval::degenerate(self.served.mean()));
         let offered = self.issued.mean();
         let acceptance = if offered > 0.0 {

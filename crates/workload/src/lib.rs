@@ -25,8 +25,7 @@
 //!
 //! The crate also contains the paper's §III-A *motivation pipeline*: a
 //! synthetic communicating-task-graph generator whose cluster assignment
-//! induces hierarchical traffic ([`taskgraph`]), and a trace generator
-//! ([`trace`]) for replayable workloads.
+//! induces hierarchical traffic ([`taskgraph`]).
 //!
 //! # Examples
 //!
@@ -60,7 +59,6 @@ mod matrix;
 mod model;
 mod sampler;
 pub mod taskgraph;
-pub mod trace;
 mod uniform;
 
 pub use error::WorkloadError;
