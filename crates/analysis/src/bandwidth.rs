@@ -100,18 +100,6 @@ pub fn analyze(
     })
 }
 
-/// Bandwidth from precomputed per-memory request probabilities `X_j`
-/// (length `M`).
-///
-/// # Errors
-///
-/// * `xs.len() ≠ M` → [`AnalysisError::DimensionMismatch`];
-/// * any probability outside `[0, 1]` →
-///   [`AnalysisError::InvalidProbability`].
-pub fn memory_bandwidth_from_probs(net: &BusNetwork, xs: &[f64]) -> Result<f64, AnalysisError> {
-    Ok(bandwidth_from_probs(net, xs)?.0)
-}
-
 pub(crate) fn poisson_binomial(xs: &[f64]) -> Result<PoissonBinomial, AnalysisError> {
     PoissonBinomial::new(xs).map_err(|_| AnalysisError::InvalidProbability {
         name: "per-memory request probability",
@@ -390,8 +378,6 @@ mod tests {
             memory_bandwidth(&net, &matrix, 2.0),
             Err(AnalysisError::InvalidRate { .. })
         ));
-        assert!(memory_bandwidth_from_probs(&net, &[0.5; 7]).is_err());
-        assert!(memory_bandwidth_from_probs(&net, &[1.5; 8]).is_err());
     }
 
     #[test]

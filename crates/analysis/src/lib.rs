@@ -52,6 +52,6 @@ mod error;
 pub mod paper;
 pub mod sweep;
 
-pub use bandwidth::{memory_bandwidth, memory_bandwidth_from_probs, BandwidthBreakdown};
+pub use bandwidth::{memory_bandwidth, BandwidthBreakdown};
 pub use degraded::{degraded_analyze, degraded_bandwidth, DegradedBreakdown};
 pub use error::AnalysisError;

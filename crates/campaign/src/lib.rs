@@ -15,12 +15,11 @@
 //!
 //! For bus-permutation-symmetric schemes (full, crossbar) every bus is
 //! interchangeable, so a degraded breakdown depends only on the failure
-//! *count*, not on which buses failed. With
-//! [`CampaignConfig::collapse_symmetry`] (the default) the campaign
-//! memoizes one canonical evaluation per level — `B + 1` analytical calls
-//! instead of `2^B` — through a per-run [`mbus_stats::cache::MemoCache`]
-//! shared across the worker threads, while reporting the same per-mask
-//! aggregates as the uncollapsed sweep.
+//! *count*, not on which buses failed. For those schemes the campaign
+//! evaluates one canonical mask per level before the sweep — at most
+//! `B + 1` analytical calls instead of `2^B` — and the sweep reads the
+//! level's result, reporting the same per-mask aggregates as evaluating
+//! every mask.
 //!
 //! Given a per-bus failure probability `q`, the per-level means combine
 //! into an **availability-weighted expected bandwidth**
@@ -50,7 +49,6 @@ pub use render::render_markdown;
 use mbus_analysis::degraded::{degraded_analyze, DegradedBreakdown};
 use mbus_analysis::AnalysisError;
 use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig, SimError, Simulator};
-use mbus_stats::cache::MemoCache;
 use mbus_stats::parallel::{available_workers, parallel_map};
 use mbus_stats::prob::{choose, choose_f64};
 use mbus_topology::{BusNetwork, FaultMask, SchemeKind};
@@ -134,10 +132,6 @@ pub struct CampaignConfig {
     pub workers: usize,
     /// Per-bus failure probability `q` for availability weighting.
     pub bus_failure_prob: f64,
-    /// Collapse bus-permutation symmetry: on full/crossbar schemes every
-    /// equal-`f` mask is equivalent, so each level is evaluated once via a
-    /// canonical mask and memoized. Has no effect on asymmetric schemes.
-    pub collapse_symmetry: bool,
 }
 
 impl CampaignConfig {
@@ -158,7 +152,6 @@ impl Default for CampaignConfig {
             seed: 0x5eed,
             workers: 0,
             bus_failure_prob: 0.05,
-            collapse_symmetry: true,
         }
     }
 }
@@ -284,6 +277,19 @@ pub fn run_campaign(
     r: f64,
     config: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
+    run_campaign_with(net, matrix, r, config, true)
+}
+
+/// [`run_campaign`] with the bus-permutation symmetry collapse switchable;
+/// `collapse = false` evaluates every mask, the reference the collapsed
+/// sweep is tested against.
+fn run_campaign_with(
+    net: &BusNetwork,
+    matrix: &RequestMatrix,
+    r: f64,
+    config: &CampaignConfig,
+    collapse: bool,
+) -> Result<CampaignReport, CampaignError> {
     let b = net.buses();
     if config.samples == 0 || config.exhaustive_limit == 0 {
         return Err(CampaignError::BadConfig {
@@ -326,23 +332,25 @@ pub fn run_campaign(
     };
     // Bus-permutation symmetry: on full/crossbar schemes any two equal-`f`
     // masks yield bit-identical breakdowns, so one canonical evaluation
-    // (the lexicographically first mask `{0..f}` — also the first mask the
-    // uncollapsed sweep sees, keeping `worst_mask` identical) serves every
-    // `C(B, f)` combination. The memo cache is shared by all workers.
-    let symmetric =
-        config.collapse_symmetry && matches!(net.kind(), SchemeKind::Full | SchemeKind::Crossbar);
-    let canonical: MemoCache<usize, Result<DegradedBreakdown, AnalysisError>> =
-        MemoCache::new(1, b + 2);
+    // per level (the lexicographically first mask `{0..f}` — also the
+    // first mask the uncollapsed sweep sees, keeping `worst_mask`
+    // identical) serves every `C(B, f)` combination.
+    let symmetric = collapse && matches!(net.kind(), SchemeKind::Full | SchemeKind::Crossbar);
+    let canonical: Vec<DegradedBreakdown> = if symmetric {
+        (0..=max_failures)
+            .map(|f| {
+                let first: Vec<usize> = (0..f).collect();
+                let mask = FaultMask::with_failures(b, &first)?;
+                degraded_analyze(net, matrix, r, &mask)
+            })
+            .collect::<Result<_, AnalysisError>>()?
+    } else {
+        Vec::new()
+    };
     type Evaluated = Result<(usize, Vec<usize>, DegradedBreakdown), AnalysisError>;
     let evaluated: Vec<Evaluated> = parallel_map(work, workers, |(f, failed)| {
         let breakdown = if symmetric {
-            let shared = canonical.get_or_insert_with(f, || {
-                let first: Vec<usize> = (0..f).collect();
-                FaultMask::with_failures(b, &first)
-                    .map_err(AnalysisError::from)
-                    .and_then(|mask| degraded_analyze(net, matrix, r, &mask))
-            });
-            (*shared).clone()?
+            canonical[f].clone()
         } else {
             let mask = FaultMask::with_failures(b, &failed).map_err(AnalysisError::from)?;
             degraded_analyze(net, matrix, r, &mask)?
@@ -606,56 +614,30 @@ mod tests {
         let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).unwrap();
         let matrix = hier_matrix(n);
         let collapsed = run_campaign(&net, &matrix, 0.9, &CampaignConfig::default()).unwrap();
-        let reference = run_campaign(
-            &net,
-            &matrix,
-            0.9,
-            &CampaignConfig {
-                collapse_symmetry: false,
-                ..CampaignConfig::default()
-            },
-        )
-        .unwrap();
+        let reference =
+            run_campaign_with(&net, &matrix, 0.9, &CampaignConfig::default(), false).unwrap();
         // Exact structural equality: same per-level aggregates, same worst
         // masks, same availability weighting — the collapse is invisible in
         // the report.
         assert_eq!(collapsed, reference);
 
-        // Monte-Carlo levels collapse too (all sampled masks hit the same
-        // canonical entry).
+        // Monte-Carlo levels collapse too (all sampled masks read the same
+        // canonical breakdown).
         let mc = CampaignConfig {
             exhaustive_limit: 4,
             samples: 24,
             ..CampaignConfig::default()
         };
         let mc_collapsed = run_campaign(&net, &matrix, 0.9, &mc).unwrap();
-        let mc_reference = run_campaign(
-            &net,
-            &matrix,
-            0.9,
-            &CampaignConfig {
-                collapse_symmetry: false,
-                ..mc
-            },
-        )
-        .unwrap();
+        let mc_reference = run_campaign_with(&net, &matrix, 0.9, &mc, false).unwrap();
         assert_eq!(mc_collapsed, mc_reference);
 
-        // Asymmetric schemes are untouched by the flag: the collapse gate
+        // Asymmetric schemes are untouched by the switch: the collapse gate
         // never fires for K-class networks.
         let kc =
             BusNetwork::new(n, n, 4, ConnectionScheme::uniform_classes(n, 4).unwrap()).unwrap();
         let a = run_campaign(&kc, &matrix, 0.9, &CampaignConfig::default()).unwrap();
-        let b = run_campaign(
-            &kc,
-            &matrix,
-            0.9,
-            &CampaignConfig {
-                collapse_symmetry: false,
-                ..CampaignConfig::default()
-            },
-        )
-        .unwrap();
+        let b = run_campaign_with(&kc, &matrix, 0.9, &CampaignConfig::default(), false).unwrap();
         assert_eq!(a, b);
     }
 

@@ -537,8 +537,8 @@ pub fn experiments() -> CliResult {
     println!("\n## Beyond the paper: independence-approximation error\n");
     println!(
         "The paper's bus-interference analysis treats per-memory request \
-         indicators as independent. Exact references (enumeration and \
-         inclusion-exclusion) quantify the error:\n"
+         indicators as independent. The exact reference (subset-transform \
+         enumeration) quantifies the error:\n"
     );
     println!("| scheme (N=8, B=4, hier, r=1) | approximate | exact | rel. error |");
     println!("|---|---|---|---|");

@@ -9,8 +9,8 @@
 //!
 //! * **analytically** — the paper's closed-form equations (2)–(12) and
 //!   their heterogeneous-traffic generalizations (`mbus-analysis`);
-//! * **exactly** — approximation-free enumeration and inclusion–exclusion
-//!   references (`mbus-exact`);
+//! * **exactly** — approximation-free subset-transform enumeration and
+//!   resubmission Markov chains (`mbus-exact`);
 //! * **by simulation** — a cycle-accurate two-stage-arbitration simulator
 //!   with fault injection and resubmission extensions (`mbus-sim`).
 //!

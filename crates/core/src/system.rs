@@ -3,7 +3,7 @@
 
 use mbus_analysis::bandwidth::analyze;
 use mbus_analysis::{AnalysisError, BandwidthBreakdown};
-use mbus_exact::{distinct, enumerate, ExactError};
+use mbus_exact::{enumerate, ExactError};
 use mbus_sim::{runner::ReplicationReport, SimConfig, SimError, SimReport, Simulator};
 use mbus_topology::{BusNetwork, CostSummary, SchemeKind};
 use mbus_workload::{RequestMatrix, RequestModel};
@@ -161,9 +161,7 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SystemError::Exact`] when no exact reference is feasible
-    /// (large non-crossbar networks; use
-    /// [`mbus_exact::distinct`] directly for two-level hierarchical
-    /// full/partial networks, or the simulator).
+    /// (large non-crossbar networks; use the simulator instead).
     pub fn exact(&self) -> Result<f64, SystemError> {
         if self.network.memories() <= enumerate::MAX_MEMORIES {
             return Ok(enumerate::exact_bandwidth(
@@ -257,20 +255,6 @@ impl System {
     pub fn cost(&self) -> CostSummary {
         self.network.cost()
     }
-
-    /// Convenience: exact bandwidth via the two-level closed form, for
-    /// hierarchical models too large to enumerate (full connection only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the closed-form model.
-    pub fn exact_full_two_level(
-        model: &mbus_workload::HierarchicalModel,
-        b: usize,
-        r: f64,
-    ) -> Result<f64, SystemError> {
-        Ok(distinct::exact_full_bandwidth(model, b, r)?)
-    }
 }
 
 #[cfg(test)]
@@ -341,14 +325,6 @@ mod tests {
         // Without a sim config, no simulation runs.
         let eval = sys.evaluate(None).unwrap();
         assert!(eval.simulated.is_none());
-    }
-
-    #[test]
-    fn closed_form_two_level_matches_enumeration() {
-        let model = paper_params::hierarchical(8).unwrap();
-        let closed = System::exact_full_two_level(&model, 4, 1.0).unwrap();
-        let sys = system(8, 4);
-        assert!((closed - sys.exact().unwrap()).abs() < 1e-10);
     }
 
     #[test]

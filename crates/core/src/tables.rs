@@ -17,37 +17,21 @@ use crate::paper_params;
 use crate::reference::{self, ReferenceBlock};
 use crate::report;
 use mbus_analysis::memory_bandwidth;
-use mbus_stats::cache::MemoCache;
 use mbus_stats::parallel::{available_workers, parallel_map};
 use mbus_topology::{render, BusNetwork, ConnectionScheme, SchemeCostRow, TopologyError};
 use mbus_workload::{RequestMatrix, RequestModel, UniformModel};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
 
-/// Process-wide cache of the paper-grid request matrices, keyed by
-/// `(model kind, N)`. Every `(N, r)` block of every table used to rebuild
-/// the same hierarchical/uniform matrix; one cache shares them across the
-/// parallel block sweep, across tables, and across repeated regenerations
-/// (e.g. `mbus tables` then `mbus report`).
-fn matrix_cache() -> &'static MemoCache<(&'static str, usize), RequestMatrix> {
-    static CACHE: OnceLock<MemoCache<(&'static str, usize), RequestMatrix>> = OnceLock::new();
-    CACHE.get_or_init(|| MemoCache::new(2, 16))
+/// The paper's hierarchical request matrix for an `N × N` grid.
+fn hier_matrix(n: usize) -> RequestMatrix {
+    paper_params::hierarchical(n)
+        .expect("paper sizes divide into clusters")
+        .matrix()
 }
 
-/// The paper's hierarchical request matrix for an `N × N` grid, cached.
-fn hier_matrix(n: usize) -> Arc<RequestMatrix> {
-    matrix_cache().get_or_insert_with(("hier", n), || {
-        paper_params::hierarchical(n)
-            .expect("paper sizes divide into clusters")
-            .matrix()
-    })
-}
-
-/// The uniform request matrix for an `N × N` grid, cached.
-fn unif_matrix(n: usize) -> Arc<RequestMatrix> {
-    matrix_cache().get_or_insert_with(("unif", n), || {
-        UniformModel::new(n, n).expect("positive sizes").matrix()
-    })
+/// The uniform request matrix for an `N × N` grid.
+fn unif_matrix(n: usize) -> RequestMatrix {
+    UniformModel::new(n, n).expect("positive sizes").matrix()
 }
 
 /// One regenerated cell: computed values paired with the paper's printed
@@ -157,7 +141,6 @@ fn build_table(
 ) -> PaperTable {
     let scheme_at = &scheme_at;
     let blocks = parallel_map(refs, available_workers(), |block| {
-        // One shared matrix per (kind, N), via the process-wide cache.
         let hier_model = hier_matrix(block.n);
         let unif_model = unif_matrix(block.n);
         let cells = block
@@ -471,17 +454,6 @@ mod tests {
             assert!(at("full") >= at("single") - 1e-9);
             assert!(at("full") >= at("partial g=2") - 1e-9);
         }
-    }
-
-    #[test]
-    fn paper_matrices_are_shared_across_regenerations() {
-        let a = hier_matrix(16);
-        let b = hier_matrix(16);
-        assert!(Arc::ptr_eq(&a, &b), "one hierarchical matrix per N");
-        let u = unif_matrix(16);
-        assert!(!Arc::ptr_eq(&a, &u), "kinds are distinct keys");
-        assert_eq!(u.processors(), 16);
-        assert!((u.prob(0, 0) - 1.0 / 16.0).abs() < 1e-15);
     }
 
     #[test]

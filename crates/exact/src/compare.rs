@@ -1,10 +1,10 @@
 //! Quantifying the paper's independence approximation against the exact
 //! models.
 
-use crate::{distinct, enumerate, ExactError};
+use crate::{enumerate, ExactError};
 use mbus_analysis::memory_bandwidth;
 use mbus_topology::{BusNetwork, ConnectionScheme};
-use mbus_workload::{HierarchicalModel, RequestModel};
+use mbus_workload::RequestModel;
 use serde::{Deserialize, Serialize};
 
 /// One row of an approximation-error report.
@@ -34,36 +34,6 @@ impl ApproximationRow {
             relative_error,
         }
     }
-}
-
-/// Sweeps bus counts for a **full-connection** network under a two-level
-/// hierarchical model, comparing the paper's equation (4) against the exact
-/// distinct-count distribution.
-///
-/// # Errors
-///
-/// Propagates exact-model and analysis errors.
-pub fn full_connection_error_sweep(
-    model: &HierarchicalModel,
-    bus_counts: &[usize],
-    r: f64,
-) -> Result<Vec<ApproximationRow>, ExactError> {
-    let n = model.processors();
-    let matrix = model.matrix();
-    let pmf = distinct::two_level_distinct_pmf(model, r)?;
-    bus_counts
-        .iter()
-        .map(|&b| {
-            let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).map_err(|_| {
-                ExactError::UnsupportedShape {
-                    reason: "invalid bus count for full-connection sweep",
-                }
-            })?;
-            let approx = memory_bandwidth(&net, &matrix, r)?;
-            let exact = pmf.expected_min_with(b);
-            Ok(ApproximationRow::new(b, approx, exact))
-        })
-        .collect()
 }
 
 /// Compares approximate and exact bandwidth for *every* scheme on a small
@@ -151,35 +121,10 @@ pub fn single_placement_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbus_workload::HierarchicalModel;
 
     fn model(n: usize) -> HierarchicalModel {
         HierarchicalModel::two_level_paired(n, 4, [0.6, 0.3, 0.1]).unwrap()
-    }
-
-    #[test]
-    fn closed_form_exact_agrees_with_enumeration_in_sweep() {
-        let m = model(8);
-        let rows = full_connection_error_sweep(&m, &[2, 4, 8], 1.0).unwrap();
-        let matrix = m.matrix();
-        for row in &rows {
-            let net = BusNetwork::new(8, 8, row.buses, ConnectionScheme::Full).unwrap();
-            let brute = enumerate::exact_bandwidth(&net, &matrix, 1.0).unwrap();
-            assert!(
-                (row.exact - brute).abs() < 1e-10,
-                "B={}: {} vs {brute}",
-                row.buses,
-                row.exact
-            );
-        }
-    }
-
-    #[test]
-    fn error_vanishes_when_buses_are_plentiful() {
-        // With B = N, min(D, B) = D and E[D] = M·X is exact: zero error.
-        let m = model(16);
-        let rows = full_connection_error_sweep(&m, &[4, 16], 1.0).unwrap();
-        assert!(rows[0].relative_error.abs() > 1e-6);
-        assert!(rows[1].relative_error.abs() < 1e-12);
     }
 
     #[test]

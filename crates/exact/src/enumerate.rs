@@ -11,10 +11,10 @@
 //!
 //! Since the subset-transform engine landed ([`crate::transform`],
 //! `O(G · 2^M + 2^M · M)` for `G` distinct workload rows), the public
-//! entry points [`exact_bandwidth`] and [`exact_distinct_pmf`] delegate to
-//! it; the DP survives as [`requested_set_pmf_dp`] / [`exact_bandwidth_dp`]
-//! — an independent derivation the differential tests
-//! (`tests/differential.rs`) compare against.
+//! entry point [`exact_bandwidth`] delegates to it; the DP survives as
+//! [`requested_set_pmf_dp`] / [`exact_bandwidth_dp`] — an independent
+//! derivation the differential tests (`tests/differential.rs`) compare
+//! against.
 
 use crate::{memo, transform, ExactError};
 use mbus_stats::prob::check;
@@ -211,17 +211,6 @@ pub fn exact_bandwidth_dp(
     Ok(expectation)
 }
 
-/// Exact probability-mass function of the number of *distinct requested
-/// memories* per cycle (length `M + 1`). Delegates to the subset-transform
-/// engine ([`transform::transform_distinct_pmf`]).
-///
-/// # Errors
-///
-/// Same as [`exact_bandwidth`].
-pub fn exact_distinct_pmf(matrix: &RequestMatrix, r: f64) -> Result<Vec<f64>, ExactError> {
-    transform::transform_distinct_pmf(matrix, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,10 +366,33 @@ mod tests {
     }
 
     #[test]
+    fn error_vanishes_when_buses_are_plentiful() {
+        // With B = N, min(D, B) = D and E[D] = M·X is exact: zero error.
+        let matrix = HierarchicalModel::two_level_paired(16, 4, [0.6, 0.3, 0.1])
+            .unwrap()
+            .matrix();
+        let relative_error = |b: usize| {
+            let net = BusNetwork::new(16, 16, b, ConnectionScheme::Full).unwrap();
+            let exact = exact_bandwidth(&net, &matrix, 1.0).unwrap();
+            let approx = memory_bandwidth(&net, &matrix, 1.0).unwrap();
+            (approx - exact) / exact
+        };
+        assert!(relative_error(4).abs() > 1e-6);
+        assert!(relative_error(16).abs() < 1e-12);
+    }
+
+    #[test]
     fn distinct_pmf_sums_to_one_and_bounds_requests() {
+        // The distinct-request count is the popcount of the requested set.
         let matrix = UniformModel::new(6, 6).unwrap().matrix();
-        let pmf = exact_distinct_pmf(&matrix, 0.8).unwrap();
-        assert_eq!(pmf.len(), 7);
+        let mut pmf = [0.0f64; 7];
+        for (mask, &prob) in transform::requested_set_pmf(&matrix, 0.8)
+            .unwrap()
+            .iter()
+            .enumerate()
+        {
+            pmf[mask.count_ones() as usize] += prob;
+        }
         assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         // At most 6 processors → at most 6 distinct requests; with r < 1,
         // zero requests has positive probability.
@@ -395,7 +407,7 @@ mod tests {
         let matrix = hier8();
         let net = BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap();
         assert_eq!(exact_bandwidth(&net, &matrix, 0.0).unwrap(), 0.0);
-        let pmf = exact_distinct_pmf(&matrix, 0.0).unwrap();
+        let pmf = transform::requested_set_pmf(&matrix, 0.0).unwrap();
         assert_eq!(pmf[0], 1.0);
     }
 

@@ -19,9 +19,9 @@ pub enum ExactError {
     Analysis(AnalysisError),
     /// The workload itself is invalid.
     Workload(WorkloadError),
-    /// The requested hierarchy shape is not supported by the closed-form
-    /// inclusion–exclusion (it needs a two-level paired hierarchy whose
-    /// cluster count the group count divides).
+    /// The network or workload shape is outside what the chosen exact
+    /// model covers (for example a resubmission chain on a scheme other
+    /// than full connection or crossbar).
     UnsupportedShape {
         /// Human-readable reason.
         reason: &'static str,
@@ -43,7 +43,7 @@ impl std::fmt::Display for ExactError {
             Self::TooLarge { memories, limit } => write!(
                 f,
                 "exact enumeration supports at most {limit} memories, got {memories} \
-                 (use the inclusion-exclusion models or the simulator instead)"
+                 (use the simulator instead)"
             ),
             Self::Analysis(err) => write!(f, "analysis error: {err}"),
             Self::Workload(err) => write!(f, "workload error: {err}"),

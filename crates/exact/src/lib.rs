@@ -6,24 +6,19 @@
 //! so the number of requested modules becomes binomial (equations (3), (7),
 //! (10)). In reality each processor issues at most one request per cycle, so
 //! the indicators are negatively correlated and the binomial slightly
-//! misstates the tail. This crate computes the *true* expectations, three
-//! ways:
+//! misstates the tail. This crate computes the *true* expectations:
 //!
 //! * [`transform`] — the symmetry-exploiting fast path: closed-form
 //!   containment products per *group* of identical workload rows plus one
 //!   Möbius (subset) transform recover the exact requested-set pmf in
-//!   `O(G · 2^M + 2^M · M)` — essentially free in `N`. The public
-//!   enumeration entry points delegate here.
+//!   `O(G · 2^M + 2^M · M)` — essentially free in `N`, feasible up to 20
+//!   memories. The public enumeration entry point delegates here.
 //! * [`enumerate`] — exhaustive enumeration over all request outcomes via a
 //!   bitmask dynamic program (`O(N · 2^M · M)`), exact for any scheme and
-//!   any workload matrix, feasible up to ~20 memories; retained as the
-//!   independent differential reference. Also exposes the deterministic
-//!   stage-2 service count [`enumerate::served_given_requested`], used as an
-//!   oracle by the simulator's tests.
-//! * [`distinct`] — closed-form inclusion–exclusion for the distribution of
-//!   the number of distinct requested modules under uniform and two-level
-//!   hierarchical traffic, feasible for every size the paper tabulates
-//!   (N up to 32 and far beyond).
+//!   any workload matrix; retained as the independent differential
+//!   reference. Also exposes the deterministic stage-2 service count
+//!   [`enumerate::served_given_requested`], used as an oracle by the
+//!   simulator's tests.
 //! * [`markov`] — an exact Markov-chain steady state for *resubmission*
 //!   semantics (the Marsan/Mudge regime the paper cites as \[11\], \[12\]),
 //!   validating the simulator's queueing behaviour on small systems.
@@ -31,12 +26,10 @@
 //!   workloads, memory) permutation symmetry: occupancy-count states reach
 //!   systems like `N = 16, M = 8` that the unlumped `(M+1)^N` chain
 //!   rejects as too large.
-//! * [`memo`] — process-wide memoization of served-set tables (and, via
-//!   [`transform`], requested-set pmfs) so sweeps and fault campaigns stop
-//!   recomputing identical subproblems.
+//! * [`memo`] — process-wide memoization of served-set tables, keyed by
+//!   the network, so a sweep over request rates builds each table once.
 //! * [`compare`] — reports quantifying the paper's independence
-//!   approximation error against these exact references (an ablation bench
-//!   regenerates the sweep).
+//!   approximation error against these exact references.
 //!
 //! # Examples
 //!
@@ -60,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod compare;
-pub mod distinct;
 pub mod enumerate;
 mod error;
 pub mod lumped;

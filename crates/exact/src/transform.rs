@@ -25,38 +25,18 @@
 //! `O(G · 2^M + 2^M · M)`: independent of `N` up to the group powers, so
 //! `N = 1024` costs the same as `N = 8`.
 //!
-//! [`exact_bandwidth`](crate::enumerate::exact_bandwidth) and
-//! [`exact_distinct_pmf`](crate::enumerate::exact_distinct_pmf) delegate
-//! here; the DP survives as `requested_set_pmf_dp` for differential
-//! testing.
+//! [`exact_bandwidth`](crate::enumerate::exact_bandwidth) delegates here;
+//! the DP survives as `requested_set_pmf_dp` for differential testing.
 
 use crate::enumerate::MAX_MEMORIES;
 use crate::{memo, ExactError};
-use mbus_stats::cache::MemoCache;
 use mbus_stats::prob::check;
 use mbus_topology::BusNetwork;
-use mbus_workload::{RequestMatrix, WorkloadFingerprint};
-use std::sync::{Arc, OnceLock};
+use mbus_workload::RequestMatrix;
 
 /// Negative pmf entries larger than this magnitude are genuine bugs; smaller
 /// ones are Möbius cancellation noise (observed ~1e-15) and are clamped.
 const CANCELLATION_TOL: f64 = 1e-9;
-
-/// Cache key for a requested-set pmf: the exact workload identity plus the
-/// request-rate bit pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PmfKey {
-    workload: WorkloadFingerprint,
-    r_bits: u64,
-}
-
-/// Process-wide requested-set pmf cache. Entries are `2^M` doubles (≤ 8 MiB
-/// at `M = 20`), so retention is kept small: 2 shards × 4 entries. A sweep
-/// over bus counts re-uses one entry `|B|` times; overflow just recomputes.
-fn pmf_cache() -> &'static MemoCache<PmfKey, Vec<f64>> {
-    static CACHE: OnceLock<MemoCache<PmfKey, Vec<f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| MemoCache::new(2, 4))
-}
 
 fn validate_rate(r: f64) -> Result<(), ExactError> {
     if !r.is_finite() || !(0.0..=1.0).contains(&r) {
@@ -141,34 +121,6 @@ pub fn requested_set_pmf(matrix: &RequestMatrix, r: f64) -> Result<Vec<f64>, Exa
     Ok(zeta)
 }
 
-/// [`requested_set_pmf`] through the process-wide cross-sweep cache: sweeps
-/// that vary only the bus count (or scheme) re-use one transform per
-/// (workload, rate) pair.
-///
-/// # Errors
-///
-/// Same contract as [`requested_set_pmf`].
-pub fn cached_requested_set_pmf(
-    matrix: &RequestMatrix,
-    r: f64,
-) -> Result<Arc<Vec<f64>>, ExactError> {
-    let key = PmfKey {
-        workload: matrix.fingerprint(),
-        r_bits: r.to_bits(),
-    };
-    if let Some(hit) = pmf_cache().get(&key) {
-        return Ok(hit);
-    }
-    let pmf = requested_set_pmf(matrix, r)?;
-    Ok(pmf_cache().get_or_insert_with(key, move || pmf))
-}
-
-/// Counter snapshot of the process-wide requested-set pmf cache, which the
-/// serving layer's `/metrics` renders as `mbus_exact_pmf_cache_*`.
-pub fn pmf_cache_stats() -> mbus_stats::cache::CacheStats {
-    pmf_cache().stats()
-}
-
 /// Exact effective memory bandwidth by the subset transform: the
 /// requested-set pmf folded through the scheme's served-count table
 /// (eq (4)/(8)/(9)-style expectations, computed without the paper's
@@ -192,7 +144,7 @@ pub fn transform_bandwidth(
             },
         ));
     }
-    let pmf = cached_requested_set_pmf(matrix, r)?;
+    let pmf = requested_set_pmf(matrix, r)?;
     let table = memo::served_table(net).map_err(|_| ExactError::TooLarge {
         memories: m,
         limit: MAX_MEMORIES,
@@ -204,23 +156,6 @@ pub fn transform_bandwidth(
         .sum();
     check::assert_bandwidth_bounds(expectation, net.capacity(), net.processors(), m);
     Ok(expectation)
-}
-
-/// Exact pmf of the number of distinct requested memories (length `M + 1`),
-/// by aggregating the transform's requested-set pmf over popcounts — the
-/// exact counterpart of the binomial approximations in eqs (3), (7), (10).
-///
-/// # Errors
-///
-/// Same contract as [`requested_set_pmf`].
-pub fn transform_distinct_pmf(matrix: &RequestMatrix, r: f64) -> Result<Vec<f64>, ExactError> {
-    let masks = cached_requested_set_pmf(matrix, r)?;
-    let mut pmf = vec![0.0f64; matrix.memories() + 1];
-    for (mask, &prob) in masks.iter().enumerate() {
-        pmf[mask.count_ones() as usize] += prob;
-    }
-    check::assert_distribution_sums_to_one("distinct-request pmf (transform)", &pmf);
-    Ok(pmf)
 }
 
 #[cfg(test)]
@@ -268,19 +203,6 @@ mod tests {
         let dp = crate::enumerate::exact_bandwidth_dp(&net, &matrix, 1.0).unwrap();
         let tf = transform_bandwidth(&net, &matrix, 1.0).unwrap();
         assert!((dp - tf).abs() < 1e-12, "dp {dp} vs transform {tf}");
-    }
-
-    #[test]
-    fn cache_is_transparent() {
-        // The global pmf cache is bounded and shared across parallel tests,
-        // so retention (Arc identity) is not guaranteed here — correctness
-        // is: cached lookups must agree with the uncached transform.
-        let matrix = UniformModel::new(6, 4).unwrap().matrix();
-        for r in [0.5, 0.75] {
-            let cached = cached_requested_set_pmf(&matrix, r).unwrap();
-            let fresh = requested_set_pmf(&matrix, r).unwrap();
-            assert_eq!(*cached, fresh);
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! record the latency sample. `GET /metrics` renders the whole state as a
 //! Prometheus-style text document, folding in the memo-cache counters
 //! ([`CacheStats`]) supplied by the server: the query cache and the exact
-//! engine's process-wide pmf and served-table caches.
+//! engine's process-wide served-table cache.
 
 use crate::service::Endpoint;
 use mbus_stats::cache::CacheStats;
@@ -235,12 +235,6 @@ mod tests {
             inserts: 2,
             len: 2,
         };
-        let pmf = CacheStats {
-            hits: 3,
-            misses: 4,
-            inserts: 4,
-            len: 1,
-        };
         let served = CacheStats {
             hits: 5,
             misses: 6,
@@ -249,7 +243,6 @@ mod tests {
         };
         let text = metrics.render_text(&[
             ("mbus_cache", query),
-            ("mbus_exact_pmf_cache", pmf),
             ("mbus_exact_served_table_cache", served),
         ]);
         assert!(text.contains("mbus_requests_total 5"));
@@ -260,11 +253,9 @@ mod tests {
         assert!(text.contains("mbus_workers_busy 0"));
         assert!(text.contains("mbus_cache_hits 1"));
         assert!(text.contains("mbus_cache_entries 2"));
-        assert!(text.contains("mbus_exact_pmf_cache_hits 3"));
-        assert!(text.contains("mbus_exact_pmf_cache_misses 4"));
-        assert!(text.contains("mbus_exact_pmf_cache_inserts 4"));
-        assert!(text.contains("mbus_exact_pmf_cache_entries 1"));
         assert!(text.contains("mbus_exact_served_table_cache_hits 5"));
+        assert!(text.contains("mbus_exact_served_table_cache_misses 6"));
+        assert!(text.contains("mbus_exact_served_table_cache_inserts 6"));
         assert!(text.contains("mbus_exact_served_table_cache_entries 2"));
         assert!(text.contains("mbus_endpoint_requests_total{endpoint=\"bandwidth\"} 2"));
         assert!(text.contains("mbus_endpoint_cache_hits_total{endpoint=\"bandwidth\"} 1"));

@@ -340,7 +340,6 @@ fn route(shared: &Shared, request: &Request) -> (Option<Endpoint>, bool, Respons
         }
         let text = shared.metrics.render_text(&[
             ("mbus_cache", shared.cache.stats()),
-            ("mbus_exact_pmf_cache", exact::transform::pmf_cache_stats()),
             (
                 "mbus_exact_served_table_cache",
                 exact::memo::served_table_cache_stats(),
@@ -446,6 +445,27 @@ mod tests {
         );
         let stats = shared.cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn exact_queries_at_new_rates_reuse_the_served_table() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let shared = &server.shared;
+        // The served-set table depends on the network, not the rate: the
+        // first query builds (or finds) this network's table, the second
+        // must hit it. The counters are process-wide and only grow, so
+        // other tests running alongside can only raise them further.
+        let (hit, _) = answer(shared, Endpoint::Exact, br#"{"n":12,"b":5,"rate":0.5}"#).unwrap();
+        assert!(!hit);
+        let before = exact::memo::served_table_cache_stats();
+        let (hit, _) = answer(shared, Endpoint::Exact, br#"{"n":12,"b":5,"rate":0.25}"#).unwrap();
+        assert!(!hit, "a new rate is a new query-cache key");
+        let after = exact::memo::served_table_cache_stats();
+        assert!(after.hits > before.hits, "{before:?} -> {after:?}");
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl Simulator {
         &self.net
     }
 
-    /// The current fault mask.
-    pub fn fault_mask(&self) -> &FaultMask {
-        &self.mask
-    }
-
     /// Mutable access to the fault mask, for manual fault injection between
     /// [`Simulator::step`] calls.
     pub fn fault_mask_mut(&mut self) -> &mut FaultMask {

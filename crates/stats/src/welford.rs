@@ -85,11 +85,6 @@ impl Welford {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Standard error of the mean (`s/√n`); `0.0` for fewer than two
     /// observations.
     pub fn standard_error(&self) -> f64 {

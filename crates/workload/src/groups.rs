@@ -9,8 +9,8 @@
 //! per-processor factors.
 //!
 //! [`WorkloadFingerprint`] is the exact canonical identity of a matrix
-//! (dimensions plus every entry's bit pattern) used as a memo-cache key by
-//! the cross-sweep caches; unlike a hash it cannot collide.
+//! (dimensions plus every entry's bit pattern) used in the serving layer's
+//! query-cache keys; unlike a hash it cannot collide.
 
 use crate::RequestMatrix;
 

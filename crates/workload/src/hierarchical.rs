@@ -37,16 +37,6 @@ impl HierarchicalModel {
         }
     }
 
-    /// Builds the model from per-memory fractions `m₀ … m_{L−1}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the validation errors of [`Fractions::new`].
-    pub fn with_fractions(hierarchy: Hierarchy, m: &[f64]) -> Result<Self, WorkloadError> {
-        let fractions = Fractions::new(&hierarchy, m)?;
-        Ok(Self::new(hierarchy, fractions))
-    }
-
     /// Builds the model from aggregate per-level shares (see
     /// [`Fractions::from_aggregate_shares`]).
     ///

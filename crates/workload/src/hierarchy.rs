@@ -128,11 +128,6 @@ impl Hierarchy {
         &self.ks
     }
 
-    /// Leaf kind (paired or shared).
-    pub fn leaf_kind(&self) -> LeafKind {
-        self.leaf
-    }
-
     /// Number of hierarchy levels `n`.
     pub fn levels(&self) -> usize {
         self.ks.len()

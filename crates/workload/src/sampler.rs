@@ -225,7 +225,6 @@ impl AliasSampler {
 pub struct WorkloadSampler {
     /// `N × M` alias cells, processor-major.
     cells: Vec<AliasCell>,
-    processors: usize,
     /// `M`, the row stride.
     memories: usize,
     rate: f64,
@@ -256,16 +255,10 @@ impl WorkloadSampler {
         }
         Ok(Self {
             cells,
-            processors: matrix.processors(),
             memories,
             rate: r,
             gate: (r < 1.0).then(|| unit_threshold(r)),
         })
-    }
-
-    /// Number of processors.
-    pub fn processors(&self) -> usize {
-        self.processors
     }
 
     /// The request rate `r`.
@@ -286,13 +279,6 @@ impl WorkloadSampler {
             Some(gate) if !passes(rng.next_u64(), gate) => None,
             _ => Some(draw(row, rng)),
         }
-    }
-
-    /// Samples every processor for one cycle into `out` (`out[p]` is the
-    /// destination or `None`). `out` is cleared first.
-    pub fn sample_cycle<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<Option<usize>>) {
-        out.clear();
-        out.extend((0..self.processors).map(|p| self.sample_processor(p, rng)));
     }
 }
 
@@ -369,16 +355,6 @@ mod tests {
         for _ in 0..100 {
             assert!(sampler.sample_processor(0, &mut rng).is_some());
         }
-    }
-
-    #[test]
-    fn sample_cycle_covers_all_processors() {
-        let matrix = RequestMatrix::from_rows(vec![vec![1.0]; 5]).unwrap();
-        let sampler = WorkloadSampler::new(&matrix, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut out = Vec::new();
-        sampler.sample_cycle(&mut rng, &mut out);
-        assert_eq!(out, vec![Some(0); 5]);
     }
 
     /// A generator that returns one fixed word, so a float coin and the

@@ -210,12 +210,12 @@ fn workload_sampler_matches_analytic_x() {
     let mut rng = StdRng::seed_from_u64(3);
     let cycles = 200_000;
     let mut hit = [0u32; 8];
-    let mut out = Vec::new();
     for _ in 0..cycles {
-        sampler.sample_cycle(&mut rng, &mut out);
         let mut requested = [false; 8];
-        for d in out.iter().flatten() {
-            requested[*d] = true;
+        for p in 0..8 {
+            if let Some(d) = sampler.sample_processor(p, &mut rng) {
+                requested[d] = true;
+            }
         }
         for (j, &req) in requested.iter().enumerate() {
             hit[j] += u32::from(req);

@@ -78,39 +78,6 @@ fn analysis_error_is_bounded_across_grid() {
     }
 }
 
-/// Closed-form inclusion–exclusion equals bitmask enumeration wherever both
-/// apply, including the partial-bus group marginal.
-#[test]
-fn closed_form_exact_equals_enumeration() {
-    use multibus::exact::distinct;
-    for n in [8usize, 16] {
-        let model = multibus::paper_params::hierarchical(n).unwrap();
-        let matrix = model.matrix();
-        for r in [1.0, 0.5] {
-            // Full connection at several bus counts.
-            for b in [n / 4, n / 2] {
-                let closed = distinct::exact_full_bandwidth(&model, b, r).unwrap();
-                let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).unwrap();
-                let brute = enumerate::exact_bandwidth(&net, &matrix, r).unwrap();
-                assert!(
-                    (closed - brute).abs() < 1e-9,
-                    "full N={n} B={b} r={r}: {closed} vs {brute}"
-                );
-            }
-            // Partial with g = 2.
-            let b = n / 2;
-            let closed = distinct::exact_partial_bandwidth(&model, 2, b, r).unwrap();
-            let net =
-                BusNetwork::new(n, n, b, ConnectionScheme::PartialGroups { groups: 2 }).unwrap();
-            let brute = enumerate::exact_bandwidth(&net, &matrix, r).unwrap();
-            assert!(
-                (closed - brute).abs() < 1e-9,
-                "partial N={n} r={r}: {closed} vs {brute}"
-            );
-        }
-    }
-}
-
 /// The System façade agrees with calling the layers directly.
 #[test]
 fn system_facade_is_consistent() {
