@@ -137,7 +137,7 @@ pub fn eq6_single_bandwidth(memories_per_bus: &[usize], x: f64) -> Result<f64, A
 /// * `g` not dividing `m` and `b` → [`AnalysisError::DimensionMismatch`].
 pub fn eq9_partial_bandwidth(m: usize, b: usize, g: usize, x: f64) -> Result<f64, AnalysisError> {
     check_prob("request probability X", x)?;
-    if g == 0 || m % g != 0 || b % g != 0 {
+    if g == 0 || !m.is_multiple_of(g) || !b.is_multiple_of(g) {
         return Err(AnalysisError::DimensionMismatch {
             what: "groups",
             network: b,

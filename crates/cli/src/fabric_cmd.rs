@@ -290,7 +290,7 @@ fn balanced_factors(n: usize, parts: usize) -> Option<Vec<usize>> {
         return (n >= 2).then(|| vec![n]);
     }
     let target = (n as f64).powf(1.0 / parts as f64).round() as usize;
-    let mut candidates: Vec<usize> = (2..=n).filter(|d| n % d == 0).collect();
+    let mut candidates: Vec<usize> = (2..=n).filter(|d| n.is_multiple_of(*d)).collect();
     // Ties around the target break toward the larger divisor so shapes
     // come out non-increasing ([4, 2, 2], not [2, 2, 4]), matching the
     // branching-vector convention used everywhere else.

@@ -48,7 +48,7 @@ impl std::fmt::Display for ExactError {
             Self::Analysis(err) => write!(f, "analysis error: {err}"),
             Self::Workload(err) => write!(f, "workload error: {err}"),
             Self::UnsupportedShape { reason } => {
-                write!(f, "unsupported shape for closed-form exact model: {reason}")
+                write!(f, "unsupported shape for this exact model: {reason}")
             }
             Self::NoConvergence {
                 iterations,

@@ -1,4 +1,4 @@
-//! Runtime choice between the two builds of the batched cycle loop.
+//! Runtime choice between the builds of the batched cycle loop.
 //!
 //! [`super::run_batch`] is compiled twice from one generic source
 //! ([`super::lanes::run_lanes`]): once for the baseline target with the
@@ -7,21 +7,49 @@
 //! [`FastBuild`] picks. Those rank a grant's contenders with `popcnt`,
 //! select the winner with `pdep` + `tzcnt`, and every other `count_ones`
 //! and `trailing_zeros` in the loop becomes one instruction (`lzcnt`
-//! comes with the set; the loop has no `leading_zeros` today). AVX2 is
-//! there for the lane RNG fill, which it runs four lanes per instruction
-//! instead of two. Both builds select the same winner by construction,
-//! so every report is bit-identical whichever build ran.
+//! comes with the set; the loop has no `leading_zeros` today). AVX2 lets
+//! the compiler run the portable lane RNG fill four lanes per
+//! instruction instead of two. Both builds select the same winner by
+//! construction, so every report is bit-identical whichever build ran.
 //!
-//! Each call picks its build from CPUID ([`FastBuild::detect`]); there is
-//! no setting. The portable build runs on non-x86_64 targets, under
-//! Miri, on CPUs without one of the five features, and on AMD family 17h
-//! (Zen 1 and Zen 2) and its Hygon family 18h derivative, whose `pdep`
-//! is microcoded at tens to hundreds of cycles — slower than the SWAR
-//! pick it would replace.
+//! On a CPU that also has AVX-512F, the fast build runs with two
+//! hand-written kernels in place of the portable bodies of the
+//! [`super::lanes::Picks`] hooks (the `Avx512Build` picks; the
+//! feature-enabled entry point is instantiated once per picks type, so
+//! the binary holds the cycle loop three times):
+//!
+//! * **RNG fill** — eight lanes per vector, each block's xoshiro256+
+//!   state held in four registers across every draw row and arbitration
+//!   row of the cycle (`vprolq` is the rotate), instead of a load and a
+//!   store of the state per row.
+//! * **Requester-table issue** (N > 8, no resubmission) — eight lanes per
+//!   vector: column and fraction from two `vpmuludq` products (exactly
+//!   `draw as u128 * K` split at bit 64), threshold and alias gathered
+//!   from the processor's alias row, accept as an unsigned mask compare,
+//!   then a masked gather-OR-scatter into each lane's requester table and
+//!   masked `req`/`issued` accumulation. With resubmission the portable
+//!   issue loop runs.
+//!
+//! Each lane's RNG stream order and every decode are unchanged, so the
+//! reports stay bit-identical; only the instruction mix differs. Lane
+//! counts that are not a multiple of eight run their last block under a
+//! lane mask. The kernels were measured on an Intel Xeon with AVX-512
+//! (DESIGN §14); AMD Zen 4's AVX-512 gathers and scatters are unmeasured
+//! here.
+//!
+//! Each call picks its build from CPUID ([`FastBuild::detect`],
+//! [`Avx512::detect`]); there is no setting. The portable build runs on
+//! non-x86_64 targets, under Miri, on CPUs without one of the five
+//! features, and on AMD family 17h (Zen 1 and Zen 2) and its Hygon family
+//! 18h derivative, whose `pdep` is microcoded at tens to hundreds of
+//! cycles — slower than the SWAR pick it would replace.
 //!
 //! This module is the crate's one `unsafe` island: entering the
-//! feature-enabled build and calling `pdep` are sound only on a CPU that
-//! has the features, which the [`FastBuild`] token proves.
+//! feature-enabled build, calling `pdep` and entering the AVX-512F
+//! kernels are sound only on a CPU that has the features, which the
+//! [`FastBuild`] and [`Avx512`] tokens prove; the kernels' vector loads,
+//! stores, gathers and scatters are sound because every index they use
+//! is in bounds.
 
 #![allow(unsafe_code)]
 // overrides the crate-level deny; every site below carries a SAFETY argument
@@ -39,6 +67,7 @@ struct Host {
     popcnt: bool,
     lzcnt: bool,
     avx2: bool,
+    avx512f: bool,
     /// CPUID leaf 0 vendor string.
     vendor: [u8; 12],
     /// CPUID leaf 1 display family (base family plus, at base 0xF, the
@@ -79,6 +108,7 @@ impl Host {
                 popcnt: std::arch::is_x86_feature_detected!("popcnt"),
                 lzcnt: std::arch::is_x86_feature_detected!("lzcnt"),
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
+                avx512f: std::arch::is_x86_feature_detected!("avx512f"),
                 vendor,
                 family,
             };
@@ -108,6 +138,12 @@ impl Host {
     fn fast_build_pays(&self) -> bool {
         self.has_features() && !self.slow_pdep()
     }
+
+    /// Whether the CPU has AVX-512F, which the fast build's vector
+    /// kernels are compiled with.
+    fn has_avx512f(&self) -> bool {
+        self.x86_64 && !self.miri && self.avx512f
+    }
 }
 
 /// Proof that the running CPU has BMI1, BMI2, POPCNT, LZCNT and AVX2:
@@ -135,19 +171,68 @@ impl FastBuild {
     }
 }
 
+/// Proof that the running CPU has AVX-512F: only [`Avx512::detect`]
+/// makes one, after `is_x86_feature_detected!` reported it. Holding it is
+/// what makes entering the fast build's AVX-512F kernels sound.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Avx512(());
+
+impl Avx512 {
+    /// The token, if this CPU has AVX-512F (evaluated once per process).
+    pub(crate) fn detect() -> Option<Self> {
+        static HAS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        HAS.get_or_init(|| Host::current().has_avx512f())
+            .then_some(Self(()))
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::super::lanes::{byte_matches, run_lanes, Picks};
-    use super::FastBuild;
+    use super::super::issue::IssueTable;
+    use super::super::lanes::{byte_matches, run_lanes, LaneIssue, Picks};
+    use super::super::rng::{LaneRngs, MAX_LANES};
+    use super::{Avx512, FastBuild};
     use crate::{SimConfig, SimError, SimReport};
     use mbus_topology::BusNetwork;
     use mbus_workload::RequestMatrix;
-    use std::arch::x86_64::_pdep_u64;
+    use std::arch::x86_64::{
+        __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epu64_mask,
+        _mm512_mask_add_epi64, _mm512_mask_blend_epi64, _mm512_mask_i64gather_epi64,
+        _mm512_mask_i64scatter_epi64, _mm512_mask_or_epi64, _mm512_mask_storeu_epi64,
+        _mm512_mask_test_epi64_mask, _mm512_maskz_loadu_epi64, _mm512_mul_epu32, _mm512_or_si512,
+        _mm512_rol_epi64, _mm512_set1_epi64, _mm512_setr_epi64, _mm512_setzero_si512,
+        _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
+        _mm512_xor_si512, _pdep_u64,
+    };
 
     impl FastBuild {
-        /// [`super::super::run_batch`] in the feature-enabled build.
+        /// [`super::super::run_batch`] in the feature-enabled build, with
+        /// the AVX-512F kernels where the CPU has them.
         pub(crate) fn run_batch(
             self,
+            net: &BusNetwork,
+            matrix: &RequestMatrix,
+            r: f64,
+            config: &SimConfig,
+            seeds: &[u64],
+        ) -> Result<Vec<SimReport>, SimError> {
+            match Avx512::detect() {
+                Some(avx512) => {
+                    self.run_with(self.with_avx512(avx512), net, matrix, r, config, seeds)
+                }
+                None => self.run_with(self, net, matrix, r, config, seeds),
+            }
+        }
+
+        /// The fast picks plus the AVX-512F kernels.
+        pub(super) fn with_avx512(self, avx512: Avx512) -> Avx512Build {
+            Avx512Build { fast: self, avx512 }
+        }
+
+        /// [`run_lanes`] with `picks`, in the feature-enabled build.
+        pub(super) fn run_with<P: Picks>(
+            self,
+            picks: P,
             net: &BusNetwork,
             matrix: &RequestMatrix,
             r: f64,
@@ -158,7 +243,7 @@ mod x86 {
             // reported bmi1, bmi2, popcnt, lzcnt and avx2 (see
             // `Host::has_features`), the features `run_batch_fast` is
             // compiled with.
-            unsafe { run_batch_fast(self, net, matrix, r, config, seeds) }
+            unsafe { run_batch_fast(picks, net, matrix, r, config, seeds) }
         }
 
         /// Position of set bit number `rank` (0-based, ascending) of
@@ -189,6 +274,75 @@ mod x86 {
         }
     }
 
+    /// The fast build's picks with the AVX-512F kernels in the two
+    /// [`Picks`] hooks: the BMI2 picks, the register-resident RNG fill
+    /// and, without resubmission, the eight-lane requester-table issue.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Avx512Build {
+        fast: FastBuild,
+        avx512: Avx512,
+    }
+
+    impl Picks for Avx512Build {
+        #[inline(always)]
+        fn pick_bit(self, bits: u64, chunk: u64) -> usize {
+            self.fast.pick_bit(bits, chunk)
+        }
+
+        #[inline(always)]
+        fn pick_in_word(self, word: u64, needle: u64, chunk: u64) -> usize {
+            self.fast.pick_in_word(word, needle, chunk)
+        }
+
+        #[inline(always)]
+        fn fill_rows(self, rngs: &mut LaneRngs, draws: &mut [u64], arbs: &mut [u64]) {
+            let lanes = rngs.lanes();
+            // SAFETY: `self.avx512` is an `Avx512` token, made only after
+            // `is_x86_feature_detected!` reported avx512f (see
+            // `Host::has_avx512f`), the feature `fill_rows_avx512` is
+            // compiled with.
+            unsafe { fill_rows_avx512(self.avx512, rngs.state_mut(), lanes, draws, arbs) }
+        }
+
+        #[inline(always)]
+        fn issue_table<const RESUB: bool>(
+            self,
+            issue: &mut LaneIssue,
+            table: &IssueTable,
+            draws: &[u64],
+            requesters: &mut [u64],
+            dest_mem: &mut [u8],
+            pending_mask: &[u64],
+        ) {
+            if RESUB {
+                // Resubmission keeps the portable issue loop.
+                self.fast.issue_table::<RESUB>(
+                    issue,
+                    table,
+                    draws,
+                    requesters,
+                    dest_mem,
+                    pending_mask,
+                );
+            } else {
+                // SAFETY: `self.avx512` is an `Avx512` token, made only
+                // after `is_x86_feature_detected!` reported avx512f (see
+                // `Host::has_avx512f`), the feature `issue_table_avx512`
+                // is compiled with.
+                unsafe {
+                    issue_table_avx512(
+                        self.avx512,
+                        issue,
+                        table,
+                        draws,
+                        requesters,
+                        pending_mask.len(),
+                    )
+                }
+            }
+        }
+    }
+
     /// [`super::super::lanes::run_lanes`] compiled for the five features.
     ///
     /// # Safety
@@ -198,8 +352,8 @@ mod x86 {
     // only after `is_x86_feature_detected!` reported all five features
     // (see `Host::has_features`).
     #[target_feature(enable = "bmi1,bmi2,popcnt,lzcnt,avx2")]
-    unsafe fn run_batch_fast(
-        picks: FastBuild,
+    unsafe fn run_batch_fast<P: Picks>(
+        picks: P,
         net: &BusNetwork,
         matrix: &RequestMatrix,
         r: f64,
@@ -207,6 +361,201 @@ mod x86 {
         seeds: &[u64],
     ) -> Result<Vec<SimReport>, SimError> {
         run_lanes(picks, net, matrix, r, config, seeds)
+    }
+
+    /// The write mask of the live lanes among the eight from `base`
+    /// (`base < lanes`).
+    #[inline(always)]
+    fn lane_mask(lanes: usize, base: usize) -> __mmask8 {
+        u8::MAX >> (8 - (lanes - base).min(8))
+    }
+
+    /// [`Picks::fill_rows`] eight lanes per vector: each block of eight
+    /// lanes loads its four state words once, steps them in registers
+    /// through every row of `draws` and then of `arbs` (each `lanes`
+    /// wide), and stores them back once.
+    // SAFETY: only `Avx512Build::fill_rows` calls it, holding an `Avx512`
+    // token, which is made only after `is_x86_feature_detected!` reported
+    // avx512f (see `Host::has_avx512f`).
+    #[target_feature(enable = "avx512f")]
+    fn fill_rows_avx512(
+        _: Avx512,
+        state: &mut [[u64; MAX_LANES]; 4],
+        lanes: usize,
+        draws: &mut [u64],
+        arbs: &mut [u64],
+    ) {
+        // The state words hold `MAX_LANES` lanes; the masked loads and
+        // stores below rely on it.
+        assert!((1..=MAX_LANES).contains(&lanes), "lane count out of range");
+        let [w0, w1, w2, w3] = state;
+        for base in (0..lanes).step_by(8) {
+            let k = lane_mask(lanes, base);
+            let words = [
+                &mut w0[base..],
+                &mut w1[base..],
+                &mut w2[base..],
+                &mut w3[base..],
+            ]
+            .map(|word| word.as_mut_ptr().cast::<i64>());
+            // SAFETY: the `Avx512` token behind this call proves avx512f.
+            // Each pointer starts inside its state word at lane `base`,
+            // and the mask `k` limits the loads to lanes `base..lanes`.
+            let [mut s0, mut s1, mut s2, mut s3] = unsafe {
+                [
+                    _mm512_maskz_loadu_epi64(k, words[0]),
+                    _mm512_maskz_loadu_epi64(k, words[1]),
+                    _mm512_maskz_loadu_epi64(k, words[2]),
+                    _mm512_maskz_loadu_epi64(k, words[3]),
+                ]
+            };
+            for row in draws
+                .chunks_exact_mut(lanes)
+                .chain(arbs.chunks_exact_mut(lanes))
+            {
+                let out = _mm512_add_epi64(s0, s3);
+                // SAFETY: the `Avx512` token behind this call proves
+                // avx512f. `base < lanes = row.len()`, and the mask `k`
+                // limits the store to the row's lanes `base..lanes`.
+                unsafe { _mm512_mask_storeu_epi64(row[base..].as_mut_ptr().cast(), k, out) };
+                let t = _mm512_slli_epi64::<17>(s1);
+                s2 = _mm512_xor_si512(s2, s0);
+                s3 = _mm512_xor_si512(s3, s1);
+                s1 = _mm512_xor_si512(s1, s2);
+                s0 = _mm512_xor_si512(s0, s3);
+                s2 = _mm512_xor_si512(s2, t);
+                s3 = _mm512_rol_epi64::<45>(s3);
+            }
+            for (word, value) in words.into_iter().zip([s0, s1, s2, s3]) {
+                // SAFETY: the `Avx512` token behind this call proves
+                // avx512f; the stores cover the lanes the loads read.
+                unsafe { _mm512_mask_storeu_epi64(word, k, value) };
+            }
+        }
+    }
+
+    /// `draw as u128 * k` split at bit 64 for eight draws: the high words
+    /// (the alias column, below `k`) and the low words (the fraction).
+    /// Every `k` must be below 2^32 (alias rows hold at most 65 cells).
+    ///
+    /// With `draw = hi · 2^32 + lo` the product is `mid · 2^32 + (lo · k
+    /// mod 2^32)`, where `mid = hi · k + (lo · k >> 32)` is below 2^64.
+    // SAFETY: only `issue_table_avx512` and the tests call it, all holding
+    // an `Avx512` token, which is made only after
+    // `is_x86_feature_detected!` reported avx512f.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn split(draw: __m512i, k: __m512i) -> (__m512i, __m512i) {
+        let lo = _mm512_mul_epu32(draw, k);
+        let hi = _mm512_mul_epu32(_mm512_srli_epi64::<32>(draw), k);
+        let mid = _mm512_add_epi64(hi, _mm512_srli_epi64::<32>(lo));
+        let low_half = _mm512_set1_epi64(0xffff_ffff);
+        let fraction =
+            _mm512_or_si512(_mm512_slli_epi64::<32>(mid), _mm512_and_si512(lo, low_half));
+        (_mm512_srli_epi64::<32>(mid), fraction)
+    }
+
+    /// [`LaneIssue::issue_table`] without resubmission, eight lanes per
+    /// vector: processor-major like the portable loop, with the decode,
+    /// the accept-or-alias select and the requester-table update done
+    /// for a block of lanes at once. An idle lane writes nothing (the
+    /// portable loop ORs zero into a spare slot instead).
+    // SAFETY: only `Avx512Build::issue_table` calls it, holding an
+    // `Avx512` token, which is made only after `is_x86_feature_detected!`
+    // reported avx512f (see `Host::has_avx512f`).
+    #[target_feature(enable = "avx512f")]
+    fn issue_table_avx512(
+        _: Avx512,
+        issue: &mut LaneIssue,
+        table: &IssueTable,
+        draws: &[u64],
+        requesters: &mut [u64],
+        lanes: usize,
+    ) {
+        // The gathers and scatters below rely on these: `req` and `issued`
+        // hold `MAX_LANES` lanes, and every lane's requester table has a
+        // slot for each outcome an alias row can decode to.
+        assert!((1..=MAX_LANES).contains(&lanes), "lane count out of range");
+        let slots = requesters.len() / lanes;
+        assert_eq!(table.columns(), slots, "one requester slot per column");
+        issue.req[..lanes].fill(0);
+        issue.active[..lanes].fill(0);
+        let mut issued = [0u64; MAX_LANES];
+        let (zero, one) = (_mm512_setzero_si512(), _mm512_set1_epi64(1));
+        // Lane `i` of a block's requester tables starts `i · slots` words
+        // after the block's first table.
+        // lint:allow(lossy_cast, slots = M + 1 ≤ 65)
+        let table_words = _mm512_set1_epi64(slots as i64);
+        let lane_tables = _mm512_mul_epu32(_mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), table_words);
+        for (p, row_draws) in draws.chunks_exact(lanes).enumerate() {
+            let cells = table.row(p).cells();
+            let cell_words = cells.as_ptr().cast::<i64>();
+            // lint:allow(lossy_cast, an alias row holds M + 1 ≤ 65 cells)
+            let columns = _mm512_set1_epi64(cells.len() as i64);
+            let bit = _mm512_set1_epi64(1 << p);
+            for base in (0..lanes).step_by(8) {
+                let k = lane_mask(lanes, base);
+                let draw_words = row_draws[base..].as_ptr().cast();
+                // SAFETY: the `Avx512` token behind this call proves
+                // avx512f. `base < lanes = row_draws.len()`, and the mask
+                // `k` limits the load to lanes `base..lanes`.
+                let draw = unsafe { _mm512_maskz_loadu_epi64(k, draw_words) };
+                let (column, fraction) = split(draw, columns);
+                // Cell `c` is two words: the threshold, then the alias
+                // with its zero padding (`IssueCell` is `repr(C)`).
+                let threshold_at = _mm512_slli_epi64::<1>(column);
+                let alias_at = _mm512_add_epi64(threshold_at, one);
+                // SAFETY: the `Avx512` token behind this call proves
+                // avx512f. Every column is below `cells.len()` (the high
+                // word of `draw · cells.len()`), so words `2c` and `2c + 1`
+                // lie in the row, and no cell has uninitialized bytes.
+                let (threshold, alias) = unsafe {
+                    (
+                        _mm512_mask_i64gather_epi64::<8>(zero, k, threshold_at, cell_words),
+                        _mm512_mask_i64gather_epi64::<8>(zero, k, alias_at, cell_words),
+                    )
+                };
+                let accept = _mm512_cmplt_epu64_mask(fraction, threshold);
+                // 0 for idle, `1 + memory` for a request.
+                let outcome = _mm512_mask_blend_epi64(accept, alias, column);
+                let requests = _mm512_mask_test_epi64_mask(k, outcome, outcome);
+                let memory = _mm512_sub_epi64(outcome, one);
+                let req_words = issue.req[base..].as_mut_ptr().cast::<i64>();
+                let issued_words = issued[base..].as_mut_ptr().cast::<i64>();
+                // Lane `base + i`'s table starts at word `(base + i) ·
+                // slots`; a lane requests one memory, so the eight
+                // addresses are distinct.
+                let tables = requesters[base * slots..].as_mut_ptr().cast::<i64>();
+                let at = _mm512_add_epi64(lane_tables, memory);
+                // SAFETY: the `Avx512` token behind this call proves
+                // avx512f. `req` and `issued` hold `MAX_LANES` words and
+                // the mask `k` limits their loads and stores to lanes
+                // `base..lanes`. The `requests` lanes are live lanes with
+                // an outcome in `1..slots` (a column or an alias, both
+                // below the row's `slots` cells), so word `i · slots +
+                // outcome - 1` lies in lane `base + i`'s table.
+                unsafe {
+                    let req = _mm512_maskz_loadu_epi64(k, req_words);
+                    let req =
+                        _mm512_mask_or_epi64(req, requests, req, _mm512_sllv_epi64(one, memory));
+                    _mm512_mask_storeu_epi64(req_words, k, req);
+                    let count = _mm512_maskz_loadu_epi64(k, issued_words);
+                    let count = _mm512_mask_add_epi64(count, requests, count, one);
+                    _mm512_mask_storeu_epi64(issued_words, k, count);
+                    let old = _mm512_mask_i64gather_epi64::<8>(zero, requests, at, tables);
+                    _mm512_mask_i64scatter_epi64::<8>(
+                        tables,
+                        requests,
+                        at,
+                        _mm512_or_si512(old, bit),
+                    );
+                }
+            }
+        }
+        for (slot, &count) in issue.issued[..lanes].iter_mut().zip(&issued) {
+            // lint:allow(lossy_cast, at most N ≤ 64 requests per lane)
+            *slot = count as u32;
+        }
     }
 }
 
@@ -223,6 +572,7 @@ mod tests {
             popcnt: true,
             lzcnt: true,
             avx2: true,
+            avx512f: false,
             vendor: *b"GenuineIntel",
             family: 6,
         }
@@ -278,14 +628,48 @@ mod tests {
         assert_eq!(FastBuild::detect().is_some(), host.fast_build_pays());
     }
 
+    #[test]
+    fn avx512_predicate_needs_the_feature_on_x86_64_outside_miri() {
+        let avx512 = Host {
+            avx512f: true,
+            ..fast_host()
+        };
+        assert!(avx512.has_avx512f());
+        assert!(!fast_host().has_avx512f(), "no AVX-512F");
+        assert!(
+            !Host {
+                miri: true,
+                ..avx512
+            }
+            .has_avx512f(),
+            "under Miri"
+        );
+        assert!(
+            !Host {
+                x86_64: false,
+                ..avx512
+            }
+            .has_avx512f(),
+            "non-x86_64 target"
+        );
+        // The cached decision agrees with a fresh evaluation.
+        assert_eq!(Avx512::detect().is_some(), Host::current().has_avx512f());
+    }
+
     #[cfg(target_arch = "x86_64")]
     mod x86 {
-        use crate::batched::dispatch::FastBuild;
+        use crate::batched::dispatch::x86::split;
+        use crate::batched::dispatch::{Avx512, FastBuild};
         use crate::batched::golden_scenarios::scenarios;
+        use crate::batched::issue::IssueTable;
         use crate::batched::lanes::tests::{chunk_for_rank, naive_pick};
-        use crate::batched::lanes::{byte_matches, run_lanes, Picks, Swar};
+        use crate::batched::lanes::{byte_matches, run_lanes, LaneIssue, Picks, Swar};
+        use crate::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig};
+        use mbus_topology::{BusNetwork, ConnectionScheme};
+        use mbus_workload::RequestMatrix;
         use rand::rngs::StdRng;
         use rand::{RngCore, SeedableRng};
+        use std::arch::x86_64::{_mm512_loadu_epi64, _mm512_set1_epi64, _mm512_storeu_epi64};
 
         /// The fast-build token, or `None` after saying why the test skips.
         fn fast_or_skip(test: &str) -> Option<FastBuild> {
@@ -296,6 +680,239 @@ mod tests {
                 );
             }
             token
+        }
+
+        /// The fast-build and AVX-512F tokens, or `None` after saying why
+        /// the test skips.
+        fn avx512_or_skip(test: &str) -> Option<(FastBuild, Avx512)> {
+            let fast = fast_or_skip(test)?;
+            let avx512 = Avx512::detect();
+            if avx512.is_none() {
+                eprintln!("{test}: skipped, this CPU lacks avx512f (or runs Miri)");
+            }
+            Some((fast, avx512?))
+        }
+
+        /// [`split`] on eight draws, all against the same `k`.
+        // SAFETY: the caller holds an `Avx512` token, made only after
+        // `is_x86_feature_detected!` reported avx512f.
+        #[target_feature(enable = "avx512f")]
+        fn split_eight(_: Avx512, draws: [u64; 8], k: u64) -> ([u64; 8], [u64; 8]) {
+            let (mut column, mut fraction) = ([0u64; 8], [0u64; 8]);
+            // SAFETY: the `Avx512` token proves avx512f, and every pointer
+            // covers exactly eight `u64` words.
+            unsafe {
+                let draws = _mm512_loadu_epi64(draws.as_ptr().cast());
+                let (high, low) = split(draws, _mm512_set1_epi64(k as i64));
+                _mm512_storeu_epi64(column.as_mut_ptr().cast(), high);
+                _mm512_storeu_epi64(fraction.as_mut_ptr().cast(), low);
+            }
+            (column, fraction)
+        }
+
+        #[test]
+        fn avx512_split_equals_the_u128_product() {
+            let Some((_, avx512)) = avx512_or_skip("avx512_split_equals_the_u128_product") else {
+                return;
+            };
+            let mut draws = vec![0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, u64::MAX];
+            let mut rng = StdRng::seed_from_u64(0x5B17);
+            draws.extend((0..100_000).map(|_| rng.next_u64()));
+            for k in 2..=65u64 {
+                for chunk in draws.chunks(8) {
+                    let mut eight = [0u64; 8];
+                    eight[..chunk.len()].copy_from_slice(chunk);
+                    // SAFETY: `avx512` is an `Avx512` token, made only
+                    // after `is_x86_feature_detected!` reported avx512f.
+                    let (column, fraction) = unsafe { split_eight(avx512, eight, k) };
+                    for (i, &draw) in eight.iter().enumerate() {
+                        let wide = u128::from(draw) * u128::from(k);
+                        let want = ((wide >> 64) as u64, wide as u64);
+                        assert_eq!((column[i], fraction[i]), want, "draw {draw:#x}, k {k}");
+                    }
+                }
+            }
+        }
+
+        /// A skewed random `n × n` request matrix: a few hot memories per
+        /// row, so the alias rows mix accepted columns and aliases.
+        fn skewed_matrix(n: usize, seed: u64) -> RequestMatrix {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut weight = || {
+                let x = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                x * x * x + 1e-3
+            };
+            let rows = (0..n)
+                .map(|_| {
+                    let row: Vec<f64> = (0..n).map(|_| weight()).collect();
+                    let total: f64 = row.iter().sum();
+                    row.iter().map(|w| w / total).collect()
+                })
+                .collect();
+            RequestMatrix::from_rows(rows).unwrap()
+        }
+
+        /// All five schemes on an `n × n` network, with each one's bus
+        /// count.
+        fn networks(n: usize) -> Vec<BusNetwork> {
+            let (b, groups) = match n {
+                8 => (4, 2),
+                9 => (3, 3),
+                16 => (8, 2),
+                33 => (6, 3),
+                64 => (16, 4),
+                _ => unreachable!("no shape for n = {n}"),
+            };
+            [
+                ConnectionScheme::Full,
+                ConnectionScheme::balanced_single(n, b).unwrap(),
+                ConnectionScheme::PartialGroups { groups },
+                ConnectionScheme::uniform_classes(n, b).unwrap(),
+                ConnectionScheme::Crossbar,
+            ]
+            .into_iter()
+            .map(|scheme| BusNetwork::new(n, n, b, scheme).unwrap())
+            .collect()
+        }
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn avx512_kernels_keep_every_report() {
+            let Some((fast, avx512)) = avx512_or_skip("avx512_kernels_keep_every_report") else {
+                return;
+            };
+            let wide = fast.with_avx512(avx512);
+            let agree = |net: &BusNetwork, matrix: &RequestMatrix, r, config: &SimConfig, lanes| {
+                let seeds: Vec<u64> = (0..lanes).map(|i| 9_000 + 31 * i).collect();
+                let off = fast.run_with(fast, net, matrix, r, config, &seeds).unwrap();
+                let on = fast.run_with(wide, net, matrix, r, config, &seeds).unwrap();
+                assert_eq!(
+                    off,
+                    on,
+                    "{:?} {}x{}x{}, r = {r}, {lanes} lanes: the kernels change the reports",
+                    net.kind(),
+                    net.processors(),
+                    net.memories(),
+                    net.buses()
+                );
+            };
+            let config = SimConfig::new(28).with_warmup(4).with_batch_len(7);
+            for n in [8, 9, 16, 33, 64] {
+                let matrix = skewed_matrix(n, n as u64);
+                for net in networks(n) {
+                    for r in [0.0, 0.37, 1.0] {
+                        for lanes in [1, 7, 8, 9, 31, 32, 33, 63, 64] {
+                            agree(&net, &matrix, r, &config, lanes);
+                        }
+                    }
+                }
+            }
+            // A bus failing and coming back (unreachable memories on the
+            // single scheme), and resubmission (portable issue, AVX-512
+            // fill), both with a tail block.
+            let faults = FaultSchedule::from_events(vec![
+                FaultEvent {
+                    cycle: 12,
+                    bus: 1,
+                    kind: FaultEventKind::Fail,
+                },
+                FaultEvent {
+                    cycle: 30,
+                    bus: 1,
+                    kind: FaultEventKind::Repair,
+                },
+            ])
+            .unwrap();
+            let matrix = skewed_matrix(33, 3);
+            let [full, single, ..] = &networks(33)[..] else {
+                unreachable!("five schemes")
+            };
+            agree(
+                single,
+                &matrix,
+                0.8,
+                &config.clone().with_faults(faults),
+                37,
+            );
+            agree(full, &matrix, 0.8, &config.with_resubmission(true), 37);
+        }
+
+        /// One requester-table issue pass (no resubmission) with `picks`:
+        /// the lanes' request sets, fresh-issue counts and tables.
+        fn issue_with<P: Picks>(
+            picks: P,
+            table: &IssueTable,
+            draws: &[u64],
+            lanes: usize,
+        ) -> ([u64; 64], [u32; 64], Vec<u64>) {
+            let mut issue = LaneIssue::new();
+            let mut requesters = vec![0u64; lanes * table.columns()];
+            let mut dest = vec![0u8; draws.len()];
+            let pending = vec![0u64; lanes];
+            picks.issue_table::<false>(
+                &mut issue,
+                table,
+                draws,
+                &mut requesters,
+                &mut dest,
+                &pending,
+            );
+            (issue.req, issue.issued, requesters)
+        }
+
+        #[test]
+        fn avx512_issue_matches_portable_at_accept_boundaries() {
+            let Some((fast, avx512)) =
+                avx512_or_skip("avx512_issue_matches_portable_at_accept_boundaries")
+            else {
+                return;
+            };
+            let wide = fast.with_avx512(avx512);
+            let mut rng = StdRng::seed_from_u64(0xB0D7);
+            let mut boundary_draws = 0;
+            for n in [9, 15, 16, 33, 64] {
+                let matrix = skewed_matrix(n, 100 + n as u64);
+                for r in [0.37, 0.9] {
+                    let table = IssueTable::new(&matrix, r).unwrap();
+                    let k = table.columns() as u128;
+                    // Per processor, every draw whose fraction equals a
+                    // cell's threshold exactly (`draw · K = c · 2^64 +
+                    // threshold`), each followed by the draw one below it.
+                    let aimed: Vec<Vec<u64>> = (0..n)
+                        .map(|p| {
+                            let cells = table.row(p).cells().iter().enumerate();
+                            cells
+                                .map(|(c, cell)| (c as u128) << 64 | u128::from(cell.threshold()))
+                                .filter(|target| target % k == 0)
+                                .flat_map(|target| {
+                                    let draw = (target / k) as u64;
+                                    [draw, draw.wrapping_sub(1)]
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    boundary_draws += aimed.iter().map(Vec::len).sum::<usize>() / 2;
+                    for lanes in [7, 8, 33, 64] {
+                        // Each processor's aimed draws lead its row of lane
+                        // draws; random draws fill the rest.
+                        let mut draws = Vec::with_capacity(n * lanes);
+                        for row in &aimed {
+                            for l in 0..lanes {
+                                draws.push(row.get(l).copied().unwrap_or_else(|| rng.next_u64()));
+                            }
+                        }
+                        assert_eq!(
+                            issue_with(fast, &table, &draws, lanes),
+                            issue_with(wide, &table, &draws, lanes),
+                            "n = {n}, r = {r}, {lanes} lanes"
+                        );
+                    }
+                }
+            }
+            assert!(
+                boundary_draws >= 100,
+                "only {boundary_draws} boundary draws"
+            );
         }
 
         #[test]

@@ -10,6 +10,12 @@
 //! into a column (`high 64 bits of draw * K`) and a fraction (`low 64
 //! bits`), then accept the column or take its alias.
 //!
+//! Each cell is 16 bytes with a fixed layout (`IssueCell`): the threshold
+//! word, then the `u16` alias followed by zeroed padding. The AVX-512
+//! issue kernel in `batched::dispatch` gathers both words of eight
+//! lanes' cells at once, so the padding is an explicit zero field rather
+//! than uninitialized bytes.
+//!
 //! This is the batched engine's own sampling spec — deliberately *not*
 //! draw-compatible with `WorkloadSampler` (which the scalar engine keeps,
 //! byte-identical, for the golden traces). The per-processor marginal
@@ -38,10 +44,39 @@ fn prob_to_threshold(p: f64) -> u64 {
 
 /// One alias-table cell: accept `column` when the draw fraction is below
 /// `threshold`, otherwise emit `alias`.
+///
+/// The layout is fixed (`repr(C)`, 16 bytes): `threshold` is the 64-bit
+/// word at offset 0 and `alias` plus the always-zero `zero` padding is
+/// the word at offset 8, so a 64-bit read of that word — the AVX-512
+/// issue kernel in `batched::dispatch` gathers it — is exactly `alias`
+/// and touches only initialized bytes. `alias` itself stays `u16`:
+/// widening it to `u64` made the N ≤ 8 path, whose only reader of a cell
+/// is the scalar decode's branch-free select, about a third slower
+/// (DESIGN §14), so re-measure that path after any change here.
 #[derive(Debug, Clone, Copy)]
-struct IssueCell {
+#[repr(C)]
+pub(super) struct IssueCell {
     threshold: u64,
     alias: u16,
+    zero: [u16; 3],
+}
+
+const _: () = assert!(std::mem::size_of::<IssueCell>() == 16);
+
+impl IssueCell {
+    fn new(threshold: u64, alias: u16) -> Self {
+        Self {
+            threshold,
+            alias,
+            zero: [0; 3],
+        }
+    }
+
+    /// The acceptance threshold, for tests that aim draws at it.
+    #[cfg(test)]
+    pub(super) fn threshold(&self) -> u64 {
+        self.threshold
+    }
 }
 
 /// Per-processor composite alias tables over `M + 1` outcomes.
@@ -87,6 +122,12 @@ impl IssueTable {
         Ok(Self { columns, cells })
     }
 
+    /// Cells per processor row: `M + 1`.
+    #[inline]
+    pub(super) fn columns(&self) -> usize {
+        self.columns
+    }
+
     /// Decodes one full-width draw for processor `p`: `Some(memory)` or
     /// `None` for idle. Consumes exactly one `u64` of entropy.
     #[inline]
@@ -119,7 +160,13 @@ pub(crate) struct IssueRow<'a> {
     cells: &'a [IssueCell],
 }
 
-impl IssueRow<'_> {
+impl<'a> IssueRow<'a> {
+    /// The row's `M + 1` cells, for the AVX-512 issue kernel's gathers.
+    #[inline]
+    pub(super) fn cells(&self) -> &'a [IssueCell] {
+        self.cells
+    }
+
     /// Same decode as [`IssueTable::decode_raw`] for this row's processor.
     #[inline]
     pub(crate) fn decode_raw(&self, draw: u64) -> usize {
@@ -153,19 +200,15 @@ fn build_alias_row(columns: usize, weight: impl Fn(usize) -> f64, cells: &mut Ve
     }
     let mut prob = scaled;
     let base = cells.len();
-    cells.extend((0..columns).map(|o| IssueCell {
-        threshold: u64::MAX,
+    cells.extend((0..columns).map(|o| {
         // lint:allow(lossy_cast, alias indices were bounds-checked against u16::MAX at construction)
-        alias: o as u16,
+        IssueCell::new(u64::MAX, o as u16)
     }));
     while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
         small.pop();
         // Column s keeps prob[s] of its own mass; the remainder aliases to l.
-        cells[base + s] = IssueCell {
-            threshold: prob_to_threshold(prob[s]),
-            // lint:allow(lossy_cast, alias indices were bounds-checked against u16::MAX at construction)
-            alias: l as u16,
-        };
+        // lint:allow(lossy_cast, alias indices were bounds-checked against u16::MAX at construction)
+        cells[base + s] = IssueCell::new(prob_to_threshold(prob[s]), l as u16);
         prob[l] -= 1.0 - prob[s];
         if prob[l] < 1.0 {
             large.pop();
@@ -174,11 +217,8 @@ fn build_alias_row(columns: usize, weight: impl Fn(usize) -> f64, cells: &mut Ve
     }
     // Leftovers (numerical drift) saturate to always-accept.
     for o in small.into_iter().chain(large) {
-        cells[base + o] = IssueCell {
-            threshold: u64::MAX,
-            // lint:allow(lossy_cast, alias indices were bounds-checked against u16::MAX at construction)
-            alias: o as u16,
-        };
+        // lint:allow(lossy_cast, alias indices were bounds-checked against u16::MAX at construction)
+        cells[base + o] = IssueCell::new(u64::MAX, o as u16);
     }
 }
 

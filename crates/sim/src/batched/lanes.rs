@@ -16,7 +16,9 @@
 //! lock-step). After the issue rows, each cycle draws
 //! `⌈capacity / 4⌉` further full-width *arbitration words* per lane.
 //! All of these are generated up front into packed matrices so the
-//! xoshiro step vectorizes across lanes; only the K-class Fisher–Yates
+//! xoshiro step vectorizes across lanes (`Picks::fill_rows`; on AVX-512F
+//! the fast build keeps each block of eight lanes' state in registers
+//! across all of the cycle's rows); only the K-class Fisher–Yates
 //! subset draws genuinely diverge, and they step a register copy of one
 //! lane's generator (`LaneRngs::take_lane`) that is written back once
 //! per lane-cycle.
@@ -41,9 +43,12 @@
 //! `popcnt`, `pdep` and `tzcnt` (`batched::dispatch` picks one per call
 //! from CPUID). Both select the same winner, so the reports do not
 //! depend on the build. The table path also issues *processor-major*,
-//! in its own pass ahead of the per-lane pass: one processor's alias row
-//! and its contiguous row of lane draws stay hot while every lane
-//! decodes, instead of each lane walking the whole `IssueTable`. The
+//! in its own pass ahead of the per-lane pass (`Picks::issue_table`):
+//! one processor's alias row and its contiguous row of lane draws stay
+//! hot while every lane decodes, instead of each lane walking the whole
+//! `IssueTable`. On AVX-512F, without resubmission, the fast build runs
+//! that pass eight lanes per vector, gathering from the alias row and
+//! scattering into the lanes' requester tables. The
 //! per-lane reference engine in [`super::reference`] implements the identical
 //! spec naively — one scalar `LaneRng` per seed, the
 //! production `grant_buses` arbiters — and the differential suite holds
@@ -349,6 +354,36 @@ pub(super) trait Picks: Copy {
     /// The winner among the bytes of `word` equal to the broadcast byte
     /// `needle` (at least one must match).
     fn pick_in_word(self, word: u64, needle: u64, chunk: u64) -> usize;
+
+    /// One cycle's lane RNG fill: every issue row of `draws`, then every
+    /// arbitration row of `arbs`, each row one [`LaneRngs::fill_into`]
+    /// step of every lane. An override must leave each lane's stream in
+    /// the same order.
+    #[inline(always)]
+    fn fill_rows(self, rngs: &mut LaneRngs, draws: &mut [u64], arbs: &mut [u64]) {
+        let lanes = rngs.lanes();
+        for chunk in draws.chunks_exact_mut(lanes) {
+            rngs.fill_into(chunk);
+        }
+        for chunk in arbs.chunks_exact_mut(lanes) {
+            rngs.fill_into(chunk);
+        }
+    }
+
+    /// One cycle's requester-table issue: [`LaneIssue::issue_table`]. An
+    /// override must produce the same tables and per-lane results.
+    #[inline(always)]
+    fn issue_table<const RESUB: bool>(
+        self,
+        issue: &mut LaneIssue,
+        table: &IssueTable,
+        draws: &[u64],
+        requesters: &mut [u64],
+        dest_mem: &mut [u8],
+        pending_mask: &[u64],
+    ) {
+        issue.issue_table::<RESUB>(table, draws, requesters, dest_mem, pending_mask);
+    }
 }
 
 /// The portable SWAR picks: the build for every CPU, and the reference
@@ -370,18 +405,18 @@ impl Picks for Swar {
 
 /// Per-lane results of the requester-table path's issue pass; all zero
 /// on the packed-word path, which issues inside its per-lane pass.
-struct LaneIssue {
+pub(super) struct LaneIssue {
     /// Memories with at least one requester.
-    req: [u64; MAX_LANES],
+    pub(super) req: [u64; MAX_LANES],
     /// Requesting processors (with resubmission; nothing reads it
     /// otherwise).
-    active: [u64; MAX_LANES],
+    pub(super) active: [u64; MAX_LANES],
     /// Fresh (not resubmitted) requests.
-    issued: [u32; MAX_LANES],
+    pub(super) issued: [u32; MAX_LANES],
 }
 
 impl LaneIssue {
-    fn new() -> Self {
+    pub(super) fn new() -> Self {
         Self {
             req: [0; MAX_LANES],
             active: [0; MAX_LANES],
@@ -401,7 +436,7 @@ impl LaneIssue {
     /// and accept/alias outcomes are data-random, and branching on them
     /// would mispredict half the time. An idle processor `p` writes zero
     /// to slot `p % (M + 1)`.
-    fn issue_table<const RESUB: bool>(
+    pub(super) fn issue_table<const RESUB: bool>(
         &mut self,
         table: &IssueTable,
         draws: &[u64],
@@ -619,12 +654,7 @@ pub(super) fn run_lanes<P: Picks>(
         // 1. Issue draws (one full-width RNG step per processor) followed
         // by the cycle's arbitration words, all lanes advanced together
         // so the xoshiro recurrence vectorizes.
-        for chunk in draw_buf.chunks_exact_mut(lanes) {
-            rngs.fill_into(chunk);
-        }
-        for chunk in arb_buf.chunks_exact_mut(lanes) {
-            rngs.fill_into(chunk);
-        }
+        picks.fill_rows(&mut rngs, &mut draw_buf, &mut arb_buf);
 
         // Full scheme: one rotated alive list serves every lane this
         // cycle, kept only as its busy-set prefixes.
@@ -644,11 +674,12 @@ pub(super) fn run_lanes<P: Picks>(
         // 2. Requester-table issue, processor-major, for every lane.
         if !small {
             let issue = if resubmission {
-                LaneIssue::issue_table::<true>
+                P::issue_table::<true>
             } else {
-                LaneIssue::issue_table::<false>
+                P::issue_table::<false>
             };
             issue(
+                picks,
                 &mut lane_issue,
                 &table,
                 &draw_buf,

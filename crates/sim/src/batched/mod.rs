@@ -12,7 +12,9 @@
 //! K-class random subset selection genuinely diverges between lanes and
 //! falls back to per-lane scalar RNG stepping. The cycle loop is built
 //! twice, portable and with BMI2/POPCNT/AVX2, and `dispatch` picks one
-//! per call from CPUID; both produce identical reports.
+//! per call from CPUID; on AVX-512F CPUs the fast build also runs the
+//! lane RNG fill and the requester-table issue eight lanes per vector.
+//! Every build produces identical reports.
 //!
 //! The batched engine defines its own *sampling spec* — same per-cycle
 //! marginal distributions as the scalar [`crate::Simulator`], different

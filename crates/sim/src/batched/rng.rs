@@ -6,7 +6,11 @@
 //! `s0 + s3`. The `+` output function is deliberate: unlike the `**`
 //! scrambler there is no 64-bit multiply anywhere in the step, so the
 //! full-width advance is pure shifts/XORs/adds the compiler vectorizes
-//! at the baseline target ISA. The four state words are stored
+//! at the baseline target ISA. [`LaneRngs::fill_into`] loads and stores
+//! the state once per row of draws; on AVX-512F the fast build's fill
+//! (`batched::dispatch`) instead holds each block of eight lanes' state
+//! in registers across every row of a cycle, through
+//! [`LaneRngs::state_mut`]. The four state words are stored
 //! lane-major (`s[w][lane]`); lanes that diverge (K-class subset draws)
 //! copy one lane's state into a register-resident [`LaneRng`]
 //! ([`LaneRngs::take_lane`]), step it as often as the lane needs, and
@@ -101,6 +105,14 @@ impl LaneRngs {
             s2[l] ^= t;
             s3[l] = s3[l].rotate_left(45);
         }
+    }
+
+    /// The state words, `s[w][l]` being word `w` of lane `l` (lanes at
+    /// and above [`LaneRngs::lanes`] are unused): the AVX-512 fill in
+    /// `batched::dispatch` steps them eight lanes per vector.
+    #[inline]
+    pub(super) fn state_mut(&mut self) -> &mut [[u64; MAX_LANES]; 4] {
+        &mut self.s
     }
 
     /// Copies lane `lane`'s generator out — the divergent-arbitration

@@ -102,7 +102,7 @@ impl BusNetwork {
                         buses: b,
                     });
                 }
-                if m % g != 0 || b % g != 0 {
+                if !m.is_multiple_of(g) || !b.is_multiple_of(g) {
                     return Err(TopologyError::GroupsDontDivide {
                         groups: g,
                         memories: m,

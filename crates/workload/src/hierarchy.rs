@@ -102,7 +102,7 @@ impl Hierarchy {
         if clusters == 0 || n == 0 {
             return Err(WorkloadError::EmptyHierarchy);
         }
-        if n % clusters != 0 {
+        if !n.is_multiple_of(clusters) {
             return Err(WorkloadError::IndivisibleClusters {
                 processors: n,
                 clusters,
