@@ -16,10 +16,10 @@
 //! For bus-permutation-symmetric schemes (full, crossbar) every bus is
 //! interchangeable, so a degraded breakdown depends only on the failure
 //! *count*, not on which buses failed. For those schemes the campaign
-//! evaluates one canonical mask per level before the sweep — at most
-//! `B + 1` analytical calls instead of `2^B` — and the sweep reads the
-//! level's result, reporting the same per-mask aggregates as evaluating
-//! every mask.
+//! evaluates one canonical mask per level — at most `B + 1` analytical
+//! calls instead of `2^B` — and lists no masks: each level aggregates its
+//! canonical result once per mask, reporting the same per-mask aggregates
+//! as evaluating every mask.
 //!
 //! Given a per-bus failure probability `q`, the per-level means combine
 //! into an **availability-weighted expected bandwidth**
@@ -261,6 +261,46 @@ fn sampled_combinations(b: usize, f: usize, samples: usize, seed: u64) -> Vec<Ve
         .collect()
 }
 
+/// The summary of failure level `f` over its masks' failed buses and
+/// breakdowns, in evaluation order: the worst mask is the first one that
+/// reaches the level's minimum bandwidth.
+fn summarize<'a>(
+    f: usize,
+    exhaustive: bool,
+    masks: impl Iterator<Item = (&'a [usize], &'a DegradedBreakdown)>,
+) -> FailureLevelSummary {
+    let mut n = 0usize;
+    let mut mean_bw = 0.0;
+    let mut mean_reach = 0.0;
+    let mut min_bw = f64::INFINITY;
+    let mut max_bw = f64::NEG_INFINITY;
+    let mut min_reach = f64::INFINITY;
+    let mut worst_mask = Vec::new();
+    for (failed, breakdown) in masks {
+        n += 1;
+        mean_bw += breakdown.bandwidth;
+        mean_reach += breakdown.accessible_fraction;
+        max_bw = max_bw.max(breakdown.bandwidth);
+        min_reach = min_reach.min(breakdown.accessible_fraction);
+        if breakdown.bandwidth < min_bw {
+            min_bw = breakdown.bandwidth;
+            worst_mask = failed.to_vec();
+        }
+    }
+    debug_assert!(n > 0, "every level evaluates at least one mask");
+    FailureLevelSummary {
+        failures: f,
+        combos_evaluated: n,
+        exhaustive,
+        mean_bandwidth: mean_bw / n as f64,
+        min_bandwidth: min_bw,
+        max_bandwidth: max_bw,
+        mean_accessible_fraction: mean_reach / n as f64,
+        min_accessible_fraction: min_reach,
+        worst_mask,
+    }
+}
+
 /// Runs a fault campaign: evaluates the analytical degraded bandwidth of
 /// every (or a sample of every) f-bus failure combination for
 /// `f = 0..=max_failures` and aggregates per-level summaries.
@@ -309,94 +349,88 @@ fn run_campaign_with(
         });
     }
 
+    // Bus-permutation symmetry: on full/crossbar schemes any two equal-`f`
+    // masks yield bit-identical breakdowns, so one canonical evaluation
+    // per level (the mask `{0..f}`) stands for every mask of the level,
+    // and those levels list no masks at all.
+    let symmetric = collapse && matches!(net.kind(), SchemeKind::Full | SchemeKind::Crossbar);
+
     // Gather every mask to evaluate, tagged by level, and sweep them in one
-    // parallel pass (flat work list → balanced chunks).
+    // parallel pass (flat work list → balanced chunks). A symmetric level
+    // keeps only its mask count and its first mask.
     let mut work: Vec<(usize, Vec<usize>)> = Vec::new();
     let mut level_exhaustive = Vec::with_capacity(max_failures + 1);
+    let mut level_first: Vec<(usize, Vec<usize>)> = Vec::new();
     for f in 0..=max_failures {
         let count = choose(b as u64, f as u64);
         let exhaustive = matches!(count, Some(c) if c <= config.exhaustive_limit);
+        let seed = config.seed.wrapping_add(f as u64);
+        level_exhaustive.push(exhaustive);
+        if symmetric {
+            level_first.push(match count {
+                Some(c) if exhaustive => (
+                    usize::try_from(c).map_err(|_| CampaignError::BadConfig {
+                        reason: format!("C({b}, {f}) = {c} masks exceed the address space"),
+                    })?,
+                    (0..f).collect(),
+                ),
+                // Draws are independent, so the first of one draw is the
+                // first of `samples` draws.
+                _ => (
+                    config.samples,
+                    sampled_combinations(b, f, 1, seed).swap_remove(0),
+                ),
+            });
+            continue;
+        }
         let masks = if exhaustive {
             all_combinations(b, f)
         } else {
-            sampled_combinations(b, f, config.samples, config.seed.wrapping_add(f as u64))
+            sampled_combinations(b, f, config.samples, seed)
         };
-        level_exhaustive.push(exhaustive);
         work.extend(masks.into_iter().map(|mask| (f, mask)));
     }
 
-    let workers = if config.workers == 0 {
-        available_workers()
-    } else {
-        config.workers
-    };
-    // Bus-permutation symmetry: on full/crossbar schemes any two equal-`f`
-    // masks yield bit-identical breakdowns, so one canonical evaluation
-    // per level (the lexicographically first mask `{0..f}` — also the
-    // first mask the uncollapsed sweep sees, keeping `worst_mask`
-    // identical) serves every `C(B, f)` combination.
-    let symmetric = collapse && matches!(net.kind(), SchemeKind::Full | SchemeKind::Crossbar);
-    let canonical: Vec<DegradedBreakdown> = if symmetric {
-        (0..=max_failures)
-            .map(|f| {
-                let first: Vec<usize> = (0..f).collect();
-                let mask = FaultMask::with_failures(b, &first)?;
-                degraded_analyze(net, matrix, r, &mask)
+    let levels = if symmetric {
+        level_first
+            .iter()
+            .enumerate()
+            .map(|(f, (count, first))| {
+                let canonical = FaultMask::with_failures(b, &(0..f).collect::<Vec<_>>())?;
+                let breakdown = degraded_analyze(net, matrix, r, &canonical)?;
+                // Every mask of the level reads the canonical breakdown:
+                // aggregate it `count` times in mask order, so the means
+                // keep the bits of a per-mask sweep.
+                let masks = std::iter::repeat_n((first.as_slice(), &breakdown), *count);
+                Ok(summarize(f, level_exhaustive[f], masks))
             })
-            .collect::<Result<_, AnalysisError>>()?
+            .collect::<Result<Vec<_>, AnalysisError>>()?
     } else {
-        Vec::new()
-    };
-    type Evaluated = Result<(usize, Vec<usize>, DegradedBreakdown), AnalysisError>;
-    let evaluated: Vec<Evaluated> = parallel_map(work, workers, |(f, failed)| {
-        let breakdown = if symmetric {
-            canonical[f].clone()
+        let workers = if config.workers == 0 {
+            available_workers()
         } else {
-            let mask = FaultMask::with_failures(b, &failed).map_err(AnalysisError::from)?;
-            degraded_analyze(net, matrix, r, &mask)?
+            config.workers
         };
-        Ok((f, failed, breakdown))
-    });
-
-    let mut per_level: Vec<Vec<(Vec<usize>, DegradedBreakdown)>> =
-        (0..=max_failures).map(|_| Vec::new()).collect();
-    for item in evaluated {
-        let (f, failed, breakdown) = item?;
-        per_level[f].push((failed, breakdown));
-    }
-
-    let mut levels = Vec::with_capacity(max_failures + 1);
-    for (f, results) in per_level.iter().enumerate() {
-        let n = results.len();
-        debug_assert!(n > 0, "every level evaluates at least one mask");
-        let mut mean_bw = 0.0;
-        let mut mean_reach = 0.0;
-        let mut min_bw = f64::INFINITY;
-        let mut max_bw = f64::NEG_INFINITY;
-        let mut min_reach = f64::INFINITY;
-        let mut worst_mask = Vec::new();
-        for (failed, breakdown) in results {
-            mean_bw += breakdown.bandwidth;
-            mean_reach += breakdown.accessible_fraction;
-            max_bw = max_bw.max(breakdown.bandwidth);
-            min_reach = min_reach.min(breakdown.accessible_fraction);
-            if breakdown.bandwidth < min_bw {
-                min_bw = breakdown.bandwidth;
-                worst_mask = failed.clone();
-            }
-        }
-        levels.push(FailureLevelSummary {
-            failures: f,
-            combos_evaluated: n,
-            exhaustive: level_exhaustive[f],
-            mean_bandwidth: mean_bw / n as f64,
-            min_bandwidth: min_bw,
-            max_bandwidth: max_bw,
-            mean_accessible_fraction: mean_reach / n as f64,
-            min_accessible_fraction: min_reach,
-            worst_mask,
+        type Evaluated = Result<(usize, Vec<usize>, DegradedBreakdown), AnalysisError>;
+        let evaluated: Vec<Evaluated> = parallel_map(work, workers, |(f, failed)| {
+            let mask = FaultMask::with_failures(b, &failed).map_err(AnalysisError::from)?;
+            Ok((f, failed, degraded_analyze(net, matrix, r, &mask)?))
         });
-    }
+        let mut per_level: Vec<Vec<(Vec<usize>, DegradedBreakdown)>> =
+            (0..=max_failures).map(|_| Vec::new()).collect();
+        for item in evaluated {
+            let (f, failed, breakdown) = item?;
+            per_level[f].push((failed, breakdown));
+        }
+        per_level
+            .iter()
+            .enumerate()
+            .map(|(f, results)| {
+                let masks = results.iter().map(|(failed, bd)| (failed.as_slice(), bd));
+                summarize(f, level_exhaustive[f], masks)
+            })
+            .collect()
+    };
 
     let expected_bandwidth = levels
         .iter()

@@ -1,41 +1,44 @@
 //! Runtime choice between the builds of the batched cycle loop.
 //!
-//! [`super::run_batch`] is compiled twice from one generic source
-//! ([`super::lanes::run_lanes`]): once for the baseline target with the
-//! portable SWAR picks ([`super::lanes::Swar`]), and once under
-//! `#[target_feature(enable = "bmi1,bmi2,popcnt,lzcnt,avx2")]` with the
-//! [`FastBuild`] picks. Those rank a grant's contenders with `popcnt`,
-//! select the winner with `pdep` + `tzcnt`, and every other `count_ones`
-//! and `trailing_zeros` in the loop becomes one instruction (`lzcnt`
-//! comes with the set; the loop has no `leading_zeros` today). AVX2 lets
-//! the compiler run the portable lane RNG fill four lanes per
-//! instruction instead of two. Both builds select the same winner by
-//! construction, so every report is bit-identical whichever build ran.
+//! [`super::run_batch`] is compiled three times from one generic source
+//! ([`super::lanes::run_lanes`]):
 //!
-//! On a CPU that also has AVX-512F, the fast build runs with two
-//! hand-written kernels in place of the portable bodies of the
-//! [`super::lanes::Picks`] hooks (the `Avx512Build` picks; the
-//! feature-enabled entry point is instantiated once per picks type, so
-//! the binary holds the cycle loop three times):
+//! * for the baseline target with the portable picks
+//!   ([`super::lanes::Swar`]): SWAR ranks, and on x86_64 an SSE2 row
+//!   compare (`pcmpeqb` + `pmovmskb` per pair of row words, `Sse2Row`),
+//!   SSE2 being part of that target's baseline;
+//! * under `#[target_feature(enable = "bmi1,bmi2,popcnt,lzcnt,avx2")]`
+//!   with the [`FastBuild`] picks. Those rank a grant's contenders with
+//!   `popcnt`, select the winner with `pdep` + `tzcnt`, and match a row
+//!   with one AVX2 `vpcmpeqb` + `vpmovmskb` per 32-byte half; every other
+//!   `count_ones` and `trailing_zeros` in the loop becomes one instruction
+//!   (`lzcnt` comes with the set; the loop has no `leading_zeros` today),
+//!   and AVX2 lets the compiler run the portable lane RNG fill four lanes
+//!   per instruction instead of two;
+//! * on a CPU that also has AVX-512F and AVX-512BW, under those seven
+//!   features with the `Avx512Build` picks, whose hand-written kernels
+//!   replace the portable bodies of the [`super::lanes::Picks`] hooks:
+//!   - **RNG fill** — eight lanes per vector, each block's xoshiro256+
+//!     state held in four registers across every draw row and arbitration
+//!     row of the cycle (`vprolq` is the rotate), instead of a load and a
+//!     store of the state per row.
+//!   - **Issue** (no resubmission, every `N`) — eight lanes per vector:
+//!     column and fraction from two `vpmuludq` products (exactly `draw as
+//!     u128 * K` split at bit 64), threshold and alias gathered from the
+//!     processor's alias row, accept as an unsigned mask compare, then the
+//!     outcome byte shifted into place and written to the lanes' row words
+//!     with one contiguous masked store, plus masked `req`/`issued`
+//!     accumulation. With resubmission the portable issue loop runs.
+//!   - **Row match** — a lane's row is one register (a masked gather of its
+//!     words, or a broadcast for a one-word row), and a grant's contenders
+//!     are one `vpcmpeqb` straight into a mask register.
 //!
-//! * **RNG fill** — eight lanes per vector, each block's xoshiro256+
-//!   state held in four registers across every draw row and arbitration
-//!   row of the cycle (`vprolq` is the rotate), instead of a load and a
-//!   store of the state per row.
-//! * **Requester-table issue** (N > 8, no resubmission) — eight lanes per
-//!   vector: column and fraction from two `vpmuludq` products (exactly
-//!   `draw as u128 * K` split at bit 64), threshold and alias gathered
-//!   from the processor's alias row, accept as an unsigned mask compare,
-//!   then a masked gather-OR-scatter into each lane's requester table and
-//!   masked `req`/`issued` accumulation. With resubmission the portable
-//!   issue loop runs.
-//!
-//! Each lane's RNG stream order and every decode are unchanged, so the
-//! reports stay bit-identical; only the instruction mix differs. Lane
-//! counts that are not a multiple of eight run their last block under a
-//! lane mask. The kernels were measured on an Intel Xeon with AVX-512
-//! (DESIGN §14); AMD Zen 4's AVX-512 gathers and scatters are unmeasured
-//! here.
+//! All builds select the same winner by construction, and each lane's RNG
+//! stream order and every decode are unchanged, so every report is
+//! bit-identical whichever build ran; only the instruction mix differs.
+//! Lane counts that are not a multiple of eight run their last block
+//! under a lane mask. The kernels were measured on an Intel Xeon with
+//! AVX-512 (DESIGN §14); AMD Zen 4's AVX-512 gathers are unmeasured here.
 //!
 //! Each call picks its build from CPUID ([`FastBuild::detect`],
 //! [`Avx512::detect`]); there is no setting. The portable build runs on
@@ -45,11 +48,11 @@
 //! cycles — slower than the SWAR pick it would replace.
 //!
 //! This module is the crate's one `unsafe` island: entering the
-//! feature-enabled build, calling `pdep` and entering the AVX-512F
-//! kernels are sound only on a CPU that has the features, which the
-//! [`FastBuild`] and [`Avx512`] tokens prove; the kernels' vector loads,
-//! stores, gathers and scatters are sound because every index they use
-//! is in bounds.
+//! feature-enabled builds, calling `pdep` and calling the SSE2, AVX2 and
+//! AVX-512 kernels are sound only on a CPU that has the features, which
+//! the [`FastBuild`] and [`Avx512`] tokens prove (SSE2 is enabled for
+//! every x86_64 build); the kernels' vector loads, stores and gathers are
+//! sound because every index they use is in bounds.
 
 #![allow(unsafe_code)]
 // overrides the crate-level deny; every site below carries a SAFETY argument
@@ -68,6 +71,7 @@ struct Host {
     lzcnt: bool,
     avx2: bool,
     avx512f: bool,
+    avx512bw: bool,
     /// CPUID leaf 0 vendor string.
     vendor: [u8; 12],
     /// CPUID leaf 1 display family (base family plus, at base 0xF, the
@@ -109,6 +113,7 @@ impl Host {
                 lzcnt: std::arch::is_x86_feature_detected!("lzcnt"),
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
                 avx512f: std::arch::is_x86_feature_detected!("avx512f"),
+                avx512bw: std::arch::is_x86_feature_detected!("avx512bw"),
                 vendor,
                 family,
             };
@@ -139,10 +144,10 @@ impl Host {
         self.has_features() && !self.slow_pdep()
     }
 
-    /// Whether the CPU has AVX-512F, which the fast build's vector
-    /// kernels are compiled with.
-    fn has_avx512f(&self) -> bool {
-        self.x86_64 && !self.miri && self.avx512f
+    /// Whether the CPU has AVX-512F and AVX-512BW, which the fast build's
+    /// vector kernels and its AVX-512 cycle loop are compiled with.
+    fn has_avx512(&self) -> bool {
+        self.x86_64 && !self.miri && self.avx512f && self.avx512bw
     }
 }
 
@@ -171,43 +176,135 @@ impl FastBuild {
     }
 }
 
-/// Proof that the running CPU has AVX-512F: only [`Avx512::detect`]
-/// makes one, after `is_x86_feature_detected!` reported it. Holding it is
-/// what makes entering the fast build's AVX-512F kernels sound.
+/// Proof that the running CPU has AVX-512F and AVX-512BW: only
+/// [`Avx512::detect`] makes one, after `is_x86_feature_detected!`
+/// reported both. Holding it is what makes entering the fast build's
+/// AVX-512 cycle loop and kernels sound.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Avx512(());
 
 impl Avx512 {
-    /// The token, if this CPU has AVX-512F (evaluated once per process).
+    /// The token, if this CPU has AVX-512F and AVX-512BW (evaluated once
+    /// per process).
     pub(crate) fn detect() -> Option<Self> {
         static HAS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        HAS.get_or_init(|| Host::current().has_avx512f())
+        HAS.get_or_init(|| Host::current().has_avx512())
             .then_some(Self(()))
     }
 }
 
 #[cfg(target_arch = "x86_64")]
+pub(super) use x86::Sse2Row;
+
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::super::issue::IssueTable;
-    use super::super::lanes::{byte_matches, run_lanes, LaneIssue, Picks};
+    use super::super::lanes::{run_lanes, LaneIssue, Picks};
     use super::super::rng::{LaneRngs, MAX_LANES};
     use super::{Avx512, FastBuild};
     use crate::{SimConfig, SimError, SimReport};
     use mbus_topology::BusNetwork;
     use mbus_workload::RequestMatrix;
     use std::arch::x86_64::{
-        __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmplt_epu64_mask,
-        _mm512_mask_add_epi64, _mm512_mask_blend_epi64, _mm512_mask_i64gather_epi64,
-        _mm512_mask_i64scatter_epi64, _mm512_mask_or_epi64, _mm512_mask_storeu_epi64,
-        _mm512_mask_test_epi64_mask, _mm512_maskz_loadu_epi64, _mm512_mul_epu32, _mm512_or_si512,
-        _mm512_rol_epi64, _mm512_set1_epi64, _mm512_setr_epi64, _mm512_setzero_si512,
+        __m128i, __m256i, __m512i, __mmask8, _mm256_cmpeq_epi8, _mm256_movemask_epi8,
+        _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setzero_si256, _mm512_add_epi64,
+        _mm512_and_si512, _mm512_cmpeq_epi8_mask, _mm512_cmplt_epu64_mask, _mm512_mask_add_epi64,
+        _mm512_mask_blend_epi64, _mm512_mask_i64gather_epi64, _mm512_mask_or_epi64,
+        _mm512_mask_storeu_epi64, _mm512_mask_test_epi64_mask, _mm512_maskz_loadu_epi64,
+        _mm512_maskz_set1_epi64, _mm512_mul_epu32, _mm512_or_si512, _mm512_rol_epi64,
+        _mm512_set1_epi64, _mm512_set1_epi8, _mm512_setr_epi64, _mm512_setzero_si512,
         _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
-        _mm512_xor_si512, _pdep_u64,
+        _mm512_xor_si512, _mm_cmpeq_epi8, _mm_movemask_epi8, _mm_set1_epi8, _mm_set_epi64x,
+        _mm_setzero_si128, _pdep_u64,
     };
+
+    // SSE2 is part of the x86_64 baseline: every build of this crate for
+    // the target enables it, which `Sse2Row` relies on.
+    const _: () = assert!(cfg!(target_feature = "sse2"), "x86_64 without SSE2");
+
+    /// The portable build's row on x86_64: the row's words in pairs, one
+    /// 16-byte vector per pair, matched with `pcmpeqb` + `pmovmskb`. Only
+    /// the pairs that hold the row's `words` words are compared.
+    #[derive(Clone, Copy, Debug)]
+    pub(in crate::batched) struct Sse2Row {
+        pairs: [__m128i; 4],
+        words: usize,
+    }
+
+    impl Sse2Row {
+        /// Lane `l`'s row of the word-major `rows`.
+        #[inline(always)]
+        pub(in crate::batched) fn load(rows: &[u64], lanes: usize, l: usize) -> Self {
+            // SAFETY: sse2, the feature `load_sse2` is compiled with, is
+            // enabled for every x86_64 build (the assertion above).
+            unsafe { load_sse2(rows, lanes, l) }
+        }
+
+        /// The row's word count, `⌈N / 8⌉`.
+        #[inline(always)]
+        pub(in crate::batched) fn words(&self) -> usize {
+            self.words
+        }
+
+        /// Bit `p` of the result is set iff byte `p` of the row is
+        /// `1 + memory`.
+        #[inline(always)]
+        pub(in crate::batched) fn contenders(&self, memory: u8) -> u64 {
+            // SAFETY: sse2, the feature `contenders_sse2` is compiled
+            // with, is enabled for every x86_64 build (the assertion above).
+            unsafe { contenders_sse2(self, memory) }
+        }
+    }
+
+    /// The row words of lane `l` of the word-major `rows` as a closure
+    /// over the word index, zero at and past `words`.
+    #[inline(always)]
+    fn row_words(rows: &[u64], lanes: usize, l: usize, words: usize) -> impl Fn(usize) -> i64 + '_ {
+        move |w| {
+            if w < words {
+                // lint:allow(lossy_cast, the word's bits reinterpreted signed for the intrinsics)
+                rows[w * lanes + l] as i64
+            } else {
+                0
+            }
+        }
+    }
+
+    /// [`Sse2Row::load`]'s body: each pair built from two scalar loads.
+    // SAFETY: only `Sse2Row::load` calls it, and sse2 is enabled for every
+    // x86_64 build (the assertion above).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load_sse2(rows: &[u64], lanes: usize, l: usize) -> Sse2Row {
+        let words = (rows.len() / lanes).min(8);
+        let word = row_words(rows, lanes, l, words);
+        let mut pairs = [_mm_setzero_si128(); 4];
+        for (q, pair) in pairs.iter_mut().enumerate().take(words.div_ceil(2)) {
+            *pair = _mm_set_epi64x(word(2 * q + 1), word(2 * q));
+        }
+        Sse2Row { pairs, words }
+    }
+
+    /// [`Sse2Row::contenders`]'s body.
+    // SAFETY: only `Sse2Row::contenders` calls it, and sse2 is enabled for
+    // every x86_64 build (the assertion above).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn contenders_sse2(row: &Sse2Row, memory: u8) -> u64 {
+        // lint:allow(lossy_cast, outcome bytes are 1 + memory ≤ 64)
+        let needle = _mm_set1_epi8((memory + 1) as i8);
+        let mut bits = 0;
+        for (q, &pair) in row.pairs.iter().enumerate().take(row.words.div_ceil(2)) {
+            // lint:allow(lossy_cast, the mask's 16 bits reinterpreted unsigned)
+            let mask = _mm_movemask_epi8(_mm_cmpeq_epi8(pair, needle)) as u16;
+            bits |= u64::from(mask) << (16 * q);
+        }
+        bits
+    }
 
     impl FastBuild {
         /// [`super::super::run_batch`] in the feature-enabled build, with
-        /// the AVX-512F kernels where the CPU has them.
+        /// the AVX-512 cycle loop where the CPU has it.
         pub(crate) fn run_batch(
             self,
             net: &BusNetwork,
@@ -217,22 +314,19 @@ mod x86 {
             seeds: &[u64],
         ) -> Result<Vec<SimReport>, SimError> {
             match Avx512::detect() {
-                Some(avx512) => {
-                    self.run_with(self.with_avx512(avx512), net, matrix, r, config, seeds)
-                }
-                None => self.run_with(self, net, matrix, r, config, seeds),
+                Some(avx512) => self.with_avx512(avx512).run(net, matrix, r, config, seeds),
+                None => self.run(net, matrix, r, config, seeds),
             }
         }
 
-        /// The fast picks plus the AVX-512F kernels.
+        /// The fast picks plus the AVX-512 kernels.
         pub(super) fn with_avx512(self, avx512: Avx512) -> Avx512Build {
             Avx512Build { fast: self, avx512 }
         }
 
-        /// [`run_lanes`] with `picks`, in the feature-enabled build.
-        pub(super) fn run_with<P: Picks>(
+        /// [`run_lanes`] with the fast picks, in the BMI2/AVX2 build.
+        pub(super) fn run(
             self,
-            picks: P,
             net: &BusNetwork,
             matrix: &RequestMatrix,
             r: f64,
@@ -243,7 +337,7 @@ mod x86 {
             // reported bmi1, bmi2, popcnt, lzcnt and avx2 (see
             // `Host::has_features`), the features `run_batch_fast` is
             // compiled with.
-            unsafe { run_batch_fast(picks, net, matrix, r, config, seeds) }
+            unsafe { run_batch_fast(self, net, matrix, r, config, seeds) }
         }
 
         /// Position of set bit number `rank` (0-based, ascending) of
@@ -260,6 +354,8 @@ mod x86 {
     }
 
     impl Picks for FastBuild {
+        type Row = Avx2Row;
+
         #[inline(always)]
         fn pick_bit(self, bits: u64, chunk: u64) -> usize {
             let count = u64::from(bits.count_ones());
@@ -267,31 +363,129 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn pick_in_word(self, word: u64, needle: u64, chunk: u64) -> usize {
-            // One flag per matching byte at bit `8·p`: the winner's flag
-            // position divided by 8 is its processor.
-            self.pick_bit(byte_matches(word, needle), chunk) >> 3
+        fn load_row(self, rows: &[u64], lanes: usize, l: usize) -> Avx2Row {
+            // SAFETY: `self` exists only after `is_x86_feature_detected!`
+            // reported avx2 (see `Host::has_features`), the feature
+            // `load_avx2` is compiled with.
+            unsafe { load_avx2(self, rows, lanes, l) }
+        }
+
+        #[inline(always)]
+        fn contenders(self, row: &Avx2Row, memory: u8) -> u64 {
+            // SAFETY: `self` exists only after `is_x86_feature_detected!`
+            // reported avx2 (see `Host::has_features`), the feature
+            // `contenders_avx2` is compiled with.
+            unsafe { contenders_avx2(self, row, memory) }
         }
     }
 
-    /// The fast build's picks with the AVX-512F kernels in the two
-    /// [`Picks`] hooks: the BMI2 picks, the register-resident RNG fill
-    /// and, without resubmission, the eight-lane requester-table issue.
+    /// The fast build's row: its words in two 32-byte halves, matched with
+    /// `vpcmpeqb` + `vpmovmskb`. Rows of at most four words (N ≤ 32) leave
+    /// the upper half zero, so it is compared only for longer rows.
+    #[derive(Clone, Copy, Debug)]
+    pub(in crate::batched) struct Avx2Row {
+        halves: [__m256i; 2],
+        wide: bool,
+    }
+
+    /// [`Picks::load_row`] with AVX2: each half built from four scalar
+    /// loads.
+    // SAFETY: only `FastBuild::load_row` calls it, holding a `FastBuild`
+    // token, which is made only after `is_x86_feature_detected!` reported
+    // avx2 (see `Host::has_features`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_avx2(_: FastBuild, rows: &[u64], lanes: usize, l: usize) -> Avx2Row {
+        let words = (rows.len() / lanes).min(8);
+        let word = row_words(rows, lanes, l, words);
+        let low = _mm256_set_epi64x(word(3), word(2), word(1), word(0));
+        let wide = words > 4;
+        let high = if wide {
+            _mm256_set_epi64x(word(7), word(6), word(5), word(4))
+        } else {
+            _mm256_setzero_si256()
+        };
+        Avx2Row {
+            halves: [low, high],
+            wide,
+        }
+    }
+
+    /// [`Picks::contenders`] with AVX2: `vpcmpeqb` of each half against
+    /// the broadcast outcome byte, packed into one bit per processor by
+    /// `vpmovmskb`.
+    // SAFETY: only `FastBuild::contenders` calls it, holding a `FastBuild`
+    // token, which is made only after `is_x86_feature_detected!` reported
+    // avx2 (see `Host::has_features`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn contenders_avx2(_: FastBuild, row: &Avx2Row, memory: u8) -> u64 {
+        // lint:allow(lossy_cast, outcome bytes are 1 + memory ≤ 64)
+        let needle = _mm256_set1_epi8((memory + 1) as i8);
+        let [low, high] = row.halves;
+        // lint:allow(lossy_cast, the mask's 32 bits reinterpreted unsigned)
+        let low = u64::from(_mm256_movemask_epi8(_mm256_cmpeq_epi8(low, needle)) as u32);
+        if !row.wide {
+            return low;
+        }
+        // lint:allow(lossy_cast, the mask's 32 bits reinterpreted unsigned)
+        let high = u64::from(_mm256_movemask_epi8(_mm256_cmpeq_epi8(high, needle)) as u32);
+        low | high << 32
+    }
+
+    /// The fast build's picks with the AVX-512 kernels in the [`Picks`]
+    /// hooks: the BMI2 picks, the register-resident RNG fill, the
+    /// eight-lane outcome-row issue (without resubmission) and the
+    /// `vpcmpeqb` row match.
     #[derive(Clone, Copy, Debug)]
     pub(super) struct Avx512Build {
         fast: FastBuild,
         avx512: Avx512,
     }
 
+    impl Avx512Build {
+        /// [`run_lanes`] with these picks, in the AVX-512 build.
+        pub(super) fn run(
+            self,
+            net: &BusNetwork,
+            matrix: &RequestMatrix,
+            r: f64,
+            config: &SimConfig,
+            seeds: &[u64],
+        ) -> Result<Vec<SimReport>, SimError> {
+            // SAFETY: `self.fast` is a `FastBuild` token (bmi1, bmi2,
+            // popcnt, lzcnt and avx2, see `Host::has_features`) and
+            // `self.avx512` an `Avx512` token (avx512f and avx512bw, see
+            // `Host::has_avx512`): together the features `run_batch_avx512`
+            // is compiled with.
+            unsafe { run_batch_avx512(self, net, matrix, r, config, seeds) }
+        }
+    }
+
     impl Picks for Avx512Build {
+        type Row = __m512i;
+
         #[inline(always)]
         fn pick_bit(self, bits: u64, chunk: u64) -> usize {
             self.fast.pick_bit(bits, chunk)
         }
 
         #[inline(always)]
-        fn pick_in_word(self, word: u64, needle: u64, chunk: u64) -> usize {
-            self.fast.pick_in_word(word, needle, chunk)
+        fn load_row(self, rows: &[u64], lanes: usize, l: usize) -> __m512i {
+            // SAFETY: `self.avx512` is an `Avx512` token, made only after
+            // `is_x86_feature_detected!` reported avx512f (see
+            // `Host::has_avx512`), the feature `load_avx512` is compiled
+            // with.
+            unsafe { load_avx512(self.avx512, rows, lanes, l) }
+        }
+
+        #[inline(always)]
+        fn contenders(self, row: &__m512i, memory: u8) -> u64 {
+            // SAFETY: `self.avx512` is an `Avx512` token, made only after
+            // `is_x86_feature_detected!` reported avx512f and avx512bw (see
+            // `Host::has_avx512`), the features `contenders_avx512` is
+            // compiled with.
+            unsafe { contenders_avx512(self.avx512, row, memory) }
         }
 
         #[inline(always)]
@@ -299,45 +493,30 @@ mod x86 {
             let lanes = rngs.lanes();
             // SAFETY: `self.avx512` is an `Avx512` token, made only after
             // `is_x86_feature_detected!` reported avx512f (see
-            // `Host::has_avx512f`), the feature `fill_rows_avx512` is
+            // `Host::has_avx512`), the feature `fill_rows_avx512` is
             // compiled with.
             unsafe { fill_rows_avx512(self.avx512, rngs.state_mut(), lanes, draws, arbs) }
         }
 
         #[inline(always)]
-        fn issue_table<const RESUB: bool>(
+        fn issue_rows<const RESUB: bool>(
             self,
             issue: &mut LaneIssue,
             table: &IssueTable,
             draws: &[u64],
-            requesters: &mut [u64],
-            dest_mem: &mut [u8],
+            rows: &mut [u64],
             pending_mask: &[u64],
         ) {
             if RESUB {
                 // Resubmission keeps the portable issue loop.
-                self.fast.issue_table::<RESUB>(
-                    issue,
-                    table,
-                    draws,
-                    requesters,
-                    dest_mem,
-                    pending_mask,
-                );
+                issue.issue_rows::<RESUB>(table, draws, rows, pending_mask);
             } else {
                 // SAFETY: `self.avx512` is an `Avx512` token, made only
                 // after `is_x86_feature_detected!` reported avx512f (see
-                // `Host::has_avx512f`), the feature `issue_table_avx512`
-                // is compiled with.
+                // `Host::has_avx512`), the feature `issue_rows_avx512` is
+                // compiled with.
                 unsafe {
-                    issue_table_avx512(
-                        self.avx512,
-                        issue,
-                        table,
-                        draws,
-                        requesters,
-                        pending_mask.len(),
-                    )
+                    issue_rows_avx512(self.avx512, issue, table, draws, rows, pending_mask.len())
                 }
             }
         }
@@ -352,8 +531,8 @@ mod x86 {
     // only after `is_x86_feature_detected!` reported all five features
     // (see `Host::has_features`).
     #[target_feature(enable = "bmi1,bmi2,popcnt,lzcnt,avx2")]
-    unsafe fn run_batch_fast<P: Picks>(
-        picks: P,
+    unsafe fn run_batch_fast(
+        picks: FastBuild,
         net: &BusNetwork,
         matrix: &RequestMatrix,
         r: f64,
@@ -361,6 +540,79 @@ mod x86 {
         seeds: &[u64],
     ) -> Result<Vec<SimReport>, SimError> {
         run_lanes(picks, net, matrix, r, config, seeds)
+    }
+
+    /// [`super::super::lanes::run_lanes`] compiled for the five features
+    /// plus AVX-512F and AVX-512BW, so the AVX-512 row match inlines into
+    /// the winner loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have bmi1, bmi2, popcnt, lzcnt, avx2, avx512f and
+    /// avx512bw.
+    // SAFETY: the only caller holds an `Avx512Build`, which holds a
+    // `FastBuild` token (made only after `is_x86_feature_detected!`
+    // reported the five features, see `Host::has_features`) and an `Avx512`
+    // token (made only after it reported avx512f and avx512bw, see
+    // `Host::has_avx512`).
+    #[target_feature(enable = "bmi1,bmi2,popcnt,lzcnt,avx2,avx512f,avx512bw")]
+    unsafe fn run_batch_avx512(
+        picks: Avx512Build,
+        net: &BusNetwork,
+        matrix: &RequestMatrix,
+        r: f64,
+        config: &SimConfig,
+        seeds: &[u64],
+    ) -> Result<Vec<SimReport>, SimError> {
+        run_lanes(picks, net, matrix, r, config, seeds)
+    }
+
+    /// [`Picks::load_row`] with AVX-512F: one masked gather of the row's
+    /// words, `lanes` apart, with zero past them.
+    // SAFETY: only `Avx512Build::load_row` calls it, holding an `Avx512`
+    // token, which is made only after `is_x86_feature_detected!` reported
+    // avx512f (see `Host::has_avx512`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load_avx512(_: Avx512, rows: &[u64], lanes: usize, l: usize) -> __m512i {
+        // The gather below relies on it: word `w < words` of lane `l` is
+        // `rows[w·lanes + l]`, inside `rows` for `l < lanes`.
+        assert!(l < lanes, "lane out of range");
+        let words = (rows.len() / lanes).min(8);
+        if words == 1 {
+            // A one-word row (N ≤ 8) needs no gather.
+            // lint:allow(lossy_cast, the word's bits reinterpreted signed for the intrinsic)
+            return _mm512_maskz_set1_epi64(1, rows[l] as i64);
+        }
+        // lint:allow(lossy_cast, 2^words − 1 ≤ 255)
+        let k = ((1u16 << words) - 1) as u8;
+        // lint:allow(lossy_cast, lanes ≤ rows.len() is far below 2^32)
+        let stride = _mm512_set1_epi64(lanes as i64);
+        let at = _mm512_mul_epu32(_mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), stride);
+        // SAFETY: the `Avx512` token behind this call proves avx512f. The
+        // mask `k` limits the gather to words `w < words`, whose word
+        // `w·lanes + l < words·lanes ≤ rows.len()` lies in `rows`.
+        unsafe {
+            _mm512_mask_i64gather_epi64::<8>(
+                _mm512_setzero_si512(),
+                k,
+                at,
+                rows.as_ptr().wrapping_add(l).cast(),
+            )
+        }
+    }
+
+    /// [`Picks::contenders`] with AVX-512BW: one `vpcmpeqb` of the whole
+    /// 64-byte row against the broadcast outcome byte, straight into a
+    /// mask register whose bit `p` is processor `p`.
+    // SAFETY: only `Avx512Build::contenders` calls it, holding an `Avx512`
+    // token, which is made only after `is_x86_feature_detected!` reported
+    // avx512f and avx512bw (see `Host::has_avx512`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn contenders_avx512(_: Avx512, row: &__m512i, memory: u8) -> u64 {
+        // lint:allow(lossy_cast, outcome bytes are 1 + memory ≤ 64)
+        _mm512_cmpeq_epi8_mask(*row, _mm512_set1_epi8((memory + 1) as i8))
     }
 
     /// The write mask of the live lanes among the eight from `base`
@@ -376,7 +628,7 @@ mod x86 {
     /// wide), and stores them back once.
     // SAFETY: only `Avx512Build::fill_rows` calls it, holding an `Avx512`
     // token, which is made only after `is_x86_feature_detected!` reported
-    // avx512f (see `Host::has_avx512f`).
+    // avx512f (see `Host::has_avx512`).
     #[target_feature(enable = "avx512f")]
     fn fill_rows_avx512(
         _: Avx512,
@@ -440,7 +692,7 @@ mod x86 {
     ///
     /// With `draw = hi · 2^32 + lo` the product is `mid · 2^32 + (lo · k
     /// mod 2^32)`, where `mid = hi · k + (lo · k >> 32)` is below 2^64.
-    // SAFETY: only `issue_table_avx512` and the tests call it, all holding
+    // SAFETY: only `issue_rows_avx512` and the tests call it, all holding
     // an `Avx512` token, which is made only after
     // `is_x86_feature_detected!` reported avx512f.
     #[inline]
@@ -455,44 +707,43 @@ mod x86 {
         (_mm512_srli_epi64::<32>(mid), fraction)
     }
 
-    /// [`LaneIssue::issue_table`] without resubmission, eight lanes per
+    /// [`LaneIssue::issue_rows`] without resubmission, eight lanes per
     /// vector: processor-major like the portable loop, with the decode,
-    /// the accept-or-alias select and the requester-table update done
-    /// for a block of lanes at once. An idle lane writes nothing (the
-    /// portable loop ORs zero into a spare slot instead).
-    // SAFETY: only `Avx512Build::issue_table` calls it, holding an
-    // `Avx512` token, which is made only after `is_x86_feature_detected!`
-    // reported avx512f (see `Host::has_avx512f`).
+    /// the accept-or-alias select and the outcome-byte write done for a
+    /// block of lanes at once. The byte lands in the lanes' row words with
+    /// one contiguous masked store: the word's first processor overwrites
+    /// it, every later one ORs into it.
+    // SAFETY: only `Avx512Build::issue_rows` calls it, holding an `Avx512`
+    // token, which is made only after `is_x86_feature_detected!` reported
+    // avx512f (see `Host::has_avx512`).
     #[target_feature(enable = "avx512f")]
-    fn issue_table_avx512(
+    fn issue_rows_avx512(
         _: Avx512,
         issue: &mut LaneIssue,
         table: &IssueTable,
         draws: &[u64],
-        requesters: &mut [u64],
+        rows: &mut [u64],
         lanes: usize,
     ) {
-        // The gathers and scatters below rely on these: `req` and `issued`
-        // hold `MAX_LANES` lanes, and every lane's requester table has a
-        // slot for each outcome an alias row can decode to.
+        // The masked loads and stores below rely on these: `req` and
+        // `issued` hold `MAX_LANES` lanes, and each processor's row words
+        // are `lanes` long.
         assert!((1..=MAX_LANES).contains(&lanes), "lane count out of range");
-        let slots = requesters.len() / lanes;
-        assert_eq!(table.columns(), slots, "one requester slot per column");
+        let n = draws.len() / lanes;
+        assert_eq!(rows.len(), n.div_ceil(8) * lanes, "one row word per lane");
         issue.req[..lanes].fill(0);
         issue.active[..lanes].fill(0);
         let mut issued = [0u64; MAX_LANES];
         let (zero, one) = (_mm512_setzero_si512(), _mm512_set1_epi64(1));
-        // Lane `i` of a block's requester tables starts `i · slots` words
-        // after the block's first table.
-        // lint:allow(lossy_cast, slots = M + 1 ≤ 65)
-        let table_words = _mm512_set1_epi64(slots as i64);
-        let lane_tables = _mm512_mul_epu32(_mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), table_words);
         for (p, row_draws) in draws.chunks_exact(lanes).enumerate() {
             let cells = table.row(p).cells();
             let cell_words = cells.as_ptr().cast::<i64>();
             // lint:allow(lossy_cast, an alias row holds M + 1 ≤ 65 cells)
             let columns = _mm512_set1_epi64(cells.len() as i64);
-            let bit = _mm512_set1_epi64(1 << p);
+            // lint:allow(lossy_cast, byte offsets within a word are < 64)
+            let shift = _mm512_set1_epi64((p % 8 * 8) as i64);
+            let first = p % 8 == 0;
+            let row_words = &mut rows[(p / 8) * lanes..][..lanes];
             for base in (0..lanes).step_by(8) {
                 let k = lane_mask(lanes, base);
                 let draw_words = row_draws[base..].as_ptr().cast();
@@ -520,20 +771,14 @@ mod x86 {
                 let outcome = _mm512_mask_blend_epi64(accept, alias, column);
                 let requests = _mm512_mask_test_epi64_mask(k, outcome, outcome);
                 let memory = _mm512_sub_epi64(outcome, one);
+                let byte = _mm512_sllv_epi64(outcome, shift);
                 let req_words = issue.req[base..].as_mut_ptr().cast::<i64>();
                 let issued_words = issued[base..].as_mut_ptr().cast::<i64>();
-                // Lane `base + i`'s table starts at word `(base + i) ·
-                // slots`; a lane requests one memory, so the eight
-                // addresses are distinct.
-                let tables = requesters[base * slots..].as_mut_ptr().cast::<i64>();
-                let at = _mm512_add_epi64(lane_tables, memory);
+                let outcome_words = row_words[base..].as_mut_ptr().cast::<i64>();
                 // SAFETY: the `Avx512` token behind this call proves
-                // avx512f. `req` and `issued` hold `MAX_LANES` words and
-                // the mask `k` limits their loads and stores to lanes
-                // `base..lanes`. The `requests` lanes are live lanes with
-                // an outcome in `1..slots` (a column or an alias, both
-                // below the row's `slots` cells), so word `i · slots +
-                // outcome - 1` lies in lane `base + i`'s table.
+                // avx512f. `req` and `issued` hold `MAX_LANES` words,
+                // `row_words` holds `lanes`, and the mask `k` limits every
+                // load and store to lanes `base..lanes`.
                 unsafe {
                     let req = _mm512_maskz_loadu_epi64(k, req_words);
                     let req =
@@ -542,13 +787,12 @@ mod x86 {
                     let count = _mm512_maskz_loadu_epi64(k, issued_words);
                     let count = _mm512_mask_add_epi64(count, requests, count, one);
                     _mm512_mask_storeu_epi64(issued_words, k, count);
-                    let old = _mm512_mask_i64gather_epi64::<8>(zero, requests, at, tables);
-                    _mm512_mask_i64scatter_epi64::<8>(
-                        tables,
-                        requests,
-                        at,
-                        _mm512_or_si512(old, bit),
-                    );
+                    let word = if first {
+                        byte
+                    } else {
+                        _mm512_or_si512(_mm512_maskz_loadu_epi64(k, outcome_words), byte)
+                    };
+                    _mm512_mask_storeu_epi64(outcome_words, k, word);
                 }
             }
         }
@@ -573,6 +817,7 @@ mod tests {
             lzcnt: true,
             avx2: true,
             avx512f: false,
+            avx512bw: false,
             vendor: *b"GenuineIntel",
             family: 6,
         }
@@ -632,28 +877,22 @@ mod tests {
     fn avx512_predicate_needs_the_feature_on_x86_64_outside_miri() {
         let avx512 = Host {
             avx512f: true,
+            avx512bw: true,
             ..fast_host()
         };
-        assert!(avx512.has_avx512f());
-        assert!(!fast_host().has_avx512f(), "no AVX-512F");
-        assert!(
-            !Host {
-                miri: true,
-                ..avx512
-            }
-            .has_avx512f(),
-            "under Miri"
-        );
-        assert!(
-            !Host {
-                x86_64: false,
-                ..avx512
-            }
-            .has_avx512f(),
-            "non-x86_64 target"
-        );
+        assert!(avx512.has_avx512());
+        assert!(!fast_host().has_avx512(), "neither feature");
+        let without = |change: fn(&mut Host)| {
+            let mut host = avx512;
+            change(&mut host);
+            host.has_avx512()
+        };
+        assert!(!without(|h| h.avx512f = false), "no AVX-512F");
+        assert!(!without(|h| h.avx512bw = false), "no AVX-512BW");
+        assert!(!without(|h| h.miri = true), "under Miri");
+        assert!(!without(|h| h.x86_64 = false), "non-x86_64 target");
         // The cached decision agrees with a fresh evaluation.
-        assert_eq!(Avx512::detect().is_some(), Host::current().has_avx512f());
+        assert_eq!(Avx512::detect().is_some(), Host::current().has_avx512());
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -662,8 +901,8 @@ mod tests {
         use crate::batched::dispatch::{Avx512, FastBuild};
         use crate::batched::golden_scenarios::scenarios;
         use crate::batched::issue::IssueTable;
-        use crate::batched::lanes::tests::{chunk_for_rank, naive_pick};
-        use crate::batched::lanes::{byte_matches, run_lanes, LaneIssue, Picks, Swar};
+        use crate::batched::lanes::tests::{check_row_match, chunk_for_rank, naive_pick};
+        use crate::batched::lanes::{run_lanes, LaneIssue, Picks, Swar};
         use crate::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig};
         use mbus_topology::{BusNetwork, ConnectionScheme};
         use mbus_workload::RequestMatrix;
@@ -682,13 +921,13 @@ mod tests {
             token
         }
 
-        /// The fast-build and AVX-512F tokens, or `None` after saying why
+        /// The fast-build and AVX-512 tokens, or `None` after saying why
         /// the test skips.
         fn avx512_or_skip(test: &str) -> Option<(FastBuild, Avx512)> {
             let fast = fast_or_skip(test)?;
             let avx512 = Avx512::detect();
             if avx512.is_none() {
-                eprintln!("{test}: skipped, this CPU lacks avx512f (or runs Miri)");
+                eprintln!("{test}: skipped, this CPU lacks avx512f/avx512bw (or runs Miri)");
             }
             Some((fast, avx512?))
         }
@@ -784,8 +1023,8 @@ mod tests {
             let wide = fast.with_avx512(avx512);
             let agree = |net: &BusNetwork, matrix: &RequestMatrix, r, config: &SimConfig, lanes| {
                 let seeds: Vec<u64> = (0..lanes).map(|i| 9_000 + 31 * i).collect();
-                let off = fast.run_with(fast, net, matrix, r, config, &seeds).unwrap();
-                let on = fast.run_with(wide, net, matrix, r, config, &seeds).unwrap();
+                let off = fast.run(net, matrix, r, config, &seeds).unwrap();
+                let on = wide.run(net, matrix, r, config, &seeds).unwrap();
                 assert_eq!(
                     off,
                     on,
@@ -797,6 +1036,7 @@ mod tests {
                 );
             };
             let config = SimConfig::new(28).with_warmup(4).with_batch_len(7);
+            let resubmission = config.clone().with_resubmission(true);
             for n in [8, 9, 16, 33, 64] {
                 let matrix = skewed_matrix(n, n as u64);
                 for net in networks(n) {
@@ -805,11 +1045,15 @@ mod tests {
                             agree(&net, &matrix, r, &config, lanes);
                         }
                     }
+                    // Resubmission: the portable issue into persistent
+                    // rows, then the AVX-512 fill and row match.
+                    for lanes in [7, 64] {
+                        agree(&net, &matrix, 0.8, &resubmission, lanes);
+                    }
                 }
             }
             // A bus failing and coming back (unreachable memories on the
-            // single scheme), and resubmission (portable issue, AVX-512
-            // fill), both with a tail block.
+            // single scheme), and resubmission, both with a tail block.
             let faults = FaultSchedule::from_events(vec![
                 FaultEvent {
                     cycle: 12,
@@ -837,27 +1081,22 @@ mod tests {
             agree(full, &matrix, 0.8, &config.with_resubmission(true), 37);
         }
 
-        /// One requester-table issue pass (no resubmission) with `picks`:
-        /// the lanes' request sets, fresh-issue counts and tables.
+        /// One issue pass (no resubmission) with `picks` over rows that
+        /// start as `stale` words: the lanes' request sets, fresh-issue
+        /// counts and outcome rows.
         fn issue_with<P: Picks>(
             picks: P,
             table: &IssueTable,
             draws: &[u64],
             lanes: usize,
+            stale: u64,
         ) -> ([u64; 64], [u32; 64], Vec<u64>) {
             let mut issue = LaneIssue::new();
-            let mut requesters = vec![0u64; lanes * table.columns()];
-            let mut dest = vec![0u8; draws.len()];
+            let n = draws.len() / lanes;
+            let mut rows = vec![stale; n.div_ceil(8) * lanes];
             let pending = vec![0u64; lanes];
-            picks.issue_table::<false>(
-                &mut issue,
-                table,
-                draws,
-                &mut requesters,
-                &mut dest,
-                &pending,
-            );
-            (issue.req, issue.issued, requesters)
+            picks.issue_rows::<false>(&mut issue, table, draws, &mut rows, &pending);
+            (issue.req, issue.issued, rows)
         }
 
         #[test]
@@ -870,7 +1109,7 @@ mod tests {
             let wide = fast.with_avx512(avx512);
             let mut rng = StdRng::seed_from_u64(0xB0D7);
             let mut boundary_draws = 0;
-            for n in [9, 15, 16, 33, 64] {
+            for n in [1, 5, 8, 9, 15, 16, 33, 64] {
                 let matrix = skewed_matrix(n, 100 + n as u64);
                 for r in [0.37, 0.9] {
                     let table = IssueTable::new(&matrix, r).unwrap();
@@ -901,9 +1140,12 @@ mod tests {
                                 draws.push(row.get(l).copied().unwrap_or_else(|| rng.next_u64()));
                             }
                         }
+                        // Stale rows: the first processor of each word must
+                        // overwrite it.
+                        let stale = rng.next_u64();
                         assert_eq!(
-                            issue_with(fast, &table, &draws, lanes),
-                            issue_with(wide, &table, &draws, lanes),
+                            issue_with(fast, &table, &draws, lanes, stale),
+                            issue_with(wide, &table, &draws, lanes, stale),
                             "n = {n}, r = {r}, {lanes} lanes"
                         );
                     }
@@ -931,13 +1173,6 @@ mod tests {
                         assert_eq!(want, naive_pick(bits, chunk));
                         assert_eq!(fast.pick_bit(bits, chunk), want, "{bits:#x} rank {rank}");
                     }
-                    // The same contender set as eight outcome bytes: byte
-                    // `p` names memory 1 iff bit `p` of `value` is set.
-                    let word = (0..8).fold(0u64, |acc, p| acc | (value >> p & 1) << (8 * p));
-                    let needle = 0x0101_0101_0101_0101;
-                    let want = Swar.pick_in_word(word, needle, chunk);
-                    assert_eq!(want, naive_pick(value, chunk));
-                    assert_eq!(fast.pick_in_word(word, needle, chunk), want, "{value:#04x}");
                 }
             }
         }
@@ -966,20 +1201,31 @@ mod tests {
                     Swar.pick_bit(bits, chunk),
                     "{bits:#x} chunk {chunk:#x}"
                 );
-                // Eight outcome bytes over three memories and idle, one
-                // memory the needle.
-                let word = rng.next_u64() & 0x0303_0303_0303_0303;
-                let needle = ((draw >> 32) % 3 + 1) * 0x0101_0101_0101_0101;
-                if byte_matches(word, needle) == 0 {
-                    continue;
-                }
-                assert_eq!(
-                    fast.pick_in_word(word, needle, chunk),
-                    Swar.pick_in_word(word, needle, chunk),
-                    "{word:#x} needle {needle:#x} chunk {chunk:#x}"
-                );
                 checked += 1;
             }
+        }
+
+        #[test]
+        fn avx2_row_match_equals_the_naive_contender_set() {
+            let Some(fast) = fast_or_skip("avx2_row_match_equals_the_naive_contender_set") else {
+                return;
+            };
+            check_row_match(|rows, lanes, l, memory| {
+                fast.contenders(&fast.load_row(rows, lanes, l), memory)
+            });
+        }
+
+        #[test]
+        fn avx512_row_match_equals_the_naive_contender_set() {
+            let Some((fast, avx512)) =
+                avx512_or_skip("avx512_row_match_equals_the_naive_contender_set")
+            else {
+                return;
+            };
+            let wide = fast.with_avx512(avx512);
+            check_row_match(|rows, lanes, l, memory| {
+                wide.contenders(&wide.load_row(rows, lanes, l), memory)
+            });
         }
 
         #[test]

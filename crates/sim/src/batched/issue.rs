@@ -50,9 +50,11 @@ fn prob_to_threshold(p: f64) -> u64 {
 /// the word at offset 8, so a 64-bit read of that word — the AVX-512
 /// issue kernel in `batched::dispatch` gathers it — is exactly `alias`
 /// and touches only initialized bytes. `alias` itself stays `u16`:
-/// widening it to `u64` made the N ≤ 8 path, whose only reader of a cell
-/// is the scalar decode's branch-free select, about a third slower
-/// (DESIGN §14), so re-measure that path after any change here.
+/// widening it to `u64` once made the N ≤ 8 issue, which then read cells
+/// only through the scalar decode's branch-free select, about a third
+/// slower (DESIGN §14). The portable and BMI2 builds still issue through
+/// that select at every `N`, while the AVX-512 build's kernel gathers
+/// the cells at every `N` too, so re-measure both after any change here.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub(super) struct IssueCell {
@@ -122,8 +124,9 @@ impl IssueTable {
         Ok(Self { columns, cells })
     }
 
-    /// Cells per processor row: `M + 1`.
-    #[inline]
+    /// Cells per processor row: `M + 1`, for tests that aim draws at
+    /// the cells.
+    #[cfg(test)]
     pub(super) fn columns(&self) -> usize {
         self.columns
     }

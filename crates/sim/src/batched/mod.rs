@@ -4,17 +4,19 @@
 //! engine once per replication. This module amortizes that cost by
 //! packing up to [`MAX_LANES`] = 64 independent replications — one seed
 //! per *lane* — into `u64` words and advancing them together through a
-//! single cycle loop ([`run_batch`]): per-lane request sets, requester
-//! sets, served sets, and resubmission queues are bitmasks manipulated
-//! with lane-wide boolean algebra, request issue costs one RNG draw per
-//! processor per cycle (`issue::IssueTable`), and stage-1 winners are
-//! ranked branchlessly out of pre-drawn arbitration words. Only the
-//! K-class random subset selection genuinely diverges between lanes and
-//! falls back to per-lane scalar RNG stepping. The cycle loop is built
-//! twice, portable and with BMI2/POPCNT/AVX2, and `dispatch` picks one
-//! per call from CPUID; on AVX-512F CPUs the fast build also runs the
-//! lane RNG fill and the requester-table issue eight lanes per vector.
-//! Every build produces identical reports.
+//! single cycle loop ([`run_batch`]): per-lane request sets, served sets
+//! and resubmission queues are bitmasks manipulated with lane-wide
+//! boolean algebra, each lane's requests are one outcome byte per
+//! processor, request issue costs one RNG draw per processor per cycle
+//! (`issue::IssueTable`), and stage-1 winners are ranked branchlessly
+//! out of pre-drawn arbitration words among the bytes that match the
+//! granted memory. Only the K-class random subset selection genuinely
+//! diverges between lanes and falls back to per-lane scalar RNG
+//! stepping. The cycle loop is built three times — portable, with
+//! BMI2/POPCNT/AVX2, and with those plus AVX-512F/BW — and `dispatch`
+//! picks one per call from CPUID; the AVX-512 build also runs the lane
+//! RNG fill and the request issue eight lanes per vector. Every build
+//! produces identical reports.
 //!
 //! The batched engine defines its own *sampling spec* — same per-cycle
 //! marginal distributions as the scalar [`crate::Simulator`], different

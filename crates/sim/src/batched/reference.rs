@@ -105,7 +105,7 @@ fn run_one(
     let mut destinations: Vec<Option<usize>> = vec![None; n];
     let mut pending_memory: Vec<Option<usize>> = vec![None; n];
     let mut ages = vec![0u64; n];
-    let mut requesters: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut winners: Vec<Option<usize>> = vec![None; m];
     let mut served = vec![false; n];
     let mut arb = vec![0u64; net.capacity().div_ceil(4)];
@@ -184,18 +184,18 @@ fn run_one(
 
         // 3. Requester lists; placeholder winners (lowest-index requester)
         // stand in for stage 1 — no policy reads the winner's identity.
-        for list in &mut requesters {
+        for list in &mut queues {
             list.clear();
         }
         let mut requested_mask = 0u64;
         for (p, dest) in destinations.iter().enumerate() {
             if let Some(memory) = *dest {
-                requesters[memory].push(p);
+                queues[memory].push(p);
                 requested_mask |= 1 << memory;
             }
         }
         for (memory, winner) in winners.iter_mut().enumerate() {
-            *winner = requesters[memory].first().copied();
+            *winner = queues[memory].first().copied();
         }
 
         // 4. Stage 2 via the production arbiters.
@@ -221,7 +221,7 @@ fn run_one(
         served.iter_mut().for_each(|s| *s = false);
         let mut units = ServedUnits::default();
         for (g, grant) in outcome.grants.iter_mut().enumerate() {
-            let list = &requesters[grant.memory];
+            let list = &queues[grant.memory];
             let chunk = arb[g >> 2] >> ((g & 3) * 16) & 0xffff;
             grant.processor = list[((chunk * list.len() as u64) >> 16) as usize];
             served[grant.processor] = true;

@@ -123,17 +123,17 @@ struct Issued {
     unreachable: usize,
 }
 
-/// Stage 1's state for one cycle: each memory's queue of requesters and
-/// its elected winner.
+/// Stage 1's state for one cycle: each memory's queue of requesting
+/// processors and its elected winner.
 #[derive(Debug, Clone)]
 struct Stage1 {
     /// `N`, the queue stride.
     processors: usize,
-    /// The queues, flat with stride `N`: memory `j`'s requesters are
-    /// `requesters[j·N .. j·N + counts[j]]`, in processor order. Worst
+    /// The queues, flat with stride `N`: memory `j`'s queued processors
+    /// are `queues[j·N .. j·N + counts[j]]`, in processor order. Worst
     /// case every processor requests one memory, so each queue has `N`
     /// slots up front and the hot loop never grows a buffer.
-    requesters: Vec<u32>,
+    queues: Vec<u32>,
     counts: Vec<u32>,
     /// `winners[j]`: memory `j`'s elected requester.
     winners: Vec<Option<usize>>,
@@ -146,7 +146,7 @@ impl Stage1 {
     fn new(processors: usize, memories: usize) -> Self {
         Self {
             processors,
-            requesters: vec![0; memories * processors],
+            queues: vec![0; memories * processors],
             counts: vec![0; memories],
             winners: vec![None; memories],
             requested_mask: 0,
@@ -210,7 +210,7 @@ impl Stage1 {
             }
             let count = &mut self.counts[memory];
             // lint:allow(lossy_cast, p < N, and the N×M u32 requester buffer caps N far below 2^32)
-            self.requesters[memory * n + *count as usize] = p as u32;
+            self.queues[memory * n + *count as usize] = p as u32;
             *count += 1;
             // Meaningless when M > 64, where nothing reads it.
             requested_mask |= 1 << (memory % 64);
@@ -224,13 +224,13 @@ impl Stage1 {
     }
 
     /// Stage 1: each requested memory's arbiter picks one of its queued
-    /// requesters uniformly, in ascending memory order.
+    /// processors uniformly, in ascending memory order.
     #[inline(always)]
     fn elect(&mut self, rng: &mut StdRng) {
         let n = self.processors;
-        let requesters = &self.requesters;
+        let queues = &self.queues;
         let mut pick = |memory: usize, count: u32| {
-            requesters[memory * n + rng.random_range(0..count as usize)] as usize
+            queues[memory * n + rng.random_range(0..count as usize)] as usize
         };
         if self.masks_valid() {
             // Visit exactly the requested memories: same draws as the

@@ -235,8 +235,8 @@ mod tests {
     #[test]
     fn scalar_and_batched_engines_agree_statistically() {
         // (N = M, B, rate, cycles, replications): the paper's network on
-        // the packed-word path, and the largest eligible network on the
-        // requester-table path.
+        // one-word outcome rows, and the largest eligible network on
+        // eight-word rows.
         for (n, b, rate, cycles, replications) in [(8, 4, 1.0, 10_000, 4), (64, 16, 0.5, 2_000, 16)]
         {
             let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).unwrap();
