@@ -32,6 +32,14 @@
 //!   - **Row match** — a lane's row is one register (a masked gather of its
 //!     words, or a broadcast for a one-word row), and a grant's contenders
 //!     are one `vpcmpeqb` straight into a mask register.
+//!   - **K-class stage 2** (every class at most eight memories wide) —
+//!     eight lanes per vector with the block's xoshiro state in registers.
+//!     A class's Fisher–Yates list is one `u64` of member bytes, gathered
+//!     from a 256-entry table by the class-relative request byte; each
+//!     step is a merge-masked xoshiro step, the `vpmuludq` reduction and a
+//!     byte swap by variable shifts. Each bus then draws, under the mask
+//!     of lanes with a contender, among the live slots of its lane-uniform
+//!     reach list. Wider classes run the per-lane draw.
 //!
 //! All builds select the same winner by construction, and each lane's RNG
 //! stream order and every decode are unchanged, so every report is
@@ -199,7 +207,7 @@ pub(super) use x86::Sse2Row;
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::super::issue::IssueTable;
-    use super::super::lanes::{run_lanes, LaneIssue, Picks};
+    use super::super::lanes::{run_lanes, ClassGrants, ClassPlan, LaneIssue, Picks};
     use super::super::rng::{LaneRngs, MAX_LANES};
     use super::{Avx512, FastBuild};
     use crate::{SimConfig, SimError, SimReport};
@@ -208,14 +216,16 @@ mod x86 {
     use std::arch::x86_64::{
         __m128i, __m256i, __m512i, __mmask8, _mm256_cmpeq_epi8, _mm256_movemask_epi8,
         _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setzero_si256, _mm512_add_epi64,
-        _mm512_and_si512, _mm512_cmpeq_epi8_mask, _mm512_cmplt_epu64_mask, _mm512_mask_add_epi64,
-        _mm512_mask_blend_epi64, _mm512_mask_i64gather_epi64, _mm512_mask_or_epi64,
-        _mm512_mask_storeu_epi64, _mm512_mask_test_epi64_mask, _mm512_maskz_loadu_epi64,
-        _mm512_maskz_set1_epi64, _mm512_mul_epu32, _mm512_or_si512, _mm512_rol_epi64,
-        _mm512_set1_epi64, _mm512_set1_epi8, _mm512_setr_epi64, _mm512_setzero_si512,
-        _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
-        _mm512_xor_si512, _mm_cmpeq_epi8, _mm_movemask_epi8, _mm_set1_epi8, _mm_set_epi64x,
-        _mm_setzero_si128, _pdep_u64,
+        _mm512_and_si512, _mm512_cmpeq_epi8_mask, _mm512_cmplt_epu64_mask, _mm512_i64gather_epi64,
+        _mm512_mask_add_epi64, _mm512_mask_blend_epi64, _mm512_mask_cmpeq_epu64_mask,
+        _mm512_mask_cmplt_epu64_mask, _mm512_mask_cvtepi64_storeu_epi8,
+        _mm512_mask_i64gather_epi64, _mm512_mask_mov_epi64, _mm512_mask_or_epi64,
+        _mm512_mask_rol_epi64, _mm512_mask_storeu_epi64, _mm512_mask_test_epi64_mask,
+        _mm512_mask_xor_epi64, _mm512_maskz_loadu_epi64, _mm512_maskz_set1_epi64, _mm512_mul_epu32,
+        _mm512_or_si512, _mm512_rol_epi64, _mm512_set1_epi64, _mm512_set1_epi8, _mm512_setr_epi64,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi64,
+        _mm512_srlv_epi64, _mm512_sub_epi64, _mm512_xor_si512, _mm_cmpeq_epi8, _mm_movemask_epi8,
+        _mm_set1_epi8, _mm_set_epi64x, _mm_setzero_si128, _pdep_u64,
     };
 
     // SSE2 is part of the x86_64 baseline: every build of this crate for
@@ -435,8 +445,9 @@ mod x86 {
 
     /// The fast build's picks with the AVX-512 kernels in the [`Picks`]
     /// hooks: the BMI2 picks, the register-resident RNG fill, the
-    /// eight-lane outcome-row issue (without resubmission) and the
-    /// `vpcmpeqb` row match.
+    /// eight-lane outcome-row issue (without resubmission), the
+    /// `vpcmpeqb` row match and the eight-lane K-class stage 2 (classes at
+    /// most eight memories wide).
     #[derive(Clone, Copy, Debug)]
     pub(super) struct Avx512Build {
         fast: FastBuild,
@@ -518,6 +529,30 @@ mod x86 {
                 unsafe {
                     issue_rows_avx512(self.avx512, issue, table, draws, rows, pending_mask.len())
                 }
+            }
+        }
+
+        #[inline(always)]
+        fn kclass_grants(
+            self,
+            plan: &ClassPlan,
+            rngs: &mut LaneRngs,
+            req: &[u64],
+            grants: &mut ClassGrants,
+        ) {
+            if plan.narrow {
+                let lanes = rngs.lanes();
+                // SAFETY: `self.avx512` is an `Avx512` token, made only
+                // after `is_x86_feature_detected!` reported avx512f and
+                // avx512bw (see `Host::has_avx512`), the features
+                // `kclass_grants_avx512` is compiled with.
+                unsafe {
+                    kclass_grants_avx512(self.avx512, plan, rngs.state_mut(), lanes, req, grants)
+                }
+            } else {
+                // A class wider than eight memories: its list does not fit
+                // one word, so the per-lane draw runs.
+                grants.draw(plan, rngs, req);
             }
         }
     }
@@ -801,6 +836,217 @@ mod x86 {
             *slot = count as u32;
         }
     }
+
+    /// `CLASS_MEMBERS[v]`: the positions of the set bits of the byte `v`,
+    /// ascending, one per byte from byte 0 and zero past the last.
+    static CLASS_MEMBERS: [u64; 256] = {
+        let mut table = [0u64; 256];
+        let mut value = 0;
+        while value < 256 {
+            let (mut at, mut bit) = (0, 0);
+            while bit < 8 {
+                if value >> bit & 1 == 1 {
+                    table[value] |= (bit as u64) << (8 * at);
+                    at += 1;
+                }
+                bit += 1;
+            }
+            value += 1;
+        }
+        table
+    };
+
+    /// One xoshiro256+ step of the lanes in `live`: the output of every
+    /// lane, and the state advanced only where `live` is set.
+    // SAFETY: only `kclass_grants_avx512` calls it, holding an `Avx512`
+    // token, which is made only after `is_x86_feature_detected!` reported
+    // avx512f (see `Host::has_avx512`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn masked_step(_: Avx512, live: __mmask8, s: &mut [__m512i; 4]) -> __m512i {
+        let [s0, s1, s2, s3] = s;
+        let out = _mm512_add_epi64(*s0, *s3);
+        let t = _mm512_slli_epi64::<17>(*s1);
+        *s2 = _mm512_mask_xor_epi64(*s2, live, *s2, *s0);
+        *s3 = _mm512_mask_xor_epi64(*s3, live, *s3, *s1);
+        *s1 = _mm512_mask_xor_epi64(*s1, live, *s1, *s2);
+        *s0 = _mm512_mask_xor_epi64(*s0, live, *s0, *s3);
+        *s2 = _mm512_mask_xor_epi64(*s2, live, *s2, t);
+        *s3 = _mm512_mask_rol_epi64::<45>(*s3, live, *s3);
+        out
+    }
+
+    /// [`ClassGrants::draw`] eight lanes per vector, for layouts whose
+    /// classes are at most eight memories wide. Per block of lanes, the
+    /// xoshiro state stays in registers through the whole stage:
+    ///
+    /// * per class, the class-relative request byte gathers its packed
+    ///   ascending member positions from `CLASS_MEMBERS` (the Fisher–Yates
+    ///   list, one byte per member) and gives the member count `len`;
+    ///   step `i` of the class's slots then runs in the lanes with
+    ///   `i < len` — a masked xoshiro step, `pick = i + hi(draw · (len −
+    ///   i))` and a swap of bytes `i` and `pick` by variable shifts — and
+    ///   records byte `i` as the slot's contender, counting it for the
+    ///   slot's bus;
+    /// * per bus in ascending order, the lanes whose count is above 0 take
+    ///   a masked step and `k = hi(draw · count)`, and the winner is the
+    ///   `k`-th live slot of the bus's reach list.
+    ///
+    /// Each lane thus draws what the per-lane draw draws, in the same
+    /// order, and reduces it the same way.
+    // SAFETY: only `Avx512Build::kclass_grants` calls it, holding an
+    // `Avx512` token, which is made only after `is_x86_feature_detected!`
+    // reported avx512f and avx512bw (see `Host::has_avx512`).
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn kclass_grants_avx512(
+        avx512: Avx512,
+        plan: &ClassPlan,
+        state: &mut [[u64; MAX_LANES]; 4],
+        lanes: usize,
+        req: &[u64],
+        out: &mut ClassGrants,
+    ) {
+        // The masked loads and stores below rely on these: the state,
+        // `busy` and each bus's row of `win` hold `MAX_LANES` lanes, `req`
+        // holds `lanes`, and the gather's indices are class-relative
+        // request bytes.
+        assert!((1..=MAX_LANES).contains(&lanes), "lane count out of range");
+        assert_eq!(req.len(), lanes, "one request set per lane");
+        assert!(plan.narrow, "a class wider than eight memories");
+        let buses = plan.buses();
+        let (zero, one, low_byte) = (
+            _mm512_setzero_si512(),
+            _mm512_set1_epi64(1),
+            _mm512_set1_epi64(0xff),
+        );
+        // Per slot: its pick in each lane and the lanes it is live in.
+        let mut slot_pick = [zero; MAX_LANES];
+        let mut slot_live: [__mmask8; MAX_LANES] = [0; MAX_LANES];
+        // Per bus: each lane's contender count.
+        let mut counts = [zero; MAX_LANES];
+        let table = CLASS_MEMBERS.as_ptr().cast::<i64>();
+        let [w0, w1, w2, w3] = state;
+        for base in (0..lanes).step_by(8) {
+            let k = lane_mask(lanes, base);
+            let words = [
+                &mut w0[base..],
+                &mut w1[base..],
+                &mut w2[base..],
+                &mut w3[base..],
+            ]
+            .map(|word| word.as_mut_ptr().cast::<i64>());
+            // SAFETY: the `Avx512` token behind this call proves avx512f.
+            // Each pointer starts inside its state word, `req` or `busy`
+            // at lane `base < lanes`, and the mask `k` limits the loads to
+            // lanes `base..lanes`.
+            let (mut s, req) = unsafe {
+                (
+                    [
+                        _mm512_maskz_loadu_epi64(k, words[0]),
+                        _mm512_maskz_loadu_epi64(k, words[1]),
+                        _mm512_maskz_loadu_epi64(k, words[2]),
+                        _mm512_maskz_loadu_epi64(k, words[3]),
+                    ],
+                    _mm512_maskz_loadu_epi64(k, req[base..].as_ptr().cast()),
+                )
+            };
+            counts[..buses].fill(zero);
+            let mut slot = 0;
+            for (c, &steps) in plan.steps.iter().enumerate() {
+                if steps == 0 {
+                    continue;
+                }
+                let first = plan.firsts[c];
+                let class_low = _mm512_set1_epi64((1 << plan.widths[c]) - 1);
+                let rel = _mm512_and_si512(
+                    _mm512_srlv_epi64(req, _mm512_set1_epi64(i64::from(first))),
+                    class_low,
+                );
+                // SAFETY: the `Avx512` token behind this call proves
+                // avx512f. Every index is a byte (`width ≤ 8`, so `rel` is
+                // below 256), inside the 256-entry table.
+                let mut list = unsafe { _mm512_i64gather_epi64::<8>(rel, table) };
+                // The member count: a popcount of the byte, SWAR in each
+                // lane.
+                let pairs = _mm512_sub_epi64(
+                    rel,
+                    _mm512_and_si512(_mm512_srli_epi64::<1>(rel), _mm512_set1_epi64(0x55)),
+                );
+                let nibbles = _mm512_add_epi64(
+                    _mm512_and_si512(pairs, _mm512_set1_epi64(0x33)),
+                    _mm512_and_si512(_mm512_srli_epi64::<2>(pairs), _mm512_set1_epi64(0x33)),
+                );
+                let len = _mm512_and_si512(
+                    _mm512_add_epi64(nibbles, _mm512_srli_epi64::<4>(nibbles)),
+                    _mm512_set1_epi64(0x0f),
+                );
+                let first = _mm512_set1_epi64(i64::from(first));
+                for i in 0..steps {
+                    // lint:allow(lossy_cast, slot steps are < 8)
+                    let step = _mm512_set1_epi64(i as i64);
+                    let live = _mm512_mask_cmplt_epu64_mask(k, step, len);
+                    let draw = masked_step(avx512, live, &mut s);
+                    let (rank, _) = split(draw, _mm512_sub_epi64(len, step));
+                    let at_step = _mm512_slli_epi64::<3>(step);
+                    let at_pick = _mm512_slli_epi64::<3>(_mm512_add_epi64(step, rank));
+                    // Bytes `i` and `pick` trade places: XOR-ing each
+                    // with their difference.
+                    let diff = _mm512_and_si512(
+                        _mm512_xor_si512(
+                            _mm512_srlv_epi64(list, at_step),
+                            _mm512_srlv_epi64(list, at_pick),
+                        ),
+                        low_byte,
+                    );
+                    let both = _mm512_or_si512(
+                        _mm512_sllv_epi64(diff, at_step),
+                        _mm512_sllv_epi64(diff, at_pick),
+                    );
+                    list = _mm512_mask_xor_epi64(list, live, list, both);
+                    let picked = _mm512_and_si512(_mm512_srlv_epi64(list, at_step), low_byte);
+                    slot_pick[slot] = _mm512_add_epi64(picked, first);
+                    slot_live[slot] = live;
+                    let count = &mut counts[usize::from(plan.slot_bus[slot])];
+                    *count = _mm512_mask_add_epi64(*count, live, *count, one);
+                    slot += 1;
+                }
+            }
+            let mut busy = zero;
+            for (bus, &count) in counts.iter().enumerate().take(buses) {
+                let reach = plan.reach(bus);
+                if reach.is_empty() {
+                    // No slot feeds the bus: idle in every lane.
+                    continue;
+                }
+                let live = _mm512_mask_test_epi64_mask(k, count, count);
+                let draw = masked_step(avx512, live, &mut s);
+                let (rank, _) = split(draw, count);
+                let (mut seen, mut winner) = (zero, zero);
+                for &slot in reach {
+                    let fed = slot_live[usize::from(slot)];
+                    let hit = _mm512_mask_cmpeq_epu64_mask(fed, seen, rank);
+                    winner = _mm512_mask_mov_epi64(winner, hit, slot_pick[usize::from(slot)]);
+                    seen = _mm512_mask_add_epi64(seen, fed, seen, one);
+                }
+                busy = _mm512_mask_or_epi64(busy, live, busy, _mm512_set1_epi64(1 << bus));
+                let win = out.win[bus * MAX_LANES + base..].as_mut_ptr().cast();
+                // SAFETY: the `Avx512` token behind this call proves
+                // avx512f. The bus's row of `win` holds `MAX_LANES` bytes
+                // from `bus·64`, and the mask `k` limits the store to its
+                // lanes `base..lanes`.
+                unsafe { _mm512_mask_cvtepi64_storeu_epi8(win, k, winner) };
+            }
+            // SAFETY: the `Avx512` token behind this call proves avx512f;
+            // `busy` holds `MAX_LANES` words, and the stores cover the
+            // lanes the loads read.
+            unsafe {
+                _mm512_mask_storeu_epi64(out.busy[base..].as_mut_ptr().cast(), k, busy);
+                for (word, value) in words.into_iter().zip(s) {
+                    _mm512_mask_storeu_epi64(word, k, value);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -902,9 +1148,10 @@ mod tests {
         use crate::batched::golden_scenarios::scenarios;
         use crate::batched::issue::IssueTable;
         use crate::batched::lanes::tests::{check_row_match, chunk_for_rank, naive_pick};
-        use crate::batched::lanes::{run_lanes, LaneIssue, Picks, Swar};
+        use crate::batched::lanes::{run_lanes, ClassGrants, ClassPlan, LaneIssue, Picks, Swar};
+        use crate::batched::rng::LaneRngs;
         use crate::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig};
-        use mbus_topology::{BusNetwork, ConnectionScheme};
+        use mbus_topology::{BusNetwork, ConnectionScheme, FaultMask};
         use mbus_workload::RequestMatrix;
         use rand::rngs::StdRng;
         use rand::{RngCore, SeedableRng};
@@ -1078,7 +1325,165 @@ mod tests {
                 &config.clone().with_faults(faults),
                 37,
             );
-            agree(full, &matrix, 0.8, &config.with_resubmission(true), 37);
+            agree(
+                full,
+                &matrix,
+                0.8,
+                &config.clone().with_resubmission(true),
+                37,
+            );
+            // K classes beyond `uniform_classes`: uneven classes with K < B,
+            // a class eight memories wide (the kernel's widest) and one nine
+            // wide (the per-lane draw), each with and without resubmission
+            // and under an outage that shortens every class's alive list
+            // bus by bus until the lowest class has none, then repairs.
+            for net in class_networks() {
+                let matrix = skewed_matrix(net.processors(), 7);
+                let lowest = net.kclass_bus_count(0) as u64;
+                let fail = (0..lowest).map(|bus| (6 + 2 * bus, bus, FaultEventKind::Fail));
+                let repair = (0..lowest).map(|bus| (22 + bus, bus, FaultEventKind::Repair));
+                let outage = FaultSchedule::from_events(
+                    fail.chain(repair)
+                        .map(|(cycle, bus, kind)| FaultEvent {
+                            cycle,
+                            bus: bus as usize,
+                            kind,
+                        })
+                        .collect(),
+                )
+                .unwrap();
+                for run in [
+                    config.clone(),
+                    config.clone().with_resubmission(true),
+                    config.clone().with_faults(outage.clone()),
+                    config
+                        .clone()
+                        .with_faults(outage.clone())
+                        .with_resubmission(true),
+                ] {
+                    for lanes in [1, 9, 64] {
+                        agree(&net, &matrix, 0.8, &run, lanes);
+                    }
+                }
+            }
+        }
+
+        /// K-class networks whose layouts `uniform_classes` does not make,
+        /// with the class widths each one reaches: uneven classes with
+        /// K < B, classes eight memories wide, and a class nine wide.
+        fn class_networks() -> Vec<BusNetwork> {
+            [
+                (16, 8, vec![3, 1, 4, 2, 6]),
+                (24, 6, vec![8, 2, 8, 6]),
+                (8, 3, vec![8]),
+                (16, 4, vec![9, 3, 4]),
+            ]
+            .into_iter()
+            .map(|(n, b, class_sizes)| {
+                BusNetwork::new(n, n, b, ConnectionScheme::KClasses { class_sizes }).unwrap()
+            })
+            .collect()
+        }
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn avx512_class_stage_matches_the_per_lane_draw() {
+            let Some((fast, avx512)) =
+                avx512_or_skip("avx512_class_stage_matches_the_per_lane_draw")
+            else {
+                return;
+            };
+            let wide = fast.with_avx512(avx512);
+            let mut nets: Vec<BusNetwork> = [(8, 4), (16, 8), (32, 8), (64, 16)]
+                .into_iter()
+                .map(|(n, b)| {
+                    let scheme = ConnectionScheme::uniform_classes(n, b).unwrap();
+                    BusNetwork::new(n, n, b, scheme).unwrap()
+                })
+                .collect();
+            nets.push(
+                BusNetwork::new(16, 16, 8, ConnectionScheme::uniform_classes(16, 5).unwrap())
+                    .unwrap(),
+            );
+            nets.extend(class_networks());
+            let mut rng = StdRng::seed_from_u64(0xC1A5);
+            let mut kernel_layouts = 0;
+            for net in &nets {
+                let mut plan = ClassPlan::new(net);
+                // Only the nine-wide class takes the per-lane draw.
+                let widest = (0..net.class_count().unwrap())
+                    .map(|c| net.memories_of_class(c).unwrap().count())
+                    .max()
+                    .unwrap();
+                assert_eq!(plan.narrow, widest <= 8, "{:?}", net.scheme());
+                kernel_layouts += usize::from(plan.narrow);
+                let b = net.buses();
+                // Every bus alive; bus 0 down (each class's alive list one
+                // shorter, so fewer slots than members); the lowest class's
+                // buses down (its alive list empty, its memories
+                // unreachable); and a random half of the buses down.
+                let lowest_top = net.kclass_bus_count(0);
+                let mut masks = vec![FaultMask::none(b), FaultMask::none(b), FaultMask::none(b)];
+                masks[1].fail(0).unwrap();
+                for bus in 0..lowest_top {
+                    masks[2].fail(bus).unwrap();
+                }
+                let mut random = FaultMask::none(b);
+                for bus in (0..b).filter(|_| rng.next_u64() & 1 == 1) {
+                    random.fail(bus).unwrap();
+                }
+                masks.push(random);
+                let memories = u64::MAX >> (64 - net.memories());
+                for mask in &masks {
+                    plan.refresh(mask);
+                    for lanes in [1, 7, 8, 9, 31, 32, 33, 63, 64] {
+                        let seeds: Vec<u64> = (0..lanes).map(|_| rng.next_u64()).collect();
+                        let (mut portable, mut kernel) =
+                            (LaneRngs::new(&seeds), LaneRngs::new(&seeds));
+                        let (mut want, mut got) = (ClassGrants::new(), ClassGrants::new());
+                        for cycle in 0..12 {
+                            // Dense, sparse and empty request sets.
+                            let req: Vec<u64> = (0..lanes)
+                                .map(|_| {
+                                    memories
+                                        & match rng.next_u64() % 4 {
+                                            0 => rng.next_u64(),
+                                            1 => rng.next_u64() & rng.next_u64(),
+                                            2 => rng.next_u64() | rng.next_u64(),
+                                            _ => 0,
+                                        }
+                                })
+                                .collect();
+                            Swar.kclass_grants(&plan, &mut portable, &req, &mut want);
+                            wide.kclass_grants(&plan, &mut kernel, &req, &mut got);
+                            let context = format!(
+                                "{:?} with {} of {b} buses alive, {lanes} lanes, cycle {cycle}",
+                                net.scheme(),
+                                mask.alive_count()
+                            );
+                            assert_eq!(got.busy[..lanes], want.busy[..lanes], "{context}");
+                            for (l, &busy) in want.busy[..lanes].iter().enumerate() {
+                                for bus in (0..b).filter(|&bus| busy >> bus & 1 == 1) {
+                                    let at = bus * 64 + l;
+                                    assert_eq!(
+                                        got.win[at], want.win[at],
+                                        "{context}: bus {bus}, lane {l}"
+                                    );
+                                }
+                            }
+                            assert_eq!(
+                                kernel.state_mut().map(|word| word[..lanes].to_vec()),
+                                portable.state_mut().map(|word| word[..lanes].to_vec()),
+                                "{context}: the lanes' streams moved differently"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                kernel_layouts >= 7,
+                "only {kernel_layouts} layouts reach the kernel"
+            );
         }
 
         /// One issue pass (no resubmission) with `picks` over rows that

@@ -17,10 +17,16 @@
 //! All of these are generated up front into packed matrices so the
 //! xoshiro step vectorizes across lanes (`Picks::fill_rows`; on AVX-512F
 //! the fast build keeps each block of eight lanes' state in registers
-//! across all of the cycle's rows); only the K-class Fisher–Yates
-//! subset draws genuinely diverge, and they step a register copy of one
-//! lane's generator (`LaneRngs::take_lane`) that is written back once
-//! per lane-cycle.
+//! across all of the cycle's rows). Only K-class stage 2 draws a
+//! lane-dependent number of words — a Fisher–Yates step per selected
+//! member of each class, then one draw per contended bus. It runs once
+//! per cycle for every lane, after the issue rows and ahead of the
+//! per-lane pass (`Picks::kclass_grants`), and leaves each lane's busy
+//! buses and their granted memories. The portable and BMI2 builds step a
+//! register copy of one lane's generator at a time
+//! (`LaneRngs::take_lane`); on AVX-512F/BW the fast build steps eight
+//! lanes per vector under lane masks, for layouts whose classes are at
+//! most eight memories wide.
 //!
 //! Contenders have one representation at every `N`: per-lane
 //! *outcome-byte rows*. Byte `p` of a lane's row is 0 for an idle
@@ -112,11 +118,9 @@ enum SchemeData {
         /// The low `per_mem` bits: a group's memories once shifted down.
         group_low: u64,
     },
-    KClasses {
-        class_masks: Vec<u64>,
-        /// Buses `0..top` serve class `c`.
-        class_tops: Vec<usize>,
-    },
+    /// The layout lives in [`AliveCaches::classes`], next to the
+    /// fault-dependent lists stage 2 reads with it.
+    KClasses,
 }
 
 impl SchemeData {
@@ -141,20 +145,7 @@ impl SchemeData {
                     group_low: u64::MAX >> (64 - per_mem),
                 }
             }
-            ConnectionScheme::KClasses { class_sizes } => {
-                let k = class_sizes.len();
-                Self::KClasses {
-                    class_masks: (0..k)
-                        .map(|c| {
-                            net.memories_of_class(c)
-                                // lint:allow(no_panic, class ranges exist for every class index; BusNetwork::new validated the K-class layout)
-                                .expect("validated K-class")
-                                .fold(0u64, |acc, j| acc | (1 << j))
-                        })
-                        .collect(),
-                    class_tops: (0..k).map(|c| net.kclass_bus_count(c)).collect(),
-                }
-            }
+            ConnectionScheme::KClasses { .. } => Self::KClasses,
             // lint:allow(no_panic, ConnectionScheme is non_exhaustive but BusNetwork::new rejects schemes outside the paper's five)
             other => unreachable!("unsupported scheme {:?}", other.kind()),
         }
@@ -173,8 +164,8 @@ struct AliveCaches {
     /// first `k` alive buses (ascending), so a group with `a` alive buses
     /// has `a + 1` entries and `k` grants keep buses `list[k]` busy.
     group_busy: Vec<Vec<u64>>,
-    /// K classes: each class's alive buses, top-down.
-    class_alive_desc: Vec<Vec<usize>>,
+    /// K classes: the layout and its fault-dependent lists.
+    classes: Option<ClassPlan>,
 }
 
 impl AliveCaches {
@@ -187,9 +178,9 @@ impl AliveCaches {
                 SchemeData::Partial { groups, .. } => vec![Vec::new(); *groups],
                 _ => Vec::new(),
             },
-            class_alive_desc: match scheme {
-                SchemeData::KClasses { class_tops, .. } => vec![Vec::new(); class_tops.len()],
-                _ => Vec::new(),
+            classes: match scheme {
+                SchemeData::KClasses => Some(ClassPlan::new(net)),
+                _ => None,
             },
         };
         caches.refresh(net, scheme, mask);
@@ -223,13 +214,211 @@ impl AliveCaches {
                     }
                 }
             }
-            SchemeData::KClasses { class_tops, .. } => {
-                for (c, list) in self.class_alive_desc.iter_mut().enumerate() {
-                    list.clear();
-                    list.extend((0..class_tops[c]).rev().filter(|&bus| mask.is_alive(bus)));
+            SchemeData::KClasses => {
+                if let Some(classes) = &mut self.classes {
+                    classes.refresh(mask);
                 }
             }
             _ => {}
+        }
+    }
+}
+
+/// What K-class stage 2 reads about the network: the class layout, and
+/// under the current fault mask each class's alive buses and each bus's
+/// reach list, which [`AliveCaches::refresh`] rebuilds. All of it is
+/// lane-uniform.
+///
+/// Step `i` of class `c`'s Fisher–Yates draw hands its pick to the
+/// class's `i`-th alive bus, top-down, so only the steps below
+/// `min(alive, width)` can contribute. Those are the class's *slots*,
+/// numbered class-major; a bus's contenders are its slots' picks in slot
+/// order, which is the push order of the per-lane draw.
+pub(super) struct ClassPlan {
+    buses: usize,
+    /// Each class's memories as a bit set.
+    masks: Vec<u64>,
+    /// Buses `0..top` serve class `c`.
+    tops: Vec<usize>,
+    /// Each class's first memory: classes are contiguous memory ranges.
+    pub(super) firsts: Vec<u32>,
+    /// Each class's memory count.
+    pub(super) widths: Vec<u32>,
+    /// Whether every class is at most eight memories wide, so a class's
+    /// Fisher–Yates list fits one `u64` of bytes.
+    pub(super) narrow: bool,
+    /// Each class's alive buses, top-down.
+    alive_desc: Vec<Vec<usize>>,
+    /// Each class's slot count, `min(alive, width)`.
+    pub(super) steps: Vec<usize>,
+    /// The bus each slot hands its pick to.
+    pub(super) slot_bus: Vec<u8>,
+    /// Every bus's slots, ascending, bus after bus: bus `bus`'s are
+    /// `reach[reach_ends[bus - 1]..reach_ends[bus]]` (from 0 for bus 0).
+    reach: Vec<u8>,
+    reach_ends: Vec<usize>,
+}
+
+impl ClassPlan {
+    /// The layout of a K-class network, with every bus alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not a K-class network.
+    pub(super) fn new(net: &BusNetwork) -> Self {
+        // lint:allow(no_panic, only K-class networks build a plan; the caller matched the scheme)
+        let k = net.class_count().expect("a K-class network");
+        let ranges: Vec<(usize, usize)> = (0..k)
+            .map(|c| {
+                // lint:allow(no_panic, class ranges exist for every class index; BusNetwork::new validated the K-class layout)
+                let mut members = net.memories_of_class(c).expect("validated K-class");
+                let first = members.next().unwrap_or(0);
+                (first, 1 + members.count())
+            })
+            .collect();
+        let mut plan = Self {
+            buses: net.buses(),
+            masks: ranges
+                .iter()
+                .map(|&(first, width)| (u64::MAX >> (64 - width)) << first)
+                .collect(),
+            tops: (0..k).map(|c| net.kclass_bus_count(c)).collect(),
+            // lint:allow(lossy_cast, memory indices and counts are ≤ M ≤ 64)
+            firsts: ranges.iter().map(|&(first, _)| first as u32).collect(),
+            // lint:allow(lossy_cast, memory indices and counts are ≤ M ≤ 64)
+            widths: ranges.iter().map(|&(_, width)| width as u32).collect(),
+            narrow: ranges.iter().all(|&(_, width)| width <= 8),
+            alive_desc: vec![Vec::new(); k],
+            steps: Vec::with_capacity(k),
+            slot_bus: Vec::with_capacity(net.memories()),
+            reach: Vec::with_capacity(net.memories()),
+            reach_ends: Vec::with_capacity(net.buses()),
+        };
+        plan.refresh(&FaultMask::none(net.buses()));
+        plan
+    }
+
+    /// Rebuilds the alive lists, slots and reach lists for `mask`.
+    pub(super) fn refresh(&mut self, mask: &FaultMask) {
+        self.steps.clear();
+        self.slot_bus.clear();
+        for (c, list) in self.alive_desc.iter_mut().enumerate() {
+            list.clear();
+            list.extend((0..self.tops[c]).rev().filter(|&bus| mask.is_alive(bus)));
+            let steps = list.len().min(self.widths[c] as usize);
+            self.steps.push(steps);
+            for &bus in &list[..steps] {
+                // lint:allow(lossy_cast, bus indices are < B ≤ 64)
+                self.slot_bus.push(bus as u8);
+            }
+        }
+        self.reach.clear();
+        self.reach_ends.clear();
+        for bus in 0..self.buses {
+            for (slot, &to) in self.slot_bus.iter().enumerate() {
+                if usize::from(to) == bus {
+                    // lint:allow(lossy_cast, there are at most M ≤ 64 slots)
+                    self.reach.push(slot as u8);
+                }
+            }
+            self.reach_ends.push(self.reach.len());
+        }
+    }
+
+    /// The bus count `B`.
+    pub(super) fn buses(&self) -> usize {
+        self.buses
+    }
+
+    /// The slots that can hand bus `bus` a contender, in push order.
+    pub(super) fn reach(&self, bus: usize) -> &[u8] {
+        let start = if bus == 0 {
+            0
+        } else {
+            self.reach_ends[bus - 1]
+        };
+        &self.reach[start..self.reach_ends[bus]]
+    }
+}
+
+/// One cycle's K-class stage 2 for every lane, as [`Picks::kclass_grants`]
+/// leaves it: each lane's busy buses and each busy bus's granted memory.
+pub(super) struct ClassGrants {
+    /// Bit `bus` of `busy[l]` is set iff bus `bus` grants in lane `l`.
+    pub(super) busy: [u64; MAX_LANES],
+    /// `win[bus·64 + l]`: the memory bus `bus` grants in lane `l` (stale
+    /// where the bus is idle).
+    pub(super) win: [u8; MAX_LANES * MAX_LANES],
+    /// The per-lane draw's scratch: the Fisher–Yates list and per-bus
+    /// contender lists (B ≤ M ≤ 64 buses, at most one contender per
+    /// class).
+    fy_list: [u8; MAX_LANES],
+    contenders: [[u8; MAX_LANES]; MAX_LANES],
+    contender_len: [u8; MAX_LANES],
+}
+
+impl ClassGrants {
+    pub(super) fn new() -> Self {
+        Self {
+            busy: [0; MAX_LANES],
+            win: [0; MAX_LANES * MAX_LANES],
+            fy_list: [0; MAX_LANES],
+            contenders: [[0; MAX_LANES]; MAX_LANES],
+            contender_len: [0; MAX_LANES],
+        }
+    }
+
+    /// Stage 2 one lane at a time, mirroring `grant_buses` draw for draw
+    /// on a register copy of the lane's RNG: per class in class order, a
+    /// Fisher–Yates draw of `min(alive, requested)` of its requested
+    /// memories onto its alive buses, top-down; then per bus in
+    /// ascending order, one draw among the bus's contenders. `req[l]` is
+    /// lane `l`'s requested-memory set. Unreachable memories need no
+    /// filtering: they are exactly the memories of classes without an
+    /// alive bus, which draw nothing.
+    pub(super) fn draw(&mut self, plan: &ClassPlan, rngs: &mut LaneRngs, req: &[u64]) {
+        for (l, &req) in req.iter().enumerate() {
+            let mut rng = rngs.take_lane(l);
+            // The buses handed at least one contender.
+            let mut busy = 0u64;
+            for (c, &class_mask) in plan.masks.iter().enumerate() {
+                let creq = class_mask & req;
+                let alive_desc = &plan.alive_desc[c];
+                if creq == 0 || alive_desc.is_empty() {
+                    continue;
+                }
+                let mut len = 0usize;
+                let mut bits = creq;
+                while bits != 0 {
+                    // lint:allow(lossy_cast, memory indices are < M ≤ 64)
+                    self.fy_list[len] = bits.trailing_zeros() as u8;
+                    len += 1;
+                    bits &= bits - 1;
+                }
+                let cap = alive_desc.len().min(len);
+                for i in 0..cap {
+                    let pick = i + reduce(rng.next_u64(), len - i);
+                    self.fy_list.swap(i, pick);
+                }
+                for (&bus, &memory) in alive_desc.iter().zip(&self.fy_list[..cap]) {
+                    let len = &mut self.contender_len[bus];
+                    self.contenders[bus][usize::from(*len)] = memory;
+                    *len += 1;
+                    busy |= 1 << bus;
+                }
+            }
+            // One draw per busy bus, in ascending order.
+            let mut bits = busy;
+            while bits != 0 {
+                let bus = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let len = &mut self.contender_len[bus];
+                let pick = reduce(rng.next_u64(), usize::from(*len));
+                self.win[bus * MAX_LANES + l] = self.contenders[bus][pick];
+                *len = 0;
+            }
+            self.busy[l] = busy;
+            rngs.put_lane(l, &rng);
         }
     }
 }
@@ -453,6 +642,21 @@ pub(super) trait Picks: Copy {
         pending_mask: &[u64],
     ) {
         issue.issue_rows::<RESUB>(table, draws, rows, pending_mask);
+    }
+
+    /// One cycle's K-class stage 2 for every lane: [`ClassGrants::draw`]
+    /// on the lanes' requested-memory sets `req`. An override must leave
+    /// the same busy words, the same winners on busy buses and each
+    /// lane's stream advanced by the same draws.
+    #[inline(always)]
+    fn kclass_grants(
+        self,
+        plan: &ClassPlan,
+        rngs: &mut LaneRngs,
+        req: &[u64],
+        grants: &mut ClassGrants,
+    ) {
+        grants.draw(plan, rngs, req);
     }
 }
 
@@ -687,11 +891,9 @@ pub(super) fn run_lanes<P: Picks>(
     // Per-lane grant scratch: at most one grant per distinct requested
     // memory, and M ≤ 64.
     let mut grant_mem = [0u8; MAX_LANES];
-    // K classes: per-lane Fisher–Yates list and per-bus contender lists
-    // (B ≤ M ≤ 64 buses, at most one contender per class), reused.
-    let mut fy_list = [0u8; MAX_LANES];
-    let mut contenders = [[0u8; MAX_LANES]; MAX_LANES];
-    let mut contender_len = [0u8; MAX_LANES];
+    // K classes: each cycle's stage 2, drawn for every lane ahead of the
+    // per-lane pass.
+    let mut class_grants = ClassGrants::new();
 
     let total = config.warmup + config.cycles;
     let events = config.faults.events();
@@ -757,6 +959,13 @@ pub(super) fn run_lanes<P: Picks>(
             &mut rows,
             &pending_mask[..lanes],
         );
+
+        // 2b. K classes: stage 2 for every lane — per-class subset
+        // selection, then cross-class contention per bus — on each lane's
+        // own RNG stream, which nothing else steps until the next fill.
+        if let Some(plan) = &caches.classes {
+            picks.kclass_grants(plan, &mut rngs, &lane_issue.req[..lanes], &mut class_grants);
+        }
 
         // 3–6. One pass per lane: drop unreachable targets, scan grants,
         // draw winners lazily, retire/resubmit, collect.
@@ -893,48 +1102,16 @@ pub(super) fn run_lanes<P: Picks>(
                         busy |= group_busy[granted];
                     }
                 }
-                SchemeData::KClasses { class_masks, .. } => {
-                    // The only per-lane RNG consumer in stage 2: subset
-                    // selection and cross-class contention are genuinely
-                    // divergent, so this path mirrors `grant_buses` draw
-                    // for draw on a register copy of this lane's RNG.
-                    let mut rng = rngs.take_lane(l);
-                    for (c, &class_mask) in class_masks.iter().enumerate() {
-                        let creq = class_mask & req;
-                        let alive_desc = &caches.class_alive_desc[c];
-                        if creq == 0 || alive_desc.is_empty() {
-                            continue;
-                        }
-                        let mut len = 0usize;
-                        let mut bits = creq;
-                        while bits != 0 {
-                            // lint:allow(lossy_cast, memory indices are < M ≤ 64)
-                            fy_list[len] = bits.trailing_zeros() as u8;
-                            len += 1;
-                            bits &= bits - 1;
-                        }
-                        let cap = alive_desc.len().min(len);
-                        for i in 0..cap {
-                            let pick = i + reduce(rng.next_u64(), len - i);
-                            fy_list.swap(i, pick);
-                        }
-                        for (&bus, &memory) in alive_desc.iter().zip(&fy_list[..cap]) {
-                            let len = &mut contender_len[bus];
-                            contenders[bus][usize::from(*len)] = memory;
-                            *len += 1;
-                        }
+                SchemeData::KClasses => {
+                    // Stage 2 already ran (2b); the busy buses' grants
+                    // follow in ascending bus order, the order their
+                    // arbitration chunks follow. The trip count is B, and
+                    // an idle bus writes a discarded slot.
+                    busy = class_grants.busy[l];
+                    for bus in 0..b {
+                        grant_mem[grants] = class_grants.win[bus * MAX_LANES + l];
+                        grants += usize::from(busy >> bus & 1 != 0);
                     }
-                    for (bus, len) in contender_len.iter_mut().enumerate().take(b) {
-                        if *len == 0 {
-                            continue;
-                        }
-                        let pick = reduce(rng.next_u64(), usize::from(*len));
-                        grant_mem[grants] = contenders[bus][pick];
-                        grants += 1;
-                        busy |= 1 << bus;
-                        *len = 0;
-                    }
-                    rngs.put_lane(l, &rng);
                 }
             }
 

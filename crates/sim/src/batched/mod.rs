@@ -10,13 +10,15 @@
 //! processor, request issue costs one RNG draw per processor per cycle
 //! (`issue::IssueTable`), and stage-1 winners are ranked branchlessly
 //! out of pre-drawn arbitration words among the bytes that match the
-//! granted memory. Only the K-class random subset selection genuinely
-//! diverges between lanes and falls back to per-lane scalar RNG
-//! stepping. The cycle loop is built three times — portable, with
+//! granted memory. Only K-class stage 2 (random subset selection per
+//! class, then cross-class contention per bus) draws a lane-dependent
+//! number of RNG words; it runs for every lane ahead of the per-lane
+//! pass. The cycle loop is built three times — portable, with
 //! BMI2/POPCNT/AVX2, and with those plus AVX-512F/BW — and `dispatch`
 //! picks one per call from CPUID; the AVX-512 build also runs the lane
-//! RNG fill and the request issue eight lanes per vector. Every build
-//! produces identical reports.
+//! RNG fill, the request issue and K-class stage 2 (classes at most eight
+//! memories wide) eight lanes per vector, where the other builds step
+//! K-class lanes one at a time. Every build produces identical reports.
 //!
 //! The batched engine defines its own *sampling spec* — same per-cycle
 //! marginal distributions as the scalar [`crate::Simulator`], different

@@ -11,10 +11,12 @@
 //! (`batched::dispatch`) instead holds each block of eight lanes' state
 //! in registers across every row of a cycle, through
 //! [`LaneRngs::state_mut`]. The four state words are stored
-//! lane-major (`s[w][lane]`); lanes that diverge (K-class subset draws)
+//! lane-major (`s[w][lane]`); lanes that diverge (K-class stage 2)
 //! copy one lane's state into a register-resident [`LaneRng`]
 //! ([`LaneRngs::take_lane`]), step it as often as the lane needs, and
-//! write it back ([`LaneRngs::put_lane`]) without disturbing the others.
+//! write it back ([`LaneRngs::put_lane`]) without disturbing the others,
+//! or, in the AVX-512 build, step eight lanes per vector under a mask of
+//! the lanes that draw.
 //!
 //! Determinism contract: the batched sampling spec owns this stream.
 //! [`LaneRng`] is the scalar twin the per-seed reference engine runs —
@@ -108,8 +110,9 @@ impl LaneRngs {
     }
 
     /// The state words, `s[w][l]` being word `w` of lane `l` (lanes at
-    /// and above [`LaneRngs::lanes`] are unused): the AVX-512 fill in
-    /// `batched::dispatch` steps them eight lanes per vector.
+    /// and above [`LaneRngs::lanes`] are unused): the AVX-512 fill and
+    /// K-class kernels in `batched::dispatch` step them eight lanes per
+    /// vector.
     #[inline]
     pub(super) fn state_mut(&mut self) -> &mut [[u64; MAX_LANES]; 4] {
         &mut self.s

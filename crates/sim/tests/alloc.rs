@@ -4,9 +4,12 @@
 //! lets every scratch buffer reach its high-water capacity, stepping the
 //! simulator must perform **zero** allocations (and zero reallocations).
 //! The RNG is seeded, so the workload — and therefore the verdict — is
-//! deterministic.
+//! deterministic. Only the measuring thread's allocations inside a
+//! measured window count: stepping is single-threaded, and the test
+//! harness's own threads may allocate at any time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mbus_sim::Simulator;
@@ -17,14 +20,29 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread for the length of a measured window.
+    /// Const-initialised and without a destructor, so reading it never
+    /// allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if this thread is inside a measured window.
+fn count() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards verbatim to [`System`], which upholds the
-// GlobalAlloc contract; the only extra work is a Relaxed counter bump, which
-// cannot allocate, unwind, or touch the returned pointers.
+// GlobalAlloc contract; the only extra work is a thread-local flag read and
+// a Relaxed counter bump, which cannot allocate, unwind, or touch the
+// returned pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract for `layout`; the
     // request is forwarded to `System.alloc` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -38,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same delegation argument as `dealloc` — the block being
     // resized was produced by `System` via this wrapper.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,6 +66,20 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Opens a measured window on this thread; returns the count so far.
+fn start_window() -> u64 {
+    MEASURING.with(|on| on.set(true));
+    allocations()
+}
+
+/// Closes the window opened at `before`; returns the allocations this
+/// thread made inside it.
+fn end_window(before: u64) -> u64 {
+    let allocated = allocations() - before;
+    MEASURING.with(|on| on.set(false));
+    allocated
 }
 
 /// One test (so no parallel test thread can allocate concurrently) covering
@@ -91,15 +123,14 @@ fn steady_state_stepping_does_not_allocate() {
             for _ in 0..2_000 {
                 let _ = sim.step();
             }
-            let before = allocations();
+            let before = start_window();
             let mut grants = 0usize;
             for _ in 0..2_000 {
                 grants += sim.step().grants.len();
             }
-            let after = allocations();
+            let allocated = end_window(before);
             assert_eq!(
-                after - before,
-                0,
+                allocated, 0,
                 "{name} (resubmission: {resubmission}) allocated in steady state"
             );
             assert!(grants > 0, "{name}: sanity — something was served");
@@ -113,7 +144,7 @@ fn steady_state_stepping_does_not_allocate() {
     for _ in 0..2_000 {
         let _ = sim.step();
     }
-    let before = allocations();
+    let before = start_window();
     for cycle in 0..2_000u64 {
         if cycle == 100 {
             sim.fault_mask_mut().fail(1).unwrap();
@@ -124,7 +155,7 @@ fn steady_state_stepping_does_not_allocate() {
         let _ = sim.step();
     }
     assert_eq!(
-        allocations() - before,
+        end_window(before),
         0,
         "faulted stepping allocated in steady state"
     );
@@ -149,7 +180,7 @@ fn steady_state_stepping_does_not_allocate() {
             for _ in 0..2_000 {
                 let _ = sim.step();
             }
-            let before = allocations();
+            let before = start_window();
             let mut grants = 0usize;
             let mut unreachable = 0usize;
             for cycle in 0..3_000u64 {
@@ -172,7 +203,7 @@ fn steady_state_stepping_does_not_allocate() {
                 unreachable += outcome.unreachable;
             }
             assert_eq!(
-                allocations() - before,
+                end_window(before),
                 0,
                 "{size}x{size}x4 full ({label}) allocated in steady state"
             );
