@@ -291,12 +291,15 @@ fn lane_reports_are_independent_of_batch_composition() {
     assert_eq!(pair[1], wide[0]);
 }
 
-/// The engine switches contender representation at N = 8 (packed outcome
-/// word below, per-memory requester table above). Pin the table path with
-/// deterministic large geometries on both sides of the resubmission
-/// switch, full 64-lane batches included: N < M, an idle-heavy N > M + 1
-/// network (idle processors' zero writes land on real table slots), the
-/// saturated r = 1, and the crossbar and K-class scans at 64 × 64.
+/// Past N = 8 a lane's outcome-byte row spans several row words. Pin the
+/// multi-word rows with deterministic large geometries on both sides of
+/// the resubmission switch, full 64-lane batches included: N < M, an
+/// idle-heavy N > M + 1 network (most of its bytes are idle zeros), the
+/// saturated r = 1, and the crossbar and K-class scans at 64 × 64. The
+/// K-class case has classes sixteen memories wide, wider than the
+/// eight-lane stage-2 kernel takes, so it runs the per-lane draw in every
+/// build; the random layouts above (at most 16 memories in at most four
+/// classes) reach the kernel wherever no class is wider than eight.
 #[test]
 fn large_networks_use_table_path_and_match_reference() {
     let cases = [

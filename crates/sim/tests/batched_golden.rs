@@ -8,11 +8,14 @@
 //!
 //! The scenarios cover every connection scheme at 8 × 8 × 4, 16 × 16 × 8
 //! and 64 × 64 × 16, hierarchical and uniform traffic, r = 0.5 and 1.0,
-//! resubmission, and a fail/repair schedule. Both contender paths (the
-//! packed `N ≤ 8` word and the requester table) run the K-class and
-//! crossbar scans; the K-class runs add a fail/repair schedule, an outage
-//! that leaves whole classes without a bus, and resubmission on uneven
-//! classes with `K < B`. Each runs 1 100 measured
+//! resubmission, and a fail/repair schedule. One-word (`N ≤ 8`) and
+//! multi-word outcome-byte rows both run the K-class and crossbar scans;
+//! the K-class runs add a fail/repair schedule, an outage that leaves
+//! whole classes without a bus, and resubmission on uneven classes with
+//! `K < B`. No K-class layout here has a class wider than eight memories,
+//! so on a CPU with AVX-512F and AVX-512BW every one of them runs stage 2
+//! through the eight-lane kernel, and elsewhere through the per-lane draw
+//! (`batched::dispatch`). Each runs 1 100 measured
 //! cycles, so any per-unit tally that is kept in narrow counters and
 //! flushed periodically crosses its flush boundary several times.
 //!
