@@ -225,8 +225,8 @@ impl AliveCaches {
 }
 
 /// What K-class stage 2 reads about the network: the class layout, and
-/// under the current fault mask each class's alive buses and each bus's
-/// reach list, which [`AliveCaches::refresh`] rebuilds. All of it is
+/// under the current fault mask each class's slots and each bus's reach
+/// list, which [`AliveCaches::refresh`] rebuilds. All of it is
 /// lane-uniform.
 ///
 /// Step `i` of class `c`'s Fisher–Yates draw hands its pick to the
@@ -247,11 +247,10 @@ pub(super) struct ClassPlan {
     /// Whether every class is at most eight memories wide, so a class's
     /// Fisher–Yates list fits one `u64` of bytes.
     pub(super) narrow: bool,
-    /// Each class's alive buses, top-down.
-    alive_desc: Vec<Vec<usize>>,
     /// Each class's slot count, `min(alive, width)`.
     pub(super) steps: Vec<usize>,
-    /// The bus each slot hands its pick to.
+    /// The bus each slot hands its pick to: a class's slots are its
+    /// first alive buses, top-down.
     pub(super) slot_bus: Vec<u8>,
     /// Every bus's slots, ascending, bus after bus: bus `bus`'s are
     /// `reach[reach_ends[bus - 1]..reach_ends[bus]]` (from 0 for bus 0).
@@ -288,7 +287,6 @@ impl ClassPlan {
             // lint:allow(lossy_cast, memory indices and counts are ≤ M ≤ 64)
             widths: ranges.iter().map(|&(_, width)| width as u32).collect(),
             narrow: ranges.iter().all(|&(_, width)| width <= 8),
-            alive_desc: vec![Vec::new(); k],
             steps: Vec::with_capacity(k),
             slot_bus: Vec::with_capacity(net.memories()),
             reach: Vec::with_capacity(net.memories()),
@@ -298,19 +296,18 @@ impl ClassPlan {
         plan
     }
 
-    /// Rebuilds the alive lists, slots and reach lists for `mask`.
+    /// Rebuilds the slots and reach lists for `mask`.
     pub(super) fn refresh(&mut self, mask: &FaultMask) {
         self.steps.clear();
         self.slot_bus.clear();
-        for (c, list) in self.alive_desc.iter_mut().enumerate() {
-            list.clear();
-            list.extend((0..self.tops[c]).rev().filter(|&bus| mask.is_alive(bus)));
-            let steps = list.len().min(self.widths[c] as usize);
-            self.steps.push(steps);
-            for &bus in &list[..steps] {
+        for (&top, &width) in self.tops.iter().zip(&self.widths) {
+            let alive = (0..top).rev().filter(|&bus| mask.is_alive(bus));
+            let before = self.slot_bus.len();
+            for bus in alive.take(width as usize) {
                 // lint:allow(lossy_cast, bus indices are < B ≤ 64)
                 self.slot_bus.push(bus as u8);
             }
+            self.steps.push(self.slot_bus.len() - before);
         }
         self.reach.clear();
         self.reach_ends.clear();
@@ -381,10 +378,13 @@ impl ClassGrants {
             let mut rng = rngs.take_lane(l);
             // The buses handed at least one contender.
             let mut busy = 0u64;
-            for (c, &class_mask) in plan.masks.iter().enumerate() {
+            let mut slots = &plan.slot_bus[..];
+            for (&class_mask, &steps) in plan.masks.iter().zip(&plan.steps) {
+                // The class's first alive buses, top-down.
+                let (class_buses, rest) = slots.split_at(steps);
+                slots = rest;
                 let creq = class_mask & req;
-                let alive_desc = &plan.alive_desc[c];
-                if creq == 0 || alive_desc.is_empty() {
+                if creq == 0 || steps == 0 {
                     continue;
                 }
                 let mut len = 0usize;
@@ -395,12 +395,13 @@ impl ClassGrants {
                     len += 1;
                     bits &= bits - 1;
                 }
-                let cap = alive_desc.len().min(len);
+                let cap = steps.min(len);
                 for i in 0..cap {
                     let pick = i + reduce(rng.next_u64(), len - i);
                     self.fy_list.swap(i, pick);
                 }
-                for (&bus, &memory) in alive_desc.iter().zip(&self.fy_list[..cap]) {
+                for (&bus, &memory) in class_buses.iter().zip(&self.fy_list[..cap]) {
+                    let bus = usize::from(bus);
                     let len = &mut self.contender_len[bus];
                     self.contenders[bus][usize::from(*len)] = memory;
                     *len += 1;
