@@ -33,7 +33,9 @@
 //!     words, or a broadcast for a one-word row), and a grant's contenders
 //!     are one `vpcmpeqb` straight into a mask register.
 //!   - **K-class stage 2** (every class at most eight memories wide) —
-//!     eight lanes per vector with the block's xoshiro state in registers.
+//!     for every lane ahead of the per-lane pass, which reads the busy
+//!     buses and winners back, eight lanes per vector with the block's
+//!     xoshiro state in registers.
 //!     A class's Fisher–Yates list is one `u64` of member bytes, gathered
 //!     from a 256-entry table by the class-relative request byte; each
 //!     step is a merge-masked xoshiro step, the `vpmuludq` reduction and a
@@ -540,6 +542,8 @@ mod x86 {
             req: &[u64],
             grants: &mut ClassGrants,
         ) {
+            // A class wider than eight memories does not fit one word:
+            // such layouts keep the per-lane draw.
             if plan.narrow {
                 let lanes = rngs.lanes();
                 // SAFETY: `self.avx512` is an `Avx512` token, made only
@@ -549,10 +553,23 @@ mod x86 {
                 unsafe {
                     kclass_grants_avx512(self.avx512, plan, rngs.state_mut(), lanes, req, grants)
                 }
+            }
+        }
+
+        #[inline(always)]
+        fn kclass_lane(
+            self,
+            plan: &ClassPlan,
+            rngs: &mut LaneRngs,
+            grants: &mut ClassGrants,
+            l: usize,
+            req: u64,
+            grant_mem: &mut [u8; MAX_LANES],
+        ) -> (usize, u64) {
+            if plan.narrow {
+                grants.read_lane(l, plan.buses(), grant_mem)
             } else {
-                // A class wider than eight memories: its list does not fit
-                // one word, so the per-lane draw runs.
-                grants.draw(plan, rngs, req);
+                grants.draw_lane(plan, rngs, l, req, grant_mem)
             }
         }
     }
@@ -876,8 +893,10 @@ mod x86 {
         out
     }
 
-    /// [`ClassGrants::draw`] eight lanes per vector, for layouts whose
-    /// classes are at most eight memories wide. Per block of lanes, the
+    /// [`ClassGrants::draw_lane`] for every lane, eight lanes per vector,
+    /// into the busy words and winner bytes [`ClassGrants::read_lane`]
+    /// reads, for layouts whose classes are at most eight memories wide.
+    /// Per block of lanes, the
     /// xoshiro state stays in registers through the whole stage:
     ///
     /// * per class, the class-relative request byte gathers its packed
@@ -936,9 +955,9 @@ mod x86 {
             ]
             .map(|word| word.as_mut_ptr().cast::<i64>());
             // SAFETY: the `Avx512` token behind this call proves avx512f.
-            // Each pointer starts inside its state word, `req` or `busy`
-            // at lane `base < lanes`, and the mask `k` limits the loads to
-            // lanes `base..lanes`.
+            // Each pointer starts inside its state word or `req` at lane
+            // `base < lanes`, and the mask `k` limits the loads to lanes
+            // `base..lanes`.
             let (mut s, req) = unsafe {
                 (
                     [
@@ -1385,6 +1404,26 @@ mod tests {
             .collect()
         }
 
+        /// One cycle's K-class stage 2 with `picks`: every lane's busy-bus
+        /// word and granted memories, in ascending bus order.
+        fn class_stage<P: Picks>(
+            picks: P,
+            plan: &ClassPlan,
+            rngs: &mut LaneRngs,
+            grants: &mut ClassGrants,
+            req: &[u64],
+        ) -> Vec<(u64, Vec<u8>)> {
+            picks.kclass_grants(plan, rngs, req, grants);
+            let mut grant_mem = [0u8; 64];
+            (0..req.len())
+                .map(|l| {
+                    let (count, busy) =
+                        picks.kclass_lane(plan, rngs, grants, l, req[l], &mut grant_mem);
+                    (busy, grant_mem[..count].to_vec())
+                })
+                .collect()
+        }
+
         #[test]
         #[cfg_attr(miri, ignore)]
         fn avx512_class_stage_matches_the_per_lane_draw() {
@@ -1454,23 +1493,16 @@ mod tests {
                                         }
                                 })
                                 .collect();
-                            Swar.kclass_grants(&plan, &mut portable, &req, &mut want);
-                            wide.kclass_grants(&plan, &mut kernel, &req, &mut got);
                             let context = format!(
                                 "{:?} with {} of {b} buses alive, {lanes} lanes, cycle {cycle}",
                                 net.scheme(),
                                 mask.alive_count()
                             );
-                            assert_eq!(got.busy[..lanes], want.busy[..lanes], "{context}");
-                            for (l, &busy) in want.busy[..lanes].iter().enumerate() {
-                                for bus in (0..b).filter(|&bus| busy >> bus & 1 == 1) {
-                                    let at = bus * 64 + l;
-                                    assert_eq!(
-                                        got.win[at], want.win[at],
-                                        "{context}: bus {bus}, lane {l}"
-                                    );
-                                }
-                            }
+                            assert_eq!(
+                                class_stage(wide, &plan, &mut kernel, &mut got, &req),
+                                class_stage(Swar, &plan, &mut portable, &mut want, &req),
+                                "{context}: busy buses or granted memories differ"
+                            );
                             assert_eq!(
                                 kernel.state_mut().map(|word| word[..lanes].to_vec()),
                                 portable.state_mut().map(|word| word[..lanes].to_vec()),

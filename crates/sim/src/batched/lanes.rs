@@ -19,14 +19,14 @@
 //! the fast build keeps each block of eight lanes' state in registers
 //! across all of the cycle's rows). Only K-class stage 2 draws a
 //! lane-dependent number of words — a Fisher–Yates step per selected
-//! member of each class, then one draw per contended bus. It runs once
-//! per cycle for every lane, after the issue rows and ahead of the
-//! per-lane pass (`Picks::kclass_grants`), and leaves each lane's busy
-//! buses and their granted memories. The portable and BMI2 builds step a
-//! register copy of one lane's generator at a time
-//! (`LaneRngs::take_lane`); on AVX-512F/BW the fast build steps eight
-//! lanes per vector under lane masks, for layouts whose classes are at
-//! most eight memories wide.
+//! member of each class, then one draw per contended bus. The portable
+//! and BMI2 builds draw it in each lane's pass on a register copy of the
+//! lane's generator (`LaneRngs::take_lane`, `Picks::kclass_lane`). On
+//! AVX-512F/BW, for layouts whose classes are at most eight memories
+//! wide, the fast build draws it for every lane after the issue rows and
+//! ahead of the per-lane pass, eight lanes per vector under lane masks
+//! (`Picks::kclass_grants`), and each lane's pass reads back its busy
+//! buses and their granted memories.
 //!
 //! Contenders have one representation at every `N`: per-lane
 //! *outcome-byte rows*. Byte `p` of a lane's row is 0 for an idle
@@ -338,8 +338,10 @@ impl ClassPlan {
     }
 }
 
-/// One cycle's K-class stage 2 for every lane, as [`Picks::kclass_grants`]
-/// leaves it: each lane's busy buses and each busy bus's granted memory.
+/// K-class stage 2's per-cycle state: the per-lane draw's scratch, and
+/// what a build that draws every lane ahead of the per-lane pass
+/// ([`Picks::kclass_grants`]) leaves for [`Picks::kclass_lane`] to read
+/// back.
 pub(super) struct ClassGrants {
     /// Bit `bus` of `busy[l]` is set iff bus `bus` grants in lane `l`.
     pub(super) busy: [u64; MAX_LANES],
@@ -365,62 +367,91 @@ impl ClassGrants {
         }
     }
 
-    /// Stage 2 one lane at a time, mirroring `grant_buses` draw for draw
-    /// on a register copy of the lane's RNG: per class in class order, a
+    /// Lane `l`'s stage 2, mirroring `grant_buses` draw for draw on a
+    /// register copy of the lane's RNG: per class in class order, a
     /// Fisher–Yates draw of `min(alive, requested)` of its requested
     /// memories onto its alive buses, top-down; then per bus in
-    /// ascending order, one draw among the bus's contenders. `req[l]` is
-    /// lane `l`'s requested-memory set. Unreachable memories need no
-    /// filtering: they are exactly the memories of classes without an
-    /// alive bus, which draw nothing.
-    pub(super) fn draw(&mut self, plan: &ClassPlan, rngs: &mut LaneRngs, req: &[u64]) {
-        for (l, &req) in req.iter().enumerate() {
-            let mut rng = rngs.take_lane(l);
-            // The buses handed at least one contender.
-            let mut busy = 0u64;
-            let mut slots = &plan.slot_bus[..];
-            for (&class_mask, &steps) in plan.masks.iter().zip(&plan.steps) {
-                // The class's first alive buses, top-down.
-                let (class_buses, rest) = slots.split_at(steps);
-                slots = rest;
-                let creq = class_mask & req;
-                if creq == 0 || steps == 0 {
-                    continue;
-                }
-                let mut len = 0usize;
-                let mut bits = creq;
-                while bits != 0 {
-                    // lint:allow(lossy_cast, memory indices are < M ≤ 64)
-                    self.fy_list[len] = bits.trailing_zeros() as u8;
-                    len += 1;
-                    bits &= bits - 1;
-                }
-                let cap = steps.min(len);
-                for i in 0..cap {
-                    let pick = i + reduce(rng.next_u64(), len - i);
-                    self.fy_list.swap(i, pick);
-                }
-                for (&bus, &memory) in class_buses.iter().zip(&self.fy_list[..cap]) {
-                    let bus = usize::from(bus);
-                    let len = &mut self.contender_len[bus];
-                    self.contenders[bus][usize::from(*len)] = memory;
-                    *len += 1;
-                    busy |= 1 << bus;
-                }
+    /// ascending order, one draw among the bus's contenders. `req` is the
+    /// lane's requested-memory set. Writes the granted memories to
+    /// `grant_mem` in ascending bus order and returns their count and the
+    /// busy-bus word. Unreachable memories need no filtering: they are
+    /// exactly the memories of classes without an alive bus, which draw
+    /// nothing.
+    #[inline(always)]
+    pub(super) fn draw_lane(
+        &mut self,
+        plan: &ClassPlan,
+        rngs: &mut LaneRngs,
+        l: usize,
+        req: u64,
+        grant_mem: &mut [u8; MAX_LANES],
+    ) -> (usize, u64) {
+        let mut rng = rngs.take_lane(l);
+        // The buses handed at least one contender.
+        let mut busy = 0u64;
+        let mut slots = &plan.slot_bus[..];
+        for (&class_mask, &steps) in plan.masks.iter().zip(&plan.steps) {
+            // The class's first alive buses, top-down.
+            let (class_buses, rest) = slots.split_at(steps);
+            slots = rest;
+            let creq = class_mask & req;
+            if creq == 0 || steps == 0 {
+                continue;
             }
-            // One draw per busy bus, in ascending order.
-            let mut bits = busy;
+            let mut len = 0usize;
+            let mut bits = creq;
             while bits != 0 {
-                let bus = bits.trailing_zeros() as usize;
+                // lint:allow(lossy_cast, memory indices are < M ≤ 64)
+                self.fy_list[len] = bits.trailing_zeros() as u8;
+                len += 1;
                 bits &= bits - 1;
-                let len = &mut self.contender_len[bus];
-                let pick = reduce(rng.next_u64(), usize::from(*len));
-                self.win[bus * MAX_LANES + l] = self.contenders[bus][pick];
-                *len = 0;
             }
-            self.busy[l] = busy;
-            rngs.put_lane(l, &rng);
+            let cap = steps.min(len);
+            for i in 0..cap {
+                let pick = i + reduce(rng.next_u64(), len - i);
+                self.fy_list.swap(i, pick);
+            }
+            for (&bus, &memory) in class_buses.iter().zip(&self.fy_list[..cap]) {
+                let bus = usize::from(bus);
+                let len = &mut self.contender_len[bus];
+                self.contenders[bus][usize::from(*len)] = memory;
+                *len += 1;
+                busy |= 1 << bus;
+            }
         }
+        // One draw per busy bus, in ascending order.
+        let mut grants = 0;
+        let mut bits = busy;
+        while bits != 0 {
+            let bus = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let len = &mut self.contender_len[bus];
+            let pick = reduce(rng.next_u64(), usize::from(*len));
+            grant_mem[grants] = self.contenders[bus][pick];
+            grants += 1;
+            *len = 0;
+        }
+        rngs.put_lane(l, &rng);
+        (grants, busy)
+    }
+
+    /// Lane `l`'s stage 2 as a draw for every lane left it in `busy` and
+    /// `win`, in [`ClassGrants::draw_lane`]'s form. The trip count is the
+    /// bus count `buses`, and an idle bus writes a discarded slot.
+    #[inline(always)]
+    pub(super) fn read_lane(
+        &self,
+        l: usize,
+        buses: usize,
+        grant_mem: &mut [u8; MAX_LANES],
+    ) -> (usize, u64) {
+        let busy = self.busy[l];
+        let mut grants = 0;
+        for bus in 0..buses {
+            grant_mem[grants] = self.win[bus * MAX_LANES + l];
+            grants += usize::from(busy >> bus & 1 != 0);
+        }
+        (grants, busy)
     }
 }
 
@@ -645,19 +676,36 @@ pub(super) trait Picks: Copy {
         issue.issue_rows::<RESUB>(table, draws, rows, pending_mask);
     }
 
-    /// One cycle's K-class stage 2 for every lane: [`ClassGrants::draw`]
-    /// on the lanes' requested-memory sets `req`. An override must leave
-    /// the same busy words, the same winners on busy buses and each
-    /// lane's stream advanced by the same draws.
+    /// One cycle's K-class stage 2 for every lane at once, ahead of the
+    /// per-lane pass, on the lanes' requested-memory sets `req`, for
+    /// [`Picks::kclass_lane`] to read back. By default each lane draws in
+    /// its own pass instead, and this does nothing.
     #[inline(always)]
     fn kclass_grants(
         self,
+        _plan: &ClassPlan,
+        _rngs: &mut LaneRngs,
+        _req: &[u64],
+        _grants: &mut ClassGrants,
+    ) {
+    }
+
+    /// Lane `l`'s K-class stage 2 in its per-lane pass, in
+    /// [`ClassGrants::draw_lane`]'s form: by default that per-lane draw.
+    /// An override, with [`Picks::kclass_grants`], must grant the same
+    /// memories on the same buses and leave each lane's stream advanced
+    /// by the same draws.
+    #[inline(always)]
+    fn kclass_lane(
+        self,
         plan: &ClassPlan,
         rngs: &mut LaneRngs,
-        req: &[u64],
         grants: &mut ClassGrants,
-    ) {
-        grants.draw(plan, rngs, req);
+        l: usize,
+        req: u64,
+        grant_mem: &mut [u8; MAX_LANES],
+    ) -> (usize, u64) {
+        grants.draw_lane(plan, rngs, l, req, grant_mem)
     }
 }
 
@@ -961,9 +1009,10 @@ pub(super) fn run_lanes<P: Picks>(
             &pending_mask[..lanes],
         );
 
-        // 2b. K classes: stage 2 for every lane — per-class subset
-        // selection, then cross-class contention per bus — on each lane's
-        // own RNG stream, which nothing else steps until the next fill.
+        // 2b. K classes: a build may run stage 2 — per-class subset
+        // selection, then cross-class contention per bus — for every lane
+        // here. Each lane's draws come from its own stream, which nothing
+        // else steps until the next fill, so they match the per-lane draw.
         if let Some(plan) = &caches.classes {
             picks.kclass_grants(plan, &mut rngs, &lane_issue.req[..lanes], &mut class_grants);
         }
@@ -1104,14 +1153,17 @@ pub(super) fn run_lanes<P: Picks>(
                     }
                 }
                 SchemeData::KClasses => {
-                    // Stage 2 already ran (2b); the busy buses' grants
-                    // follow in ascending bus order, the order their
-                    // arbitration chunks follow. The trip count is B, and
-                    // an idle bus writes a discarded slot.
-                    busy = class_grants.busy[l];
-                    for bus in 0..b {
-                        grant_mem[grants] = class_grants.win[bus * MAX_LANES + l];
-                        grants += usize::from(busy >> bus & 1 != 0);
+                    // Grants in ascending bus order, the order their
+                    // arbitration chunks follow.
+                    if let Some(plan) = &caches.classes {
+                        (grants, busy) = picks.kclass_lane(
+                            plan,
+                            &mut rngs,
+                            &mut class_grants,
+                            l,
+                            req,
+                            &mut grant_mem,
+                        );
                     }
                 }
             }

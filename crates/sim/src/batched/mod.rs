@@ -12,13 +12,13 @@
 //! out of pre-drawn arbitration words among the bytes that match the
 //! granted memory. Only K-class stage 2 (random subset selection per
 //! class, then cross-class contention per bus) draws a lane-dependent
-//! number of RNG words; it runs for every lane ahead of the per-lane
-//! pass. The cycle loop is built three times — portable, with
-//! BMI2/POPCNT/AVX2, and with those plus AVX-512F/BW — and `dispatch`
-//! picks one per call from CPUID; the AVX-512 build also runs the lane
-//! RNG fill, the request issue and K-class stage 2 (classes at most eight
-//! memories wide) eight lanes per vector, where the other builds step
-//! K-class lanes one at a time. Every build produces identical reports.
+//! number of RNG words. The cycle loop is built three times — portable,
+//! with BMI2/POPCNT/AVX2, and with those plus AVX-512F/BW — and
+//! `dispatch` picks one per call from CPUID; the AVX-512 build also runs
+//! the lane RNG fill, the request issue and K-class stage 2 (classes at
+//! most eight memories wide) eight lanes per vector, where the other
+//! builds draw K-class stage 2 in each lane's own pass. Every build
+//! produces identical reports.
 //!
 //! The batched engine defines its own *sampling spec* — same per-cycle
 //! marginal distributions as the scalar [`crate::Simulator`], different
