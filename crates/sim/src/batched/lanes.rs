@@ -940,8 +940,8 @@ pub(super) fn run_lanes<P: Picks>(
     // Per-lane grant scratch: at most one grant per distinct requested
     // memory, and M ≤ 64.
     let mut grant_mem = [0u8; MAX_LANES];
-    // K classes: each cycle's stage 2, drawn for every lane ahead of the
-    // per-lane pass.
+    // K classes: the per-lane draw's scratch, and what a build that draws
+    // every lane ahead of the per-lane pass leaves for each lane's pass.
     let mut class_grants = ClassGrants::new();
 
     let total = config.warmup + config.cycles;
