@@ -24,8 +24,8 @@
 //! * [`degraded`] — the same evaluation through a
 //!   [`mbus_topology::FaultMask`]: renormalized over alive buses,
 //!   unreachable modules contributing zero, per-class K-class breakdowns.
-//! * [`sweep`] — bus sweeps, halving ratios, and per-scheme series used by
-//!   the table generators in `mbus-core`.
+//! * [`sweep`] — the §IV ratios over bus counts: the single-connection
+//!   halving ratio and the buses needed to reach a crossbar fraction.
 //! * [`cost_effectiveness`] — §IV's performance-cost comparisons.
 //!
 //! # A worked example (Table II, N = 8, B = 4, hierarchical, r = 1)

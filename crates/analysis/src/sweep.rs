@@ -1,82 +1,8 @@
-//! Parameter sweeps and the derived ratios quoted in the paper's §IV.
-//!
-//! Sweep points are independent, so [`bus_sweep`] evaluates them over the
-//! shared-queue pool via
-//! [`mbus_stats::parallel::parallel_map`] — per-point cost grows
-//! with `B`, and the pool hands the tail out one point at a time, so it
-//! does not serialize on one worker. Results come back in input order, and errors are reported for
-//! the *first failing point* in input order regardless of which thread hit
-//! one first, keeping the function deterministic.
+//! The ratios the paper's §IV derives from sweeps over the bus count.
 
 use crate::{bandwidth, AnalysisError};
-use mbus_stats::parallel::{available_workers, parallel_map};
-use mbus_topology::{BusNetwork, ConnectionScheme, TopologyError};
+use mbus_topology::{BusNetwork, ConnectionScheme};
 use mbus_workload::RequestMatrix;
-use serde::{Deserialize, Serialize};
-
-/// One point of a bus sweep: bandwidth at a given bus count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SweepPoint {
-    /// Number of buses `B`.
-    pub buses: usize,
-    /// Effective memory bandwidth at that `B`.
-    pub bandwidth: f64,
-}
-
-/// Builds the scheme instance to use at a given bus count during a sweep.
-///
-/// Sweeps vary `B`, but some schemes' parameters depend on `B` (a balanced
-/// single assignment, `K = B` classes, …), so the sweep asks this factory at
-/// every point. Factories must be `Sync`: sweep points are evaluated on
-/// multiple threads.
-pub type SchemeFactory<'a> = dyn Fn(usize) -> Result<ConnectionScheme, TopologyError> + Sync + 'a;
-
-/// Sweeps the analytical bandwidth over bus counts `bus_counts` for an
-/// `n × m` network whose scheme at each `B` is produced by `factory`,
-/// evaluating the points across all available cores.
-///
-/// # Errors
-///
-/// Scheme/network construction failures surface as
-/// [`AnalysisError::Topology`]; bandwidth errors are propagated as-is. When
-/// several points fail, the error of the first failing point (in
-/// `bus_counts` order) is returned.
-pub fn bus_sweep(
-    n: usize,
-    m: usize,
-    bus_counts: &[usize],
-    factory: &SchemeFactory<'_>,
-    matrix: &RequestMatrix,
-    r: f64,
-) -> Result<Vec<SweepPoint>, AnalysisError> {
-    bus_sweep_with_workers(n, m, bus_counts, factory, matrix, r, available_workers())
-}
-
-/// [`bus_sweep`] with an explicit worker-thread budget (`workers <= 1`
-/// evaluates serially on the calling thread). Exposed for benchmarking the
-/// parallel speedup and for callers that manage their own thread budget.
-///
-/// # Errors
-///
-/// Same contract as [`bus_sweep`].
-pub fn bus_sweep_with_workers(
-    n: usize,
-    m: usize,
-    bus_counts: &[usize],
-    factory: &SchemeFactory<'_>,
-    matrix: &RequestMatrix,
-    r: f64,
-    workers: usize,
-) -> Result<Vec<SweepPoint>, AnalysisError> {
-    let points = parallel_map(bus_counts.to_vec(), workers, |b| {
-        let net = BusNetwork::new(n, m, b, factory(b)?)?;
-        Ok(SweepPoint {
-            buses: b,
-            bandwidth: bandwidth::memory_bandwidth(&net, matrix, r)?,
-        })
-    });
-    points.into_iter().collect()
-}
 
 /// The §IV "bus halving" ratio: bandwidth with `N` buses divided by
 /// bandwidth with `N/2` buses, for a single-connection network.
@@ -135,6 +61,7 @@ pub fn buses_for_crossbar_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbus_stats::parallel::parallel_map;
     use mbus_workload::{HierarchicalModel, RequestModel, UniformModel};
 
     fn hier(n: usize) -> RequestMatrix {
@@ -147,26 +74,23 @@ mod tests {
         UniformModel::new(n, n).unwrap().matrix()
     }
 
+    /// Full-connection bandwidth of a `16 × 16` network with `b` buses.
+    fn full16(matrix: &RequestMatrix, b: usize, r: f64) -> Result<f64, AnalysisError> {
+        let net = BusNetwork::new(16, 16, b, ConnectionScheme::Full)?;
+        bandwidth::memory_bandwidth(&net, matrix, r)
+    }
+
     #[test]
     fn sweep_is_monotone_in_buses() {
         let matrix = hier(16);
-        let points = bus_sweep(
-            16,
-            16,
-            &[1, 2, 4, 8, 16],
-            &|_| Ok(ConnectionScheme::Full),
-            &matrix,
-            1.0,
-        )
-        .unwrap();
+        let points: Vec<f64> = [1, 2, 4, 8, 16]
+            .iter()
+            .map(|&b| full16(&matrix, b, 1.0).unwrap())
+            .collect();
         for pair in points.windows(2) {
-            assert!(pair[1].bandwidth >= pair[0].bandwidth - 1e-12);
+            assert!(pair[1] >= pair[0] - 1e-12);
         }
-        assert_eq!(points[0].buses, 1);
-        assert!(
-            (points[0].bandwidth - 1.0).abs() < 1e-9,
-            "one bus saturates"
-        );
+        assert!((points[0] - 1.0).abs() < 1e-9, "one bus saturates");
     }
 
     #[test]
@@ -206,29 +130,13 @@ mod tests {
 
     #[test]
     fn factory_errors_are_reported() {
-        let matrix = hier(8);
-        let result = bus_sweep(
-            8,
-            8,
-            &[3],
-            &|b| ConnectionScheme::balanced_single(8, b),
-            &matrix,
-            1.0,
-        );
-        assert!(result.is_ok());
-        // A factory that demands indivisible groups fails cleanly, with the
+        // A scheme that demands indivisible groups fails cleanly, with the
         // underlying topology error preserved (not remapped to a bogus
         // dimension mismatch).
-        let result = bus_sweep(
-            8,
-            8,
-            &[3],
-            &|_| Ok(ConnectionScheme::PartialGroups { groups: 2 }),
-            &matrix,
-            1.0,
-        );
+        let build = |b, scheme| BusNetwork::new(8, 8, b, scheme).map_err(AnalysisError::from);
+        assert!(build(3, ConnectionScheme::balanced_single(8, 3).unwrap()).is_ok());
         assert!(matches!(
-            result,
+            build(3, ConnectionScheme::PartialGroups { groups: 2 }),
             Err(AnalysisError::Topology(
                 mbus_topology::TopologyError::GroupsDontDivide { .. }
             ))
@@ -237,18 +145,15 @@ mod tests {
 
     #[test]
     fn first_failing_point_wins_deterministically() {
-        // Two bad points (B = 3 and B = 100): the error must belong to the
-        // earliest one in input order, however the threads interleave.
+        // A sweep over the pool with two bad points (B = 3 and B = 100):
+        // the error must belong to the earliest one in input order, however
+        // the threads interleave.
         let matrix = hier(8);
-        let result = bus_sweep(
-            8,
-            8,
-            &[2, 3, 4, 100],
-            &|_| Ok(ConnectionScheme::PartialGroups { groups: 2 }),
-            &matrix,
-            1.0,
-        );
-        match result {
+        let points = parallel_map(vec![2, 3, 4, 100], 4, |b| {
+            let net = BusNetwork::new(8, 8, b, ConnectionScheme::PartialGroups { groups: 2 })?;
+            bandwidth::memory_bandwidth(&net, &matrix, 1.0)
+        });
+        match points.into_iter().collect::<Result<Vec<f64>, _>>() {
             Err(AnalysisError::Topology(mbus_topology::TopologyError::GroupsDontDivide {
                 buses,
                 ..
@@ -260,10 +165,10 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial() {
         let matrix = hier(16);
-        let counts = [1, 2, 3, 4, 6, 8, 12, 16];
-        let factory: &SchemeFactory<'_> = &|_| Ok(ConnectionScheme::Full);
-        let serial = bus_sweep_with_workers(16, 16, &counts, factory, &matrix, 0.75, 1).unwrap();
-        let parallel = bus_sweep_with_workers(16, 16, &counts, factory, &matrix, 0.75, 8).unwrap();
+        let counts = vec![1, 2, 3, 4, 6, 8, 12, 16];
+        let at = |b| full16(&matrix, b, 0.75).unwrap().to_bits();
+        let serial = parallel_map(counts.clone(), 1, at);
+        let parallel = parallel_map(counts, 8, at);
         assert_eq!(serial, parallel);
     }
 

@@ -74,8 +74,8 @@ COMMANDS:
                           paths, R2 lossy casts, R3 equation traceability,
                           R4 invariant wiring, R5 unsafe SAFETY comments,
                           R6 lock discipline, R7 atomics ordering,
-                          R8 unchecked Results); [--json] [--sarif]
-                          [--unsafe-report] [--root path];
+                          R8 unchecked Results, R9 unreached pub fns);
+                          [--json] [--sarif] [--unsafe-report] [--root path];
                           non-zero exit on violations
     experiments           print the EXPERIMENTS.md report (paper vs computed)
     serve                 run the bandwidth-query HTTP service:

@@ -42,33 +42,6 @@ pub fn uniform(n: usize) -> Result<UniformModel, WorkloadError> {
     UniformModel::new(n, n)
 }
 
-/// Bus counts evaluated for size `n` in Tables II–III: every `B` from 1 to
-/// `N`.
-pub fn full_table_bus_counts(n: usize) -> Vec<usize> {
-    (1..=n).collect()
-}
-
-/// Bus counts evaluated for size `n` in Table IV: powers of two from 1 to
-/// `N`.
-pub fn single_table_bus_counts(n: usize) -> Vec<usize> {
-    let mut counts = Vec::new();
-    let mut b = 1;
-    while b <= n {
-        counts.push(b);
-        b *= 2;
-    }
-    counts
-}
-
-/// Bus counts evaluated for size `n` in Tables V–VI: powers of two from 2
-/// to `N`.
-pub fn partial_table_bus_counts(n: usize) -> Vec<usize> {
-    single_table_bus_counts(n)
-        .into_iter()
-        .filter(|&b| b >= 2)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,13 +54,6 @@ mod tests {
             assert_eq!(model.processors(), *n);
             let _ = uniform(*n).unwrap();
         }
-    }
-
-    #[test]
-    fn bus_count_series() {
-        assert_eq!(full_table_bus_counts(4), vec![1, 2, 3, 4]);
-        assert_eq!(single_table_bus_counts(32), vec![1, 2, 4, 8, 16, 32]);
-        assert_eq!(partial_table_bus_counts(8), vec![2, 4, 8]);
     }
 
     #[test]

@@ -21,11 +21,8 @@
 //!   simulator's tests.
 //! * [`markov`] — an exact Markov-chain steady state for *resubmission*
 //!   semantics (the Marsan/Mudge regime the paper cites as \[11\], \[12\]),
-//!   validating the simulator's queueing behaviour on small systems.
-//! * [`lumped`] — the same chain lumped over processor (and, for uniform
-//!   workloads, memory) permutation symmetry: occupancy-count states reach
-//!   systems like `N = 16, M = 8` that the unlumped `(M+1)^N` chain
-//!   rejects as too large.
+//!   validating the simulator's queueing behaviour on small systems: its
+//!   `(M+1)^N` states stay under [`markov::MAX_STATES`].
 //! * [`memo`] — process-wide memoization of served-set tables, keyed by
 //!   the network, so a sweep over request rates builds each table once.
 //! * [`compare`] — reports quantifying the paper's independence
@@ -55,7 +52,6 @@
 pub mod compare;
 pub mod enumerate;
 mod error;
-pub mod lumped;
 pub mod markov;
 pub mod memo;
 pub mod transform;

@@ -25,17 +25,16 @@ use mbus_workload::RequestMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Upper bound on `(M+1)^N` for the chain to be built — also the reachable
-/// state budget of the symmetry-lumped chain in [`crate::lumped`].
+/// Upper bound on `(M+1)^N` for the chain to be built.
 pub const MAX_STATES: usize = 20_000;
 
-/// Power-step cap of both resubmission chains. A chain that reaches it
-/// unconverged is [`ExactError::NoConvergence`], never a result.
-pub(crate) const MAX_POWER_STEPS: usize = 20_000;
+/// Power-step cap of the chain. A chain that reaches it unconverged is
+/// [`ExactError::NoConvergence`], never a result.
+const MAX_POWER_STEPS: usize = 20_000;
 
 /// Power iteration stops once one step moves `π` by less than this
 /// (`Σ|Δπ|`).
-pub(crate) const TOLERANCE: f64 = 1e-13;
+const TOLERANCE: f64 = 1e-13;
 
 /// Steady-state quantities of the resubmission chain.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,20 +57,17 @@ pub struct ResubmissionSteadyState {
 }
 
 /// A stationary distribution found by [`power_iterate`].
-pub(crate) struct Stationary {
-    pub(crate) pi: Vec<f64>,
-    pub(crate) iterations: usize,
-    pub(crate) residual: f64,
+struct Stationary {
+    pi: Vec<f64>,
+    iterations: usize,
+    residual: f64,
 }
 
 /// Stationary distribution of the chain with sparse transition rows
 /// `rows[s][t] = P(s → t)`, by power iteration from the uniform
 /// distribution: converged once a step moves `π` by less than the
 /// tolerance, [`ExactError::NoConvergence`] if `max_steps` steps do not.
-pub(crate) fn power_iterate(
-    rows: &[HashMap<usize, f64>],
-    max_steps: usize,
-) -> Result<Stationary, ExactError> {
+fn power_iterate(rows: &[HashMap<usize, f64>], max_steps: usize) -> Result<Stationary, ExactError> {
     let state_count = rows.len();
     let mut pi = vec![1.0 / state_count as f64; state_count];
     let mut next = vec![0.0f64; state_count];
@@ -355,9 +351,8 @@ fn enumerate_draws(
     destinations[p] = None;
 }
 
-/// All `size`-subsets of `items` (shared with the lumped chain's service
-/// stage).
-pub(crate) fn subsets_of_size(items: &[usize], size: usize) -> Vec<Vec<usize>> {
+/// All `size`-subsets of `items`.
+fn subsets_of_size(items: &[usize], size: usize) -> Vec<Vec<usize>> {
     debug_assert!(choose(items.len() as u64, size as u64).is_some());
     let mut out = Vec::new();
     let mut current = Vec::with_capacity(size);

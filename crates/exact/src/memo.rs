@@ -6,7 +6,7 @@
 //! holds a process-wide [`MemoCache`] of served-set tables keyed by the
 //! network's canonical debug rendering (which encodes `N × M × B` and the
 //! full scheme, assignment vectors included), so every exact engine —
-//! enumeration, transform, and both Markov chains — shares one table per
+//! enumeration, transform, and the Markov chain — shares one table per
 //! network.
 //!
 //! The cache is bounded (a handful of tables per shard; a `ServedTable` is

@@ -7,14 +7,12 @@
 //!   processor convolution), so agreement over randomized workloads is a
 //!   real cross-check;
 //! * transform bandwidth vs DP bandwidth over randomized `N × M × B`
-//!   networks and schemes;
-//! * the lumped (occupancy-count) Markov chain vs the unlumped
-//!   per-processor chain wherever both fit under the state budget.
+//!   networks and schemes.
 //!
 //! Tolerance is 1e-9 throughout — far tighter than any model error, loose
 //! enough for the different summation orders.
 
-use mbus_exact::{enumerate, lumped, markov, transform};
+use mbus_exact::{enumerate, transform};
 use mbus_topology::{BusNetwork, ConnectionScheme};
 use mbus_workload::{HierarchicalModel, RequestMatrix, RequestModel, UniformModel};
 use proptest::prelude::*;
@@ -121,65 +119,5 @@ proptest! {
         let dp = enumerate::exact_bandwidth_dp(&net, &matrix, r).expect("in-range case");
         let tf = transform::transform_bandwidth(&net, &matrix, r).expect("in-range case");
         prop_assert!((dp - tf).abs() < TOL, "dp {} vs transform {}", dp, tf);
-    }
-}
-
-/// Lumped vs unlumped steady states on every shape where the unlumped
-/// chain fits the state budget.
-#[test]
-fn lumped_matches_unlumped_where_both_fit() {
-    let cases: Vec<(RequestMatrix, usize)> = vec![
-        (UniformModel::new(3, 3).unwrap().matrix(), 1),
-        (UniformModel::new(3, 3).unwrap().matrix(), 2),
-        (UniformModel::new(4, 2).unwrap().matrix(), 1),
-        (
-            RequestMatrix::from_rows(vec![vec![0.5, 0.3, 0.2]; 3]).unwrap(),
-            1,
-        ),
-        (
-            RequestMatrix::from_rows(vec![vec![0.5, 0.3, 0.2]; 3]).unwrap(),
-            2,
-        ),
-        (
-            RequestMatrix::from_rows(vec![vec![0.7, 0.1, 0.1, 0.1]; 4]).unwrap(),
-            2,
-        ),
-    ];
-    for (matrix, b) in cases {
-        let n = matrix.processors();
-        let m = matrix.memories();
-        let net = BusNetwork::new(n, m, b, ConnectionScheme::Full).unwrap();
-        for r in [0.2, 0.6, 0.9, 1.0] {
-            let full = markov::resubmission_steady_state(&net, &matrix, r).unwrap();
-            let small = lumped::lumped_steady_state(&net, &matrix, r).unwrap();
-            assert!(
-                small.states <= full.states,
-                "{n}x{m}x{b} r={r}: lumping grew the chain"
-            );
-            for (label, a, b) in [
-                ("throughput", full.throughput, small.throughput),
-                ("mean_pending", full.mean_pending, small.mean_pending),
-                ("mean_active", full.mean_active, small.mean_active),
-                ("mean_wait", full.mean_wait, small.mean_wait),
-            ] {
-                assert!(
-                    (a - b).abs() < TOL,
-                    "{n}x{m} B={b} r={r} {label}: unlumped {a} vs lumped {b}"
-                );
-            }
-        }
-    }
-}
-
-/// The crossbar capacity path lumps identically too.
-#[test]
-fn lumped_matches_unlumped_on_crossbar() {
-    let matrix = UniformModel::new(3, 3).unwrap().matrix();
-    let net = BusNetwork::new(3, 3, 1, ConnectionScheme::Crossbar).unwrap();
-    for r in [0.4, 1.0] {
-        let full = markov::resubmission_steady_state(&net, &matrix, r).unwrap();
-        let small = lumped::lumped_steady_state(&net, &matrix, r).unwrap();
-        assert!((full.throughput - small.throughput).abs() < TOL);
-        assert!((full.mean_wait - small.mean_wait).abs() < TOL);
     }
 }

@@ -280,9 +280,7 @@ impl ClusteredBuses {
     /// # Errors
     ///
     /// [`FabricError::BadFabric`] when the depth exceeds 1 — a deeper tree
-    /// has no lossless flat equivalent; use
-    /// [`ClusteredBuses::flat_equivalent`] for the capacity-matched
-    /// comparison network instead.
+    /// has no lossless flat equivalent.
     pub fn flatten(&self) -> Result<BusNetwork, FabricError> {
         if self.depth() != 1 {
             return Err(FabricError::BadFabric {
@@ -296,23 +294,6 @@ impl ClusteredBuses {
             self.processors(),
             self.memories(),
             self.local_buses,
-            ConnectionScheme::Full,
-        )?)
-    }
-
-    /// A flat Full-connection network with the same processors, memories,
-    /// and total local bus count (capped at `M`) — the apples-to-apples
-    /// baseline the benches compare a deep fabric against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BusNetwork::new`] validation failures.
-    pub fn flat_equivalent(&self) -> Result<BusNetwork, FabricError> {
-        let buses = (self.leaves() * self.local_buses).min(self.memories());
-        Ok(BusNetwork::new(
-            self.processors(),
-            self.memories(),
-            buses,
             ConnectionScheme::Full,
         )?)
     }
@@ -355,8 +336,6 @@ mod tests {
         // down through uplink(3).
         assert_eq!(topo.route(0, 13), &[0, 4, 7, 3]);
         assert!(topo.flatten().is_err());
-        let flat = topo.flat_equivalent().unwrap();
-        assert_eq!(flat.buses(), 8);
     }
 
     #[test]

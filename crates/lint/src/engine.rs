@@ -15,8 +15,8 @@
 use crate::callgraph::{build_index, file_facts_of, WorkspaceIndex};
 use crate::items::{analyze_file, concurrency_decls, tokenize, ConcurrencyDecls, FileAnalysis};
 use crate::lexer::{clean, Pragma};
-use crate::rules::{check_file, Rule, Violation};
-use std::collections::BTreeMap;
+use crate::rules::{check_file, unreached_pub, NameUses, Rule, Violation};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -127,6 +127,22 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         .collect();
     let index = build_index(&facts);
 
+    // R9 counts the names of every walked file plus the files read for
+    // names only. A binary crate's `pub fn`s are not API, so R9 skips them.
+    let mut uses = NameUses::default();
+    for (rel_path, _, analysis) in &analyses {
+        uses.add_file(rel_path, &analysis.clean, &analysis.toks);
+    }
+    for rel_path in name_only_sources(root)? {
+        let file = clean(&fs::read_to_string(root.join(&rel_path))?);
+        uses.add_file(&rel_path, &file, &tokenize(&file));
+    }
+    let binaries: BTreeSet<&str> = analyses
+        .iter()
+        .filter(|(rel_path, _, _)| rel_path == "src/main.rs" || rel_path.ends_with("/src/main.rs"))
+        .map(|(_, crate_name, _)| crate_name.as_str())
+        .collect();
+
     // Phase 2: per-file rule checks + suppression resolution.
     for (rel_path, crate_name, analysis) in &analyses {
         report.files_scanned += 1;
@@ -139,11 +155,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
                 rationale: site.rationale.clone(),
             });
         }
+        let library_src = !analysis.is_test_file && !binaries.contains(crate_name.as_str());
         lint_file_inner(
             crate_name,
             rel_path,
             analysis,
             &index,
+            library_src.then_some(&uses),
             &mut entries,
             &mut report,
         );
@@ -176,11 +194,16 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 
 /// Lints a single in-memory source file (no allowlist). Used by the rule
 /// unit tests and doc examples. The file is its own call-graph universe:
-/// cross-file lock edges obviously cannot be seen here.
+/// cross-file lock edges obviously cannot be seen here, and R9
+/// `unreached_pub`, which needs every caller, does not run.
 pub fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> LintReport {
     let mut report = LintReport {
         files_scanned: 1,
-        rules_active: Rule::ALL.iter().map(|r| r.name().to_owned()).collect(),
+        rules_active: Rule::ALL
+            .iter()
+            .filter(|r| **r != Rule::UnreachedPub)
+            .map(|r| r.name().to_owned())
+            .collect(),
         crates_scanned: vec![crate_name.to_owned()],
         ..LintReport::default()
     };
@@ -203,6 +226,7 @@ pub fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> LintReport
         rel_path,
         &analysis,
         &index,
+        None,
         &mut entries,
         &mut report,
     );
@@ -217,18 +241,22 @@ fn is_test_path(rel_path: &str) -> bool {
     rel_path.starts_with("tests/") || rel_path.contains("/tests/")
 }
 
-/// Shared per-file pass: run rules, resolve suppressions, and check pragma
-/// hygiene.
+/// Shared per-file pass: run rules (R9 only when given the workspace's
+/// name uses), resolve suppressions, and check pragma hygiene.
 fn lint_file_inner(
     crate_name: &str,
     rel_path: &str,
     analysis: &FileAnalysis,
     index: &WorkspaceIndex,
+    uses: Option<&NameUses>,
     entries: &mut [AllowEntry],
     report: &mut LintReport,
 ) {
     let file = &analysis.clean;
-    let raw = check_file(crate_name, rel_path, analysis, index);
+    let mut raw = check_file(crate_name, rel_path, analysis, index);
+    if let Some(uses) = uses {
+        raw.extend(unreached_pub(rel_path, analysis, uses));
+    }
 
     // Map each pragma to the line it guards: its own line, or the next line
     // that carries code when the pragma stands alone.
@@ -359,7 +387,7 @@ fn parse_allowlist(source: &str) -> (Vec<AllowEntry>, Vec<Violation>) {
 /// `crates/*/tests/`. Test files get the reduced rule set (`safety_comment`
 /// plus pragma hygiene). The vendor tree, `benches/`, `examples/`, and any
 /// directory named `fixtures` (lint's own seeded-violation corpora) are out
-/// of scope.
+/// of scope; R9 reads `examples/` for names only.
 ///
 /// Public so the workspace gate test can assert which files the pass
 /// actually covers (e.g. that a newly added crate is walked).
@@ -409,6 +437,19 @@ fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
         }
     }
     files.sort();
+    Ok(files)
+}
+
+/// The `.rs` files R9 reads for names only and never lints: the root
+/// `examples/` and the benchmark harness's `perfbench/src/`.
+fn name_only_sources(root: &Path) -> io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    for sub in ["examples", "perfbench/src"] {
+        let dir = root.join(sub);
+        if dir.is_dir() {
+            files.extend(rs_files(&dir)?.iter().map(|p| relative(root, p)));
+        }
+    }
     Ok(files)
 }
 
@@ -537,7 +578,7 @@ fn f(x: Option<u8>) -> u8 { x.unwrap() }
         fs::create_dir_all(&src_dir).unwrap();
         fs::write(
             src_dir.join("lib.rs"),
-            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
         )
         .unwrap();
         fs::write(
@@ -553,6 +594,69 @@ fn f(x: Option<u8>) -> u8 { x.unwrap() }
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert_eq!(report.violations[0].rule, Rule::AllowHygiene);
         assert!(report.violations[0].message.contains("suppresses nothing"));
+    }
+
+    #[test]
+    fn unreached_pub_counts_names_outside_the_defining_file() {
+        let root = std::env::temp_dir().join(format!("mbus-lint-reach-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/lib/src/lib.rs",
+            "pub use inner::reexported;\n\
+             /// `doc_only` names `own_test_only` here, which does not count.\n\
+             pub fn doc_only() {}\n\
+             pub fn own_test_only() {}\n\
+             pub fn reexported() {}\n\
+             pub fn by_other_test() {}\n\
+             pub fn by_example() {}\n\
+             pub fn by_perfbench() {}\n\
+             pub fn by_sibling() { helper() }\n\
+             pub(crate) fn helper() {}\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 #[test]\n\
+                 fn t() { super::own_test_only(); }\n\
+             }\n",
+        );
+        write("crates/lib/src/other.rs", "fn g() { by_sibling(); }\n");
+        write(
+            "crates/lib/tests/it.rs",
+            "#[test]\nfn t() { by_other_test(); }\n",
+        );
+        write("examples/demo.rs", "fn main() { by_example(); }\n");
+        write("perfbench/src/main.rs", "fn main() { by_perfbench(); }\n");
+        // A binary crate's `pub fn`s are not checked.
+        write(
+            "crates/bin/src/main.rs",
+            "fn main() {}\npub fn unused() {}\n",
+        );
+        let report = lint_workspace(&root).unwrap();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            report.files_scanned, 4,
+            "examples and perfbench are not linted"
+        );
+        let flagged: Vec<(usize, &str)> = report
+            .violations
+            .iter()
+            .map(|v| (v.line, v.path.as_str()))
+            .collect();
+        assert!(report
+            .violations
+            .iter()
+            .all(|v| v.rule == Rule::UnreachedPub));
+        assert_eq!(
+            flagged,
+            [
+                (3, "crates/lib/src/lib.rs"),
+                (4, "crates/lib/src/lib.rs"),
+                (5, "crates/lib/src/lib.rs")
+            ]
+        );
     }
 
     #[test]

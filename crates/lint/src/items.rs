@@ -101,6 +101,40 @@ pub fn tokenize(file: &CleanFile) -> Vec<Tok> {
     out
 }
 
+/// Every word of the stream that names something, as `(line, word)`:
+/// each identifier except the name a `fn NAME` defines and the words of a
+/// `pub use` (or `pub(...) use`) re-export, through its `;`. Rule R9
+/// `unreached_pub` counts these.
+pub(crate) fn name_uses(toks: &[Tok]) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        if toks[i].is_ident("pub") {
+            let mut j = i + 1;
+            if toks.get(j).is_some_and(|t| t.is_sym('(')) {
+                while j < toks.len() && !toks[j].is_sym(')') {
+                    j += 1;
+                }
+                j += 1;
+            }
+            if toks.get(j).is_some_and(|t| t.is_ident("use")) {
+                while j < toks.len() && !toks[j].is_sym(';') {
+                    j += 1;
+                }
+                i = j + 1;
+                continue;
+            }
+        }
+        if let Some(word) = toks[i].ident() {
+            if !(i > 0 && toks[i - 1].is_ident("fn")) {
+                out.push((toks[i].line, word));
+            }
+        }
+        i += 1;
+    }
+    out
+}
+
 /// A function item with token-index spans into the stream that produced it.
 #[derive(Debug, Clone)]
 pub struct FnSpan {

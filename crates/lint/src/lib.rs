@@ -39,6 +39,11 @@
 //!   `Ordering`; `Relaxed` is allowed only on allowlisted stat counters.
 //! - **R8 `unchecked_result`** — no `let _ =` or bare-statement discards of
 //!   `Result`-returning workspace calls in non-test code.
+//! - **R9 `unreached_pub`** — a plain `pub fn` in a library crate's `src/`
+//!   must be named outside its own definition, its own file's test code
+//!   and doc comments. Other crates, integration tests, `examples/` and
+//!   `perfbench/src` count (the last two are read for names only); a
+//!   `pub use` re-export does not. Only [`lint_workspace`] runs it.
 //!
 //! Violations are suppressed by per-line `// lint:allow(rule, reason)`
 //! pragmas or the checked-in `lint.allow` file; reason-less or stale allows

@@ -1,4 +1,4 @@
-//! The eight lint rules plus the allow-hygiene meta-rule.
+//! The nine lint rules plus the allow-hygiene meta-rule.
 //!
 //! | id | name | scope |
 //! |----|------|-------|
@@ -10,15 +10,18 @@
 //! | R6 | `lock_discipline` | every crate with `Mutex`/`RwLock`/`Condvar` fields, non-test code |
 //! | R7 | `atomics_ordering` | every atomic op on a declared `Atomic*` field/static, non-test code |
 //! | R8 | `unchecked_result` | discarded workspace `Result`s, non-test code |
+//! | R9 | `unreached_pub` | plain `pub fn`s in library crates' `src/`, workspace passes only |
 //! | —  | `allow_hygiene` | pragmas and the `lint.allow` file themselves |
 //!
 //! R1–R4 run on the cleaned lines alone; R5–R8 additionally use the item
 //! tree ([`crate::items`]) and the workspace call-graph index
-//! ([`crate::callgraph`]).
+//! ([`crate::callgraph`]). R9 needs the names every file uses, so only a
+//! workspace pass runs it.
 
 use crate::callgraph::WorkspaceIndex;
-use crate::items::{names_code, FileAnalysis, UnsafeKind};
+use crate::items::{name_uses, names_code, FileAnalysis, Tok, UnsafeKind};
 use crate::lexer::{fn_items, idents, next_significant_char, CleanFile};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifier of a lint rule.
@@ -49,6 +52,9 @@ pub enum Rule {
     /// R8: no `let _ =` / bare-statement discards of `Result`-returning
     /// workspace calls in non-test code.
     UncheckedResult,
+    /// R9: a plain `pub fn` in a library crate that nothing names outside
+    /// its own file's tests and the doc comments.
+    UnreachedPub,
     /// Meta-rule: malformed, reason-less, or stale allows.
     AllowHygiene,
 }
@@ -65,6 +71,7 @@ impl Rule {
             Rule::LockDiscipline => "lock_discipline",
             Rule::AtomicsOrdering => "atomics_ordering",
             Rule::UncheckedResult => "unchecked_result",
+            Rule::UnreachedPub => "unreached_pub",
             Rule::AllowHygiene => "allow_hygiene",
         }
     }
@@ -80,13 +87,14 @@ impl Rule {
             "lock_discipline" => Some(Rule::LockDiscipline),
             "atomics_ordering" => Some(Rule::AtomicsOrdering),
             "unchecked_result" => Some(Rule::UncheckedResult),
+            "unreached_pub" => Some(Rule::UnreachedPub),
             _ => None,
         }
     }
 
     /// Every enforced rule, in report order (hygiene excluded — it is a
     /// property of suppressions, not of source files).
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 9] = [
         Rule::NoPanic,
         Rule::LossyCast,
         Rule::EqDoc,
@@ -95,6 +103,7 @@ impl Rule {
         Rule::LockDiscipline,
         Rule::AtomicsOrdering,
         Rule::UncheckedResult,
+        Rule::UnreachedPub,
     ];
 }
 
@@ -167,13 +176,12 @@ pub const LOSSY_CAST_CRATES: [&str; 6] = ["sim", "core", "stats", "topology", "s
 /// Crates R3 applies to.
 pub const EQ_DOC_CRATES: [&str; 2] = ["analysis", "exact"];
 
-/// The eight formula modules R4 applies to.
-pub const FORMULA_MODULES: [&str; 8] = [
+/// The seven formula modules R4 applies to.
+pub const FORMULA_MODULES: [&str; 7] = [
     "crates/analysis/src/bandwidth.rs",
     "crates/analysis/src/degraded.rs",
     "crates/analysis/src/paper.rs",
     "crates/exact/src/enumerate.rs",
-    "crates/exact/src/lumped.rs",
     "crates/exact/src/markov.rs",
     "crates/exact/src/transform.rs",
     "crates/fabric/src/analytic.rs",
@@ -626,6 +634,70 @@ fn check_discard_stmt(
             ),
         });
     }
+}
+
+/// Where the workspace names each identifier, for R9 `unreached_pub`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameUses {
+    /// Names used by non-test code in any file.
+    in_code: BTreeSet<String>,
+    /// Per name, the files whose test code uses it.
+    in_tests: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl NameUses {
+    /// Records the names one file uses (see [`name_uses`]). Files read for
+    /// names only, such as `examples/`, are recorded the same way.
+    pub(crate) fn add_file(&mut self, rel_path: &str, file: &CleanFile, toks: &[Tok]) {
+        for (line, word) in name_uses(toks) {
+            if file.lines.get(line).is_some_and(|l| l.in_test) {
+                self.in_tests
+                    .entry(word.to_owned())
+                    .or_default()
+                    .insert(rel_path.to_owned());
+            } else if !self.in_code.contains(word) {
+                self.in_code.insert(word.to_owned());
+            }
+        }
+    }
+
+    /// Whether anything but `rel_path`'s own test code names `name`.
+    fn reaches(&self, name: &str, rel_path: &str) -> bool {
+        self.in_code.contains(name)
+            || self
+                .in_tests
+                .get(name)
+                .is_some_and(|files| files.iter().any(|f| f != rel_path))
+    }
+}
+
+/// R9: flag each plain `pub fn` that nothing names except its own
+/// definition, its own file's test code and doc comments (which the
+/// cleaned code never contains). The caller decides that `rel_path` is in
+/// a library crate's `src/`.
+pub(crate) fn unreached_pub(
+    rel_path: &str,
+    analysis: &FileAnalysis,
+    uses: &NameUses,
+) -> Vec<Violation> {
+    fn_items(&analysis.clean)
+        .into_iter()
+        .filter(|item| {
+            item.is_plain_pub
+                && !line_in_test(analysis, item.line)
+                && !uses.reaches(&item.name, rel_path)
+        })
+        .map(|item| Violation {
+            rule: Rule::UnreachedPub,
+            path: rel_path.to_owned(),
+            line: item.line + 1,
+            message: format!(
+                "`{}` is `pub` but nothing outside this file's tests and docs \
+                 names it; delete it or make it private",
+                item.name
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Runs the full engine over the checked-in fixture mini-workspaces.
 //!
 //! `tests/fixtures/seeded/` is a deliberately-dirty corpus with one seeded
-//! defect per semantic rule (R5–R8), including a cross-file lock-order
+//! defect per semantic rule (R5–R9), including a cross-file lock-order
 //! inversion; `tests/fixtures/clean/` is its clean twin exercising the same
-//! shapes with the discipline respected. Fixture directories are excluded
-//! from the real workspace walk, so these files never dirty `mbus lint`.
+//! shapes with the discipline respected. In each, an `examples/` file calls
+//! the `pub fn`s that R9 must count as reached. Fixture directories are
+//! excluded from the real workspace walk, so these files never dirty
+//! `mbus lint`.
 
 use std::path::PathBuf;
 
@@ -28,6 +30,7 @@ const SEEDED: &[(&str, &str, usize)] = &[
     ("lock_discipline", "crates/beta/src/three.rs", 17),
     ("unchecked_result", "crates/delta/src/lib.rs", 13),
     ("unchecked_result", "crates/delta/src/lib.rs", 14),
+    ("unreached_pub", "crates/delta/src/lib.rs", 19),
 ];
 
 #[test]

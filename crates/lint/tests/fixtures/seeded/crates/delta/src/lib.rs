@@ -1,4 +1,4 @@
-//! Seeded fixture: discarded workspace `Result`s (R8).
+//! Seeded fixture: discarded workspace `Result`s (R8), an unreached `pub fn` (R9).
 
 /// Unit error.
 pub struct Error;
@@ -12,4 +12,18 @@ pub fn send() -> Result<(), Error> {
 pub fn fire_and_forget() {
     let _ = send();
     send();
+}
+
+/// Seeded R9 defect: only this doc comment and the unit test below name
+/// `orphan`.
+pub fn orphan() -> u32 {
+    7
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn orphan_is_seven() {
+        assert_eq!(super::orphan(), 7);
+    }
 }

@@ -62,11 +62,6 @@ impl BatchMeans {
         }
     }
 
-    /// Number of completed batches.
-    pub fn completed_batches(&self) -> u64 {
-        self.batches.count()
-    }
-
     /// Total number of observations pushed (including a trailing partial
     /// batch).
     pub fn count(&self) -> u64 {
@@ -109,10 +104,8 @@ mod tests {
         for _ in 0..19 {
             bm.push(1.0);
         }
-        assert_eq!(bm.completed_batches(), 1);
         assert!(bm.confidence_interval(0.95).is_none());
         bm.push(1.0);
-        assert_eq!(bm.completed_batches(), 2);
         assert!(bm.confidence_interval(0.95).is_some());
     }
 
@@ -133,7 +126,6 @@ mod tests {
         for x in [1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 3.0, 100.0] {
             bm.push(x);
         }
-        assert_eq!(bm.completed_batches(), 2);
         assert_eq!(bm.count(), 9);
         // Grand mean includes the 100.0 straggler…
         assert!((bm.mean() - 116.0 / 9.0).abs() < 1e-12);

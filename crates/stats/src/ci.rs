@@ -76,20 +76,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         value >= self.lower() && value <= self.upper()
     }
-
-    /// Relative half-width (`half_width / |mean|`), or `f64::INFINITY` for a
-    /// zero mean with nonzero width.
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            if self.half_width == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
 impl std::fmt::Display for ConfidenceInterval {
@@ -235,7 +221,6 @@ mod tests {
         assert_eq!(ci.half_width(), 0.0);
         assert!(ci.contains(3.0));
         assert!(!ci.contains(3.0000001));
-        assert_eq!(ci.relative_half_width(), 0.0);
     }
 
     #[test]

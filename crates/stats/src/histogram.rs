@@ -74,15 +74,6 @@ impl Histogram {
         self.counts.get(value).copied().unwrap_or(0)
     }
 
-    /// Empirical probability of `value` (0 when the histogram is empty).
-    pub fn probability(&self, value: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.frequency(value) as f64 / self.total as f64
-        }
-    }
-
     /// Mean of the recorded values; `0.0` when empty.
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
@@ -160,15 +151,6 @@ impl Histogram {
             .map(|(v, &c)| (v, c))
     }
 
-    /// Empirical pmf as a dense vector indexed by value.
-    pub fn to_pmf(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return Vec::new();
-        }
-        let hi = self.max_value().unwrap_or(0);
-        (0..=hi).map(|v| self.probability(v)).collect()
-    }
-
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (v, c) in other.iter() {
@@ -189,7 +171,6 @@ mod tests {
         assert_eq!(h.mode(), None);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.max_value(), None);
-        assert!(h.to_pmf().is_empty());
     }
 
     #[test]
@@ -202,7 +183,7 @@ mod tests {
         assert_eq!(h.frequency(4), 2);
         assert_eq!(h.frequency(7), 1);
         assert_eq!(h.frequency(100), 0);
-        assert!((h.probability(4) - 0.5).abs() < 1e-12);
+        assert_eq!(h.count(), 4);
         assert_eq!(h.max_value(), Some(7));
     }
 
@@ -257,8 +238,8 @@ mod tests {
         for v in [0, 2, 2, 6] {
             h.record(v);
         }
-        let pmf = h.to_pmf();
-        assert_eq!(pmf.len(), 7);
-        assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        // The recorded frequencies account for every observation.
+        assert_eq!(h.max_value(), Some(6));
+        assert_eq!(h.iter().map(|(_, c)| c).sum::<u64>(), h.count());
     }
 }

@@ -83,11 +83,6 @@ impl PoissonBinomial {
         self.probs.len()
     }
 
-    /// The per-trial probabilities this distribution was built from.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probs
-    }
-
     /// `P(X = k)`; zero for `k > n`.
     pub fn pmf(&self, k: usize) -> f64 {
         self.pmf.get(k).copied().unwrap_or(0.0)

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let acc: Welford = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().copied().collect();
 /// assert_eq!(acc.count(), 8);
 /// assert_eq!(acc.mean(), 5.0);
-/// assert_eq!(acc.population_variance(), 4.0);
+/// assert!((acc.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Welford {
@@ -73,15 +73,6 @@ impl Welford {
             0.0
         } else {
             self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population variance (divides by `n`); `0.0` when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 

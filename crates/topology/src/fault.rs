@@ -268,16 +268,6 @@ impl<'a> DegradedView<'a> {
         self.accessible_memory_count() as f64 / self.network.memories() as f64
     }
 
-    /// The minimum residual redundancy over all memories: how many *more*
-    /// bus failures the weakest memory can survive. Zero means some memory is
-    /// one failure from isolation (or already isolated).
-    pub fn min_residual_redundancy(&self) -> usize {
-        (0..self.network.memories())
-            .map(|j| self.alive_buses_of_memory(j).saturating_sub(1))
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Whether every memory is still reachable.
     pub fn fully_connected(&self) -> bool {
         self.accessible_memory_count() == self.network.memories()
@@ -324,7 +314,8 @@ mod tests {
         let mask = FaultMask::with_failures(4, &[0, 1, 2]).unwrap();
         let view = DegradedView::new(&net, &mask).unwrap();
         assert!(view.fully_connected());
-        assert_eq!(view.min_residual_redundancy(), 0);
+        // Every memory is down to its last bus.
+        assert!((0..8).all(|j| view.alive_buses_of_memory(j) == 1));
         // One more failure disconnects everything.
         let mask = FaultMask::with_failures(4, &[0, 1, 2, 3]).unwrap();
         let view = DegradedView::new(&net, &mask).unwrap();
@@ -431,9 +422,8 @@ mod tests {
         let view = DegradedView::new(&net, &mask).unwrap();
         assert_eq!(view.network().buses(), 4);
         assert_eq!(view.mask().failed_count(), 1);
-        assert_eq!(view.alive_buses_of_memory(0), 3);
         // Full connection: redundancy degrades uniformly with each failure.
-        assert_eq!(view.min_residual_redundancy(), 2);
+        assert!((0..8).all(|j| view.alive_buses_of_memory(j) == 3));
     }
 
     proptest::proptest! {

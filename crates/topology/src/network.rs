@@ -301,16 +301,6 @@ impl BusNetwork {
         }
     }
 
-    /// The 0-based group of `memory`, or `None` for non-grouped schemes.
-    pub fn group_of_memory(&self, memory: usize) -> Option<usize> {
-        match &self.scheme {
-            ConnectionScheme::PartialGroups { groups } if memory < self.m => {
-                Some(memory / (self.m / groups))
-            }
-            _ => None,
-        }
-    }
-
     /// Cost and fault-tolerance summary (the paper's Table I row for this
     /// network).
     pub fn cost(&self) -> CostSummary {
@@ -468,7 +458,7 @@ mod tests {
         // Group 1: memories 4..8 on buses 2..4.
         assert!(net.connects(2, 4));
         assert!(!net.connects(0, 7));
-        assert_eq!(net.group_of_memory(5), Some(1));
+        assert!(net.connects(3, 5) && !net.connects(1, 5));
         assert_eq!(net.fault_tolerance_degree(), 1);
     }
 

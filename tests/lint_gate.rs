@@ -31,13 +31,14 @@ fn workspace_is_lint_clean() {
 fn semantic_rules_ran_and_covered_the_concurrent_crates() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = lint_workspace(root).expect("workspace sources must be readable");
-    // The semantic passes (R5–R8) must actually be active — a refactor that
+    // The semantic passes (R5–R9) must actually be active — a refactor that
     // drops one from the engine fails here, not silently.
     for rule in [
         "safety_comment",
         "lock_discipline",
         "atomics_ordering",
         "unchecked_result",
+        "unreached_pub",
     ] {
         assert!(
             report.rules_active.iter().any(|r| r == rule),
