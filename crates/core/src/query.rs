@@ -248,8 +248,9 @@ impl FlatSpec {
         BusNetwork::new(self.n, self.m, self.b, scheme).map_err(QueryError::invalid)
     }
 
-    /// Builds the system. [`System::from_matrix`] runs the closed-form
-    /// analysis once, so a bad rate is refused here, not at evaluation.
+    /// Builds the system. [`System::from_matrix`] checks the network and
+    /// matrix dimensions and that the rate lies in `[0, 1]`, so a bad rate
+    /// is refused here, not at evaluation.
     ///
     /// # Errors
     ///

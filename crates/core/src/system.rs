@@ -119,8 +119,26 @@ impl System {
         matrix: RequestMatrix,
         rate: f64,
     ) -> Result<Self, SystemError> {
-        // Validate early by running the (cheap) analysis once.
-        let _ = analyze(&network, &matrix, rate)?;
+        // The only inputs the closed-form analysis can refuse for a
+        // validated network and matrix, checked in its order and with its
+        // errors; the analysis itself first runs in `analytic`.
+        for (what, network_count, workload) in [
+            ("processors", network.processors(), matrix.processors()),
+            ("memories", network.memories(), matrix.memories()),
+        ] {
+            if network_count != workload {
+                return Err(SystemError::Analysis(AnalysisError::DimensionMismatch {
+                    what,
+                    network: network_count,
+                    workload,
+                }));
+            }
+        }
+        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
+            return Err(SystemError::Analysis(AnalysisError::InvalidRate {
+                value: rate,
+            }));
+        }
         Ok(Self {
             network,
             matrix,
@@ -288,11 +306,65 @@ mod tests {
 
     #[test]
     fn construction_validates() {
-        let net = BusNetwork::new(8, 8, 4, ConnectionScheme::Full).unwrap();
-        let model = UniformModel::new(4, 8).unwrap();
-        assert!(System::new(net.clone(), &model, 1.0).is_err());
-        let model = UniformModel::new(8, 8).unwrap();
-        assert!(System::new(net, &model, 1.7).is_err());
+        // Texts recorded from the build that ran the whole analysis in
+        // `from_matrix`; the same for every scheme.
+        let schemes = [
+            ConnectionScheme::Full,
+            ConnectionScheme::balanced_single(8, 4).unwrap(),
+            ConnectionScheme::PartialGroups { groups: 2 },
+            ConnectionScheme::uniform_classes(8, 4).unwrap(),
+            ConnectionScheme::Crossbar,
+        ];
+        let uniform = |n, m| UniformModel::new(n, m).unwrap().matrix();
+        let cases = [
+            (
+                uniform(4, 8),
+                1.0,
+                "analysis: network has 8 processors but the workload describes 4",
+            ),
+            (
+                uniform(8, 4),
+                1.0,
+                "analysis: network has 8 memories but the workload describes 4",
+            ),
+            (
+                uniform(4, 4),
+                f64::NAN,
+                "analysis: network has 8 processors but the workload describes 4",
+            ),
+            (
+                uniform(8, 8),
+                -0.1,
+                "analysis: request rate r = -0.1 must lie in [0, 1]",
+            ),
+            (
+                uniform(8, 8),
+                1.7,
+                "analysis: request rate r = 1.7 must lie in [0, 1]",
+            ),
+            (
+                uniform(8, 8),
+                f64::NAN,
+                "analysis: request rate r = NaN must lie in [0, 1]",
+            ),
+            (
+                uniform(8, 8),
+                f64::INFINITY,
+                "analysis: request rate r = inf must lie in [0, 1]",
+            ),
+        ];
+        for scheme in schemes {
+            let net = BusNetwork::new(8, 8, 4, scheme).unwrap();
+            for (matrix, rate, text) in &cases {
+                let err = System::from_matrix(net.clone(), matrix.clone(), *rate).unwrap_err();
+                assert!(matches!(err, SystemError::Analysis(_)), "{err:?}");
+                assert_eq!(err.to_string(), *text, "{:?}", net.kind());
+            }
+            // The edges of [0, 1] are valid rates.
+            for rate in [0.0, 1.0] {
+                assert!(System::from_matrix(net.clone(), uniform(8, 8), rate).is_ok());
+            }
+        }
     }
 
     #[test]

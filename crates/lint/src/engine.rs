@@ -95,7 +95,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     // sibling module acquires it; then the workspace-wide call-graph index
     // is built from the non-test facts of every file.
     let mut sources: Vec<(String, String, String)> = Vec::new();
-    for (rel_path, crate_name) in workspace_sources(root)? {
+    for (rel_path, crate_name) in workspace_source_files(root)? {
         let source = fs::read_to_string(root.join(&rel_path))?;
         sources.push((rel_path, crate_name, source));
     }
@@ -396,12 +396,6 @@ fn parse_allowlist(source: &str) -> (Vec<AllowEntry>, Vec<Violation>) {
 ///
 /// Returns any I/O error raised while walking the tree.
 pub fn workspace_source_files(root: &Path) -> io::Result<Vec<(String, String)>> {
-    workspace_sources(root)
-}
-
-/// Implementation of [`workspace_source_files`], kept private-named for the
-/// internal call sites.
-fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files: Vec<(String, String)> = Vec::new();
     for sub in ["src", "tests"] {
         let dir = root.join(sub);
@@ -674,6 +668,15 @@ fn f(x: Option<u8>) -> u8 { x.unwrap() }
         let report = lint_workspace(&root).unwrap();
         fs::remove_dir_all(&root).unwrap();
         assert!(!report.is_clean());
-        assert_eq!(report.violations[0].rule, Rule::NoPanic);
+        // Other rules (R9 on the unreached `pub fn`) may fire too; the
+        // unwrap must be flagged by `no_panic` at its own line.
+        let no_panic: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::NoPanic)
+            .collect();
+        assert_eq!(no_panic.len(), 1, "{:?}", report.violations);
+        assert_eq!(no_panic[0].path, "crates/analysis/src/lib.rs");
+        assert_eq!(no_panic[0].line, 1);
     }
 }

@@ -98,6 +98,11 @@ impl RequestModel for HierarchicalModel {
         self.fractions.get(self.hierarchy.fraction_level(p, j))
     }
 
+    fn fill_row(&self, p: usize, row: &mut [f64]) {
+        self.hierarchy
+            .fill_row(p, row, |level| self.fractions.get(level));
+    }
+
     fn name(&self) -> &str {
         "hierarchical"
     }

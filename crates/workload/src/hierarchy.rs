@@ -230,6 +230,45 @@ impl Hierarchy {
         }
     }
 
+    /// Writes `fraction(i)` into every entry `j` of `row` (length `M`) with
+    /// [`Hierarchy::fraction_level`]`(p, j) == i`: the whole row gets the
+    /// outermost level's value, then each subcluster of `p`, outermost
+    /// first, is overwritten as one block by the next level's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p ≥ N` or `row.len() ≠ M`.
+    pub(crate) fn fill_row(&self, p: usize, row: &mut [f64], fraction: impl Fn(usize) -> f64) {
+        assert!(p < self.processors(), "processor {p} out of range");
+        assert_eq!(row.len(), self.memories(), "row length is not M");
+        let n = self.levels();
+        match self.leaf {
+            LeafKind::Paired => {
+                // At depth d, p's subcluster holds k_{d+1}·…·kₙ memories,
+                // requested with fraction m_{n−d}.
+                row.fill(fraction(n));
+                let mut size = self.processors();
+                for (&k, depth) in self.ks.iter().zip(1..) {
+                    size /= k;
+                    let start = p / size * size;
+                    row[start..start + size].fill(fraction(n - depth));
+                }
+            }
+            LeafKind::Shared { memories_per_leaf } => {
+                // The same walk over leaf indices, the first n − 1 levels,
+                // with each leaf holding `memories_per_leaf` memories.
+                row.fill(fraction(n - 1));
+                let leaf = self.leaf_of_processor(p);
+                let mut size = self.leaf_count();
+                for (&k, depth) in self.ks[..n - 1].iter().zip(1..) {
+                    size /= k;
+                    let start = leaf / size * size * memories_per_leaf;
+                    row[start..start + size * memories_per_leaf].fill(fraction(n - 1 - depth));
+                }
+            }
+        }
+    }
+
     /// Deepest level (0 ..= n) at which processor index `p` and *paired*
     /// memory index `j` fall in the same subcluster. Level 0 is the whole
     /// network; level `n` means `p == j`.

@@ -68,21 +68,29 @@ impl RequestMatrix {
         let mut data = Vec::with_capacity(n * m);
         for (p, row) in rows.into_iter().enumerate() {
             assert_eq!(row.len(), m, "ragged request matrix at row {p}");
-            let mut sum = 0.0;
-            for (j, value) in row.iter().enumerate() {
-                if !value.is_finite() || *value < 0.0 {
-                    return Err(WorkloadError::InvalidMatrixEntry {
-                        processor: p,
-                        memory: j,
-                        value: *value,
-                    });
-                }
-                sum += value;
-            }
-            if (sum - 1.0).abs() > ROW_SUM_TOL {
-                return Err(WorkloadError::RowNotStochastic { processor: p, sum });
-            }
+            validate_row(p, &row)?;
             data.extend(row);
+        }
+        Ok(Self { n, m, data })
+    }
+
+    /// Builds and validates an `n × m` matrix from row-major `data` (of
+    /// length `n · m`), with the checks and errors of
+    /// [`RequestMatrix::from_rows`].
+    pub(crate) fn from_flat(n: usize, m: usize, data: Vec<f64>) -> Result<Self, WorkloadError> {
+        debug_assert_eq!(data.len(), n * m, "request matrix data is not {n} × {m}");
+        if n == 0 {
+            return Err(WorkloadError::ZeroDimension {
+                dimension: "processors",
+            });
+        }
+        if m == 0 {
+            return Err(WorkloadError::ZeroDimension {
+                dimension: "memories",
+            });
+        }
+        for (p, row) in data.chunks_exact(m).enumerate() {
+            validate_row(p, row)?;
         }
         Ok(Self { n, m, data })
     }
@@ -166,6 +174,25 @@ impl RequestMatrix {
     }
 }
 
+/// Checks that row `p` holds finite, non-negative entries summing to 1.
+fn validate_row(p: usize, row: &[f64]) -> Result<(), WorkloadError> {
+    let mut sum = 0.0;
+    for (j, &value) in row.iter().enumerate() {
+        if !value.is_finite() || value < 0.0 {
+            return Err(WorkloadError::InvalidMatrixEntry {
+                processor: p,
+                memory: j,
+                value,
+            });
+        }
+        sum += value;
+    }
+    if (sum - 1.0).abs() > ROW_SUM_TOL {
+        return Err(WorkloadError::RowNotStochastic { processor: p, sum });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +219,28 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn flat_constructor_matches_from_rows() {
+        let cases = [
+            vec![vec![0.5, 0.5], vec![0.25, 0.75]],
+            vec![vec![0.5, 0.5], vec![f64::NAN, 0.5]],
+            vec![vec![0.5, 0.5], vec![1.5, -0.5]],
+            vec![vec![0.5, 0.5], vec![0.5, 0.5 + 2e-9]],
+            vec![vec![]],
+        ];
+        for rows in cases {
+            let (n, m) = (rows.len(), rows[0].len());
+            let flat = RequestMatrix::from_flat(n, m, rows.concat());
+            let expected = RequestMatrix::from_rows(rows);
+            // Debug text, since a NaN entry makes the errors compare unequal.
+            assert_eq!(format!("{flat:?}"), format!("{expected:?}"));
+        }
+        assert_eq!(
+            RequestMatrix::from_flat(0, 2, vec![]),
+            RequestMatrix::from_rows(vec![])
+        );
     }
 
     #[test]

@@ -61,6 +61,12 @@ impl RequestModel for UniformModel {
         1.0 / self.m as f64
     }
 
+    fn fill_row(&self, p: usize, row: &mut [f64]) {
+        assert!(p < self.n, "processor {p} out of range ({})", self.n);
+        assert_eq!(row.len(), self.m, "row length is not M = {}", self.m);
+        row.fill(1.0 / self.m as f64);
+    }
+
     fn name(&self) -> &str {
         "uniform"
     }
