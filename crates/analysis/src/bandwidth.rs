@@ -1,17 +1,17 @@
-//! Generalized bandwidth computation for arbitrary (possibly heterogeneous)
-//! traffic.
+//! Healthy-mode bandwidth for arbitrary (possibly heterogeneous) traffic.
 //!
 //! The paper assumes every memory module is requested with one common
-//! probability `X`; under favorite-memory traffic, `N ≠ M`, or bus failures
-//! this breaks down. This module computes the exact per-memory probabilities
-//! `X_j` from a request matrix and evaluates every scheme with
-//! Poisson-binomial bus interference. With homogeneous `X_j` it reproduces
+//! probability `X`; under favorite-memory traffic or `N ≠ M` this breaks
+//! down. This module computes the exact per-memory probabilities `X_j` from
+//! a request matrix and evaluates the network through the degraded model
+//! ([`crate::degraded`]) under the all-alive mask, with Poisson-binomial bus
+//! interference. There is one per-scheme model: a healthy network is the
+//! degraded case with no failed bus. With homogeneous `X_j` it reproduces
 //! the paper's equations to machine precision (asserted in the tests).
 
-use crate::paper::kclass_bandwidth_from_pmfs;
+use crate::degraded::masked_bandwidth;
 use crate::AnalysisError;
-use mbus_stats::prob::{check, PoissonBinomial};
-use mbus_topology::{BusNetwork, ConnectionScheme};
+use mbus_topology::{BusNetwork, FaultMask, SchemeKind};
 use mbus_workload::RequestMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -31,24 +31,6 @@ pub struct BandwidthBreakdown {
     pub per_bus_busy: Option<Vec<f64>>,
 }
 
-pub(crate) fn validate(net: &BusNetwork, matrix: &RequestMatrix) -> Result<(), AnalysisError> {
-    if net.processors() != matrix.processors() {
-        return Err(AnalysisError::DimensionMismatch {
-            what: "processors",
-            network: net.processors(),
-            workload: matrix.processors(),
-        });
-    }
-    if net.memories() != matrix.memories() {
-        return Err(AnalysisError::DimensionMismatch {
-            what: "memories",
-            network: net.memories(),
-            workload: matrix.memories(),
-        });
-    }
-    Ok(())
-}
-
 /// Effective memory bandwidth of `net` under the workload `matrix` at
 /// request rate `r`.
 ///
@@ -65,7 +47,8 @@ pub fn memory_bandwidth(
     Ok(analyze(net, matrix, r)?.bandwidth)
 }
 
-/// Full breakdown version of [`memory_bandwidth`].
+/// Full breakdown version of [`memory_bandwidth`]: the degraded model under
+/// the all-alive mask, without its per-class decomposition.
 ///
 /// # Errors
 ///
@@ -75,135 +58,22 @@ pub fn analyze(
     matrix: &RequestMatrix,
     r: f64,
 ) -> Result<BandwidthBreakdown, AnalysisError> {
-    validate(net, matrix)?;
-    if !r.is_finite() || !(0.0..=1.0).contains(&r) {
-        return Err(AnalysisError::InvalidRate { value: r });
-    }
-    let xs = matrix.memory_request_probs(r)?;
-    let (bandwidth, per_bus_busy) = bandwidth_from_probs(net, &xs)?;
-    let offered_load = matrix.offered_load(r);
-    let acceptance = if offered_load > 0.0 {
-        bandwidth / offered_load
-    } else {
-        1.0
-    };
-    check::assert_probability("request acceptance probability", acceptance);
-    check::assert_bandwidth_bounds(bandwidth, net.capacity(), net.processors(), net.memories());
-    if let Some(busy) = &per_bus_busy {
-        check::assert_probabilities("per-bus busy probabilities", busy);
-    }
+    let core = masked_bandwidth(net, matrix, r, &FaultMask::none(net.buses()))?;
+    let per_bus_busy = matches!(net.kind(), SchemeKind::Single | SchemeKind::KClasses)
+        .then_some(core.per_bus_busy);
     Ok(BandwidthBreakdown {
-        bandwidth,
-        offered_load,
-        acceptance,
+        bandwidth: core.bandwidth,
+        offered_load: core.offered_load,
+        acceptance: core.acceptance,
         per_bus_busy,
     })
-}
-
-pub(crate) fn poisson_binomial(xs: &[f64]) -> Result<PoissonBinomial, AnalysisError> {
-    PoissonBinomial::new(xs).map_err(|_| AnalysisError::InvalidProbability {
-        name: "per-memory request probability",
-        value: f64::NAN,
-    })
-}
-
-#[allow(clippy::type_complexity)]
-fn bandwidth_from_probs(
-    net: &BusNetwork,
-    xs: &[f64],
-) -> Result<(f64, Option<Vec<f64>>), AnalysisError> {
-    if xs.len() != net.memories() {
-        return Err(AnalysisError::DimensionMismatch {
-            what: "memories",
-            network: net.memories(),
-            workload: xs.len(),
-        });
-    }
-    for &x in xs {
-        if !x.is_finite() || !(0.0..=1.0).contains(&x) {
-            return Err(AnalysisError::InvalidProbability {
-                name: "per-memory request probability",
-                value: x,
-            });
-        }
-    }
-    let b = net.buses();
-    match net.scheme() {
-        // Crossbar: every requested module is served.
-        ConnectionScheme::Crossbar => Ok((xs.iter().sum(), None)),
-        // Full connection: E[min(D, B)] with D the number of requested
-        // modules — Poisson-binomial over the X_j.
-        ConnectionScheme::Full => {
-            let pb = poisson_binomial(xs)?;
-            Ok((pb.expected_min_with(b), None))
-        }
-        // Single connection: bus i is busy iff any of its modules is
-        // requested. Like the paper's eq (5), the modules of a bus are
-        // treated as independently requested — exact when each bus owns one
-        // module (B = M), a close approximation otherwise.
-        ConnectionScheme::Single { .. } => {
-            let busy: Vec<f64> = (0..b)
-                .map(|bus| {
-                    let idle: f64 = net.memories_of_bus(bus).map(|j| 1.0 - xs[j]).product();
-                    1.0 - idle
-                })
-                .collect();
-            Ok((busy.iter().sum(), Some(busy)))
-        }
-        // Partial groups: independent subnetworks, E[min(D_q, B/g)] each.
-        ConnectionScheme::PartialGroups { groups } => {
-            let g = *groups;
-            let per_group_mem = net.memories() / g;
-            let mut total = 0.0;
-            for q in 0..g {
-                let slice = &xs[q * per_group_mem..(q + 1) * per_group_mem];
-                let pb = poisson_binomial(slice)?;
-                total += pb.expected_min_with(b / g);
-            }
-            Ok((total, None))
-        }
-        // K classes: per-class requested-count pmfs fed into the paper's
-        // equation (12) structure; per-bus busy probabilities via eq (11).
-        ConnectionScheme::KClasses { class_sizes } => {
-            let k = class_sizes.len();
-            let mut pmfs = Vec::with_capacity(k);
-            for c in 0..k {
-                // lint:allow(no_panic, class ranges exist for every class index; BusNetwork::new validated the K-class layout)
-                let range = net.memories_of_class(c).expect("validated K-class");
-                let pb = poisson_binomial(&xs[range])?;
-                pmfs.push(pb.pmf_slice().to_vec());
-            }
-            let busy: Vec<f64> = (1..=b)
-                .map(|i| {
-                    let a = i as isize + k as isize - b as isize;
-                    let mut idle = 1.0;
-                    for j in 1..=k as isize {
-                        if j < a {
-                            continue;
-                        }
-                        let allowance = (j - a) as usize;
-                        let partial: f64 = pmfs[(j - 1) as usize].iter().take(allowance + 1).sum();
-                        idle *= partial.min(1.0);
-                    }
-                    1.0 - idle
-                })
-                .collect();
-            let total = kclass_bandwidth_from_pmfs(&pmfs, b);
-            debug_assert!((total - busy.iter().sum::<f64>()).abs() < 1e-9);
-            Ok((total, Some(busy)))
-        }
-        // `ConnectionScheme` is non-exhaustive; future variants must be
-        // wired up here explicitly.
-        other => Err(AnalysisError::UnsupportedScheme {
-            scheme: other.kind().to_string(),
-        }),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper;
+    use mbus_topology::ConnectionScheme;
     use mbus_workload::{FavoriteModel, HierarchicalModel, RequestModel, UniformModel};
 
     fn hier_matrix(n: usize) -> RequestMatrix {

@@ -1,5 +1,5 @@
 //! Degraded-mode analytical bandwidth: the paper's equations evaluated
-//! through a [`FaultMask`].
+//! through a [`FaultMask`] — the workspace's one per-scheme bandwidth model.
 //!
 //! The paper motivates every multiple-bus scheme with its *degree* of fault
 //! tolerance (Table I) but never quantifies what a failure costs. This
@@ -19,19 +19,17 @@
 //!   buses of the class's range, so an alive bus `i` carries a class-`c`
 //!   contender with probability `P(D_c > A_c(i))` where `A_c(i)` counts the
 //!   alive buses above `i` that class `c` can also reach. With no failures
-//!   `A_c(i)` equals the paper's eq (11) allowance `j − a`, and the whole
-//!   computation reduces to [`crate::bandwidth::analyze`] (asserted in the
-//!   tests).
+//!   `A_c(i)` equals the paper's eq (11) allowance `j − a`.
 //!
-//! The same independence approximation as the healthy-mode analysis
-//! applies: per-memory request indicators are treated as independent across
+//! The healthy analysis, [`crate::bandwidth::analyze`], is this model under
+//! the all-alive mask. The same independence approximation applies to
+//! both: per-memory request indicators are treated as independent across
 //! modules. The cross-validation suite pins the result against
 //! fault-scheduled simulation.
 
-use crate::bandwidth::{poisson_binomial, validate};
 use crate::AnalysisError;
-use mbus_stats::prob::check;
-use mbus_topology::{BusNetwork, ConnectionScheme, DegradedView, FaultMask};
+use mbus_stats::prob::{check, PoissonBinomial};
+use mbus_topology::{BusNetwork, ConnectionScheme, DegradedView, FaultMask, SchemeKind};
 use mbus_workload::RequestMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -85,8 +83,9 @@ pub fn degraded_bandwidth(
 /// Full degraded-mode breakdown of `net` under the workload `matrix` at
 /// request rate `r`, observed through `mask`.
 ///
-/// With an all-alive mask this agrees with
-/// [`crate::bandwidth::analyze`] to floating-point noise.
+/// With an all-alive mask its bandwidth, acceptance and per-bus busy
+/// probabilities are the healthy analysis,
+/// [`crate::bandwidth::analyze`], under the all-alive mask.
 ///
 /// # Errors
 ///
@@ -102,13 +101,8 @@ pub fn degraded_analyze(
     r: f64,
     mask: &FaultMask,
 ) -> Result<DegradedBreakdown, AnalysisError> {
-    validate(net, matrix)?;
-    if !r.is_finite() || !(0.0..=1.0).contains(&r) {
-        return Err(AnalysisError::InvalidRate { value: r });
-    }
+    let core = masked_bandwidth(net, matrix, r, mask)?;
     let view = DegradedView::new(net, mask)?;
-    let xs = matrix.memory_request_probs(r)?;
-    let offered_load = matrix.offered_load(r);
 
     // Requests to unreachable memories are dropped before arbitration; the
     // expected dropped load is the per-processor traffic into those
@@ -123,30 +117,126 @@ pub fn degraded_analyze(
         }
     }
 
+    // Per-class service of a K-class network: class c wins alive bus i
+    // with probability p_c(i)·E[1/(1+T)], T the number of *other* classes
+    // contending at i (cross-class ties broken uniformly by the arbiter).
+    let per_class_bandwidth = match (&core.contender, net.class_count()) {
+        (Some(contender), Some(k)) => {
+            let mut per_class = vec![0.0f64; k];
+            for (i, row) in contender.chunks_exact(k).enumerate() {
+                if mask.is_failed(i) {
+                    continue;
+                }
+                for c in 0..k {
+                    let p_c = row[c];
+                    if p_c == 0.0 {
+                        continue;
+                    }
+                    let others: Vec<f64> = (0..k).filter(|&o| o != c).map(|o| row[o]).collect();
+                    let win: f64 = poisson_binomial(&others)?
+                        .pmf_slice()
+                        .iter()
+                        .enumerate()
+                        .map(|(extra, &p)| p / (extra as f64 + 1.0))
+                        .sum();
+                    per_class[c] += p_c * win;
+                }
+            }
+            debug_assert!(
+                (per_class.iter().sum::<f64>() - core.bandwidth).abs() < 1e-9,
+                "per-class decomposition must resum to total bandwidth"
+            );
+            Some(per_class)
+        }
+        _ => None,
+    };
+    check::assert_probability("accessible memory fraction", view.accessible_fraction());
+    Ok(DegradedBreakdown {
+        bandwidth: core.bandwidth,
+        offered_load: core.offered_load,
+        acceptance: core.acceptance,
+        unreachable_load,
+        accessible_memories: view.accessible_memory_count(),
+        accessible_fraction: view.accessible_fraction(),
+        per_bus_busy: core.per_bus_busy,
+        per_class_bandwidth,
+    })
+}
+
+/// What the bandwidth model yields for one network, workload, rate and
+/// mask; the fields read as in [`DegradedBreakdown`].
+pub(crate) struct MaskedBandwidth {
+    pub(crate) bandwidth: f64,
+    pub(crate) offered_load: f64,
+    pub(crate) acceptance: f64,
+    pub(crate) per_bus_busy: Vec<f64>,
+    /// K-class networks only, `B × K` row-major: `contender[i * K + c]` is
+    /// the probability that alive bus `i` holds a class-`c` winner (0 on
+    /// failed buses).
+    pub(crate) contender: Option<Vec<f64>>,
+}
+
+/// The bandwidth model, shared by [`degraded_analyze`] and
+/// [`crate::bandwidth::analyze`]: `net` under the workload `matrix` at
+/// request rate `r`, observed through `mask`.
+///
+/// # Errors
+///
+/// Same as [`degraded_analyze`].
+pub(crate) fn masked_bandwidth(
+    net: &BusNetwork,
+    matrix: &RequestMatrix,
+    r: f64,
+    mask: &FaultMask,
+) -> Result<MaskedBandwidth, AnalysisError> {
+    if net.processors() != matrix.processors() {
+        return Err(AnalysisError::DimensionMismatch {
+            what: "processors",
+            network: net.processors(),
+            workload: matrix.processors(),
+        });
+    }
+    if net.memories() != matrix.memories() {
+        return Err(AnalysisError::DimensionMismatch {
+            what: "memories",
+            network: net.memories(),
+            workload: matrix.memories(),
+        });
+    }
+    if !r.is_finite() || !(0.0..=1.0).contains(&r) {
+        return Err(AnalysisError::InvalidRate { value: r });
+    }
+    DegradedView::new(net, mask)?;
+    let xs = matrix.memory_request_probs(r)?;
     let b = net.buses();
-    let (bandwidth, per_bus_busy, per_class_bandwidth) = match net.scheme() {
-        // The crossbar has no shared buses to fail.
-        ConnectionScheme::Crossbar => (xs.iter().sum(), Vec::new(), None),
+    let mut contender = None;
+    let (bandwidth, per_bus_busy) = match net.scheme() {
+        // The crossbar has no shared buses to fail: every requested module
+        // is served.
+        ConnectionScheme::Crossbar => (xs.iter().sum(), Vec::new()),
         // Full connection: every memory rides any alive bus, so the network
-        // behaves like a healthy one with `alive` buses.
+        // behaves like a healthy one with `alive` buses — E[min(D, alive)]
+        // with D the number of requested modules.
         ConnectionScheme::Full => {
             let alive = mask.alive_count();
             if alive == 0 {
-                (0.0, vec![0.0; b], None)
+                (0.0, vec![0.0; b])
             } else {
-                let pb = poisson_binomial(&xs)?;
-                let total = pb.expected_min_with(alive);
+                let total = poisson_binomial(&xs)?.expected_min_with(alive);
                 // Round-robin rotation spreads grants evenly over alive
                 // buses; failed buses carry nothing.
                 let share = total / alive as f64;
                 let busy = (0..b)
                     .map(|bus| if mask.is_alive(bus) { share } else { 0.0 })
                     .collect();
-                (total, busy, None)
+                (total, busy)
             }
         }
         // Single connection: a bus is busy iff alive and any of its own
         // modules is requested; a failed bus's modules are unreachable.
+        // Like the paper's eq (5), the modules of a bus are treated as
+        // independently requested — exact when each bus owns one module
+        // (B = M), a close approximation otherwise.
         ConnectionScheme::Single { .. } => {
             let busy: Vec<f64> = (0..b)
                 .map(|bus| {
@@ -157,7 +247,7 @@ pub fn degraded_analyze(
                     1.0 - idle
                 })
                 .collect();
-            (busy.iter().sum(), busy, None)
+            (busy.iter().sum(), busy)
         }
         // Partial groups: independent subnetworks, each serving
         // E[min(D_q, alive_q)] on its surviving buses.
@@ -174,82 +264,54 @@ pub fn degraded_analyze(
                     continue;
                 }
                 let slice = &xs[q * per_group_mem..(q + 1) * per_group_mem];
-                let pb = poisson_binomial(slice)?;
-                let group_bw = pb.expected_min_with(alive);
+                let group_bw = poisson_binomial(slice)?.expected_min_with(alive);
                 total += group_bw;
                 let share = group_bw / alive as f64;
                 for i in group_buses.filter(|&i| mask.is_alive(i)) {
                     busy[i] = share;
                 }
             }
-            (total, busy, None)
+            (total, busy)
         }
         // K classes: top-down assignment over each class's *alive* buses.
         ConnectionScheme::KClasses { class_sizes } => {
             let k = class_sizes.len();
-            let mut pmfs = Vec::with_capacity(k);
+            // table[i * k + c] = P(an alive bus i holds a class-c winner):
+            // class c reaches buses 0..kclass_bus_count(c) and fills its
+            // alive ones top-down, so bus i is reached once the class has
+            // more winners than alive buses above i.
+            let mut table = vec![0.0f64; b * k];
             for c in 0..k {
                 // lint:allow(no_panic, class ranges exist for every class index; BusNetwork::new validated the K-class layout)
                 let range = net.memories_of_class(c).expect("validated K-class");
                 let pb = poisson_binomial(&xs[range])?;
-                pmfs.push(pb.pmf_slice().to_vec());
-            }
-            // contender[i][c] = P(an alive bus i holds a class-c winner):
-            // class c reaches buses 0..kclass_bus_count(c) and fills its
-            // alive ones top-down, so bus i is reached once the class has
-            // more winners than alive buses above i.
-            let mut contender = vec![vec![0.0f64; k]; b];
-            for (c, pmf) in pmfs.iter().enumerate() {
-                let top = net.kclass_bus_count(c);
-                for (i, row) in contender.iter_mut().enumerate().take(top) {
+                let pmf = pb.pmf_slice();
+                // P(D_c ≤ above), summed from the bottom of the pmf one
+                // alive bus at a time.
+                let mut cdf = 0.0;
+                let mut above = 0;
+                for i in (0..net.kclass_bus_count(c)).rev() {
                     if mask.is_failed(i) {
                         continue;
                     }
-                    let above = (i + 1..top).filter(|&j| mask.is_alive(j)).count();
-                    // P(D_c ≤ above), summed like the healthy path so the
-                    // no-fault case reproduces it to float parity.
-                    let cdf: f64 = pmf.iter().take(above + 1).sum();
-                    row[c] = 1.0 - cdf.min(1.0);
+                    cdf += pmf.get(above).copied().unwrap_or(0.0);
+                    table[i * k + c] = 1.0 - f64::min(cdf, 1.0);
+                    above += 1;
                 }
             }
-            let busy: Vec<f64> = (0..b)
-                .map(|i| {
+            let busy: Vec<f64> = table
+                .chunks_exact(k)
+                .enumerate()
+                .map(|(i, row)| {
                     if mask.is_failed(i) {
                         return 0.0;
                     }
-                    let idle: f64 = contender[i].iter().map(|&p| 1.0 - p).product();
+                    let idle: f64 = row.iter().map(|&p| 1.0 - p).product();
                     1.0 - idle
                 })
                 .collect();
-            // Per-class service: class c wins bus i with probability
-            // p_c(i)·E[1/(1+T)], T the number of *other* classes contending
-            // at i (cross-class ties broken uniformly by the arbiter).
-            let mut per_class = vec![0.0f64; k];
-            for (i, row) in contender.iter().enumerate() {
-                if mask.is_failed(i) {
-                    continue;
-                }
-                for c in 0..k {
-                    let p_c = row[c];
-                    if p_c == 0.0 {
-                        continue;
-                    }
-                    let others: Vec<f64> = (0..k).filter(|&o| o != c).map(|o| row[o]).collect();
-                    let t = poisson_binomial(&others)?;
-                    let win: f64 = t
-                        .pmf_slice()
-                        .iter()
-                        .enumerate()
-                        .map(|(extra, &p)| p / (extra as f64 + 1.0))
-                        .sum();
-                    per_class[c] += p_c * win;
-                }
-            }
-            debug_assert!(
-                (per_class.iter().sum::<f64>() - busy.iter().sum::<f64>()).abs() < 1e-9,
-                "per-class decomposition must resum to total bandwidth"
-            );
-            (busy.iter().sum(), busy, Some(per_class))
+            contender = Some(table);
+            (busy.iter().sum(), busy)
         }
         other => {
             return Err(AnalysisError::UnsupportedScheme {
@@ -257,31 +319,34 @@ pub fn degraded_analyze(
             })
         }
     };
-
+    let offered_load = matrix.offered_load(r);
     let acceptance = if offered_load > 0.0 {
         bandwidth / offered_load
     } else {
         1.0
     };
-    check::assert_probability("degraded acceptance probability", acceptance);
-    check::assert_probability("accessible memory fraction", view.accessible_fraction());
-    check::assert_probabilities("degraded per-bus busy probabilities", &per_bus_busy);
-    // A degraded network serves at most min(alive buses, N, M) requests per
-    // cycle (the crossbar has no shared buses to fail, so it keeps min(N, M)).
+    check::assert_probability("request acceptance probability", acceptance);
+    check::assert_probabilities("per-bus busy probabilities", &per_bus_busy);
+    // A network serves at most min(alive buses, N, M) requests per cycle
+    // (the crossbar has no shared buses to fail, so it keeps min(N, M)).
     let alive_capacity = match net.kind() {
-        mbus_topology::SchemeKind::Crossbar => net.capacity(),
+        SchemeKind::Crossbar => net.capacity(),
         _ => mask.alive_count(),
     };
     check::assert_bandwidth_bounds(bandwidth, alive_capacity, net.processors(), net.memories());
-    Ok(DegradedBreakdown {
+    Ok(MaskedBandwidth {
         bandwidth,
         offered_load,
         acceptance,
-        unreachable_load,
-        accessible_memories: view.accessible_memory_count(),
-        accessible_fraction: view.accessible_fraction(),
         per_bus_busy,
-        per_class_bandwidth,
+        contender,
+    })
+}
+
+fn poisson_binomial(xs: &[f64]) -> Result<PoissonBinomial, AnalysisError> {
+    PoissonBinomial::new(xs).map_err(|_| AnalysisError::InvalidProbability {
+        name: "per-memory request probability",
+        value: f64::NAN,
     })
 }
 
@@ -311,24 +376,29 @@ mod tests {
         let n = 16;
         let b = 4;
         let matrix = hier_matrix(n);
-        for (name, scheme) in schemes(n, b) {
+        let mut all = schemes(n, b);
+        all.push(("crossbar", ConnectionScheme::Crossbar));
+        for (name, scheme) in all {
             let net = BusNetwork::new(n, n, b, scheme).unwrap();
             for r in [1.0, 0.6] {
                 let healthy = analyze(&net, &matrix, r).unwrap();
                 let degraded = degraded_analyze(&net, &matrix, r, &FaultMask::none(b)).unwrap();
-                assert!(
-                    (healthy.bandwidth - degraded.bandwidth).abs() < 1e-9,
-                    "{name}/r={r}: {} vs {}",
-                    healthy.bandwidth,
-                    degraded.bandwidth
+                // One model: the healthy analysis is the all-alive case, bit
+                // for bit.
+                assert_eq!(
+                    healthy.bandwidth.to_bits(),
+                    degraded.bandwidth.to_bits(),
+                    "{name}/r={r}"
                 );
+                assert_eq!(healthy.acceptance.to_bits(), degraded.acceptance.to_bits());
                 assert_eq!(degraded.unreachable_load, 0.0);
                 assert_eq!(degraded.accessible_memories, n);
-                assert!((degraded.acceptance - healthy.acceptance).abs() < 1e-9);
-                if let Some(busy) = &healthy.per_bus_busy {
-                    for (a, d) in busy.iter().zip(&degraded.per_bus_busy) {
-                        assert!((a - d).abs() < 1e-12, "{name}: per-bus busy diverged");
-                    }
+                match &healthy.per_bus_busy {
+                    Some(busy) => assert_eq!(busy, &degraded.per_bus_busy, "{name}"),
+                    None => assert!(
+                        matches!(name, "full" | "partial" | "crossbar"),
+                        "{name}: a deterministic scheme lost its per-bus busy"
+                    ),
                 }
             }
         }

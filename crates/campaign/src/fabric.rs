@@ -129,11 +129,14 @@ pub fn run_fabric_campaign(
     for f in 0..=max_failures {
         let count = choose(u as u64, f as u64);
         let exhaustive = matches!(count, Some(c) if c <= config.exhaustive_limit);
-        let masks = if exhaustive {
-            crate::all_combinations(u, f)
+        let mut masks: Vec<Vec<LinkId>> = Vec::new();
+        let mut visit = |mask: &[usize]| masks.push(mask.iter().map(|&i| uplink_ids[i]).collect());
+        if exhaustive {
+            crate::for_each_combination(u, f, &mut visit);
         } else {
-            crate::sampled_combinations(u, f, config.samples, config.seed.wrapping_add(f as u64))
-        };
+            let seed = config.seed.wrapping_add(f as u64);
+            crate::for_each_sample(u, f, config.samples, seed, &mut visit);
+        }
         let n = masks.len();
         let mut mean_bw = 0.0;
         let mut min_bw = f64::INFINITY;
@@ -141,8 +144,7 @@ pub fn run_fabric_campaign(
         let mut mean_unreachable = 0.0;
         let mut max_unreachable: f64 = 0.0;
         let mut worst_mask = Vec::new();
-        for mask in masks {
-            let failed: Vec<LinkId> = mask.iter().map(|&i| uplink_ids[i]).collect();
+        for failed in masks {
             let analysis =
                 analyze_fabric(topo, matrix, rate, &failed).map_err(CampaignError::Fabric)?;
             mean_bw += analysis.bandwidth;

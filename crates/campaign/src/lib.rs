@@ -8,18 +8,22 @@
 //! fail — exhaustively while the combination count is small, by seeded
 //! Monte-Carlo sampling beyond [`CampaignConfig::exhaustive_limit`] — and
 //! aggregates mean/min/max bandwidth, accessible-memory fractions, and the
-//! worst-case mask per level. Mask evaluations run over the shared-queue
-//! pool through [`mbus_stats::parallel::parallel_map`] — level
-//! sizes are wildly uneven (`C(B, f)` peaks at `f = B/2`), so the masks
-//! go into one flat list and workers claim shrinking batches of it.
+//! worst-case mask per level.
 //!
-//! For bus-permutation-symmetric schemes (full, crossbar) every bus is
-//! interchangeable, so a degraded breakdown depends only on the failure
-//! *count*, not on which buses failed. For those schemes the campaign
-//! evaluates one canonical mask per level — at most `B + 1` analytical
-//! calls instead of `2^B` — and lists no masks: each level aggregates its
-//! canonical result once per mask, reporting the same per-mask aggregates
-//! as evaluating every mask.
+//! Each mask is evaluated once per bus-permutation *orbit*. Buses wired to
+//! the same memories form one type, and permuting buses of one type leaves
+//! the network unchanged, so a degraded breakdown depends only on how many
+//! buses of each type failed. That gives one type for full and crossbar
+//! networks, one per group for partial ones, the `B − K + 1` shared low
+//! buses plus `K − 1` singletons for K-class ones (the structure behind
+//! Table I's per-class fault tolerance), and one per bus for single ones.
+//! Every mask maps to its orbit's canonical mask (each type's
+//! lowest-numbered buses fail), each distinct orbit runs once over the
+//! shared-queue pool of [`mbus_stats::parallel::parallel_map`], and each
+//! level then aggregates its masks' orbit results in lexicographic (or
+//! draw) order, so the report keeps the bits of a per-mask sweep. A level
+//! with a single orbit — every level of a full or crossbar network —
+//! lists no masks and aggregates its one result once per mask.
 //!
 //! Given a per-bus failure probability `q`, the per-level means combine
 //! into an **availability-weighted expected bandwidth**
@@ -51,11 +55,12 @@ use mbus_analysis::AnalysisError;
 use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig, SimError, Simulator};
 use mbus_stats::parallel::{available_workers, parallel_map};
 use mbus_stats::prob::{choose, choose_f64};
-use mbus_topology::{BusNetwork, FaultMask, SchemeKind};
+use mbus_topology::{BusNetwork, FaultMask};
 use mbus_workload::RequestMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Error type of the campaign engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,33 +214,21 @@ pub struct CampaignReport {
     pub per_class_decay: Option<Vec<Vec<f64>>>,
 }
 
-/// All `C(b, f)`-choose combinations, lexicographic. Only invoked when the
-/// caller has bounded the count.
-fn all_combinations(b: usize, f: usize) -> Vec<Vec<usize>> {
-    if f == 0 {
-        return vec![Vec::new()];
-    }
+/// Calls `visit` on every f-subset of `0..b`, sorted, in lexicographic
+/// order, through one reused buffer. Only invoked when the caller has
+/// bounded the count.
+fn for_each_combination(b: usize, f: usize, mut visit: impl FnMut(&[usize])) {
     if f > b {
-        return Vec::new();
+        return;
     }
-    let mut combos = Vec::new();
     let mut current: Vec<usize> = (0..f).collect();
     loop {
-        combos.push(current.clone());
-        // Advance to the next combination.
-        let mut i = f;
-        loop {
-            if i == 0 {
-                return combos;
-            }
-            i -= 1;
-            if current[i] != i + b - f {
-                break;
-            }
-            if i == 0 {
-                return combos;
-            }
-        }
+        visit(&current);
+        // Advance the rightmost index that can still move, then reset the
+        // ones after it to follow it.
+        let Some(i) = (0..f).rev().find(|&i| current[i] != i + b - f) else {
+            return;
+        };
         current[i] += 1;
         for j in i + 1..f {
             current[j] = current[j - 1] + 1;
@@ -243,61 +236,143 @@ fn all_combinations(b: usize, f: usize) -> Vec<Vec<usize>> {
     }
 }
 
-/// `samples` sorted f-subsets of `0..b`, drawn uniformly (independent
-/// draws; duplicates across draws possible and harmless for a mean).
-fn sampled_combinations(b: usize, f: usize, samples: usize, seed: u64) -> Vec<Vec<usize>> {
+/// Calls `visit` on `samples` sorted f-subsets of `0..b`, drawn uniformly
+/// (independent draws; duplicates across draws possible and harmless for a
+/// mean).
+fn for_each_sample(b: usize, f: usize, samples: usize, seed: u64, mut visit: impl FnMut(&[usize])) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool: Vec<usize> = (0..b).collect();
-    (0..samples)
-        .map(|_| {
-            for i in 0..f {
-                let j = rng.random_range(i..b);
-                pool.swap(i, j);
-            }
-            let mut subset = pool[..f].to_vec();
-            subset.sort_unstable();
-            subset
+    let mut subset = Vec::with_capacity(f);
+    for _ in 0..samples {
+        for i in 0..f {
+            let j = rng.random_range(i..b);
+            pool.swap(i, j);
+        }
+        subset.clear();
+        subset.extend_from_slice(&pool[..f]);
+        subset.sort_unstable();
+        visit(&subset);
+    }
+}
+
+/// The bus type of every bus of `net`: buses wired to the same memories
+/// share a type, numbered in order of their lowest bus. That gives one type
+/// for full and crossbar networks, one per group for partial ones, the
+/// shared low buses plus `K − 1` singletons for K-class ones, and one per
+/// bus for single ones.
+fn bus_types(net: &BusNetwork) -> Vec<usize> {
+    let mut wirings: Vec<Vec<usize>> = Vec::new();
+    (0..net.buses())
+        .map(|bus| {
+            let memories: Vec<usize> = net.memories_of_bus(bus).collect();
+            wirings
+                .iter()
+                .position(|w| *w == memories)
+                .unwrap_or_else(|| {
+                    wirings.push(memories);
+                    wirings.len() - 1
+                })
         })
         .collect()
 }
 
-/// The summary of failure level `f` over its masks' failed buses and
-/// breakdowns, in evaluation order: the worst mask is the first one that
-/// reaches the level's minimum bandwidth.
-fn summarize<'a>(
-    f: usize,
+/// Failure masks grouped into bus-permutation orbits. Permuting buses of
+/// one type leaves the network, and so every degraded breakdown, unchanged
+/// — up to the order of `per_bus_busy` — so an orbit is the vector of
+/// failure counts per type, and its canonical mask fails each type's
+/// lowest-numbered buses.
+struct Orbits {
+    type_of: Vec<usize>,
+    /// Orbit index by failure counts per type.
+    index: HashMap<Vec<usize>, usize>,
+    /// The canonical failed buses of each orbit, in first-seen order.
+    canonical: Vec<Vec<usize>>,
+    /// Scratch failure counts per type.
+    counts: Vec<usize>,
+}
+
+impl Orbits {
+    fn new(type_of: Vec<usize>) -> Self {
+        let types = type_of.iter().max().map_or(0, |&t| t + 1);
+        Self {
+            type_of,
+            index: HashMap::new(),
+            canonical: Vec::new(),
+            counts: vec![0; types],
+        }
+    }
+
+    /// The orbit index of the mask failing `failed`.
+    fn of(&mut self, failed: &[usize]) -> usize {
+        self.counts.fill(0);
+        for &bus in failed {
+            self.counts[self.type_of[bus]] += 1;
+        }
+        if let Some(&orbit) = self.index.get(self.counts.as_slice()) {
+            return orbit;
+        }
+        // Fail the lowest-numbered `counts[t]` buses of each type `t`.
+        let mut left = self.counts.clone();
+        let canonical = (0..self.type_of.len()).filter(|&bus| {
+            let left = &mut left[self.type_of[bus]];
+            let failed = *left > 0;
+            *left -= usize::from(failed);
+            failed
+        });
+        let orbit = self.canonical.len();
+        self.canonical.push(canonical.collect());
+        self.index.insert(self.counts.clone(), orbit);
+        orbit
+    }
+}
+
+/// One failure level's masks in evaluation order.
+struct LevelPlan {
     exhaustive: bool,
-    masks: impl Iterator<Item = (&'a [usize], &'a DegradedBreakdown)>,
-) -> FailureLevelSummary {
+    /// The failed buses of each listed mask, `f` per mask, back to back.
+    masks: Vec<usize>,
+    /// The orbit of each listed mask and how many consecutive masks it
+    /// stands for: one entry per mask, or a single entry for the whole
+    /// level when it has one orbit.
+    entries: Vec<(usize, usize)>,
+}
+
+/// The summary of failure level `f` from its plan and the breakdown of
+/// every orbit: the masks aggregate in plan order, and the worst mask is
+/// the first one that reaches the level's minimum bandwidth.
+fn summarize(f: usize, plan: &LevelPlan, breakdowns: &[DegradedBreakdown]) -> FailureLevelSummary {
     let mut n = 0usize;
     let mut mean_bw = 0.0;
     let mut mean_reach = 0.0;
     let mut min_bw = f64::INFINITY;
     let mut max_bw = f64::NEG_INFINITY;
     let mut min_reach = f64::INFINITY;
-    let mut worst_mask = Vec::new();
-    for (failed, breakdown) in masks {
-        n += 1;
-        mean_bw += breakdown.bandwidth;
-        mean_reach += breakdown.accessible_fraction;
+    let mut worst = 0;
+    for (i, &(orbit, copies)) in plan.entries.iter().enumerate() {
+        let breakdown = &breakdowns[orbit];
+        n += copies;
+        for _ in 0..copies {
+            mean_bw += breakdown.bandwidth;
+            mean_reach += breakdown.accessible_fraction;
+        }
         max_bw = max_bw.max(breakdown.bandwidth);
         min_reach = min_reach.min(breakdown.accessible_fraction);
         if breakdown.bandwidth < min_bw {
             min_bw = breakdown.bandwidth;
-            worst_mask = failed.to_vec();
+            worst = i;
         }
     }
     debug_assert!(n > 0, "every level evaluates at least one mask");
     FailureLevelSummary {
         failures: f,
         combos_evaluated: n,
-        exhaustive,
+        exhaustive: plan.exhaustive,
         mean_bandwidth: mean_bw / n as f64,
         min_bandwidth: min_bw,
         max_bandwidth: max_bw,
         mean_accessible_fraction: mean_reach / n as f64,
         min_accessible_fraction: min_reach,
-        worst_mask,
+        worst_mask: plan.masks[worst * f..(worst + 1) * f].to_vec(),
     }
 }
 
@@ -317,18 +392,18 @@ pub fn run_campaign(
     r: f64,
     config: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
-    run_campaign_with(net, matrix, r, config, true)
+    run_campaign_with(net, matrix, r, config, bus_types(net))
 }
 
-/// [`run_campaign`] with the bus-permutation symmetry collapse switchable;
-/// `collapse = false` evaluates every mask, the reference the collapsed
-/// sweep is tested against.
+/// [`run_campaign`] over the given bus types; giving every bus its own
+/// type evaluates every mask, the reference the orbit sweep is tested
+/// against.
 fn run_campaign_with(
     net: &BusNetwork,
     matrix: &RequestMatrix,
     r: f64,
     config: &CampaignConfig,
-    collapse: bool,
+    type_of: Vec<usize>,
 ) -> Result<CampaignReport, CampaignError> {
     let b = net.buses();
     if config.samples == 0 || config.exhaustive_limit == 0 {
@@ -349,88 +424,72 @@ fn run_campaign_with(
         });
     }
 
-    // Bus-permutation symmetry: on full/crossbar schemes any two equal-`f`
-    // masks yield bit-identical breakdowns, so one canonical evaluation
-    // per level (the mask `{0..f}`) stands for every mask of the level,
-    // and those levels list no masks at all.
-    let symmetric = collapse && matches!(net.kind(), SchemeKind::Full | SchemeKind::Crossbar);
-
-    // Gather every mask to evaluate, tagged by level, and sweep them in one
-    // parallel pass (flat work list → balanced chunks). A symmetric level
-    // keeps only its mask count and its first mask.
-    let mut work: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut level_exhaustive = Vec::with_capacity(max_failures + 1);
-    let mut level_first: Vec<(usize, Vec<usize>)> = Vec::new();
+    // List every level's masks in evaluation order, each tagged with its
+    // orbit. With two or more bus types, some failure can always move to
+    // another type unless no bus or every bus failed; otherwise the level
+    // has one orbit and lists only its first mask, standing for all.
+    let mut orbits = Orbits::new(type_of);
+    let mut plans = Vec::with_capacity(max_failures + 1);
     for f in 0..=max_failures {
         let count = choose(b as u64, f as u64);
         let exhaustive = matches!(count, Some(c) if c <= config.exhaustive_limit);
-        let seed = config.seed.wrapping_add(f as u64);
-        level_exhaustive.push(exhaustive);
-        if symmetric {
-            level_first.push(match count {
-                Some(c) if exhaustive => (
-                    usize::try_from(c).map_err(|_| CampaignError::BadConfig {
-                        reason: format!("C({b}, {f}) = {c} masks exceed the address space"),
-                    })?,
-                    (0..f).collect(),
-                ),
-                // Draws are independent, so the first of one draw is the
-                // first of `samples` draws.
-                _ => (
-                    config.samples,
-                    sampled_combinations(b, f, 1, seed).swap_remove(0),
-                ),
-            });
-            continue;
-        }
-        let masks = if exhaustive {
-            all_combinations(b, f)
-        } else {
-            sampled_combinations(b, f, config.samples, seed)
+        let single_orbit = orbits.counts.len() <= 1 || f == 0 || f == b;
+        let mut plan = LevelPlan {
+            exhaustive,
+            masks: Vec::new(),
+            entries: Vec::new(),
         };
-        work.extend(masks.into_iter().map(|mask| (f, mask)));
+        let mut visit = |failed: &[usize]| {
+            plan.masks.extend_from_slice(failed);
+            plan.entries.push((orbits.of(failed), 1));
+        };
+        let copies = match count {
+            Some(c) if exhaustive => {
+                if single_orbit {
+                    visit(&(0..f).collect::<Vec<_>>());
+                } else {
+                    for_each_combination(b, f, &mut visit);
+                }
+                usize::try_from(c).map_err(|_| CampaignError::BadConfig {
+                    reason: format!("C({b}, {f}) = {c} masks exceed the address space"),
+                })?
+            }
+            // Draws are independent, so the first of one draw is the
+            // first of `samples` draws.
+            _ => {
+                let draws = if single_orbit { 1 } else { config.samples };
+                for_each_sample(b, f, draws, config.seed.wrapping_add(f as u64), &mut visit);
+                config.samples
+            }
+        };
+        if single_orbit {
+            plan.entries[0].1 = copies;
+        }
+        plans.push(plan);
     }
-
-    let levels = if symmetric {
-        level_first
-            .iter()
-            .enumerate()
-            .map(|(f, (count, first))| {
-                let canonical = FaultMask::with_failures(b, &(0..f).collect::<Vec<_>>())?;
-                let breakdown = degraded_analyze(net, matrix, r, &canonical)?;
-                // Every mask of the level reads the canonical breakdown:
-                // aggregate it `count` times in mask order, so the means
-                // keep the bits of a per-mask sweep.
-                let masks = std::iter::repeat_n((first.as_slice(), &breakdown), *count);
-                Ok(summarize(f, level_exhaustive[f], masks))
-            })
-            .collect::<Result<Vec<_>, AnalysisError>>()?
-    } else {
-        let workers = if config.workers == 0 {
-            available_workers()
-        } else {
-            config.workers
-        };
-        type Evaluated = Result<(usize, Vec<usize>, DegradedBreakdown), AnalysisError>;
-        let evaluated: Vec<Evaluated> = parallel_map(work, workers, |(f, failed)| {
-            let mask = FaultMask::with_failures(b, &failed).map_err(AnalysisError::from)?;
-            Ok((f, failed, degraded_analyze(net, matrix, r, &mask)?))
-        });
-        let mut per_level: Vec<Vec<(Vec<usize>, DegradedBreakdown)>> =
-            (0..=max_failures).map(|_| Vec::new()).collect();
-        for item in evaluated {
-            let (f, failed, breakdown) = item?;
-            per_level[f].push((failed, breakdown));
-        }
-        per_level
-            .iter()
-            .enumerate()
-            .map(|(f, results)| {
-                let masks = results.iter().map(|(failed, bd)| (failed.as_slice(), bd));
-                summarize(f, level_exhaustive[f], masks)
-            })
+    // K-class networks also tabulate per-class bandwidth under worst-case
+    // (lowest-bus-first) failures.
+    let decay: Option<Vec<usize>> = net.class_count().map(|_| {
+        (0..=max_failures)
+            .map(|f| orbits.of(&(0..f).collect::<Vec<_>>()))
             .collect()
+    });
+
+    // Evaluate each orbit once, through its canonical mask.
+    let workers = if config.workers == 0 {
+        available_workers()
+    } else {
+        config.workers
     };
+    let breakdowns = parallel_map(orbits.canonical, workers, |failed| {
+        let mask = FaultMask::with_failures(b, &failed)?;
+        degraded_analyze(net, matrix, r, &mask)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, AnalysisError>>()?;
+    let levels: Vec<FailureLevelSummary> = (plans.iter().enumerate())
+        .map(|(f, plan)| summarize(f, plan, &breakdowns))
+        .collect();
 
     let expected_bandwidth = levels
         .iter()
@@ -442,23 +501,20 @@ fn run_campaign_with(
         })
         .sum();
 
-    let per_class_decay = if net.kind() == SchemeKind::KClasses {
-        let mut decay = Vec::with_capacity(max_failures + 1);
-        for f in 0..=max_failures {
-            let failed: Vec<usize> = (0..f).collect();
-            let mask = FaultMask::with_failures(b, &failed).map_err(AnalysisError::from)?;
-            let breakdown = degraded_analyze(net, matrix, r, &mask)?;
-            let Some(per_class) = breakdown.per_class_bandwidth else {
-                return Err(CampaignError::Internal {
-                    reason: "K-class analysis reported no per-class bandwidth".to_owned(),
-                });
-            };
-            decay.push(per_class);
-        }
-        Some(decay)
-    } else {
-        None
-    };
+    let per_class_decay =
+        match decay {
+            Some(decay) => {
+                let per_class = decay
+                    .iter()
+                    .map(|&orbit| breakdowns[orbit].per_class_bandwidth.clone());
+                Some(per_class.collect::<Option<Vec<_>>>().ok_or_else(|| {
+                    CampaignError::Internal {
+                        reason: "K-class analysis reported no per-class bandwidth".to_owned(),
+                    }
+                })?)
+            }
+            None => None,
+        };
 
     Ok(CampaignReport {
         scheme: net.kind().to_string(),
@@ -542,31 +598,162 @@ mod tests {
             .matrix()
     }
 
+    fn combinations(b: usize, f: usize) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        for_each_combination(b, f, |mask| out.push(mask.to_vec()));
+        out
+    }
+
+    fn samples(b: usize, f: usize, samples: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        for_each_sample(b, f, samples, seed, |mask| out.push(mask.to_vec()));
+        out
+    }
+
     #[test]
     fn combination_enumeration_is_complete_and_lexicographic() {
-        let combos = all_combinations(5, 3);
+        let combos = combinations(5, 3);
         assert_eq!(combos.len(), 10);
         assert_eq!(combos[0], vec![0, 1, 2]);
         assert_eq!(combos[9], vec![2, 3, 4]);
-        let mut seen = combos.clone();
-        seen.dedup();
-        assert_eq!(seen.len(), 10, "no duplicates");
-        assert_eq!(all_combinations(4, 0), vec![Vec::<usize>::new()]);
-        assert_eq!(all_combinations(3, 3), vec![vec![0, 1, 2]]);
-        assert!(all_combinations(2, 3).is_empty());
+        assert!(
+            combos.windows(2).all(|w| w[0] < w[1]),
+            "strictly lexicographic"
+        );
+        assert_eq!(combinations(4, 0), vec![Vec::<usize>::new()]);
+        assert_eq!(combinations(3, 3), vec![vec![0, 1, 2]]);
+        assert!(combinations(2, 3).is_empty());
     }
 
     #[test]
     fn sampling_is_deterministic_and_in_range() {
-        let a = sampled_combinations(16, 5, 50, 42);
-        let b = sampled_combinations(16, 5, 50, 42);
+        let a = samples(16, 5, 50, 42);
+        let b = samples(16, 5, 50, 42);
         assert_eq!(a, b);
         for subset in &a {
             assert_eq!(subset.len(), 5);
             assert!(subset.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
             assert!(subset.iter().all(|&bus| bus < 16));
         }
-        assert_ne!(a, sampled_combinations(16, 5, 50, 43), "seed matters");
+        assert_ne!(a, samples(16, 5, 50, 43), "seed matters");
+    }
+
+    /// Every scheme at `n × b`, partial and K-class at two widths each.
+    fn schemes(n: usize, b: usize) -> Vec<(&'static str, ConnectionScheme)> {
+        vec![
+            ("full", ConnectionScheme::Full),
+            ("single", ConnectionScheme::balanced_single(n, b).unwrap()),
+            ("partial-g2", ConnectionScheme::PartialGroups { groups: 2 }),
+            ("partial-g4", ConnectionScheme::PartialGroups { groups: 4 }),
+            (
+                "kclass-k2",
+                ConnectionScheme::uniform_classes(n, 2).unwrap(),
+            ),
+            (
+                "kclass-k4",
+                ConnectionScheme::uniform_classes(n, 4).unwrap(),
+            ),
+            ("crossbar", ConnectionScheme::Crossbar),
+        ]
+    }
+
+    #[test]
+    fn bus_types_follow_the_wiring() {
+        let types = |scheme| bus_types(&BusNetwork::new(16, 16, 8, scheme).unwrap());
+        let expected: [&[usize]; 7] = [
+            &[0; 8],
+            &[0, 1, 2, 3, 4, 5, 6, 7],
+            &[0, 0, 0, 0, 1, 1, 1, 1],
+            &[0, 0, 1, 1, 2, 2, 3, 3],
+            &[0, 0, 0, 0, 0, 0, 0, 1],
+            &[0, 0, 0, 0, 0, 1, 2, 3],
+            &[0; 8],
+        ];
+        for ((name, scheme), expected) in schemes(16, 8).into_iter().zip(expected) {
+            assert_eq!(types(scheme), expected, "{name}");
+        }
+    }
+
+    /// A random row-stochastic `n × n` matrix: heterogeneous traffic, so no
+    /// symmetry of the workload can hide an asymmetry of the network.
+    fn random_matrix(n: usize, rng: &mut StdRng) -> RequestMatrix {
+        let rows = (0..n)
+            .map(|_| {
+                let row: Vec<f64> = (0..n).map(|_| rng.random_range(0.01..1.0)).collect();
+                let sum: f64 = row.iter().sum();
+                row.iter().map(|x| x / sum).collect()
+            })
+            .collect();
+        RequestMatrix::from_rows(rows).unwrap()
+    }
+
+    /// The invariant the orbit sweep rests on: a mask and its orbit's
+    /// canonical mask give bit-identical breakdowns, except that
+    /// `per_bus_busy` is permuted along with the buses.
+    #[test]
+    fn masks_and_their_canonical_masks_give_identical_breakdowns() {
+        let mut rng = StdRng::seed_from_u64(0x0b17);
+        let mut checked = 0;
+        for (n, b) in [(16, 8), (32, 16)] {
+            let matrices = [hier_matrix(n), random_matrix(n, &mut rng)];
+            for (name, scheme) in schemes(n, b) {
+                let net = BusNetwork::new(n, n, b, scheme).unwrap();
+                let mut orbits = Orbits::new(bus_types(&net));
+                for matrix in &matrices {
+                    for _ in 0..40 {
+                        let f = rng.random_range(0..=b);
+                        let failed = samples(b, f, 1, rng.random_range(0..u64::MAX)).remove(0);
+                        let orbit = orbits.of(&failed);
+                        let canonical = orbits.canonical[orbit].clone();
+                        assert_eq!(canonical.len(), f, "{name}");
+                        assert_eq!(
+                            orbits.of(&canonical),
+                            orbit,
+                            "{name}: canonical is in its orbit"
+                        );
+                        let r = rng.random_range(0.1..=1.0);
+                        let analyze = |failed: &[usize]| {
+                            let mask = FaultMask::with_failures(b, failed).unwrap();
+                            degraded_analyze(&net, matrix, r, &mask).unwrap()
+                        };
+                        let (a, c) = (analyze(&failed), analyze(&canonical));
+                        let context = format!("{name} {n}x{b} {failed:?} -> {canonical:?}");
+                        assert_eq!(a.bandwidth.to_bits(), c.bandwidth.to_bits(), "{context}");
+                        assert_eq!(
+                            a.accessible_fraction.to_bits(),
+                            c.accessible_fraction.to_bits(),
+                            "{context}"
+                        );
+                        assert_eq!(
+                            a.unreachable_load.to_bits(),
+                            c.unreachable_load.to_bits(),
+                            "{context}"
+                        );
+                        let bits = |v: &Option<Vec<f64>>| {
+                            v.as_ref()
+                                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                        };
+                        assert_eq!(
+                            bits(&a.per_class_bandwidth),
+                            bits(&c.per_class_bandwidth),
+                            "{context}"
+                        );
+                        let sorted = |v: &[f64]| {
+                            let mut bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+                            bits.sort_unstable();
+                            bits
+                        };
+                        assert_eq!(
+                            sorted(&a.per_bus_busy),
+                            sorted(&c.per_bus_busy),
+                            "{context}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 2 * 7 * 2 * 40);
     }
 
     #[test]
@@ -643,36 +830,27 @@ mod tests {
 
     #[test]
     fn symmetry_collapse_matches_uncollapsed_reference() {
-        let n = 8;
-        let b = 6;
-        let net = BusNetwork::new(n, n, b, ConnectionScheme::Full).unwrap();
+        let (n, b) = (16, 8);
         let matrix = hier_matrix(n);
-        let collapsed = run_campaign(&net, &matrix, 0.9, &CampaignConfig::default()).unwrap();
-        let reference =
-            run_campaign_with(&net, &matrix, 0.9, &CampaignConfig::default(), false).unwrap();
-        // Exact structural equality: same per-level aggregates, same worst
-        // masks, same availability weighting — the collapse is invisible in
-        // the report.
-        assert_eq!(collapsed, reference);
-
-        // Monte-Carlo levels collapse too (all sampled masks read the same
-        // canonical breakdown).
         let mc = CampaignConfig {
-            exhaustive_limit: 4,
+            exhaustive_limit: 20,
             samples: 24,
             ..CampaignConfig::default()
         };
-        let mc_collapsed = run_campaign(&net, &matrix, 0.9, &mc).unwrap();
-        let mc_reference = run_campaign_with(&net, &matrix, 0.9, &mc, false).unwrap();
-        assert_eq!(mc_collapsed, mc_reference);
-
-        // Asymmetric schemes are untouched by the switch: the collapse gate
-        // never fires for K-class networks.
-        let kc =
-            BusNetwork::new(n, n, 4, ConnectionScheme::uniform_classes(n, 4).unwrap()).unwrap();
-        let a = run_campaign(&kc, &matrix, 0.9, &CampaignConfig::default()).unwrap();
-        let b = run_campaign_with(&kc, &matrix, 0.9, &CampaignConfig::default(), false).unwrap();
-        assert_eq!(a, b);
+        for (name, scheme) in schemes(n, b) {
+            let net = BusNetwork::new(n, n, b, scheme).unwrap();
+            // Exhaustive levels, then Monte-Carlo levels past C(8, 2) = 28.
+            for config in [CampaignConfig::default(), mc.clone()] {
+                let collapsed = run_campaign(&net, &matrix, 0.9, &config).unwrap();
+                // Every bus its own type: every mask is its own orbit.
+                let reference =
+                    run_campaign_with(&net, &matrix, 0.9, &config, (0..b).collect()).unwrap();
+                // Exact structural equality: same per-level aggregates, same
+                // worst masks, same availability weighting — the orbits are
+                // invisible in the report.
+                assert_eq!(collapsed, reference, "{name}");
+            }
+        }
     }
 
     #[test]
