@@ -1,6 +1,7 @@
 //! Golden pins for the fault-campaign engine.
 //!
-//! [`run_campaign`] must reproduce, bit for bit, the reports pinned below.
+//! [`run_campaign`] and [`run_fabric_campaign`] must reproduce, bit for
+//! bit, the reports pinned below.
 //! The shapes cover every connection scheme (partial at two group counts,
 //! K-class at two class counts) at 8×4, 16×8 and 32×16, to ten failures.
 //! At 32×16 the levels past `C(16, 5) = 4 368` masks are Monte-Carlo
@@ -13,31 +14,42 @@
 //! bandwidths and the K-class per-class decay table, so any change in the
 //! order masks are aggregated in, in which mask is reported as the worst,
 //! or in a single breakdown shows up as a mismatch.
+//!
+//! The fabric pins cover depth 1 to 4 trees, two localities, a truncated
+//! campaign and sampled uplink levels; their hash folds every field of
+//! the [`FabricCampaignReport`] the same way.
 
-use mbus_campaign::{run_campaign, CampaignConfig, CampaignReport};
+use mbus_campaign::{
+    run_campaign, run_fabric_campaign, CampaignConfig, CampaignReport, FabricCampaignReport,
+};
+use mbus_fabric::FabricSpec;
 use mbus_topology::{BusNetwork, ConnectionScheme};
 use mbus_workload::{HierarchicalModel, RequestModel};
 
-/// FNV-1a over the report's numeric fields, in declaration order.
-fn report_hash(report: &CampaignReport) -> u64 {
+/// FNV-1a over a stream of integers and f64 bit patterns.
+struct Fnv(u64);
+
+impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    struct Fnv(u64);
-    impl Fnv {
-        fn u64(&mut self, value: u64) {
-            for byte in value.to_le_bytes() {
-                self.0 ^= u64::from(byte);
-                self.0 = self.0.wrapping_mul(PRIME);
-            }
-        }
-        fn usize(&mut self, value: usize) {
-            self.u64(value as u64);
-        }
-        fn f64(&mut self, value: f64) {
-            self.u64(value.to_bits());
+
+    fn u64(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
-    let mut h = Fnv(OFFSET);
+    fn usize(&mut self, value: usize) {
+        self.u64(value as u64);
+    }
+    fn f64(&mut self, value: f64) {
+        self.u64(value.to_bits());
+    }
+}
+
+/// FNV-1a over the report's numeric fields, in declaration order.
+fn report_hash(report: &CampaignReport) -> u64 {
+    let mut h = Fnv(Fnv::OFFSET);
     h.f64(report.healthy_bandwidth);
     h.usize(report.levels.len());
     for level in &report.levels {
@@ -157,4 +169,114 @@ fn campaigns_match_golden_reports() {
         mismatches.join("\n")
     );
     assert_eq!(scenarios.len(), EXPECTED.len(), "one hash per scenario");
+}
+
+/// FNV-1a over every field of the fabric report, in declaration order.
+fn fabric_hash(report: &FabricCampaignReport) -> u64 {
+    let mut h = Fnv(Fnv::OFFSET);
+    h.usize(report.ks.len());
+    for &k in &report.ks {
+        h.usize(k);
+    }
+    h.usize(report.processors);
+    h.usize(report.links);
+    h.usize(report.uplinks);
+    h.f64(report.rate);
+    h.f64(report.uplink_failure_prob);
+    h.f64(report.healthy_bandwidth);
+    h.usize(report.levels.len());
+    for level in &report.levels {
+        h.usize(level.failures);
+        h.usize(level.combos_evaluated);
+        h.u64(u64::from(level.exhaustive));
+        h.f64(level.mean_bandwidth);
+        h.f64(level.min_bandwidth);
+        h.f64(level.max_bandwidth);
+        h.f64(level.mean_unreachable);
+        h.f64(level.max_unreachable);
+        h.usize(level.worst_mask.len());
+        for &link in &level.worst_mask {
+            h.usize(link);
+        }
+    }
+    h.f64(report.expected_bandwidth);
+    h.usize(report.cluster_decay.len());
+    for row in &report.cluster_decay {
+        h.usize(row.len());
+        for &bw in row {
+            h.f64(bw);
+        }
+    }
+    h.0
+}
+
+/// Every fabric scenario: a name, the tree shape, the locality and the
+/// configuration, all at rate 0.5 over two-bus leaf groups and one-channel
+/// uplinks.
+fn fabric_scenarios() -> Vec<(&'static str, Vec<usize>, f64, CampaignConfig)> {
+    let default = CampaignConfig::default;
+    vec![
+        ("4x4-loc0.3", vec![4, 4], 0.3, default()),
+        ("4x4-loc0.6", vec![4, 4], 0.6, default()),
+        ("2x2x2", vec![2, 2, 2], 0.6, default()),
+        (
+            "2x2x2x2-limit50-samples64",
+            vec![2, 2, 2, 2],
+            0.6,
+            CampaignConfig {
+                exhaustive_limit: 50,
+                samples: 64,
+                ..default()
+            },
+        ),
+        ("8", vec![8], 0.6, default()),
+        (
+            "4x4-max2",
+            vec![4, 4],
+            0.6,
+            CampaignConfig {
+                max_failures: Some(2),
+                ..default()
+            },
+        ),
+    ]
+}
+
+const FABRIC_EXPECTED: &[(&str, u64)] = &[
+    ("4x4-loc0.3", 0xed586940abf2b9ba),
+    ("4x4-loc0.6", 0x70916fb76c443408),
+    ("2x2x2", 0xaa73492a644e2ef4),
+    ("2x2x2x2-limit50-samples64", 0x681708fb2398bbab),
+    ("8", 0x5e572c54d7277b14),
+    ("4x4-max2", 0xfb76321dc45a5581),
+];
+
+#[test]
+fn fabric_campaigns_match_golden_reports() {
+    let scenarios = fabric_scenarios();
+    let mut mismatches = Vec::new();
+    for (i, (name, ks, locality, config)) in scenarios.iter().enumerate() {
+        let spec = FabricSpec {
+            ks: ks.clone(),
+            local_buses: 2,
+            uplink_width: 1,
+            locality: *locality,
+        };
+        let (topo, matrix) = spec.build().unwrap();
+        let hash = fabric_hash(&run_fabric_campaign(&topo, &matrix, 0.5, config).unwrap());
+        match FABRIC_EXPECTED.get(i) {
+            Some(&(expected_name, expected)) if expected_name == *name && expected == hash => {}
+            _ => mismatches.push(format!("    (\"{name}\", {hash:#018x}),")),
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "fabric campaign reports drifted from the golden hashes:\n{}",
+        mismatches.join("\n")
+    );
+    assert_eq!(
+        scenarios.len(),
+        FABRIC_EXPECTED.len(),
+        "one hash per scenario"
+    );
 }
