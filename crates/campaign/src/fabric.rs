@@ -4,27 +4,19 @@
 //! availability story is dominated by its uplinks — each one is the sole
 //! escape path of a whole subtree, so an uplink failure severs every
 //! cross-cluster flow through it while the cluster's *local* traffic keeps
-//! flowing. This module sweeps `f`-uplink failure combinations through
-//! [`mbus_fabric::analyze_fabric`] (exhaustively while `C(U, f)` is small,
-//! seeded Monte-Carlo beyond [`CampaignConfig::exhaustive_limit`]) and
-//! aggregates the same mean/min/max bandwidth summaries as the flat sweep,
-//! plus the unreachable-rate mass those severed routes shed.
-//!
-//! Two fabric-specific artifacts come out:
-//!
-//! * the **availability-weighted expected bandwidth**
-//!   `Σ_f C(U,f)·q^f·(1−q)^(U−f) · mean_bw(f)` for a per-uplink failure
-//!   probability `q` — the long-run bandwidth of a fabric whose uplinks
-//!   are each up with probability `1 − q`;
-//! * a **per-cluster decay table**: under worst-case lowest-uplink-first
-//!   failures, each leaf cluster's delivered rate per failure count. At
-//!   locality 0 this is a death law (cluster `i` stops delivering once its
-//!   uplink is down); at higher locality it shows the graceful floor local
-//!   traffic provides.
+//! flowing. [`run_fabric_campaign`] runs the flat campaign's sweep over the
+//! uplinks, each its own type, and evaluates every `f`-uplink failure mask
+//! through [`mbus_fabric::analyze_fabric`] on the same pool. It reports the
+//! same exhaustive or sampled levels, mean/min/max bandwidth summaries and
+//! availability-weighted expected bandwidth (for a per-uplink failure
+//! probability `q`), plus the unreachable-rate mass severed routes shed and
+//! a **per-cluster decay table**: each leaf cluster's delivered rate under
+//! worst-case lowest-uplink-first failures. At locality 0 that table is a
+//! death law (cluster `i` stops delivering once its uplink is down); at
+//! higher locality it shows the graceful floor local traffic provides.
 
-use crate::{CampaignConfig, CampaignError};
+use crate::{CampaignConfig, CampaignError, Outcome};
 use mbus_fabric::{analyze_fabric, ClusteredBuses, LinkId, LinkKind};
-use mbus_stats::prob::{choose, choose_f64};
 use mbus_workload::RequestMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -84,9 +76,10 @@ pub struct FabricCampaignReport {
 /// `f = 0..=max_failures`, plus the worst-case per-cluster decay table.
 ///
 /// [`CampaignConfig`] is reused from the flat campaign;
-/// `bus_failure_prob` is read as the per-**uplink** failure probability
-/// and `max_failures` counts uplinks (`None` = all of them). Depth-1
-/// fabrics have no uplinks and yield a single healthy level.
+/// `bus_failure_prob` is read as the per-**uplink** failure probability,
+/// `max_failures` counts uplinks (`None` = all of them) and `workers`
+/// sizes the evaluation pool. Depth-1 fabrics have no uplinks and yield a
+/// single healthy level.
 ///
 /// # Errors
 ///
@@ -99,17 +92,6 @@ pub fn run_fabric_campaign(
     rate: f64,
     config: &CampaignConfig,
 ) -> Result<FabricCampaignReport, CampaignError> {
-    if config.samples == 0 || config.exhaustive_limit == 0 {
-        return Err(CampaignError::BadConfig {
-            reason: "samples and exhaustive_limit must be positive".into(),
-        });
-    }
-    let q = config.uplink_failure_prob();
-    if !q.is_finite() || !(0.0..=1.0).contains(&q) {
-        return Err(CampaignError::BadConfig {
-            reason: format!("uplink failure probability {q} outside [0, 1]"),
-        });
-    }
     let uplink_ids: Vec<LinkId> = topo
         .links()
         .iter()
@@ -117,77 +99,33 @@ pub fn run_fabric_campaign(
         .filter(|(_, link)| matches!(link.kind, LinkKind::Uplink { .. }))
         .map(|(id, _)| id)
         .collect();
+    // Every uplink is its own type: each severs different flows, so no mask
+    // stands for another.
     let u = uplink_ids.len();
-    let max_failures = config.max_failures.unwrap_or(u);
-    if max_failures > u {
-        return Err(CampaignError::BadConfig {
-            reason: format!("max_failures {max_failures} exceeds uplink count {u}"),
-        });
-    }
-
-    let mut levels = Vec::with_capacity(max_failures + 1);
-    for f in 0..=max_failures {
-        let count = choose(u as u64, f as u64);
-        let exhaustive = matches!(count, Some(c) if c <= config.exhaustive_limit);
-        let mut masks: Vec<Vec<LinkId>> = Vec::new();
-        let mut visit = |mask: &[usize]| masks.push(mask.iter().map(|&i| uplink_ids[i]).collect());
-        if exhaustive {
-            crate::for_each_combination(u, f, &mut visit);
-        } else {
-            let seed = config.seed.wrapping_add(f as u64);
-            crate::for_each_sample(u, f, config.samples, seed, &mut visit);
-        }
-        let n = masks.len();
-        let mut mean_bw = 0.0;
-        let mut min_bw = f64::INFINITY;
-        let mut max_bw = f64::NEG_INFINITY;
-        let mut mean_unreachable = 0.0;
-        let mut max_unreachable: f64 = 0.0;
-        let mut worst_mask = Vec::new();
-        for failed in masks {
+    let (levels, expected_bandwidth, cluster_decay) =
+        crate::sweep("uplink", (0..u).collect(), config, true, |failed| {
+            let failed: Vec<LinkId> = failed.iter().map(|&i| uplink_ids[i]).collect();
             let analysis =
                 analyze_fabric(topo, matrix, rate, &failed).map_err(CampaignError::Fabric)?;
-            mean_bw += analysis.bandwidth;
-            mean_unreachable += analysis.unreachable_rate;
-            max_bw = max_bw.max(analysis.bandwidth);
-            max_unreachable = max_unreachable.max(analysis.unreachable_rate);
-            if analysis.bandwidth < min_bw {
-                min_bw = analysis.bandwidth;
-                worst_mask = failed;
-            }
-        }
-        levels.push(FabricFailureLevel {
-            failures: f,
-            combos_evaluated: n,
-            exhaustive,
-            mean_bandwidth: mean_bw / n as f64,
-            min_bandwidth: min_bw,
-            max_bandwidth: max_bw,
-            mean_unreachable: mean_unreachable / n as f64,
-            max_unreachable,
-            worst_mask,
-        });
-    }
-
-    let expected_bandwidth = levels
-        .iter()
-        .map(|level| {
-            let f = level.failures as u64;
-            let weight =
-                choose_f64(u as u64, f) * q.powi(f as i32) * (1.0 - q).powi((u as u64 - f) as i32);
-            weight * level.mean_bandwidth
+            Ok(Outcome {
+                bandwidth: analysis.bandwidth,
+                other: analysis.unreachable_rate,
+                decay: analysis.cluster_bandwidth,
+            })
+        })?;
+    let levels: Vec<FabricFailureLevel> = (levels.into_iter())
+        .map(|level| FabricFailureLevel {
+            failures: level.failures,
+            combos_evaluated: level.combos_evaluated,
+            exhaustive: level.exhaustive,
+            mean_bandwidth: level.bandwidth.mean,
+            min_bandwidth: level.bandwidth.min,
+            max_bandwidth: level.bandwidth.max,
+            mean_unreachable: level.other.mean,
+            max_unreachable: level.other.max,
+            worst_mask: level.worst_mask.iter().map(|&i| uplink_ids[i]).collect(),
         })
-        .sum();
-
-    // Worst-case decay: fail the first f uplinks (lowest link id first) and
-    // record every leaf cluster's delivered rate.
-    let mut cluster_decay = Vec::with_capacity(max_failures + 1);
-    for f in 0..=max_failures {
-        let failed: Vec<LinkId> = uplink_ids[..f].to_vec();
-        let analysis =
-            analyze_fabric(topo, matrix, rate, &failed).map_err(CampaignError::Fabric)?;
-        cluster_decay.push(analysis.cluster_bandwidth);
-    }
+        .collect();
 
     Ok(FabricCampaignReport {
         ks: topo.hierarchy().branching_factors().to_vec(),
@@ -195,7 +133,7 @@ pub fn run_fabric_campaign(
         links: topo.links().len(),
         uplinks: u,
         rate,
-        uplink_failure_prob: q,
+        uplink_failure_prob: config.bus_failure_prob,
         healthy_bandwidth: levels[0].mean_bandwidth,
         levels,
         expected_bandwidth,
