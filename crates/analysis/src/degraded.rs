@@ -545,4 +545,90 @@ mod tests {
             Err(AnalysisError::DimensionMismatch { .. })
         ));
     }
+
+    /// K-class at 16×16×8 with K = 4: buses `0..5` reach every class.
+    fn kclass_16x8() -> BusNetwork {
+        let scheme = ConnectionScheme::uniform_classes(16, 4).unwrap();
+        BusNetwork::new(16, 16, 8, scheme).unwrap()
+    }
+
+    #[test]
+    fn kclass_shared_low_buses_are_interchangeable() {
+        // The `B − K + 1` low buses are wired to every class, so failing
+        // any one of them leaves the same network up to a bus permutation:
+        // every figure is bit-identical and `per_bus_busy` is permuted.
+        let net = kclass_16x8();
+        let shared = net.kclass_bus_count(0);
+        assert_eq!(shared, 5);
+        let matrices = [hier_matrix(16), UniformModel::new(16, 16).unwrap().matrix()];
+        for (matrix, r) in matrices.iter().flat_map(|m| [(m, 1.0), (m, 0.5)]) {
+            let fail = |bus| {
+                let mask = FaultMask::with_failures(8, &[bus]).unwrap();
+                degraded_analyze(&net, matrix, r, &mask).unwrap()
+            };
+            let bits = |d: &DegradedBreakdown| {
+                let mut busy: Vec<u64> = d.per_bus_busy.iter().map(|x| x.to_bits()).collect();
+                busy.sort_unstable();
+                let figures = [
+                    d.bandwidth,
+                    d.offered_load,
+                    d.acceptance,
+                    d.unreachable_load,
+                ];
+                let per_class = d.per_class_bandwidth.as_ref().unwrap();
+                let scalars = figures
+                    .iter()
+                    .chain(per_class)
+                    .chain([&d.accessible_fraction]);
+                (
+                    scalars.map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    busy,
+                    d.accessible_memories,
+                )
+            };
+            let reference = bits(&fail(0));
+            for bus in 1..shared {
+                assert_eq!(bits(&fail(bus)), reference, "bus {bus} at r = {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn kclass_mask_below_an_alive_bus_matches_simulation() {
+        use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig, Simulator};
+        // Private traffic (processor p only requests memory p): requests
+        // to distinct memories are independent, so the model is exact and
+        // must land inside the simulation's confidence interval. Each mask
+        // fails a shared bus below alive ones, so the top-down assignment
+        // has to skip it.
+        let net = kclass_16x8();
+        let rows = (0..16)
+            .map(|p| (0..16).map(|j| f64::from(u8::from(j == p))).collect())
+            .collect();
+        let matrix = RequestMatrix::from_rows(rows).unwrap();
+        let r = 0.5;
+        for failed in [vec![2], vec![1, 3]] {
+            let mask = FaultMask::with_failures(8, &failed).unwrap();
+            let analytical = degraded_bandwidth(&net, &matrix, r, &mask).unwrap();
+            let events = failed.iter().map(|&bus| FaultEvent {
+                cycle: 0,
+                bus,
+                kind: FaultEventKind::Fail,
+            });
+            let config = SimConfig::new(100_000)
+                .with_warmup(5_000)
+                .with_seed(7)
+                .with_faults(FaultSchedule::from_events(events.collect()).unwrap());
+            let report = Simulator::build(&net, &matrix, r)
+                .unwrap()
+                .run(&config)
+                .unwrap();
+            assert!(
+                report.bandwidth.contains(analytical),
+                "{failed:?}: analytical {analytical} outside simulated {} ± {}",
+                report.bandwidth.mean(),
+                report.bandwidth.half_width()
+            );
+        }
+    }
 }
