@@ -61,7 +61,8 @@ COMMANDS:
                           --campaign sweeps uplink-failure combos through
                           the analytic model (availability-weighted E[BW],
                           per-cluster decay) [--max-failures f]
-                          [--samples 512] [--limit 5000] [--q 0.05]
+                          [--samples 512] [--limit 5000] [--seed s]
+                          [--workers w] [--q 0.05]
     faults                degraded-mode fault campaign: evaluates analytical
                           bandwidth over C(B,f) bus-failure combos
                           (exhaustive or Monte-Carlo past --limit) for the

@@ -1,8 +1,8 @@
 //! Cross-call memoization for the exact engines.
 //!
-//! A design-space sweep evaluates the same network at many request rates,
-//! and a fault campaign evaluates many masks of one network: both kept
-//! rebuilding the `2^M`-entry [`ServedTable`] from scratch. This module
+//! A design-space sweep, or a server answering exact queries, evaluates the
+//! same network at many request rates, and each evaluation would otherwise
+//! rebuild the `2^M`-entry [`ServedTable`] from scratch. This module
 //! holds a process-wide [`MemoCache`] of served-set tables keyed by the
 //! network's canonical debug rendering (which encodes `N × M × B` and the
 //! full scheme, assignment vectors included), so every exact engine —

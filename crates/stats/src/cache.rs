@@ -1,12 +1,11 @@
 //! A small sharded memoization cache for cross-sweep reuse.
 //!
-//! Design-space sweeps, table regeneration, and fault campaigns repeatedly
-//! evaluate identical subproblems: the same `ServedTable` for one network at
-//! many request rates, the same containment-power vector for one workload at
-//! many bus counts, the same degraded breakdown for every equivalent fault
-//! mask. [`MemoCache`] lets those layers share results across calls (and
-//! across the worker threads of [`crate::parallel::parallel_map`]) without
-//! taking a dependency or holding a lock while computing.
+//! Long-lived callers evaluate identical subproblems again and again: the
+//! exact engines need the same `ServedTable` for one network at many
+//! request rates (`mbus_exact::memo`), and the HTTP service answers the
+//! same query many times (its response cache). [`MemoCache`] lets them
+//! share results across calls (and across worker threads) without taking
+//! a dependency or holding a lock while computing.
 //!
 //! Properties:
 //!
