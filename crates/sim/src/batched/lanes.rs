@@ -63,7 +63,7 @@
 //! [`super::reference`] implements the identical spec naively — one
 //! scalar `LaneRng` per seed, the production `grant_buses` arbiters —
 //! and the differential suite holds the two bit-identical per lane; both
-//! feed the same integer `LaneCollector`.
+//! feed the same integer `LaneTallies` (the reference one lane per seed).
 //!
 //! Round-robin arbiter pointers are lane-*uniform*: the full scheme's
 //! memory/bus pointers and the partial scheme's group pointers advance on
@@ -92,10 +92,13 @@
 //! The scans also yield the cycle's busy-bus set — for the full and
 //! partial schemes as lane-uniform prefix sets of the alive buses indexed
 //! by the grant count — and the winner loop ORs up the served processors
-//! and memories, so per-unit tallies reach the `LaneCollector` as three
-//! words per cycle instead of three counter writes per grant.
+//! and memories, so per-unit tallies reach the `LaneTallies` as three
+//! words per lane-cycle instead of three counter writes per grant. Each
+//! lane's pass only stores its words and counts into its slots; one
+//! `LaneTallies::end_cycle` after the pass closes the cycle in every lane,
+//! its bit-sliced ripple running across lanes.
 
-use super::collect::{LaneCollector, ServedUnits};
+use super::collect::{LaneTallies, ServedUnits};
 use super::issue::IssueTable;
 use super::rng::{reduce, LaneRngs, MAX_LANES};
 use crate::{FaultEventKind, SimConfig, SimError, SimReport};
@@ -900,9 +903,7 @@ pub(super) fn run_lanes<P: Picks>(
 
     let mut mask = FaultMask::none(b);
     let mut caches = AliveCaches::new(net, &scheme, &mask);
-    let mut collectors: Vec<LaneCollector> = (0..lanes)
-        .map(|_| LaneCollector::new(net, config))
-        .collect();
+    let mut tallies = LaneTallies::new(net, config, lanes);
     // Shared per-bus in-service counts — the fault schedule is
     // lane-uniform, so one tally serves every lane's report.
     let mut bus_alive = vec![0u64; b];
@@ -1018,17 +1019,16 @@ pub(super) fn run_lanes<P: Picks>(
         }
 
         // 3–6. One pass per lane: drop unreachable targets, scan grants,
-        // draw winners lazily, retire/resubmit, collect.
+        // draw winners lazily, retire/resubmit, and store the lane's cycle
+        // inputs for the tallies.
         for l in 0..lanes {
             let row = picks.load_row(&rows, lanes, l);
             let age = &mut ages[l * n..(l + 1) * n];
-            let collector = &mut collectors[l];
             let mut pending = pending_mask[l];
-            // Memories with at least one requester, requesting processors
-            // and fresh issues.
+            // Memories with at least one requester, and requesting
+            // processors.
             let mut req = lane_issue.req[l];
             let mut active = lane_issue.active[l];
-            let issued = lane_issue.issued[l];
 
             // Drop requests to unreachable memories (the unreachable set is
             // lane-uniform, the victims are not). No grant reaches those
@@ -1198,12 +1198,12 @@ pub(super) fn run_lanes<P: Picks>(
             if measured && resubmission {
                 // Only a queued winner waited. Without resubmission
                 // nothing queues and every wait is 0, which the
-                // collector's zero state already says.
+                // tallies' zero state already says.
                 let mut queued = served_bits & pending;
                 while queued != 0 {
                     let p = queued.trailing_zeros() as usize;
                     queued &= queued - 1;
-                    collector.grant(age[p]);
+                    tallies.grant(l, age[p]);
                 }
             }
             pending &= !served_bits;
@@ -1229,9 +1229,14 @@ pub(super) fn run_lanes<P: Picks>(
                     buses: busy,
                 };
                 // lint:allow(lossy_cast, at most 64 grants per cycle)
-                collector.end_cycle(grants as u32, issued, unreachable, units);
+                tallies.record(l, grants as u32, unreachable, units);
             }
             pending_mask[l] = pending;
+        }
+        // 7. Close the measured cycle in every lane at once; the fresh
+        // issues are the issue pass's per-lane counts.
+        if measured {
+            tallies.end_cycle(&lane_issue.issued[..lanes]);
         }
 
         // Lane-uniform pointer advance, matching the scalar arbiters'
@@ -1253,10 +1258,7 @@ pub(super) fn run_lanes<P: Picks>(
         }
     }
 
-    Ok(collectors
-        .into_iter()
-        .map(|collector| collector.finish(config, &bus_alive))
-        .collect())
+    Ok(tallies.finish(config, &bus_alive))
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! and — crucially — the *production* stage-2 arbiters
 //! (`arbiter::grant_buses`, the same code the scalar
 //! [`crate::Simulator`] runs). The two implementations share only the
-//! `IssueTable` and the metric `LaneCollector`; request bookkeeping,
+//! `IssueTable` and the metric `LaneTallies`, which the reference drives
+//! with one lane per seed; request bookkeeping,
 //! grant scanning, and winner selection are written independently (mask
 //! algebra vs. scalar scans), which is what makes the differential suite
 //! a genuine cross-implementation check rather than a tautology.
@@ -29,7 +30,7 @@
 //! * everything else (unreachable filtering, stage-2 policies, waits,
 //!   resubmission aging, metrics) matches the scalar engine exactly.
 
-use super::collect::{LaneCollector, ServedUnits};
+use super::collect::{LaneTallies, ServedUnits};
 use super::issue::IssueTable;
 use super::rng::{LaneRng, MAX_LANES};
 use crate::arbiter::{grant_buses, Stage2State};
@@ -77,18 +78,20 @@ pub fn run_reference(
         "the batched spec requires N ≤ {MAX_LANES} and M ≤ {MAX_LANES}"
     );
     let table = IssueTable::new(matrix, r)?;
-    seeds
-        .iter()
-        .map(|&seed| run_one(net, &table, config, seed))
-        .collect()
+    let mut reports = Vec::with_capacity(seeds.len());
+    for &seed in seeds {
+        reports.extend(run_one(net, &table, config, seed)?);
+    }
+    Ok(reports)
 }
 
+/// One seed's run: a one-lane [`LaneTallies`], so its one report.
 fn run_one(
     net: &BusNetwork,
     table: &IssueTable,
     config: &SimConfig,
     seed: u64,
-) -> Result<SimReport, SimError> {
+) -> Result<Vec<SimReport>, SimError> {
     let (n, m) = (net.processors(), net.memories());
     let resubmission = config.resubmission;
     let crossbar = net.kind() == SchemeKind::Crossbar;
@@ -99,7 +102,7 @@ fn run_one(
     let mut rng = LaneRng::seed_from_u64(seed);
     let mut mask = FaultMask::none(net.buses());
     let mut state = Stage2State::new(net);
-    let mut collector = LaneCollector::new(net, config);
+    let mut tallies = LaneTallies::new(net, config, 1);
     let mut bus_alive = vec![0u64; net.buses()];
 
     let mut destinations: Vec<Option<usize>> = vec![None; n];
@@ -213,7 +216,7 @@ fn run_one(
         );
 
         // 5. Winners resolved in grant order from the arbitration chunks,
-        // then completion bookkeeping fed straight to the shared collector:
+        // then completion bookkeeping fed straight to the shared tallies:
         // one `grant` per grant in grant order, then the cycle's served
         // units. Requester lists are ascending, matching the SoA engine's
         // bit order, so index `chunk · count >> 16` picks the identical
@@ -236,7 +239,7 @@ fn run_one(
                 } else {
                     0
                 };
-                collector.grant(age);
+                tallies.grant(0, age);
             }
             pending_memory[grant.processor] = None;
         }
@@ -268,8 +271,9 @@ fn run_one(
             let issued = outcome.issued as u32;
             // lint:allow(lossy_cast, per-cycle counts are bounded by N ≤ 64)
             let unreachable = outcome.unreachable as u32;
-            collector.end_cycle(grants, issued, unreachable, units);
+            tallies.record(0, grants, unreachable, units);
+            tallies.end_cycle(&[issued]);
         }
     }
-    Ok(collector.finish(config, &bus_alive))
+    Ok(tallies.finish(config, &bus_alive))
 }

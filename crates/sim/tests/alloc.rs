@@ -6,37 +6,39 @@
 //! The RNG is seeded, so the workload — and therefore the verdict — is
 //! deterministic. Only the measuring thread's allocations inside a
 //! measured window count: stepping is single-threaded, and the test
-//! harness's own threads may allocate at any time.
+//! harness's own threads may allocate at any time. The count is kept per
+//! thread too, so the tests of this file can run side by side without
+//! one test's allocations landing in another's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use mbus_sim::Simulator;
+use mbus_sim::{batched, SimConfig, Simulator};
 use mbus_topology::{BusNetwork, ConnectionScheme};
 use mbus_workload::{HierarchicalModel, RequestModel};
 
 struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Set on the measuring thread for the length of a measured window.
     /// Const-initialised and without a destructor, so reading it never
     /// allocates.
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations inside its measured windows; const and
+    /// destructor-free like `MEASURING`.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation if this thread is inside a measured window.
 fn count() {
     if MEASURING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
 // SAFETY: every method forwards verbatim to [`System`], which upholds the
 // GlobalAlloc contract; the only extra work is a thread-local flag read and
-// a Relaxed counter bump, which cannot allocate, unwind, or touch the
+// a thread-local counter bump, which cannot allocate, unwind, or touch the
 // returned pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract for `layout`; the
@@ -65,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Opens a measured window on this thread; returns the count so far.
@@ -212,6 +214,52 @@ fn steady_state_stepping_does_not_allocate() {
                 unreachable > 0,
                 "{label}: sanity — the outage dropped requests"
             );
+        }
+    }
+}
+
+/// The batched engine allocates only while setting a batch up and
+/// handing its reports out: one `run_batch` call of 64 lanes makes as
+/// many allocations over 2 000 measured cycles as over 200, for every
+/// scheme at 8×8×4 and 64×64×16, and with resubmission at 8×8×4 (the
+/// 64-wide resubmission runs would double the test's time in debug
+/// builds). Any allocation per cycle (or per batch of cycles) would show
+/// as a difference.
+#[test]
+fn batched_cycles_do_not_allocate() {
+    let seeds: Vec<u64> = (0..64).collect();
+    for (n, b) in [(8, 4), (64, 16)] {
+        let matrix = HierarchicalModel::two_level_paired(n, 4, [0.6, 0.3, 0.1])
+            .unwrap()
+            .matrix();
+        let schemes = [
+            ("full", ConnectionScheme::Full),
+            ("single", ConnectionScheme::balanced_single(n, b).unwrap()),
+            ("partial", ConnectionScheme::PartialGroups { groups: 2 }),
+            ("kclass", ConnectionScheme::uniform_classes(n, b).unwrap()),
+            ("crossbar", ConnectionScheme::Crossbar),
+        ];
+        for (name, scheme) in schemes {
+            let net = BusNetwork::new(n, n, b, scheme).unwrap();
+            let resubmissions: &[bool] = if n == 8 { &[false, true] } else { &[false] };
+            for &resubmission in resubmissions {
+                let counts = [200, 2_000].map(|cycles| {
+                    let config = SimConfig::new(cycles)
+                        .with_warmup(100)
+                        .with_resubmission(resubmission);
+                    let before = start_window();
+                    let reports = batched::run_batch(&net, &matrix, 0.9, &config, &seeds);
+                    let allocated = end_window(before);
+                    let reports = reports.unwrap();
+                    assert_eq!(reports.len(), 64);
+                    assert!(reports[63].bandwidth.mean() > 0.0, "sanity: lanes served");
+                    allocated
+                });
+                assert_eq!(
+                    counts[0], counts[1],
+                    "{n}x{n}x{b} {name} (resubmission: {resubmission}): allocations at 200 and 2 000 cycles"
+                );
+            }
         }
     }
 }

@@ -92,11 +92,6 @@ impl Binomial {
         self.n as f64 * self.p
     }
 
-    /// `Var[X] = n·p·(1−p)`.
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
-    }
-
     /// `P(X = k)`.
     pub fn pmf(&self, k: u64) -> f64 {
         binomial_pmf(self.n, k, self.p)
