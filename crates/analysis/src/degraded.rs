@@ -546,6 +546,62 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn failing_one_more_bus_never_raises_bandwidth() {
+        // Seeded splitmix64 stream for the random rows and masks.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for (n, b) in [(16, 8), (12, 6)] {
+            let rows = (0..n)
+                .map(|_| {
+                    let row: Vec<f64> = (0..n).map(|_| 0.01 + (next() >> 11) as f64).collect();
+                    let total: f64 = row.iter().sum();
+                    row.iter().map(|w| w / total).collect()
+                })
+                .collect();
+            let matrices = [
+                ("hier", hier_matrix(n)),
+                ("random", RequestMatrix::from_rows(rows).unwrap()),
+            ];
+            let mut all = vec![
+                ("full", ConnectionScheme::Full),
+                ("single", ConnectionScheme::balanced_single(n, b).unwrap()),
+                ("partial", ConnectionScheme::PartialGroups { groups: 2 }),
+            ];
+            for k in [2, 4, b] {
+                all.push(("kclass", ConnectionScheme::uniform_classes(n, k).unwrap()));
+            }
+            for (name, scheme) in all {
+                let net = BusNetwork::new(n, n, b, scheme).unwrap();
+                for ((traffic, matrix), r) in matrices.iter().flat_map(|m| [(m, 1.0), (m, 0.5)]) {
+                    let bandwidth = |failed: &[usize]| {
+                        let mask = FaultMask::with_failures(b, failed).unwrap();
+                        degraded_bandwidth(&net, matrix, r, &mask).unwrap()
+                    };
+                    for _ in 0..32 {
+                        let failed: Vec<usize> = (0..b).filter(|_| next() & 1 == 1).collect();
+                        let before = bandwidth(&failed);
+                        for extra in (0..b).filter(|bus| !failed.contains(bus)) {
+                            let more = [failed.as_slice(), &[extra]].concat();
+                            let after = bandwidth(&more);
+                            assert!(
+                                after <= before + 1e-12,
+                                "{name} {n}x{b} {traffic} r = {r}: failing bus {extra} \
+                                 on top of {failed:?} raised {before} to {after}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// K-class at 16×16×8 with K = 4: buses `0..5` reach every class.
     fn kclass_16x8() -> BusNetwork {
         let scheme = ConnectionScheme::uniform_classes(16, 4).unwrap();

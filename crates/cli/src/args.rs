@@ -7,18 +7,18 @@ use std::str::FromStr;
 /// Parsed command line: one subcommand, positional arguments, and
 /// `--key value` / `--flag` options.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     /// The subcommand (first non-flag argument).
-    pub command: String,
+    pub(crate) command: String,
     /// Positional arguments after the subcommand.
-    pub positional: Vec<String>,
+    pub(crate) positional: Vec<String>,
     /// `--key value` options and bare `--flag`s (mapped to `"true"`).
-    pub options: BTreeMap<String, String>,
+    pub(crate) options: BTreeMap<String, String>,
 }
 
 impl Args {
     /// Parses an argument list (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut parsed = Args::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
@@ -40,7 +40,7 @@ impl Args {
     }
 
     /// A string option.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
@@ -49,7 +49,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns a message when the value does not parse.
-    pub fn get_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn get_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         Ok(self
             .field(key)
             .map_err(|e| e.to_string())?
@@ -57,7 +57,7 @@ impl Args {
     }
 
     /// Whether a bare flag (or `--key true`) is present.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true"))
     }
 
@@ -85,7 +85,7 @@ fn spelling(key: &str) -> &str {
 }
 
 /// Parses a comma-separated list such as `--ks 4,4` or `--failed 2,5`.
-pub fn parse_list<T: FromStr>(raw: &str, key: &str) -> Result<Vec<T>, String> {
+pub(crate) fn parse_list<T: FromStr>(raw: &str, key: &str) -> Result<Vec<T>, String> {
     raw.split(',')
         .map(|part| {
             part.trim()

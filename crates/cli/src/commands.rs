@@ -9,7 +9,7 @@ use mbus_core::{exact, tables, topology};
 use mbus_server::json::{self, obj, Json};
 
 /// `mbus table <id>`.
-pub fn table(args: &Args) -> CliResult {
+pub(crate) fn table(args: &Args) -> CliResult {
     let id = args
         .positional
         .first()
@@ -46,7 +46,7 @@ pub fn table(args: &Args) -> CliResult {
 }
 
 /// `mbus tables`.
-pub fn tables(args: &Args) -> CliResult {
+pub(crate) fn tables(args: &Args) -> CliResult {
     for table in tables::all_bandwidth_tables() {
         if args.flag("csv") {
             print!("{}", table.to_csv());
@@ -58,7 +58,7 @@ pub fn tables(args: &Args) -> CliResult {
 }
 
 /// `mbus figures`.
-pub fn figures() -> CliResult {
+pub(crate) fn figures() -> CliResult {
     for (caption, art) in tables::figures() {
         println!("{caption}\n");
         println!("{art}");
@@ -67,7 +67,7 @@ pub fn figures() -> CliResult {
 }
 
 /// `mbus render`.
-pub fn render(args: &Args) -> CliResult {
+pub(crate) fn render(args: &Args) -> CliResult {
     // Rendering needs only the topology — no workload — so N ≠ M shapes
     // like the paper's Fig. 3 (3x6x4) work without a workload flag.
     let net = FlatSpec::read(args)?.network()?;
@@ -80,7 +80,7 @@ pub fn render(args: &Args) -> CliResult {
 }
 
 /// `mbus ratios`.
-pub fn ratios() -> CliResult {
+pub(crate) fn ratios() -> CliResult {
     println!("Section IV bus-halving ratios (single connection, N = 32):");
     println!("MBW(B = N) / MBW(B = N/2)\n");
     println!("| r | hierarchical | uniform |");
@@ -93,7 +93,7 @@ pub fn ratios() -> CliResult {
 }
 
 /// `mbus analyze`.
-pub fn analyze(args: &Args) -> CliResult {
+pub(crate) fn analyze(args: &Args) -> CliResult {
     let system = FlatSpec::read(args)?.build()?;
     let rate = system.rate();
     let breakdown = system.analytic()?;
@@ -182,7 +182,7 @@ fn parse_faults(spec: &str, total_cycles: u64) -> Result<mbus_core::sim::FaultSc
 }
 
 /// `mbus simulate`.
-pub fn simulate(args: &Args) -> CliResult {
+pub(crate) fn simulate(args: &Args) -> CliResult {
     let flat = FlatSpec::read(args)?;
     let sim = SimSpec::read(args)?;
     let system = flat.build()?;
@@ -249,7 +249,7 @@ pub fn simulate(args: &Args) -> CliResult {
 
 /// Builds a [`mbus_core::campaign::CampaignConfig`] from `--max-failures --samples
 /// --limit --seed --workers --q`; shared with `mbus fabric --campaign`.
-pub fn campaign_config_from(args: &Args) -> CliResult<mbus_core::campaign::CampaignConfig> {
+pub(crate) fn campaign_config_from(args: &Args) -> CliResult<mbus_core::campaign::CampaignConfig> {
     let mut config = mbus_core::campaign::CampaignConfig::default();
     config.max_failures = args.usize_field("max-failures")?;
     config.samples = args.get_or("samples", config.samples)?;
@@ -262,7 +262,7 @@ pub fn campaign_config_from(args: &Args) -> CliResult<mbus_core::campaign::Campa
 
 /// `mbus faults`: degraded-mode bandwidth campaign over bus-failure
 /// combinations, with optional simulator cross-validation.
-pub fn faults(args: &Args) -> CliResult {
+pub(crate) fn faults(args: &Args) -> CliResult {
     use mbus_core::campaign;
     let system = FlatSpec::read(args)?.build()?;
     let (net, matrix, rate) = (system.network(), system.matrix(), system.rate());
@@ -342,7 +342,7 @@ fn campaign_json(report: &mbus_core::campaign::CampaignReport) -> Json {
 
 /// The EXPERIMENTS.md "Degraded-mode bandwidth" section, shared between
 /// `mbus experiments` and the fault-campaign documentation flow.
-pub fn degraded_section() -> CliResult<String> {
+pub(crate) fn degraded_section() -> CliResult<String> {
     use mbus_core::campaign::{run_campaign, CampaignConfig};
     let n = 8;
     let b = 4;
@@ -423,7 +423,7 @@ pub fn degraded_section() -> CliResult<String> {
 }
 
 /// `mbus sweep`: CSV series of bandwidth over bus counts for every scheme.
-pub fn sweep(args: &Args) -> CliResult {
+pub(crate) fn sweep(args: &Args) -> CliResult {
     let n = args.get_or("n", 16usize)?;
     let rate = args.get_or("rate", 1.0f64)?;
     let matrix = WorkloadSpec::read(args)?.matrix(n, n)?;
@@ -461,7 +461,7 @@ pub fn sweep(args: &Args) -> CliResult {
 }
 
 /// `mbus validate`.
-pub fn validate(args: &Args) -> CliResult {
+pub(crate) fn validate(args: &Args) -> CliResult {
     let n = args.get_or("n", 8usize)?;
     let cycles = args.get_or("cycles", 200_000u64)?;
     println!("analysis vs exact vs simulation, N = {n}, hierarchical r = 1.0\n");
@@ -499,7 +499,7 @@ pub fn validate(args: &Args) -> CliResult {
 }
 
 /// `mbus experiments`: the full EXPERIMENTS.md body.
-pub fn experiments() -> CliResult {
+pub(crate) fn experiments() -> CliResult {
     println!("# EXPERIMENTS — paper vs computed\n");
     println!(
         "Every value below is regenerated by this repository \
@@ -701,7 +701,7 @@ pub fn experiments() -> CliResult {
 /// Prints every violation (`--json` for machine output, `--sarif` for CI
 /// code-scanning upload, `--unsafe-report` for the unsafe-code inventory)
 /// and fails with a non-zero exit status when the workspace is not clean.
-pub fn lint(args: &Args) -> CliResult {
+pub(crate) fn lint(args: &Args) -> CliResult {
     let root = match args.get("root") {
         Some(path) => std::path::PathBuf::from(path),
         None => find_workspace_root()?,

@@ -22,7 +22,7 @@ fn link_label(kind: LinkKind) -> String {
 }
 
 /// `mbus fabric` / `mbus fabric --sweep` / `mbus fabric --campaign`.
-pub fn fabric(args: &Args) -> CliResult {
+pub(crate) fn fabric(args: &Args) -> CliResult {
     // `--sweep` and `--campaign` are bare flags; a stray value (e.g.
     // `--sweep locality`) would otherwise parse as a non-"true" option
     // and silently fall through to a single run.

@@ -12,7 +12,7 @@ use mbus_server::service::ServiceLimits;
 use mbus_server::signal;
 
 /// `mbus serve`.
-pub fn serve(args: &Args) -> Result<(), String> {
+pub(crate) fn serve(args: &Args) -> Result<(), String> {
     let config = ServerConfig {
         addr: args.get_or("addr", "127.0.0.1:7700".to_owned())?,
         workers: args.get_or("workers", available_workers())?,

@@ -23,7 +23,7 @@ use std::io::BufReader;
 ///
 /// Returns a message for unknown subcommands, missing files, and corrupt
 /// or truncated traces.
-pub fn trace(args: &Args) -> Result<(), String> {
+pub(crate) fn trace(args: &Args) -> Result<(), String> {
     let Some(sub) = args.positional.first() else {
         return Err("usage: mbus trace <analyze|vcd> FILE".into());
     };

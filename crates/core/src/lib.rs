@@ -22,7 +22,7 @@
 //! * [`paper_params`] — the exact experimental configuration of the paper's
 //!   §IV (four clusters, 0.6/0.3/0.1 shares);
 //! * [`tables`] — regenerates every table of the paper (I–VI) with the
-//!   paper's printed values attached cell by cell ([`mod@reference`]), and the
+//!   paper's printed values attached cell by cell (`reference`), and the
 //!   paper's figures 1–4 as ASCII diagrams;
 //! * [`report`] — markdown / CSV rendering for all of the above;
 //! * [`campaign`] (re-export of `mbus-campaign`) — fault campaigns turning
@@ -49,12 +49,12 @@
 
 pub mod paper_params;
 pub mod query;
-pub mod reference;
+pub(crate) mod reference;
 pub mod report;
-pub mod system;
+pub(crate) mod system;
 pub mod tables;
 
-pub use system::{Evaluation, System, SystemError};
+pub(crate) use system::System;
 
 /// Convenient single-import surface: the core types of every layer.
 pub mod prelude {

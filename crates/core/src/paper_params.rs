@@ -6,16 +6,16 @@
 //! other memory modules within the same cluster, and probability 0.1
 //! addressing to the memory modules in other clusters."
 
-use mbus_workload::{HierarchicalModel, UniformModel, WorkloadError};
+use mbus_workload::{HierarchicalModel, WorkloadError};
 
 /// Number of clusters in the paper's two-level hierarchy.
-pub const CLUSTERS: usize = 4;
+pub(crate) const CLUSTERS: usize = 4;
 
 /// Aggregate shares: favorite / same cluster / other clusters.
-pub const SHARES: [f64; 3] = [0.6, 0.3, 0.1];
+pub(crate) const SHARES: [f64; 3] = [0.6, 0.3, 0.1];
 
 /// The two request rates evaluated in every table.
-pub const RATES: [f64; 2] = [1.0, 0.5];
+pub(crate) const RATES: [f64; 2] = [1.0, 0.5];
 
 /// The paper's §IV hierarchical model for an `N × N × B` network.
 ///
@@ -25,15 +25,6 @@ pub const RATES: [f64; 2] = [1.0, 0.5];
 /// of at least two processors (the shares need a non-empty middle level).
 pub fn hierarchical(n: usize) -> Result<HierarchicalModel, WorkloadError> {
     HierarchicalModel::two_level_paired(n, CLUSTERS, SHARES)
-}
-
-/// The paper's uniform baseline for an `N × N × B` network.
-///
-/// # Errors
-///
-/// Returns a [`WorkloadError`] for `n == 0`.
-pub fn uniform(n: usize) -> Result<UniformModel, WorkloadError> {
-    UniformModel::new(n, n)
 }
 
 #[cfg(test)]
@@ -48,7 +39,6 @@ mod tests {
         for n in [8, 12, 16, 32] {
             let model = hierarchical(n).unwrap();
             assert_eq!(model.processors(), n);
-            let _ = uniform(n).unwrap();
         }
     }
 

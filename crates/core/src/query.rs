@@ -101,7 +101,7 @@ pub trait Fields {
 
 /// A bus–memory connection scheme, by name and parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchemeSpec {
+pub(crate) enum SchemeSpec {
     /// `full`: every memory on every bus.
     Full,
     /// `single`: each memory on one bus, balanced.
@@ -186,11 +186,11 @@ pub struct FlatSpec {
     /// Buses (default 4).
     pub b: usize,
     /// Connection scheme (default `full`).
-    pub scheme: SchemeSpec,
+    pub(crate) scheme: SchemeSpec,
     /// Request rate `r` (default 1).
-    pub rate: f64,
+    pub(crate) rate: f64,
     /// The request model.
-    pub workload: WorkloadSpec,
+    pub(crate) workload: WorkloadSpec,
 }
 
 impl FlatSpec {

@@ -13,26 +13,26 @@ use serde::{Deserialize, Serialize};
 
 /// One table row: bandwidth at `buses` buses for both request models.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReferenceCell {
+pub(crate) struct ReferenceCell {
     /// Number of buses `B`.
-    pub buses: usize,
+    pub(crate) buses: usize,
     /// The paper's hierarchical-model value, if legible.
-    pub hier: Option<f64>,
+    pub(crate) hier: Option<f64>,
     /// The paper's uniform-model value, if legible.
-    pub unif: Option<f64>,
+    pub(crate) unif: Option<f64>,
 }
 
 /// One `(N, r)` block of a table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReferenceBlock {
+pub(crate) struct ReferenceBlock {
     /// Network size `N` (processors = memories).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Request rate `r`.
-    pub r: f64,
+    pub(crate) r: f64,
     /// Per-bus-count rows.
-    pub cells: Vec<ReferenceCell>,
+    pub(crate) cells: Vec<ReferenceCell>,
     /// The `N × N` crossbar row, when the table prints one.
-    pub crossbar: Option<(f64, f64)>,
+    pub(crate) crossbar: Option<(f64, f64)>,
 }
 
 fn cells(buses: &[usize], hier: &[Option<f64>], unif: &[Option<f64>]) -> Vec<ReferenceCell> {
@@ -50,7 +50,7 @@ fn some(values: &[f64]) -> Vec<Option<f64>> {
 }
 
 /// Table II — full bus–memory connection, r = 1.0.
-pub fn table2() -> Vec<ReferenceBlock> {
+pub(crate) fn table2() -> Vec<ReferenceBlock> {
     vec![
         ReferenceBlock {
             n: 8,
@@ -125,7 +125,7 @@ pub fn table2() -> Vec<ReferenceBlock> {
 }
 
 /// Table III — full bus–memory connection, r = 0.5.
-pub fn table3() -> Vec<ReferenceBlock> {
+pub(crate) fn table3() -> Vec<ReferenceBlock> {
     vec![
         ReferenceBlock {
             n: 8,
@@ -221,7 +221,7 @@ pub fn table3() -> Vec<ReferenceBlock> {
 }
 
 /// Table IV — single bus–memory connection, both rates.
-pub fn table4() -> Vec<ReferenceBlock> {
+pub(crate) fn table4() -> Vec<ReferenceBlock> {
     vec![
         ReferenceBlock {
             n: 8,
@@ -289,7 +289,7 @@ pub fn table4() -> Vec<ReferenceBlock> {
 }
 
 /// Table V — partial bus networks with g = 2, both rates.
-pub fn table5() -> Vec<ReferenceBlock> {
+pub(crate) fn table5() -> Vec<ReferenceBlock> {
     vec![
         ReferenceBlock {
             n: 8,
@@ -355,7 +355,7 @@ pub fn table5() -> Vec<ReferenceBlock> {
 }
 
 /// Table VI — partial bus networks with K = B classes, both rates.
-pub fn table6() -> Vec<ReferenceBlock> {
+pub(crate) fn table6() -> Vec<ReferenceBlock> {
     vec![
         ReferenceBlock {
             n: 8,

@@ -13,7 +13,7 @@ fn cell(computed: f64, reference: Option<f64>) -> String {
 }
 
 /// Renders a regenerated paper table as GitHub-flavored markdown.
-pub fn paper_table_markdown(table: &PaperTable) -> String {
+pub(crate) fn paper_table_markdown(table: &PaperTable) -> String {
     let mut out = format!("## Table {} — {}\n\n", table.id, table.title);
     out.push_str("Values are `computed (paper)`; `(–)` marks cells illegible in the scan.\n\n");
     for block in &table.blocks {
@@ -45,7 +45,7 @@ pub fn paper_table_markdown(table: &PaperTable) -> String {
 
 /// Renders a regenerated paper table as CSV with header
 /// `table,n,r,buses,hier,unif,hier_ref,unif_ref`.
-pub fn paper_table_csv(table: &PaperTable) -> String {
+pub(crate) fn paper_table_csv(table: &PaperTable) -> String {
     let mut out = String::from("table,n,r,buses,hier,unif,hier_ref,unif_ref\n");
     let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x}"));
     for block in &table.blocks {

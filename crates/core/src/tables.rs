@@ -2,7 +2,7 @@
 //!
 //! Each `tableN()` function computes the analytical bandwidth for exactly
 //! the parameter grid the paper evaluates, pairs each cell with the paper's
-//! printed value (from [`crate::reference`]), and returns a [`PaperTable`]
+//! printed value (from `crate::reference`), and returns a [`PaperTable`]
 //! that renders to markdown/CSV and knows its own worst deviation. The
 //! `figures()` function re-draws the paper's four topology diagrams.
 //!
@@ -45,9 +45,9 @@ pub struct ComputedCell {
     /// Computed uniform-model bandwidth.
     pub unif: f64,
     /// The paper's hierarchical value, where legible.
-    pub hier_ref: Option<f64>,
+    pub(crate) hier_ref: Option<f64>,
     /// The paper's uniform value, where legible.
-    pub unif_ref: Option<f64>,
+    pub(crate) unif_ref: Option<f64>,
 }
 
 /// One `(N, r)` block of a regenerated table.
@@ -63,7 +63,7 @@ pub struct ComputedBlock {
     /// its reference.
     pub crossbar: Option<(f64, f64)>,
     /// The paper's crossbar row.
-    pub crossbar_ref: Option<(f64, f64)>,
+    pub(crate) crossbar_ref: Option<(f64, f64)>,
 }
 
 /// A fully regenerated paper table.
@@ -72,7 +72,7 @@ pub struct PaperTable {
     /// Table identifier ("II" … "VI").
     pub id: &'static str,
     /// Table caption.
-    pub title: String,
+    pub(crate) title: String,
     /// Blocks, one per `(N, r)` combination.
     pub blocks: Vec<ComputedBlock>,
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ApproximationRow {
     /// Number of buses.
-    pub buses: usize,
+    pub(crate) buses: usize,
     /// The paper's (binomial bus-interference) bandwidth.
     pub approximate: f64,
     /// The exact bandwidth.

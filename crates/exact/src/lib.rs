@@ -22,7 +22,7 @@
 //! * [`markov`] — an exact Markov-chain steady state for *resubmission*
 //!   semantics (the Marsan/Mudge regime the paper cites as \[11\], \[12\]),
 //!   validating the simulator's queueing behaviour on small systems: its
-//!   `(M+1)^N` states stay under [`markov::MAX_STATES`].
+//!   `(M+1)^N` states stay under `markov::MAX_STATES`.
 //! * [`memo`] — process-wide memoization of served-set tables, keyed by
 //!   the network, so a sweep over request rates builds each table once.
 //! * [`compare`] — reports quantifying the paper's independence

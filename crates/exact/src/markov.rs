@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Upper bound on `(M+1)^N` for the chain to be built.
-pub const MAX_STATES: usize = 20_000;
+pub(crate) const MAX_STATES: usize = 20_000;
 
 /// Power-step cap of the chain. A chain that reaches it unconverged is
 /// [`ExactError::NoConvergence`], never a result.
@@ -40,20 +40,20 @@ const TOLERANCE: f64 = 1e-13;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResubmissionSteadyState {
     /// Number of states in the chain.
-    pub states: usize,
+    pub(crate) states: usize,
     /// Expected requests served per cycle (throughput).
     pub throughput: f64,
     /// Expected processors holding a blocked request at a cycle start.
-    pub mean_pending: f64,
+    pub(crate) mean_pending: f64,
     /// Expected requesting processors per cycle (pending + fresh).
-    pub mean_active: f64,
+    pub(crate) mean_active: f64,
     /// Mean *waiting age* at completion, in cycles (0 = served in its issue
     /// cycle) — the same convention as the simulator's `mean_wait`.
     pub mean_wait: f64,
     /// Power steps until the stationary distribution converged.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// `Σ|Δπ|` of the last power step (below the convergence tolerance).
-    pub residual: f64,
+    pub(crate) residual: f64,
 }
 
 /// A stationary distribution found by [`power_iterate`].
@@ -405,7 +405,7 @@ fn enumerate_winners(
 mod tests {
     use super::*;
     use mbus_topology::ConnectionScheme;
-    use mbus_workload::{RequestModel, UniformModel};
+    use mbus_workload::{HierarchicalModel, RequestModel, UniformModel};
 
     #[test]
     fn an_unconverged_chain_is_an_error_not_a_result() {
@@ -468,30 +468,42 @@ mod tests {
 
     #[test]
     fn chain_matches_simulator() {
-        let matrix = UniformModel::new(3, 3).unwrap().matrix();
-        let net = BusNetwork::new(3, 3, 1, ConnectionScheme::Full).unwrap();
-        let ss = resubmission_steady_state(&net, &matrix, 0.8).unwrap();
-        let mut sim = mbus_sim::Simulator::build(&net, &matrix, 0.8).unwrap();
-        let report = sim
-            .run(
-                &mbus_sim::SimConfig::new(400_000)
-                    .with_warmup(20_000)
-                    .with_seed(31)
-                    .with_resubmission(true),
-            )
-            .unwrap();
-        assert!(
-            (report.bandwidth.mean() - ss.throughput).abs() < 0.01,
-            "sim {} vs chain {}",
-            report.bandwidth,
-            ss.throughput
-        );
-        assert!(
-            (report.mean_wait - ss.mean_wait).abs() < 0.05,
-            "sim wait {} vs chain {}",
-            report.mean_wait,
-            ss.mean_wait
-        );
+        let uniform = UniformModel::new(3, 3).unwrap().matrix();
+        // (M+1)^N = 625 states, under MAX_STATES.
+        let hierarchical = HierarchicalModel::two_level_paired(4, 2, [0.6, 0.3, 0.1])
+            .unwrap()
+            .matrix();
+        let cases = [
+            ("3x3x1 full", (3, 1, ConnectionScheme::Full), &uniform),
+            ("3x3x2 full", (3, 2, ConnectionScheme::Full), &uniform),
+            ("3x3 crossbar", (3, 1, ConnectionScheme::Crossbar), &uniform),
+            ("4x4x2 hier", (4, 2, ConnectionScheme::Full), &hierarchical),
+        ];
+        for (name, (n, b, scheme), matrix) in cases {
+            let net = BusNetwork::new(n, n, b, scheme).unwrap();
+            let ss = resubmission_steady_state(&net, matrix, 0.8).unwrap();
+            let mut sim = mbus_sim::Simulator::build(&net, matrix, 0.8).unwrap();
+            let report = sim
+                .run(
+                    &mbus_sim::SimConfig::new(400_000)
+                        .with_warmup(20_000)
+                        .with_seed(31)
+                        .with_resubmission(true),
+                )
+                .unwrap();
+            assert!(
+                (report.bandwidth.mean() - ss.throughput).abs() < 0.01,
+                "{name}: sim {} vs chain {}",
+                report.bandwidth,
+                ss.throughput
+            );
+            assert!(
+                (report.mean_wait - ss.mean_wait).abs() < 0.05,
+                "{name}: sim wait {} vs chain {}",
+                report.mean_wait,
+                ss.mean_wait
+            );
+        }
     }
 
     #[test]

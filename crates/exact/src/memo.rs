@@ -32,7 +32,7 @@ fn table_cache() -> &'static MemoCache<String, ServedTable> {
 ///
 /// Propagates [`TopologyError::TableTooLarge`] when `M` exceeds
 /// [`mbus_topology::MAX_TABLE_MEMORIES`].
-pub fn served_table(net: &BusNetwork) -> Result<Arc<ServedTable>, TopologyError> {
+pub(crate) fn served_table(net: &BusNetwork) -> Result<Arc<ServedTable>, TopologyError> {
     let key = format!("{net:?}");
     if let Some(hit) = table_cache().get(&key) {
         return Ok(hit);

@@ -215,16 +215,6 @@ impl FabricSimulator {
         })
     }
 
-    /// The fabric this simulator runs over.
-    pub fn topology(&self) -> &ClusteredBuses {
-        &self.topo
-    }
-
-    /// The per-cycle request rate `r`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Whether runs delegate to the flat engine (depth 1).
     pub fn is_flat(&self) -> bool {
         self.flat.is_some()
@@ -684,7 +674,7 @@ mod tests {
         let mut sim = two_level(&[4, 4], 2, 1, 1.0);
         let report = sim.run(&SimConfig::new(2_000).with_warmup(200)).unwrap();
         for (link, &carried) in report.link_carried.iter().enumerate() {
-            if link >= sim.topology().leaves() {
+            if link >= sim.topo.leaves() {
                 assert_eq!(carried, 0, "uplink {link} carried local-only traffic");
             }
         }

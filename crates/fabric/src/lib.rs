@@ -27,7 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytic;
+pub(crate) mod analytic;
 mod engine;
 mod error;
 mod spec;

@@ -52,7 +52,7 @@ pub enum LinkKind {
 pub struct Link {
     /// Requests the link can accept per cycle (bus count of a local
     /// group, channel count of an uplink).
-    pub width: usize,
+    pub(crate) width: usize,
     /// Position of the link in the cluster tree.
     pub kind: LinkKind,
 }
@@ -237,7 +237,7 @@ impl ClusteredBuses {
 
     /// Hop-ordered route between two leaf clusters (the
     /// [`ClusteredBuses::route`] of any memory homed in `dst_leaf`).
-    pub fn leaf_route(&self, src_leaf: usize, dst_leaf: usize) -> &[LinkId] {
+    pub(crate) fn leaf_route(&self, src_leaf: usize, dst_leaf: usize) -> &[LinkId] {
         &self.routes[src_leaf * self.hierarchy.leaf_count() + dst_leaf]
     }
 

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Method/function names too generic to resolve through the name-merged
 /// call graph: std collisions (`len`, `insert`, `clear`, ...) would
 /// otherwise attribute every container touch to same-named workspace fns.
-pub const COMMON_SKIP: [&str; 44] = [
+pub(crate) const COMMON_SKIP: [&str; 44] = [
     "len",
     "get",
     "get_mut",
@@ -70,62 +70,62 @@ pub const COMMON_SKIP: [&str; 44] = [
 
 /// Analysis results for one source file, fed into [`build_index`].
 #[derive(Debug, Clone, Default)]
-pub struct FileFacts {
+pub(crate) struct FileFacts {
     /// Crate the file belongs to.
-    pub crate_name: String,
+    pub(crate) crate_name: String,
     /// Repo-relative path.
-    pub path: String,
+    pub(crate) path: String,
     /// Per-function concurrency facts.
-    pub facts: Vec<FnFacts>,
+    pub(crate) facts: Vec<FnFacts>,
     /// `(fn name, returns Result)` for every fn item in the file.
-    pub fns: Vec<(String, bool)>,
+    pub(crate) fns: Vec<(String, bool)>,
 }
 
 /// A lock-order edge: `acquired` taken while `held` was live.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockEdge {
+pub(crate) struct LockEdge {
     /// Crate-qualified lock already held.
-    pub held: String,
+    pub(crate) held: String,
     /// Crate-qualified lock acquired under it.
-    pub acquired: String,
+    pub(crate) acquired: String,
     /// File the acquiring site (or call site) is in.
-    pub path: String,
+    pub(crate) path: String,
     /// 0-based line of the site.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Callee name when the edge crosses a function call.
-    pub via: Option<String>,
+    pub(crate) via: Option<String>,
 }
 
 /// A workspace-level violation found by the cross-function analysis,
 /// routed back to a file so per-file suppression applies.
 #[derive(Debug, Clone)]
-pub struct GraphFinding {
+pub(crate) struct GraphFinding {
     /// Repo-relative path of the offending site.
-    pub path: String,
+    pub(crate) path: String,
     /// 0-based line.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Human-readable message.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 /// The workspace-wide index built from every file's [`FileFacts`].
 #[derive(Debug, Clone, Default)]
-pub struct WorkspaceIndex {
+pub(crate) struct WorkspaceIndex {
     /// Fn names where at least one workspace definition exists and *every*
     /// definition returns `Result` — the targets rule R8 protects.
-    pub result_fns: BTreeSet<String>,
+    pub(crate) result_fns: BTreeSet<String>,
     /// All workspace fn names (resolution domain of the call graph).
-    pub fn_names: BTreeSet<String>,
+    pub(crate) fn_names: BTreeSet<String>,
     /// Every lock-order edge (intra-fn and cross-fn) with attribution.
-    pub lock_edges: Vec<LockEdge>,
+    pub(crate) lock_edges: Vec<LockEdge>,
     /// Lock-order inversion findings (edges participating in a cycle).
-    pub cycles: Vec<GraphFinding>,
+    pub(crate) cycles: Vec<GraphFinding>,
     /// Same-lock re-acquisition through a call chain.
-    pub reacquires: Vec<GraphFinding>,
+    pub(crate) reacquires: Vec<GraphFinding>,
 }
 
 /// Extracts the call-graph inputs from one analyzed file.
-pub fn file_facts_of(
+pub(crate) fn file_facts_of(
     crate_name: &str,
     path: &str,
     analysis: &crate::items::FileAnalysis,
@@ -155,7 +155,7 @@ pub fn file_facts_of(
 /// Builds the workspace index: merges fns by name, runs the transitive
 /// lock-set fixpoint, and finds lock-order cycles and cross-call
 /// re-acquisitions.
-pub fn build_index(files: &[FileFacts]) -> WorkspaceIndex {
+pub(crate) fn build_index(files: &[FileFacts]) -> WorkspaceIndex {
     let mut index = WorkspaceIndex::default();
 
     // Result-returning fn names: all definitions must agree.

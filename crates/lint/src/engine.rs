@@ -72,7 +72,7 @@ impl LintReport {
 }
 
 /// Name of the checked-in allowlist file at the workspace root.
-pub const ALLOWLIST_FILE: &str = "lint.allow";
+pub(crate) const ALLOWLIST_FILE: &str = "lint.allow";
 
 /// Runs the full pass over the workspace rooted at `root`.
 ///
@@ -131,11 +131,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     // names only. A binary crate's `pub fn`s are not API, so R9 skips them.
     let mut uses = NameUses::default();
     for (rel_path, _, analysis) in &analyses {
-        uses.add_file(rel_path, &analysis.clean, &analysis.toks);
+        uses.add_file(rel_path, &analysis.toks);
     }
     for rel_path in name_only_sources(root)? {
         let file = clean(&fs::read_to_string(root.join(&rel_path))?);
-        uses.add_file(&rel_path, &file, &tokenize(&file));
+        uses.add_file(&rel_path, &tokenize(&file));
     }
     let binaries: BTreeSet<&str> = analyses
         .iter()
@@ -192,11 +192,12 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     Ok(report)
 }
 
-/// Lints a single in-memory source file (no allowlist). Used by the rule
-/// unit tests and doc examples. The file is its own call-graph universe:
-/// cross-file lock edges obviously cannot be seen here, and R9
-/// `unreached_pub`, which needs every caller, does not run.
-pub fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> LintReport {
+/// Lints a single in-memory source file (no allowlist), for the rule unit
+/// tests. The file is its own call-graph universe: cross-file lock edges
+/// obviously cannot be seen here, and R9 `unreached_pub`, which needs every
+/// caller, does not run.
+#[cfg(test)]
+pub(crate) fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> LintReport {
     let mut report = LintReport {
         files_scanned: 1,
         rules_active: Rule::ALL
@@ -435,10 +436,11 @@ pub fn workspace_source_files(root: &Path) -> io::Result<Vec<(String, String)>> 
 }
 
 /// The `.rs` files R9 reads for names only and never lints: the root
-/// `examples/` and the benchmark harness's `perfbench/src/`.
+/// `examples/` and the benchmark harness's `perfbench/src/` and
+/// `perfbench/tests/`.
 fn name_only_sources(root: &Path) -> io::Result<Vec<String>> {
     let mut files = Vec::new();
-    for sub in ["examples", "perfbench/src"] {
+    for sub in ["examples", "perfbench/src", "perfbench/tests"] {
         let dir = root.join(sub);
         if dir.is_dir() {
             files.extend(rs_files(&dir)?.iter().map(|p| relative(root, p)));
@@ -591,7 +593,7 @@ fn f(x: Option<u8>) -> u8 { x.unwrap() }
     }
 
     #[test]
-    fn unreached_pub_counts_names_outside_the_defining_file() {
+    fn unreached_pub_counts_names_outside_the_crate_src() {
         let root = std::env::temp_dir().join(format!("mbus-lint-reach-{}", std::process::id()));
         let write = |rel: &str, text: &str| {
             let path = root.join(rel);
@@ -608,6 +610,7 @@ fn f(x: Option<u8>) -> u8 { x.unwrap() }
              pub fn by_other_test() {}\n\
              pub fn by_example() {}\n\
              pub fn by_perfbench() {}\n\
+             pub fn by_perfbench_test() {}\n\
              pub fn by_sibling() { helper() }\n\
              pub(crate) fn helper() {}\n\
              #[cfg(test)]\n\
@@ -623,6 +626,10 @@ fn f(x: Option<u8>) -> u8 { x.unwrap() }
         );
         write("examples/demo.rs", "fn main() { by_example(); }\n");
         write("perfbench/src/main.rs", "fn main() { by_perfbench(); }\n");
+        write(
+            "perfbench/tests/run.rs",
+            "fn t() { by_perfbench_test(); }\n",
+        );
         // A binary crate's `pub fn`s are not checked.
         write(
             "crates/bin/src/main.rs",
@@ -643,12 +650,14 @@ fn f(x: Option<u8>) -> u8 { x.unwrap() }
             .violations
             .iter()
             .all(|v| v.rule == Rule::UnreachedPub));
+        // A re-export and a sibling file of the same crate do not count.
         assert_eq!(
             flagged,
             [
                 (3, "crates/lib/src/lib.rs"),
                 (4, "crates/lib/src/lib.rs"),
-                (5, "crates/lib/src/lib.rs")
+                (5, "crates/lib/src/lib.rs"),
+                (10, "crates/lib/src/lib.rs")
             ]
         );
     }

@@ -17,16 +17,16 @@ use std::ops::Range;
 
 /// One token of cleaned source.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// 0-based source line the token starts on.
-    pub line: usize,
+    pub(crate) line: usize,
     /// The token's kind and text.
-    pub kind: TokKind,
+    pub(crate) kind: TokKind,
 }
 
 /// Token kind: a word (identifier or keyword) or a single symbol char.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword text.
     Ident(String),
     /// Any single non-identifier, non-whitespace character.
@@ -35,7 +35,7 @@ pub enum TokKind {
 
 impl Tok {
     /// The identifier text, if this token is a word.
-    pub fn ident(&self) -> Option<&str> {
+    pub(crate) fn ident(&self) -> Option<&str> {
         match &self.kind {
             TokKind::Ident(s) => Some(s.as_str()),
             TokKind::Sym(_) => None,
@@ -43,12 +43,12 @@ impl Tok {
     }
 
     /// `true` if the token is the symbol `c`.
-    pub fn is_sym(&self, c: char) -> bool {
+    pub(crate) fn is_sym(&self, c: char) -> bool {
         self.kind == TokKind::Sym(c)
     }
 
     /// `true` if the token is the word `w`.
-    pub fn is_ident(&self, w: &str) -> bool {
+    pub(crate) fn is_ident(&self, w: &str) -> bool {
         self.ident() == Some(w)
     }
 }
@@ -56,7 +56,7 @@ impl Tok {
 /// Flattens a cleaned file into a token stream. Numeric literals are
 /// dropped entirely (their suffixes would otherwise read as identifiers);
 /// whitespace separates tokens and is not represented.
-pub fn tokenize(file: &CleanFile) -> Vec<Tok> {
+pub(crate) fn tokenize(file: &CleanFile) -> Vec<Tok> {
     let mut out = Vec::new();
     for (line_no, line) in file.lines.iter().enumerate() {
         let chars: Vec<char> = line.code.chars().collect();
@@ -101,11 +101,11 @@ pub fn tokenize(file: &CleanFile) -> Vec<Tok> {
     out
 }
 
-/// Every word of the stream that names something, as `(line, word)`:
-/// each identifier except the name a `fn NAME` defines and the words of a
-/// `pub use` (or `pub(...) use`) re-export, through its `;`. Rule R9
-/// `unreached_pub` counts these.
-pub(crate) fn name_uses(toks: &[Tok]) -> Vec<(usize, &str)> {
+/// Every word of the stream that names something: each identifier except
+/// the name a `fn NAME` defines and the words of a `pub use` (or
+/// `pub(...) use`) re-export, through its `;`. Rule R9 `unreached_pub`
+/// counts these.
+pub(crate) fn name_uses(toks: &[Tok]) -> Vec<&str> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -127,7 +127,7 @@ pub(crate) fn name_uses(toks: &[Tok]) -> Vec<(usize, &str)> {
         }
         if let Some(word) = toks[i].ident() {
             if !(i > 0 && toks[i - 1].is_ident("fn")) {
-                out.push((toks[i].line, word));
+                out.push(word);
             }
         }
         i += 1;
@@ -137,25 +137,23 @@ pub(crate) fn name_uses(toks: &[Tok]) -> Vec<(usize, &str)> {
 
 /// A function item with token-index spans into the stream that produced it.
 #[derive(Debug, Clone)]
-pub struct FnSpan {
+pub(crate) struct FnSpan {
     /// The function's name.
-    pub name: String,
+    pub(crate) name: String,
     /// 0-based line of the `fn` keyword.
-    pub line: usize,
-    /// Token range from the `fn` keyword up to (excluding) the body `{`.
-    pub sig: Range<usize>,
+    pub(crate) line: usize,
     /// Token range of the body, excluding the outer braces. Empty for
     /// bodyless declarations (`fn f(&self) -> T;`).
-    pub body: Range<usize>,
+    pub(crate) body: Range<usize>,
     /// Parameter names whose types are `Fn`/`FnMut`/`FnOnce` callbacks,
     /// whether written inline (`impl FnOnce()`) or via a generic bound.
-    pub callback_params: Vec<String>,
+    pub(crate) callback_params: Vec<String>,
     /// Whether the declared return type mentions `Result`.
-    pub returns_result: bool,
+    pub(crate) returns_result: bool,
 }
 
 /// Extracts every `fn` item from the token stream with brace-matched spans.
-pub fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
+pub(crate) fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -184,8 +182,7 @@ pub fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
             name: name.to_owned(),
             line: toks[i].line,
             callback_params: callback_params(&toks[sig.clone()]),
-            returns_result: returns_result(&toks[sig.clone()]),
-            sig,
+            returns_result: returns_result(&toks[sig]),
             body,
         });
         // Continue from just past the signature so nested fns inside the
@@ -358,7 +355,7 @@ fn closure_bound_generics(sig: &[Tok]) -> BTreeSet<String> {
 
 /// What an `unsafe` keyword introduces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
+pub(crate) enum UnsafeKind {
     /// An `unsafe { ... }` block.
     Block,
     /// An `unsafe fn` (incl. `unsafe extern ... fn`).
@@ -374,7 +371,7 @@ pub enum UnsafeKind {
 
 impl UnsafeKind {
     /// Human-readable label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             UnsafeKind::Block => "unsafe block",
             UnsafeKind::Fn => "unsafe fn",
@@ -387,16 +384,14 @@ impl UnsafeKind {
 
 /// One `unsafe` site with its (possibly missing) `SAFETY:` rationale.
 #[derive(Debug, Clone)]
-pub struct UnsafeSite {
+pub(crate) struct UnsafeSite {
     /// 0-based line of the `unsafe` keyword.
-    pub line: usize,
+    pub(crate) line: usize,
     /// What the keyword introduces.
-    pub kind: UnsafeKind,
+    pub(crate) kind: UnsafeKind,
     /// The rationale text after `SAFETY:`, if a non-empty one was found on
     /// the same line or in the contiguous comment block above.
-    pub rationale: Option<String>,
-    /// Whether the site sits in test-only code.
-    pub in_test: bool,
+    pub(crate) rationale: Option<String>,
 }
 
 /// Finds every `unsafe` keyword and every `#[target_feature]` fn in the
@@ -404,7 +399,7 @@ pub struct UnsafeSite {
 /// surrounding comments when present. An `unsafe fn` with a
 /// `#[target_feature]` attribute is one [`UnsafeKind::TargetFeatureFn`]
 /// site; a safe one is listed at its `fn` keyword.
-pub fn unsafe_sites(file: &CleanFile, toks: &[Tok]) -> Vec<UnsafeSite> {
+pub(crate) fn unsafe_sites(file: &CleanFile, toks: &[Tok]) -> Vec<UnsafeSite> {
     let mut feature_fns = target_feature_fn_lines(toks);
     let mut sites: Vec<(usize, UnsafeKind)> = Vec::new();
     for (i, tok) in toks.iter().enumerate() {
@@ -434,7 +429,6 @@ pub fn unsafe_sites(file: &CleanFile, toks: &[Tok]) -> Vec<UnsafeSite> {
             line,
             kind,
             rationale: safety_rationale(file, line, kind),
-            in_test: file.lines.get(line).is_some_and(|l| l.in_test),
         })
         .collect()
 }
@@ -466,7 +460,7 @@ fn target_feature_fn_lines(toks: &[Tok]) -> BTreeSet<usize> {
 /// Whether a `SAFETY:` rationale names something in backticks — for a
 /// `#[target_feature]` fn, the runtime feature check its callers rely
 /// on (e.g. `` `is_x86_feature_detected!` ``).
-pub fn names_code(rationale: &str) -> bool {
+pub(crate) fn names_code(rationale: &str) -> bool {
     let pieces: Vec<&str> = rationale.split('`').collect();
     // Every odd piece up to the last backtick pair is a code span.
     let pairs = (pieces.len() - 1) / 2;
@@ -522,17 +516,17 @@ fn safety_rationale(file: &CleanFile, line: usize, kind: UnsafeKind) -> Option<S
 
 /// Names that denote synchronization primitives in the scanned workspace.
 #[derive(Debug, Clone, Default)]
-pub struct ConcurrencyDecls {
+pub(crate) struct ConcurrencyDecls {
     /// Lock identities: field/static names declared with a `Mutex` /
     /// `RwLock` / `Condvar` type (directly, via a wrapper such as `Box` /
     /// `Arc` / slices, or via a local `type` alias), plus names of fns whose
     /// return type is a lock (lock-getter pattern, e.g. `fn shard(..) ->
     /// &Shard<K, V>`).
-    pub locks: BTreeSet<String>,
+    pub(crate) locks: BTreeSet<String>,
     /// Field/static names declared with an `Atomic*` type.
-    pub atomics: BTreeSet<String>,
+    pub(crate) atomics: BTreeSet<String>,
     /// Names declared as `Condvar` (subset of `locks` wait-side handling).
-    pub condvars: BTreeSet<String>,
+    pub(crate) condvars: BTreeSet<String>,
 }
 
 /// Built-in lock type names.
@@ -542,7 +536,7 @@ const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
 /// `type Alias = RwLock<...>`, lock-returning fns) for lock and atomic
 /// identities. Returns names only — identity is by name across the file
 /// (and, after merging in the engine, across the crate).
-pub fn concurrency_decls(toks: &[Tok]) -> ConcurrencyDecls {
+pub(crate) fn concurrency_decls(toks: &[Tok]) -> ConcurrencyDecls {
     let mut decls = ConcurrencyDecls::default();
     // Pass 1: `type X = <lock type>` aliases extend the lock-type set. Two
     // sweeps handle aliases declared before use of another alias.
@@ -679,39 +673,39 @@ fn enclosing_fn_if_return_type(toks: &[Tok], i: usize) -> Option<String> {
 
 /// One atomic operation found in a fn body.
 #[derive(Debug, Clone)]
-pub struct AtomicOp {
+pub(crate) struct AtomicOp {
     /// Name of the atomic field/static operated on.
-    pub receiver: String,
+    pub(crate) receiver: String,
     /// The method invoked (`load`, `store`, `fetch_add`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// 0-based line of the call.
-    pub line: usize,
+    pub(crate) line: usize,
     /// `Ordering` variants named literally in the argument list.
-    pub orderings: Vec<String>,
+    pub(crate) orderings: Vec<String>,
 }
 
 /// Concurrency facts extracted from one fn body by a guard-liveness scan.
 #[derive(Debug, Clone, Default)]
-pub struct FnFacts {
+pub(crate) struct FnFacts {
     /// The fn's name.
-    pub name: String,
+    pub(crate) name: String,
     /// 0-based line of the fn item.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Lock acquisitions `(lock, line)` anywhere in the body.
-    pub acquires: Vec<(String, usize)>,
+    pub(crate) acquires: Vec<(String, usize)>,
     /// Re-acquisition of a lock whose guard is still live: `(lock, line)`.
-    pub nested_same: Vec<(String, usize)>,
+    pub(crate) nested_same: Vec<(String, usize)>,
     /// `(held, acquired, line)`: lock-order edges within this body.
-    pub order_edges: Vec<(String, String, usize)>,
+    pub(crate) order_edges: Vec<(String, String, usize)>,
     /// Callback parameters invoked while a guard is live:
     /// `(param, lock, line)`.
-    pub callback_under_lock: Vec<(String, String, usize)>,
+    pub(crate) callback_under_lock: Vec<(String, String, usize)>,
     /// Every call-like target name in the body (fn calls + method calls).
-    pub calls: BTreeSet<String>,
+    pub(crate) calls: BTreeSet<String>,
     /// Calls made while a guard is live: `(callee, lock, line)`.
-    pub calls_under: Vec<(String, String, usize)>,
+    pub(crate) calls_under: Vec<(String, String, usize)>,
     /// Atomic operations on declared `Atomic*` names.
-    pub atomic_ops: Vec<AtomicOp>,
+    pub(crate) atomic_ops: Vec<AtomicOp>,
 }
 
 /// A live lock guard during the body scan.
@@ -755,7 +749,7 @@ const ATOMIC_METHODS: [&str; 15] = [
 ];
 
 /// `std::sync::atomic::Ordering` variant names.
-pub const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+pub(crate) const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// Keywords that look like `ident (` but are not calls.
 const NON_CALL_KEYWORDS: [&str; 12] = [
@@ -764,7 +758,7 @@ const NON_CALL_KEYWORDS: [&str; 12] = [
 
 /// Scans a fn body for lock acquisitions (with guard liveness), calls made
 /// under live guards, callback invocations under guards, and atomic ops.
-pub fn scan_fn(span: &FnSpan, toks: &[Tok], decls: &ConcurrencyDecls) -> FnFacts {
+pub(crate) fn scan_fn(span: &FnSpan, toks: &[Tok], decls: &ConcurrencyDecls) -> FnFacts {
     let mut facts = FnFacts {
         name: span.name.clone(),
         line: span.line,
@@ -998,27 +992,27 @@ fn orderings_in_args(body: &[Tok], open: usize) -> Vec<String> {
 
 /// Everything the semantic rules need to know about one file.
 #[derive(Debug, Clone)]
-pub struct FileAnalysis {
+pub(crate) struct FileAnalysis {
     /// The cleaned file (lines, pragmas, test regions).
-    pub clean: CleanFile,
+    pub(crate) clean: CleanFile,
     /// Token stream of the cleaned file.
-    pub toks: Vec<Tok>,
+    pub(crate) toks: Vec<Tok>,
     /// Function items with spans.
-    pub fns: Vec<FnSpan>,
+    pub(crate) fns: Vec<FnSpan>,
     /// Per-function concurrency facts (parallel to `fns`).
-    pub facts: Vec<FnFacts>,
+    pub(crate) facts: Vec<FnFacts>,
     /// `unsafe` sites with rationales.
-    pub sites: Vec<UnsafeSite>,
+    pub(crate) sites: Vec<UnsafeSite>,
     /// Whether the file lives under a `tests/` directory (integration
     /// tests get only the `safety_comment` and hygiene rules).
-    pub is_test_file: bool,
+    pub(crate) is_test_file: bool,
 }
 
 /// Runs the item-tree passes over one cleaned file. `decls` should be the
 /// crate-level union of concurrency declarations so cross-file field uses
 /// resolve (e.g. a lock declared in `server.rs`, acquired in a sibling
 /// module).
-pub fn analyze_file(
+pub(crate) fn analyze_file(
     clean: CleanFile,
     decls: &ConcurrencyDecls,
     is_test_file: bool,

@@ -15,54 +15,54 @@
 
 /// One `lint:allow` pragma extracted from a line comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pragma {
+pub(crate) struct Pragma {
     /// Rule identifier as written, e.g. `no_panic`.
-    pub rule: String,
+    pub(crate) rule: String,
     /// Free-text justification; the engine rejects empty reasons.
-    pub reason: String,
+    pub(crate) reason: String,
     /// Line (0-based) the pragma comment sits on.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Whether the pragma shares its line with code (applies to that line)
     /// or stands alone (applies to the next line that carries code).
-    pub own_line: bool,
+    pub(crate) own_line: bool,
 }
 
 /// A single source line after cleaning.
 #[derive(Debug, Clone, Default)]
-pub struct Line {
+pub(crate) struct Line {
     /// The line's code with comment/literal contents blanked.
-    pub code: String,
+    pub(crate) code: String,
     /// Doc-comment text (`///` or `//!`) carried by this line, if any.
-    pub doc: Option<String>,
+    pub(crate) doc: Option<String>,
     /// Plain (non-doc) comment text carried by this line, if any. The
     /// `safety_comment` rule reads `SAFETY:` rationales from here.
-    pub comment: Option<String>,
+    pub(crate) comment: Option<String>,
     /// Whether the line is inside test-only code.
-    pub in_test: bool,
+    pub(crate) in_test: bool,
 }
 
 /// A cleaned source file: per-line code plus captured pragmas.
 #[derive(Debug, Clone, Default)]
-pub struct CleanFile {
+pub(crate) struct CleanFile {
     /// Cleaned lines, index = 0-based line number.
-    pub lines: Vec<Line>,
+    pub(crate) lines: Vec<Line>,
     /// All pragmas found in the file, in source order.
-    pub pragmas: Vec<Pragma>,
+    pub(crate) pragmas: Vec<Pragma>,
 }
 
 /// A function item discovered in the cleaned source.
 #[derive(Debug, Clone)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     /// The function's name.
-    pub name: String,
+    pub(crate) name: String,
     /// Line (0-based) of the `fn` keyword.
-    pub line: usize,
+    pub(crate) line: usize,
     /// `true` for plain `pub fn`; `false` for `pub(crate)`/`pub(super)`.
-    pub is_plain_pub: bool,
+    pub(crate) is_plain_pub: bool,
     /// Concatenated doc-comment text attached to the item.
-    pub doc: String,
+    pub(crate) doc: String,
     /// The cleaned body text between the item's outermost braces.
-    pub body: String,
+    pub(crate) body: String,
 }
 
 /// `true` for characters that may continue a Rust identifier.
@@ -74,7 +74,7 @@ fn is_ident_char(c: char) -> bool {
 ///
 /// The cleaned text keeps the same line structure as the input, so line
 /// numbers reported against it map directly back to the file on disk.
-pub fn clean(source: &str) -> CleanFile {
+pub(crate) fn clean(source: &str) -> CleanFile {
     let chars: Vec<char> = source.chars().collect();
     let mut out = CleanFile {
         lines: vec![Line::default()],
@@ -435,7 +435,7 @@ fn has_mod_tests(code: &str) -> bool {
 }
 
 /// Identifiers (and keywords) in a cleaned line with their char offsets.
-pub fn idents(code: &str) -> Vec<(usize, String)> {
+pub(crate) fn idents(code: &str) -> Vec<(usize, String)> {
     let chars: Vec<char> = code.chars().collect();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -460,12 +460,12 @@ pub fn idents(code: &str) -> Vec<(usize, String)> {
 }
 
 /// The first non-whitespace character at or after char offset `from`.
-pub fn next_significant_char(code: &str, from: usize) -> Option<char> {
+pub(crate) fn next_significant_char(code: &str, from: usize) -> Option<char> {
     code.chars().skip(from).find(|c| !c.is_whitespace())
 }
 
 /// Extracts every function item (name, docs, body) from a cleaned file.
-pub fn fn_items(file: &CleanFile) -> Vec<FnItem> {
+pub(crate) fn fn_items(file: &CleanFile) -> Vec<FnItem> {
     let mut items = Vec::new();
     for (line_no, line) in file.lines.iter().enumerate() {
         let toks = idents(&line.code);

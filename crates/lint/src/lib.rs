@@ -1,7 +1,7 @@
 //! `mbus-lint` — a dependency-free static-analysis pass over the
 //! workspace's own source.
 //!
-//! The workspace vendors no parser crates, so [`lexer`] implements a small
+//! The workspace vendors no parser crates, so `lexer` implements a small
 //! hand-rolled Rust lexer (comments, strings, raw strings, char literals,
 //! `#[cfg(test)]`/`mod tests` region tracking) whose cleaned output feeds
 //! the rule engine in [`rules`]:
@@ -20,9 +20,9 @@
 //!   the seven formula modules must route results through
 //!   `mbus_stats::prob::check`.
 //!
-//! On top of the lexer, [`items`] builds a lightweight item tree (function
+//! On top of the lexer, `items` builds a lightweight item tree (function
 //! spans, call sites, `unsafe` sites, lock/atomic declarations) and
-//! [`callgraph`] assembles a workspace-wide approximate call graph; these
+//! `callgraph` assembles a workspace-wide approximate call graph; these
 //! feed the semantic passes:
 //!
 //! - **R5 `safety_comment`** — every `unsafe` block/fn/impl/trait needs a
@@ -40,39 +40,44 @@
 //! - **R8 `unchecked_result`** — no `let _ =` or bare-statement discards of
 //!   `Result`-returning workspace calls in non-test code.
 //! - **R9 `unreached_pub`** — a plain `pub fn` in a library crate's `src/`
-//!   must be named outside its own definition, its own file's test code
-//!   and doc comments. Other crates, integration tests, `examples/` and
-//!   `perfbench/src` count (the last two are read for names only); a
-//!   `pub use` re-export does not. Only [`lint_workspace`] runs it.
+//!   must be named outside that `src/`: by another crate, the crate's own
+//!   `tests/`, `examples/` or perfbench (the last two are read for names
+//!   only). Its own crate's `src/`, unit tests and doc comments do not
+//!   count, and neither does a `pub use` re-export; make such a function
+//!   `pub(crate)`, where rustc's dead-code pass takes over. Only
+//!   [`lint_workspace`] runs it.
 //!
 //! Violations are suppressed by per-line `// lint:allow(rule, reason)`
 //! pragmas or the checked-in `lint.allow` file; reason-less or stale allows
-//! are themselves violations (`allow_hygiene`). See [`engine`] for the
-//! resolution order and [`report`] for the human/JSON/SARIF renderers used
+//! are themselves violations (`allow_hygiene`). See `engine` for the
+//! resolution order and `report` for the human/JSON/SARIF renderers used
 //! by `mbus lint`.
 //!
 //! # Examples
 //!
 //! ```
-//! let report = mbus_lint::lint_source(
-//!     "sim",
-//!     "crates/sim/src/demo.rs",
-//!     "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }",
-//! );
+//! let root = std::env::temp_dir().join(format!("mbus-lint-doc-{}", std::process::id()));
+//! std::fs::create_dir_all(root.join("crates/sim/src"))?;
+//! std::fs::write(
+//!     root.join("crates/sim/src/lib.rs"),
+//!     "pub(crate) fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+//! )?;
+//! let report = mbus_lint::lint_workspace(&root)?;
+//! std::fs::remove_dir_all(&root)?;
 //! assert_eq!(report.violations.len(), 1);
-//! assert_eq!(report.violations[0].rule, mbus_lint::Rule::NoPanic);
+//! assert_eq!(report.violations[0].rule.to_string(), "no_panic");
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
-pub mod engine;
-pub mod items;
-pub mod lexer;
-pub mod report;
+pub(crate) mod callgraph;
+pub(crate) mod engine;
+pub(crate) mod items;
+pub(crate) mod lexer;
+pub(crate) mod report;
 pub mod rules;
 
-pub use engine::{lint_source, lint_workspace, workspace_source_files, LintReport, ALLOWLIST_FILE};
+pub use engine::{lint_workspace, workspace_source_files, LintReport, UnsafeInventoryEntry};
 pub use report::{render_human, render_json, render_sarif, render_unsafe_report};
-pub use rules::{Rule, Violation};

@@ -10,12 +10,12 @@
 //! | R6 | `lock_discipline` | every crate with `Mutex`/`RwLock`/`Condvar` fields, non-test code |
 //! | R7 | `atomics_ordering` | every atomic op on a declared `Atomic*` field/static, non-test code |
 //! | R8 | `unchecked_result` | discarded workspace `Result`s, non-test code |
-//! | R9 | `unreached_pub` | plain `pub fn`s in library crates' `src/`, workspace passes only |
+//! | R9 | `unreached_pub` | plain `pub fn`s in library crates' `src/` that nothing outside the crate's `src/` names, workspace passes only |
 //! | —  | `allow_hygiene` | pragmas and the `lint.allow` file themselves |
 //!
 //! R1–R4 run on the cleaned lines alone; R5–R8 additionally use the item
-//! tree ([`crate::items`]) and the workspace call-graph index
-//! ([`crate::callgraph`]). R9 needs the names every file uses, so only a
+//! tree (`crate::items`) and the workspace call-graph index
+//! (`crate::callgraph`). R9 needs the names every file uses, so only a
 //! workspace pass runs it.
 
 use crate::callgraph::WorkspaceIndex;
@@ -52,8 +52,8 @@ pub enum Rule {
     /// R8: no `let _ =` / bare-statement discards of `Result`-returning
     /// workspace calls in non-test code.
     UncheckedResult,
-    /// R9: a plain `pub fn` in a library crate that nothing names outside
-    /// its own file's tests and the doc comments.
+    /// R9: a plain `pub fn` in a library crate that nothing outside the
+    /// crate's own `src/` names.
     UnreachedPub,
     /// Meta-rule: malformed, reason-less, or stale allows.
     AllowHygiene,
@@ -77,7 +77,7 @@ impl Rule {
     }
 
     /// Parses a rule name written in a pragma or allowlist entry.
-    pub fn parse(name: &str) -> Option<Rule> {
+    pub(crate) fn parse(name: &str) -> Option<Rule> {
         match name {
             "no_panic" => Some(Rule::NoPanic),
             "lossy_cast" => Some(Rule::LossyCast),
@@ -94,7 +94,7 @@ impl Rule {
 
     /// Every enforced rule, in report order (hygiene excluded — it is a
     /// property of suppressions, not of source files).
-    pub const ALL: [Rule; 9] = [
+    pub(crate) const ALL: [Rule; 9] = [
         Rule::NoPanic,
         Rule::LossyCast,
         Rule::EqDoc,
@@ -134,7 +134,7 @@ pub struct Violation {
 /// needs a rationale); `src/` files get the full rule set. `index` routes
 /// the workspace-level findings (lock-order cycles, cross-call
 /// re-acquisitions, `Result`-returning fn names) back to their files.
-pub fn check_file(
+pub(crate) fn check_file(
     crate_name: &str,
     rel_path: &str,
     analysis: &FileAnalysis,
@@ -174,7 +174,7 @@ pub fn check_file(
 pub const LOSSY_CAST_CRATES: [&str; 6] = ["sim", "core", "stats", "topology", "server", "trace"];
 
 /// Crates R3 applies to.
-pub const EQ_DOC_CRATES: [&str; 2] = ["analysis", "exact"];
+pub(crate) const EQ_DOC_CRATES: [&str; 2] = ["analysis", "exact"];
 
 /// The seven formula modules R4 applies to.
 pub const FORMULA_MODULES: [&str; 7] = [
@@ -415,7 +415,7 @@ fn safety_comment(rel_path: &str, analysis: &FileAnalysis, out: &mut Vec<Violati
 /// Receivers allowed to use `Ordering::Relaxed`: monotonic stat counters
 /// whose values are only ever read for reporting, never used to order
 /// other memory operations.
-pub const RELAXED_COUNTERS: [&str; 14] = [
+pub(crate) const RELAXED_COUNTERS: [&str; 14] = [
     "hits",
     "misses",
     "inserts",
@@ -639,42 +639,51 @@ fn check_discard_stmt(
 /// Where the workspace names each identifier, for R9 `unreached_pub`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NameUses {
-    /// Names used by non-test code in any file.
-    in_code: BTreeSet<String>,
-    /// Per name, the files whose test code uses it.
-    in_tests: BTreeMap<String, BTreeSet<String>>,
+    /// Per name, the scopes (see [`src_scope`]) of the files that name it.
+    scopes: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl NameUses {
     /// Records the names one file uses (see [`name_uses`]). Files read for
     /// names only, such as `examples/`, are recorded the same way.
-    pub(crate) fn add_file(&mut self, rel_path: &str, file: &CleanFile, toks: &[Tok]) {
-        for (line, word) in name_uses(toks) {
-            if file.lines.get(line).is_some_and(|l| l.in_test) {
-                self.in_tests
-                    .entry(word.to_owned())
-                    .or_default()
-                    .insert(rel_path.to_owned());
-            } else if !self.in_code.contains(word) {
-                self.in_code.insert(word.to_owned());
+    pub(crate) fn add_file(&mut self, rel_path: &str, toks: &[Tok]) {
+        let scope = src_scope(rel_path);
+        for word in name_uses(toks) {
+            let scopes = self.scopes.entry(word.to_owned()).or_default();
+            if !scopes.contains(scope) {
+                scopes.insert(scope.to_owned());
             }
         }
     }
 
-    /// Whether anything but `rel_path`'s own test code names `name`.
+    /// Whether a file outside `rel_path`'s crate `src/` names `name`.
     fn reaches(&self, name: &str, rel_path: &str) -> bool {
-        self.in_code.contains(name)
-            || self
-                .in_tests
-                .get(name)
-                .is_some_and(|files| files.iter().any(|f| f != rel_path))
+        let own = src_scope(rel_path);
+        self.scopes
+            .get(name)
+            .is_some_and(|scopes| scopes.iter().any(|s| s != own))
     }
 }
 
-/// R9: flag each plain `pub fn` that nothing names except its own
-/// definition, its own file's test code and doc comments (which the
-/// cleaned code never contains). The caller decides that `rel_path` is in
-/// a library crate's `src/`.
+/// The crate `src/` directory that `rel_path` sits in (`crates/x/src/`, or
+/// `src/` for the root package); any other file is its own scope.
+fn src_scope(rel_path: &str) -> &str {
+    if rel_path.starts_with("src/") {
+        return "src/";
+    }
+    match rel_path.find("/src/") {
+        Some(at) => &rel_path[..at + "/src/".len()],
+        None => rel_path,
+    }
+}
+
+/// R9: flag each plain `pub fn` that no file outside its own crate's
+/// `src/` names: not another crate, not the crate's `tests/`, not
+/// `examples/` or perfbench. Names in the crate's own `src/`, its unit
+/// tests and doc comments (which the cleaned code never contains) do not
+/// count, because rustc's dead-code pass covers those once the item is
+/// `pub(crate)`. The caller decides that `rel_path` is in a library
+/// crate's `src/`.
 pub(crate) fn unreached_pub(
     rel_path: &str,
     analysis: &FileAnalysis,
@@ -692,8 +701,8 @@ pub(crate) fn unreached_pub(
             path: rel_path.to_owned(),
             line: item.line + 1,
             message: format!(
-                "`{}` is `pub` but nothing outside this file's tests and docs \
-                 names it; delete it or make it private",
+                "`{}` is `pub` but nothing outside its crate's `src/` names it; \
+                 make it `pub(crate)` or delete it",
                 item.name
             ),
         })

@@ -59,7 +59,7 @@ pub fn peek(p: *const u8) -> Option<u8> {
 pub struct Error;
 
 /// Fallible send.
-pub fn send() -> Result<(), Error> {
+pub(crate) fn send() -> Result<(), Error> {
     Ok(())
 }
 

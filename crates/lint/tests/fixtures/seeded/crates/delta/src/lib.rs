@@ -4,7 +4,7 @@
 pub struct Error;
 
 /// Fallible send.
-pub fn send() -> Result<(), Error> {
+pub(crate) fn send() -> Result<(), Error> {
     Ok(())
 }
 

@@ -36,13 +36,13 @@ impl Default for Limits {
 
 /// A parsed request: method, path, and raw body bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, upper-cased as received (`GET`, `POST`, …).
-    pub method: String,
+    pub(crate) method: String,
     /// Request target path (query strings are kept verbatim).
-    pub path: String,
+    pub(crate) path: String,
     /// Raw body bytes (empty when no `Content-Length` was sent).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 /// Why a request could not be read.
@@ -65,7 +65,7 @@ pub enum HttpError {
 impl HttpError {
     /// The HTTP status code this error maps to, or `None` when the
     /// connection is already unusable and no response should be written.
-    pub fn status(&self) -> Option<u16> {
+    pub(crate) fn status(&self) -> Option<u16> {
         match self {
             HttpError::Malformed(_) => Some(400),
             HttpError::TooLarge(_) => Some(413),
@@ -76,7 +76,7 @@ impl HttpError {
     }
 
     /// Short human-readable reason.
-    pub fn reason(&self) -> String {
+    pub(crate) fn reason(&self) -> String {
         match self {
             HttpError::Malformed(why) => format!("malformed request: {why}"),
             HttpError::TooLarge(what) => format!("request too large: {what}"),
@@ -93,11 +93,11 @@ impl HttpError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Head {
     /// Request method.
-    pub method: String,
+    pub(crate) method: String,
     /// Request target.
-    pub path: String,
+    pub(crate) path: String,
     /// Raw header lines (request line excluded).
-    pub header_lines: Vec<String>,
+    pub(crate) header_lines: Vec<String>,
 }
 
 /// Parses the head block (everything before the blank line, which must
@@ -181,7 +181,7 @@ pub fn content_length(head: &Head) -> Result<Option<usize>, HttpError> {
 ///
 /// Any [`HttpError`]; use [`HttpError::status`] to decide whether a
 /// response can still be written.
-pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
+pub(crate) fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
     stream
         .set_read_timeout(Some(limits.read_timeout))
         .map_err(HttpError::Io)?;
@@ -261,13 +261,13 @@ fn io_to_http(err: std::io::Error) -> HttpError {
 #[derive(Debug, Clone)]
 pub struct Response {
     /// HTTP status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// `Content-Type` header value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// Response body.
-    pub body: String,
+    pub(crate) body: String,
     /// Optional `Retry-After` seconds (set on load-shed responses).
-    pub retry_after: Option<u32>,
+    pub(crate) retry_after: Option<u32>,
 }
 
 impl Response {
@@ -282,7 +282,7 @@ impl Response {
     }
 
     /// A plain-text response (used by `/metrics`).
-    pub fn text(status: u16, body: String) -> Self {
+    pub(crate) fn text(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -292,7 +292,7 @@ impl Response {
     }
 
     /// Adds a `Retry-After` header.
-    pub fn with_retry_after(mut self, seconds: u32) -> Self {
+    pub(crate) fn with_retry_after(mut self, seconds: u32) -> Self {
         self.retry_after = Some(seconds);
         self
     }
@@ -321,7 +321,7 @@ impl Response {
     /// # Errors
     ///
     /// Propagates the underlying `write_all`/`flush` failure.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         stream.write_all(&self.to_bytes())?;
         stream.flush()
     }

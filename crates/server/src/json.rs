@@ -4,7 +4,7 @@
 //! serving layer carries its own JSON: a recursive-descent parser over raw
 //! bytes and a canonical renderer. The parser is written for hostile input
 //! — every byte access is bounds-checked, recursion depth is capped at
-//! [`MAX_DEPTH`], and every failure is a structured [`JsonError`] carrying
+//! `MAX_DEPTH`, and every failure is a structured [`JsonError`] carrying
 //! the byte offset, never a panic. The robustness proptests in
 //! `tests/robustness.rs` feed it random and truncated bytes.
 //!
@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 /// Maximum nesting depth the parser accepts; deeper input is rejected
 /// instead of risking stack exhaustion.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +44,7 @@ pub struct JsonError {
     /// Byte offset of the failure in the input.
     pub offset: usize,
     /// Human-readable reason.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for JsonError {
@@ -74,7 +74,7 @@ impl Json {
 
     /// The number as an exact non-negative integer (rejects fractions,
     /// negatives, and magnitudes beyond 2^53).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         let x = self.as_f64()?;
         if x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0 {
             // Validated above: non-negative, integral, within u64 range.
@@ -84,13 +84,13 @@ impl Json {
         }
     }
 
-    /// The number as an exact `usize` (same rules as [`Json::as_u64`]).
+    /// The number as an exact `usize` (same rules as `Json::as_u64`).
     pub fn as_usize(&self) -> Option<usize> {
         usize::try_from(self.as_u64()?).ok()
     }
 
     /// The boolean, for `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -111,11 +111,6 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Renders the value as compact JSON text.

@@ -43,11 +43,10 @@
 pub mod http;
 pub mod json;
 pub mod loadgen;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod server;
 pub mod service;
 #[allow(unsafe_code)] // the one unsafe island: the POSIX signal(2) shim
 pub mod signal;
 
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use service::{ApiError, Endpoint, ServiceLimits};

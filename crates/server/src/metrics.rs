@@ -35,7 +35,7 @@ struct EndpointMetrics {
 
 /// Process-wide serving metrics. One instance is shared by every worker.
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     total: AtomicU64,
     shed: AtomicU64,
     responses_4xx: AtomicU64,
@@ -47,12 +47,12 @@ pub struct Metrics {
 
 impl Metrics {
     /// Fresh all-zero metrics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Metrics::default()
     }
 
     /// Records the configured worker count (a gauge set once at startup).
-    pub fn set_workers(&self, workers: usize) {
+    pub(crate) fn set_workers(&self, workers: usize) {
         self.workers.store(
             u64::try_from(workers).unwrap_or(u64::MAX),
             Ordering::Relaxed,
@@ -60,17 +60,17 @@ impl Metrics {
     }
 
     /// Marks a worker as busy; pair with [`Metrics::worker_idle`].
-    pub fn worker_busy(&self) {
+    pub(crate) fn worker_busy(&self) {
         self.busy_workers.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Marks a worker as idle again.
-    pub fn worker_idle(&self) {
+    pub(crate) fn worker_idle(&self) {
         self.busy_workers.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a load-shed connection (answered 429 without dispatch).
-    pub fn record_shed(&self) {
+    pub(crate) fn record_shed(&self) {
         self.total.fetch_add(1, Ordering::Relaxed);
         self.shed.fetch_add(1, Ordering::Relaxed);
         self.responses_4xx.fetch_add(1, Ordering::Relaxed);
@@ -79,7 +79,7 @@ impl Metrics {
     /// Records a completed response: overall counters, the status class,
     /// and — when the request reached an endpoint — that endpoint's count,
     /// error count, cache-hit count, and latency sample.
-    pub fn record_response(
+    pub(crate) fn record_response(
         &self,
         endpoint: Option<Endpoint>,
         status: u16,
@@ -116,24 +116,24 @@ impl Metrics {
     }
 
     /// Total responses written (shed included).
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total.load(Ordering::Relaxed)
     }
 
     /// Load-shed responses written.
-    pub fn shed(&self) -> u64 {
+    pub(crate) fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 
     /// 5xx responses written (must stay 0 under capacity).
-    pub fn server_errors(&self) -> u64 {
+    pub(crate) fn server_errors(&self) -> u64 {
         self.responses_5xx.load(Ordering::Relaxed)
     }
 
     /// Renders the Prometheus-style text document served at `/metrics`.
     /// `caches` pairs each memo cache's metric-name prefix with its counter
     /// snapshot; each renders as `{prefix}_{hits,misses,inserts,entries}`.
-    pub fn render_text(&self, caches: &[(&str, CacheStats)]) -> String {
+    pub(crate) fn render_text(&self, caches: &[(&str, CacheStats)]) -> String {
         let mut out = String::with_capacity(1024);
         let mut line = |name: &str, value: u64| {
             let _ = writeln!(out, "{name} {value}");

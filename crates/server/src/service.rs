@@ -121,7 +121,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// Maps a request path to its endpoint.
-    pub fn from_path(path: &str) -> Option<Endpoint> {
+    pub(crate) fn from_path(path: &str) -> Option<Endpoint> {
         match path {
             "/v1/bandwidth" => Some(Endpoint::Bandwidth),
             "/v1/exact" => Some(Endpoint::Exact),
@@ -182,7 +182,7 @@ pub struct ApiError {
 
 impl ApiError {
     /// 400 with kind `bad_json`: the body is not a JSON document.
-    pub fn bad_json(message: impl std::fmt::Display) -> Self {
+    pub(crate) fn bad_json(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 400,
             kind: "bad_json",
@@ -192,7 +192,7 @@ impl ApiError {
 
     /// 400 with kind `bad_request`: a field is missing, mistyped, unknown,
     /// or fails domain validation.
-    pub fn bad_request(message: impl std::fmt::Display) -> Self {
+    pub(crate) fn bad_request(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 400,
             kind: "bad_request",
@@ -202,7 +202,7 @@ impl ApiError {
 
     /// 422 with kind `unsupported`: a well-formed query the engines cannot
     /// evaluate (e.g. exact enumeration beyond the memory limit).
-    pub fn unsupported(message: impl std::fmt::Display) -> Self {
+    pub(crate) fn unsupported(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 422,
             kind: "unsupported",
@@ -212,7 +212,7 @@ impl ApiError {
 
     /// 422 with kind `too_large`: a dimension or budget exceeds
     /// [`ServiceLimits`].
-    pub fn too_large(message: impl std::fmt::Display) -> Self {
+    pub(crate) fn too_large(message: impl std::fmt::Display) -> Self {
         ApiError {
             status: 422,
             kind: "too_large",
@@ -221,7 +221,7 @@ impl ApiError {
     }
 
     /// The JSON error body.
-    pub fn to_body(&self) -> String {
+    pub(crate) fn to_body(&self) -> String {
         obj(vec![(
             "error",
             obj(vec![
@@ -347,7 +347,7 @@ fn encode_fabric(fabric: &FabricQuery) -> Vec<u64> {
 
 impl Query {
     /// Which endpoint this query targets.
-    pub fn endpoint(&self) -> Endpoint {
+    pub(crate) fn endpoint(&self) -> Endpoint {
         match self {
             Query::Bandwidth(_) => Endpoint::Bandwidth,
             Query::Exact(_) => Endpoint::Exact,
@@ -413,7 +413,7 @@ impl Query {
 ///
 /// # Errors
 ///
-/// [`ApiError::bad_json`] on non-UTF-8 or malformed JSON.
+/// `ApiError::bad_json` on non-UTF-8 or malformed JSON.
 pub fn parse_body(bytes: &[u8]) -> Result<Json, ApiError> {
     if bytes.is_empty() {
         return Ok(Json::Obj(Vec::new()));
@@ -1053,7 +1053,7 @@ mod tests {
         let trace = result.get("trace").unwrap();
         assert_eq!(trace.get("served").and_then(Json::as_u64), Some(0));
         for key in ["wait_mean", "wait_p50", "wait_p95", "wait_p99", "wait_max"] {
-            assert!(trace.get(key).unwrap().is_null(), "{key} of no waits");
+            assert_eq!(trace.get(key), Some(&Json::Null), "{key} of no waits");
         }
     }
 

@@ -46,7 +46,7 @@ mod imp {
         STOP_REQUESTED.store(true, Ordering::SeqCst);
     }
 
-    pub fn install() -> bool {
+    pub(crate) fn install() -> bool {
         let handler = on_signal as extern "C" fn(i32) as usize;
         // SAFETY: `signal` is the POSIX entry point; the handler performs
         // only an atomic store, which is async-signal-safe.
@@ -56,7 +56,7 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    pub fn install() -> bool {
+    pub(crate) fn install() -> bool {
         false
     }
 }

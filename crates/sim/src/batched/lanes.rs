@@ -847,7 +847,7 @@ impl LaneIssue {
 ///
 /// Panics if `seeds` is empty or exceeds [`MAX_LANES`], or if the network
 /// has more than 64 processors or memories — callers gate on
-/// [`super::eligible`].
+/// `super::eligible`.
 pub fn run_batch(
     net: &BusNetwork,
     matrix: &RequestMatrix,

@@ -37,7 +37,7 @@
 //!   path for traced runs and the PR 1 golden reports.
 //!
 //! Eligibility: `N ≤ 64`, `M ≤ 64`, and at least two replications
-//! ([`eligible`]); everything else stays on the scalar engine.
+//! (`eligible`); everything else stays on the scalar engine.
 
 pub(crate) mod collect;
 pub(crate) mod dispatch;
@@ -45,8 +45,8 @@ pub(crate) mod dispatch;
 #[path = "../../tests/support/batched_scenarios.rs"]
 mod golden_scenarios;
 pub(crate) mod issue;
-pub mod lanes;
-pub mod reference;
+pub(crate) mod lanes;
+pub(crate) mod reference;
 pub(crate) mod rng;
 
 pub use lanes::run_batch;
@@ -58,7 +58,7 @@ use mbus_topology::BusNetwork;
 /// Whether the batched engine can and should run `replications`
 /// replications on `net`: every per-lane set must fit a `u64` word, and a
 /// single replication gains nothing from batching.
-pub fn eligible(net: &BusNetwork, replications: usize) -> bool {
+pub(crate) fn eligible(net: &BusNetwork, replications: usize) -> bool {
     net.processors() <= MAX_LANES && net.memories() <= MAX_LANES && replications >= 2
 }
 

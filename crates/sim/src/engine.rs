@@ -14,11 +14,11 @@ use rand::{RngExt, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// The processor whose request completed.
-    pub processor: usize,
+    pub(crate) processor: usize,
     /// The memory module accessed.
-    pub memory: usize,
+    pub(crate) memory: usize,
     /// The granting bus, if the scheme uses buses.
-    pub bus: Option<usize>,
+    pub(crate) bus: Option<usize>,
 }
 
 /// Everything that happened in one simulated cycle.
@@ -311,11 +311,6 @@ impl Simulator {
             outcome: CycleOutcome::with_capacity(net),
             net: net.clone(),
         }
-    }
-
-    /// The simulated network.
-    pub fn network(&self) -> &BusNetwork {
-        &self.net
     }
 
     /// Mutable access to the fault mask, for manual fault injection between

@@ -45,7 +45,7 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// An empty schedule.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::default()
     }
 

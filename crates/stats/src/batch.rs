@@ -62,20 +62,9 @@ impl BatchMeans {
         }
     }
 
-    /// Total number of observations pushed (including a trailing partial
-    /// batch).
-    pub fn count(&self) -> u64 {
-        self.overall.count()
-    }
-
     /// Grand mean over all observations (partial batch included).
     pub fn mean(&self) -> f64 {
         self.overall.mean()
-    }
-
-    /// Configured batch length.
-    pub fn batch_len(&self) -> u64 {
-        self.batch_len
     }
 
     /// Student-t confidence interval over the batch means.
@@ -126,7 +115,6 @@ mod tests {
         for x in [1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 3.0, 100.0] {
             bm.push(x);
         }
-        assert_eq!(bm.count(), 9);
         // Grand mean includes the 100.0 straggler…
         assert!((bm.mean() - 116.0 / 9.0).abs() < 1e-12);
         // …but the CI is centered on the completed batches (means 1 and 3).

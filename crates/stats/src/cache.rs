@@ -239,17 +239,6 @@ impl<K: Eq + Hash, V> MemoCache<K, V> {
         self.len() == 0
     }
 
-    /// Drops every retained entry (outstanding `Arc`s stay alive).
-    pub fn clear(&self) {
-        for (index, shard) in self.shards.iter().enumerate() {
-            let _held = self.shard_token(index);
-            let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-            let dropped = u64::try_from(map.len()).unwrap_or(0);
-            map.clear();
-            self.retained.fetch_sub(dropped, Ordering::Relaxed);
-        }
-    }
-
     /// Number of lookups answered from the cache.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -258,12 +247,6 @@ impl<K: Eq + Hash, V> MemoCache<K, V> {
     /// Number of lookups that had to compute (racing threads each count).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of values retained so far (cumulative; capacity-overflow
-    /// computes are not counted because they are never stored).
-    pub fn inserts(&self) -> u64 {
-        self.inserts.load(Ordering::Relaxed)
     }
 
     /// Snapshot of every counter via relaxed atomic loads — no shard lock
@@ -285,8 +268,10 @@ mod tests {
     #[test]
     fn cold_then_warm() {
         let cache: MemoCache<u32, u32> = MemoCache::new(4, 16);
+        assert!(cache.is_empty());
         let a = cache.get_or_insert_with(7, || 49);
         assert_eq!(*a, 49);
+        assert!(!cache.is_empty());
         assert_eq!(cache.misses(), 1);
         // Warm hit returns the same Arc and never re-computes.
         let b = cache.get_or_insert_with(7, || panic!("must not recompute"));
@@ -307,17 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_all_shards() {
-        let cache: MemoCache<u32, u32> = MemoCache::new(4, 16);
-        for k in 0..8 {
-            cache.get_or_insert_with(k, move || k);
-        }
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn stats_snapshot_tracks_all_counters() {
         let cache: MemoCache<u32, u32> = MemoCache::new(1, 2);
         for k in 0..4 {
@@ -332,10 +306,6 @@ mod tests {
         assert_eq!(stats.len, 2);
         assert_eq!(stats.len, cache.len() as u64, "atomic gauge matches scan");
         assert!((stats.hit_rate() - 2.0 / 6.0).abs() < 1e-12);
-        cache.clear();
-        let cleared = cache.stats();
-        assert_eq!(cleared.len, 0);
-        assert_eq!(cleared.inserts, 2, "cumulative counters survive clear");
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 

@@ -19,7 +19,6 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(h.count(), 7);
 /// assert_eq!(h.frequency(2), 3);
-/// assert_eq!(h.mode(), Some(2));
 /// assert_eq!(h.quantile(0.5), Some(2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -88,33 +87,6 @@ impl Histogram {
         weighted / self.total as f64
     }
 
-    /// Population variance of the recorded values; `0.0` when empty.
-    pub fn variance(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let ss: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(v, &c)| (v as f64 - mean).powi(2) * c as f64)
-            .sum();
-        ss / self.total as f64
-    }
-
-    /// Most frequent value (smallest in case of ties); `None` when empty.
-    pub fn mode(&self) -> Option<usize> {
-        if self.total == 0 {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then(vb.cmp(va)))
-            .map(|(v, _)| v)
-    }
-
     /// Largest recorded value; `None` when empty.
     pub fn max_value(&self) -> Option<usize> {
         self.counts.iter().rposition(|&c| c > 0)
@@ -150,13 +122,6 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(|(v, &c)| (v, c))
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (v, c) in other.iter() {
-            self.record_n(v, c);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +133,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.mode(), None);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.max_value(), None);
     }
@@ -185,16 +149,20 @@ mod tests {
         assert_eq!(h.frequency(100), 0);
         assert_eq!(h.count(), 4);
         assert_eq!(h.max_value(), Some(7));
+        h.record_n(7, 2);
+        h.record_n(9, 0); // zero observations record nothing
+        assert_eq!(h.frequency(7), 3);
+        assert_eq!(h.count(), 6);
+        assert_eq!(h.max_value(), Some(7));
     }
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_weights_each_value() {
         let mut h = Histogram::new();
         for v in [1, 1, 3, 3] {
             h.record(v);
         }
         assert_eq!(h.mean(), 2.0);
-        assert_eq!(h.variance(), 1.0);
     }
 
     #[test]
@@ -208,28 +176,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), Some(3));
         assert_eq!(h.quantile(0.8), Some(5));
         assert_eq!(h.quantile(1.0), Some(9));
-    }
-
-    #[test]
-    fn mode_prefers_smallest_on_tie() {
-        let mut h = Histogram::new();
-        for v in [2, 2, 5, 5] {
-            h.record(v);
-        }
-        assert_eq!(h.mode(), Some(2));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new();
-        a.record(1);
-        let mut b = Histogram::new();
-        b.record_n(1, 2);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.frequency(1), 3);
-        assert_eq!(a.frequency(3), 1);
-        assert_eq!(a.count(), 4);
     }
 
     #[test]

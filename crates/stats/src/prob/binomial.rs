@@ -55,7 +55,6 @@ pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
 ///
 /// let bin = Binomial::new(8, 0.25);
 /// assert!((bin.mean() - 2.0).abs() < 1e-12);
-/// assert!((bin.cdf(8) - 1.0).abs() < 1e-12);
 /// // E[min(X, 3)] needed for bandwidth truncation:
 /// let capped = bin.expected_min_with(3);
 /// assert!(capped < bin.mean() && capped > 0.0);
@@ -77,29 +76,14 @@ impl Binomial {
         Self { n, p }
     }
 
-    /// Number of trials.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// `E[X] = n·p`.
     pub fn mean(&self) -> f64 {
         self.n as f64 * self.p
     }
 
     /// `P(X = k)`.
-    pub fn pmf(&self, k: u64) -> f64 {
+    pub(crate) fn pmf(&self, k: u64) -> f64 {
         binomial_pmf(self.n, k, self.p)
-    }
-
-    /// `P(X ≤ k)`.
-    pub fn cdf(&self, k: u64) -> f64 {
-        (0..=k.min(self.n)).map(|i| self.pmf(i)).sum()
     }
 
     /// The full pmf as a dense vector of length `n + 1`.
@@ -113,7 +97,7 @@ impl Binomial {
     /// (4), (8), and (9): with `X` requested memory modules and `b` buses,
     /// `b` connections at most can be made, so `max(X − b, 0)` requests are
     /// rejected by bus interference.
-    pub fn expected_excess_over(&self, b: u64) -> f64 {
+    pub(crate) fn expected_excess_over(&self, b: u64) -> f64 {
         ((b + 1)..=self.n)
             .map(|i| (i - b) as f64 * self.pmf(i))
             .sum()
@@ -159,7 +143,6 @@ mod tests {
         assert!((bin.pmf(1) - 0.421875).abs() < 1e-12);
         assert!((bin.pmf(2) - 0.140625).abs() < 1e-12);
         assert!((bin.pmf(3) - 0.015625).abs() < 1e-12);
-        assert!((bin.cdf(1) - 0.84375).abs() < 1e-12);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! formula modules to route its result through this module.
 
 /// Absolute tolerance for a single probability straying outside `[0, 1]`.
-pub const PROB_TOL: f64 = 1e-9;
+pub(crate) const PROB_TOL: f64 = 1e-9;
 
 /// Absolute tolerance for a distribution's sum straying from `1`.
-pub const SUM_TOL: f64 = 1e-6;
+pub(crate) const SUM_TOL: f64 = 1e-6;
 
 /// Asserts (in debug builds) that `p` is a probability.
 #[inline]
@@ -48,7 +48,7 @@ pub fn assert_probabilities(name: &str, ps: &[f64]) {
 }
 
 /// Asserts (in debug builds) that `pmf` is a distribution: every entry a
-/// probability and the total within [`SUM_TOL`] of one.
+/// probability and the total within `SUM_TOL` of one.
 #[inline]
 pub fn assert_distribution_sums_to_one(name: &str, pmf: &[f64]) {
     assert_probabilities(name, pmf);

@@ -62,7 +62,7 @@ pub fn choose_f64(n: u64, k: u64) -> f64 {
 ///
 /// Exact-table values are used for `n ≤ 20` so small factorials are
 /// bit-accurate.
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     const EXACT: [f64; 21] = [
         1.0,
         1.0,
@@ -95,7 +95,7 @@ pub fn ln_factorial(n: u64) -> f64 {
 
 /// Natural log of `C(n, k)`. Returns `f64::NEG_INFINITY` when `k > n`
 /// (the coefficient is zero).
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }

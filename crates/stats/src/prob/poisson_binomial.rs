@@ -22,11 +22,11 @@ use serde::{Deserialize, Serialize};
 /// // Homogeneous probabilities reduce to the binomial.
 /// let pb = PoissonBinomial::new(&[0.5, 0.5, 0.5]).unwrap();
 /// assert!((pb.pmf(1) - 0.375).abs() < 1e-12);
-/// assert!((pb.mean() - 1.5).abs() < 1e-12);
+/// // No cap binds when at most three trials can succeed.
+/// assert!((pb.expected_min_with(3) - 1.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoissonBinomial {
-    probs: Vec<f64>,
     pmf: Vec<f64>,
 }
 
@@ -72,15 +72,7 @@ impl PoissonBinomial {
             }
             pmf[0] *= 1.0 - p;
         }
-        Ok(Self {
-            probs: probs.to_vec(),
-            pmf,
-        })
-    }
-
-    /// Number of trials.
-    pub fn n(&self) -> usize {
-        self.probs.len()
+        Ok(Self { pmf })
     }
 
     /// `P(X = k)`; zero for `k > n`.
@@ -88,24 +80,9 @@ impl PoissonBinomial {
         self.pmf.get(k).copied().unwrap_or(0.0)
     }
 
-    /// `P(X ≤ k)`.
-    pub fn cdf(&self, k: usize) -> f64 {
-        self.pmf.iter().take(k + 1).sum()
-    }
-
     /// The full pmf as a dense slice of length `n + 1`.
     pub fn pmf_slice(&self) -> &[f64] {
         &self.pmf
-    }
-
-    /// `E[X] = Σ pᵢ`.
-    pub fn mean(&self) -> f64 {
-        self.probs.iter().sum()
-    }
-
-    /// `Var[X] = Σ pᵢ(1−pᵢ)`.
-    pub fn variance(&self) -> f64 {
-        self.probs.iter().map(|p| p * (1.0 - p)).sum()
     }
 
     /// `E[min(X, b)]` — accepted requests when at most `b` can be served.
@@ -117,16 +94,6 @@ impl PoissonBinomial {
             .iter()
             .enumerate()
             .map(|(k, &p)| k.min(b) as f64 * p)
-            .sum()
-    }
-
-    /// `E[max(X − b, 0)]` — requests rejected by a capacity of `b`.
-    pub fn expected_excess_over(&self, b: usize) -> f64 {
-        self.pmf
-            .iter()
-            .enumerate()
-            .skip(b + 1)
-            .map(|(k, &p)| (k - b) as f64 * p)
             .sum()
     }
 }
@@ -141,7 +108,6 @@ mod tests {
         let pb = PoissonBinomial::new(&[]).unwrap();
         assert_eq!(pb.pmf(0), 1.0);
         assert_eq!(pb.pmf(1), 0.0);
-        assert_eq!(pb.mean(), 0.0);
         assert_eq!(pb.expected_min_with(3), 0.0);
     }
 
@@ -182,14 +148,17 @@ mod tests {
             .enumerate()
             .map(|(k, &p)| k as f64 * p)
             .sum();
-        assert!((mean_from_pmf - pb.mean()).abs() < 1e-12);
+        // E[X] = Σ pᵢ and Var[X] = Σ pᵢ(1−pᵢ).
+        let mean: f64 = probs.iter().sum();
+        assert!((mean_from_pmf - mean).abs() < 1e-12);
         let var_from_pmf: f64 = pb
             .pmf_slice()
             .iter()
             .enumerate()
-            .map(|(k, &p)| (k as f64 - pb.mean()).powi(2) * p)
+            .map(|(k, &p)| (k as f64 - mean).powi(2) * p)
             .sum();
-        assert!((var_from_pmf - pb.variance()).abs() < 1e-12);
+        let variance: f64 = probs.iter().map(|p| p * (1.0 - p)).sum();
+        assert!((var_from_pmf - variance).abs() < 1e-12);
     }
 
     #[test]
@@ -202,10 +171,17 @@ mod tests {
 
     #[test]
     fn min_and_excess_identity() {
-        let pb = PoissonBinomial::new(&[0.3, 0.6, 0.9, 0.2]).unwrap();
+        // E[min(X, b)] + E[max(X − b, 0)] = E[X] = Σ pᵢ, with the excess
+        // taken from the pmf.
+        let probs = [0.3, 0.6, 0.9, 0.2];
+        let pb = PoissonBinomial::new(&probs).unwrap();
+        let mean: f64 = probs.iter().sum();
         for b in 0..=4 {
-            let lhs = pb.expected_min_with(b) + pb.expected_excess_over(b);
-            assert!((lhs - pb.mean()).abs() < 1e-12);
+            let excess: f64 = (b + 1..=probs.len())
+                .map(|k| (k - b) as f64 * pb.pmf(k))
+                .sum();
+            let lhs = pb.expected_min_with(b) + excess;
+            assert!((lhs - mean).abs() < 1e-12);
         }
     }
 

@@ -61,11 +61,6 @@ impl Welford {
         self.mean
     }
 
-    /// Sum of the observations.
-    pub fn sum(&self) -> f64 {
-        self.mean * self.count as f64
-    }
-
     /// Unbiased sample variance (divides by `n − 1`); `0.0` for fewer than two
     /// observations.
     pub fn sample_variance(&self) -> f64 {

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostSummary {
     /// Which scheme the summary describes.
-    pub kind: SchemeKind,
+    pub(crate) kind: SchemeKind,
     /// Total number of connections to buses (processor-side plus
     /// memory-side); `N · M` crosspoints for the crossbar.
     pub connections: usize,
@@ -28,7 +28,7 @@ pub struct CostSummary {
 
 impl CostSummary {
     /// Computes the cost summary for a network.
-    pub fn for_network(net: &BusNetwork) -> Self {
+    pub(crate) fn for_network(net: &BusNetwork) -> Self {
         let (n, m, b) = (net.processors(), net.memories(), net.buses());
         let (connections, bus_loads) = match net.scheme() {
             // B(N + M); each bus carries all N processors and M memories.
@@ -71,7 +71,7 @@ impl CostSummary {
     }
 
     /// Maximum per-bus load, or 0 for the crossbar.
-    pub fn max_bus_load(&self) -> usize {
+    pub(crate) fn max_bus_load(&self) -> usize {
         self.bus_loads.iter().copied().max().unwrap_or(0)
     }
 
@@ -97,7 +97,7 @@ pub struct SchemeCostRow {
     /// The paper's symbolic connection-count formula.
     pub connections_formula: String,
     /// The paper's symbolic per-bus load formula.
-    pub load_formula: String,
+    pub(crate) load_formula: String,
     /// The paper's symbolic degree-of-fault-tolerance formula.
     pub fault_tolerance_formula: String,
     /// Instantiated connection count.

@@ -51,7 +51,7 @@ impl FaultMask {
     }
 
     /// Number of buses the mask covers.
-    pub fn buses(&self) -> usize {
+    pub(crate) fn buses(&self) -> usize {
         self.failed.len()
     }
 
@@ -218,22 +218,12 @@ impl<'a> DegradedView<'a> {
         Ok(Self { network, mask })
     }
 
-    /// The underlying network.
-    pub fn network(&self) -> &BusNetwork {
-        self.network
-    }
-
-    /// The fault mask.
-    pub fn mask(&self) -> &FaultMask {
-        self.mask
-    }
-
     /// Number of *alive* buses wired to `memory`.
     ///
     /// # Panics
     ///
     /// Panics if `memory` is out of range.
-    pub fn alive_buses_of_memory(&self, memory: usize) -> usize {
+    pub(crate) fn alive_buses_of_memory(&self, memory: usize) -> usize {
         self.network
             .buses_of_memory(memory)
             .filter(|&bus| self.mask.is_alive(bus))
@@ -420,8 +410,6 @@ mod tests {
         let net = full_net();
         let mask = FaultMask::with_failures(4, &[2]).unwrap();
         let view = DegradedView::new(&net, &mask).unwrap();
-        assert_eq!(view.network().buses(), 4);
-        assert_eq!(view.mask().failed_count(), 1);
         // Full connection: redundancy degrades uniformly with each failure.
         assert!((0..8).all(|j| view.alive_buses_of_memory(j) == 3));
     }

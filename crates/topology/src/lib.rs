@@ -22,8 +22,8 @@
 //!
 //! On top of the connectivity model the crate provides the paper's **cost
 //! analysis** (Table I: connection counts, per-bus loads, degree of fault
-//! tolerance — module [`cost`]), **fault masks and degraded views** (module
-//! [`fault`]), and **renderers** that regenerate the paper's Figures 1–4 as
+//! tolerance — module `cost`), **fault masks and degraded views** (module
+//! `fault`), and **renderers** that regenerate the paper's Figures 1–4 as
 //! ASCII or Graphviz DOT (module [`render`]).
 //!
 //! Bus, memory, processor, class, and group indices are all **0-based** in
@@ -48,13 +48,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
+pub(crate) mod cost;
 mod error;
-pub mod fault;
+pub(crate) mod fault;
 mod network;
 pub mod render;
 mod scheme;
-pub mod served;
+pub(crate) mod served;
 
 pub use cost::{CostSummary, SchemeCostRow};
 pub use error::TopologyError;

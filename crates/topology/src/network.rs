@@ -253,7 +253,7 @@ impl BusNetwork {
 
     /// The 0-based class index of `memory` (paper class `C_{c+1}`), or `None`
     /// for non-K-class schemes.
-    pub fn class_of_memory(&self, memory: usize) -> Option<usize> {
+    pub(crate) fn class_of_memory(&self, memory: usize) -> Option<usize> {
         if self.class_offsets.is_empty() || memory >= self.m {
             return None;
         }

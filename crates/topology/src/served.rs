@@ -141,7 +141,7 @@ pub fn served_count(net: &BusNetwork, mask: u64) -> usize {
 /// # Examples
 ///
 /// ```
-/// use mbus_topology::{served::ServedTable, BusNetwork, ConnectionScheme};
+/// use mbus_topology::{BusNetwork, ConnectionScheme, ServedTable};
 ///
 /// let net = BusNetwork::new(8, 8, 3, ConnectionScheme::Full)?;
 /// let table = ServedTable::build(&net)?;
@@ -151,7 +151,6 @@ pub fn served_count(net: &BusNetwork, mask: u64) -> usize {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServedTable {
-    memories: usize,
     counts: Vec<u8>,
 }
 
@@ -173,25 +172,7 @@ impl ServedTable {
         let plan = MaskPlan::build(net);
         // lint:allow(lossy_cast, served counts are bounded by M <= MAX_TABLE_MEMORIES = 20 < 256)
         let counts = (0..1u64 << m).map(|mask| plan.served(mask) as u8).collect();
-        Ok(Self {
-            memories: m,
-            counts,
-        })
-    }
-
-    /// Number of memories `M` the table covers.
-    pub fn memories(&self) -> usize {
-        self.memories
-    }
-
-    /// Number of entries (`2^M`).
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether the table is empty (never true for a valid network).
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        Ok(Self { counts })
     }
 
     /// Served count for the requested-set bitmask `mask`.
@@ -222,7 +203,7 @@ mod tests {
     fn crossbar_counts_population() {
         let net = BusNetwork::new(6, 6, 1, ConnectionScheme::Crossbar).unwrap();
         let t = table(&net);
-        assert_eq!(t.len(), 64);
+        assert_eq!(t.counts.len(), 64);
         for mask in 0u64..64 {
             assert_eq!(t.served(mask), mask.count_ones() as usize);
         }
@@ -284,7 +265,7 @@ mod tests {
         ];
         for net in &nets {
             let t = table(net);
-            for mask in 0u64..t.len() as u64 {
+            for mask in 0u64..t.counts.len() as u64 {
                 assert_eq!(
                     t.served(mask),
                     served_count(net, mask),

@@ -32,10 +32,10 @@ use crate::TraceError;
 use mbus_topology::ConnectionScheme;
 
 /// Magic bytes opening every trace stream.
-pub const MAGIC: [u8; 4] = *b"MBT1";
+pub(crate) const MAGIC: [u8; 4] = *b"MBT1";
 
 /// Current format version (the first varint after the magic).
-pub const VERSION: u64 = 1;
+pub(crate) const VERSION: u64 = 1;
 
 /// Record tag for the footer.
 pub(crate) const TAG_FOOTER: u64 = 0;
@@ -53,7 +53,7 @@ pub(crate) const SCHEME_KCLASS: u64 = 3;
 pub(crate) const SCHEME_CROSSBAR: u64 = 4;
 
 /// Appends `value` to `buf` as an unsigned LEB128 varint.
-pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
     loop {
         // lint:allow(lossy_cast, the value is masked to 7 bits on this line)
         let byte = (value & 0x7f) as u8;
@@ -100,7 +100,7 @@ pub(crate) fn put_scheme(buf: &mut Vec<u8>, scheme: &ConnectionScheme) {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceHeader {
     /// Format version the stream was written with.
-    pub version: u64,
+    pub(crate) version: u64,
     /// Number of processors `N`.
     pub processors: usize,
     /// Number of memory modules `M`.

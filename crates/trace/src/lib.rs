@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use mbus_topology::{BusNetwork, ConnectionScheme};
-//! use mbus_trace::{analyze::analyze, reader::TraceReader, writer::{TraceGrant, TraceWriter}};
+//! use mbus_trace::{analyze, TraceGrant, TraceReader, TraceWriter};
 //!
 //! let net = BusNetwork::new(2, 2, 1, ConnectionScheme::Full)?;
 //! let mut writer = TraceWriter::new(Vec::new(), &net, false);
@@ -48,14 +48,14 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod format;
-pub mod reader;
+pub(crate) mod format;
+pub(crate) mod reader;
 pub mod render;
 pub mod vcd;
 pub mod writer;
 
-pub use analyze::{analyze, BusStats, MemoryStats, TraceAnalysis};
-pub use format::{TraceHeader, MAGIC, VERSION};
+pub use analyze::{analyze, TraceAnalysis};
+pub use format::TraceHeader;
 pub use reader::{CycleRecord, TraceReader};
 pub use writer::{TraceGrant, TraceWriter};
 

@@ -18,16 +18,16 @@ const CHUNK: usize = 64 * 1024;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleRecord {
     /// Requests newly issued this cycle.
-    pub issued: u64,
+    pub(crate) issued: u64,
     /// Total requesting processors this cycle (new + resubmitted).
-    pub active: u64,
+    pub(crate) active: u64,
     /// Requests dropped because their memory had no alive bus.
-    pub unreachable: u64,
+    pub(crate) unreachable: u64,
     /// Failed bus indices this cycle.
-    pub failed_buses: Vec<usize>,
+    pub(crate) failed_buses: Vec<usize>,
     /// `(memory, queued requesters)` for each memory with ≥ 1 requester
     /// after unreachable filtering, in ascending memory order.
-    pub requested: Vec<(usize, u64)>,
+    pub(crate) requested: Vec<(usize, u64)>,
     /// Requests served this cycle.
     pub grants: Vec<TraceGrant>,
 }

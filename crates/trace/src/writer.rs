@@ -27,7 +27,7 @@ pub struct TraceGrant {
     pub wait: u64,
 }
 
-/// Streaming encoder for the `MBT1` format (see [`crate::format`]).
+/// Streaming encoder for the `MBT1` format (see `crate::format`).
 ///
 /// Write errors are *deferred*: the hot loop calls
 /// [`TraceWriter::record_cycle`] without a `Result`, and any sink failure
@@ -136,16 +136,6 @@ impl<W: Write> TraceWriter<W> {
         }
     }
 
-    /// Cycles recorded so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Grants recorded so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
     /// Writes the footer, flushes the sink, and returns it.
     ///
     /// # Errors
@@ -229,7 +219,7 @@ mod tests {
                 }],
             );
         }
-        let recorded = writer.cycles();
+        let recorded = writer.cycles;
         assert!(
             recorded > 0 && recorded < 10_000,
             "writer goes quiescent after the first failed flush (recorded {recorded})"

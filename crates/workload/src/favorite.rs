@@ -65,11 +65,6 @@ impl FavoriteModel {
     pub fn favorite_of(&self, p: usize) -> usize {
         p % self.m
     }
-
-    /// The favorite weight `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl RequestModel for FavoriteModel {

@@ -30,7 +30,7 @@ pub struct HierarchicalModel {
 
 impl HierarchicalModel {
     /// Pairs a hierarchy with validated fractions.
-    pub fn new(hierarchy: Hierarchy, fractions: Fractions) -> Self {
+    pub(crate) fn new(hierarchy: Hierarchy, fractions: Fractions) -> Self {
         Self {
             hierarchy,
             fractions,

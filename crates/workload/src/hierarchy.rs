@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// How the innermost (nth-level) subclusters pair processors with memories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LeafKind {
+pub(crate) enum LeafKind {
     /// The paper's `N × N × B` setting: each leaf subcluster holds `kₙ`
     /// *pairs* `(Pᵢ, MMᵢ)`; every processor has exactly one favorite memory.
     /// A hierarchy of `n` levels then has `n + 1` request fractions
@@ -160,7 +160,7 @@ impl Hierarchy {
     }
 
     /// Processors per leaf subcluster (`kₙ`).
-    pub fn processors_per_leaf(&self) -> usize {
+    pub(crate) fn processors_per_leaf(&self) -> usize {
         // lint:allow(no_panic, Hierarchy constructors reject empty level lists)
         *self.ks.last().expect("validated non-empty")
     }

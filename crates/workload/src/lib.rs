@@ -66,7 +66,7 @@ pub use favorite::FavoriteModel;
 pub use fractions::Fractions;
 pub use groups::{RowGroups, WorkloadFingerprint};
 pub use hierarchical::HierarchicalModel;
-pub use hierarchy::{Hierarchy, LeafKind};
+pub use hierarchy::Hierarchy;
 pub use matrix::RequestMatrix;
 pub use model::RequestModel;
 pub use sampler::{AliasSampler, WorkloadSampler};

@@ -185,16 +185,6 @@ impl AliasSampler {
         Ok(Self { cells })
     }
 
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the sampler has no outcomes (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Draws one outcome index.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         draw(&self.cells, rng)
@@ -227,7 +217,6 @@ pub struct WorkloadSampler {
     cells: Vec<AliasCell>,
     /// `M`, the row stride.
     memories: usize,
-    rate: f64,
     /// `ceil(r · 2^53)`, or `None` when `r ≥ 1` and no gate is drawn.
     gate: Option<u64>,
 }
@@ -256,14 +245,8 @@ impl WorkloadSampler {
         Ok(Self {
             cells,
             memories,
-            rate: r,
             gate: (r < 1.0).then(|| unit_threshold(r)),
         })
-    }
-
-    /// The request rate `r`.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 
     /// One cycle's decision for processor `p`: `Some(memory)` with

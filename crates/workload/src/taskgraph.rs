@@ -96,7 +96,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `t` is out of range.
-    pub fn group_of(&self, t: usize) -> usize {
+    pub(crate) fn group_of(&self, t: usize) -> usize {
         self.groups[t]
     }
 
@@ -106,7 +106,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn weight(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn weight(&self, a: usize, b: usize) -> f64 {
         assert!(a < self.tasks && b < self.tasks, "task index out of range");
         self.weights[a * self.tasks + b]
     }
@@ -173,12 +173,12 @@ impl Assignment {
     /// # Panics
     ///
     /// Panics if `t` is out of range.
-    pub fn processor_of(&self, t: usize) -> usize {
+    pub(crate) fn processor_of(&self, t: usize) -> usize {
         self.task_to_processor[t]
     }
 
     /// Number of processors the assignment targets.
-    pub fn processors(&self) -> usize {
+    pub(crate) fn processors(&self) -> usize {
         self.processors
     }
 }
